@@ -600,10 +600,10 @@ let run_scaleup ~domains ~transactional kind ~n =
       in
       let certifier = attach_certifier world.manager in
       let programs = Gen.batch world ~transactional kind ~n ~tag_base:0 in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Ent_obs.Clock.monotonic () in
       let ids = List.map (Manager.submit world.manager) programs in
       Manager.drain world.manager;
-      let wall = Unix.gettimeofday () -. t0 in
+      let wall = Ent_obs.Clock.monotonic () -. t0 in
       let stats = Scheduler.stats (Manager.scheduler world.manager) in
       let coord_share =
         if wall > 0.0 then
@@ -791,8 +791,9 @@ let ablation_run_frequency () =
 
 let ablation_coordination_search () =
   heading
-    "Ablation: coordination search cost vs number of concurrent pairs\n\
-     (wall-clock microseconds per Coordinate.evaluate call)";
+    "Ablation: coordination cost vs number of concurrent pairs\n\
+     (wall-clock microseconds per call on the same entries: goal-driven\n\
+     search, Coordinate, vs combined-query compilation [6], Combined)";
   let cat = Ent_storage.Catalog.create () in
   let flights =
     Ent_storage.Catalog.create_table cat "Flights"
@@ -817,7 +818,15 @@ let ablation_coordination_search () =
     | Ent_sql.Ast.Entangled e -> Ent_entangle.Translate.of_ast ~env e
     | _ -> assert false
   in
-  Printf.printf "%8s %16s\n" "pairs" "us per call";
+  let us_per_call evaluate entries =
+    let iters = 50 in
+    let t0 = Ent_obs.Clock.monotonic () in
+    for _ = 1 to iters do
+      ignore (evaluate entries)
+    done;
+    1e6 *. (Ent_obs.Clock.monotonic () -. t0) /. float_of_int iters
+  in
+  Printf.printf "%8s %16s %16s\n" "pairs" "search us/call" "combined us/call";
   List.iter
     (fun pairs ->
       let entries =
@@ -828,51 +837,10 @@ let ablation_coordination_search () =
                [ (2 * k, qa, Ent_entangle.Ground.compute ~access ~env qa);
                  ((2 * k) + 1, qb, Ent_entangle.Ground.compute ~access ~env qb) ]))
       in
-      let t0 = Unix.gettimeofday () in
-      let iters = 50 in
-      for _ = 1 to iters do
-        ignore (Ent_entangle.Coordinate.evaluate entries)
-      done;
-      let t1 = Unix.gettimeofday () in
-      Printf.printf "%8d %16.1f\n%!" pairs
-        (1e6 *. (t1 -. t0) /. float_of_int iters))
+      let search = us_per_call Ent_entangle.Coordinate.evaluate entries in
+      let combined = us_per_call Ent_entangle.Combined.evaluate entries in
+      Printf.printf "%8d %16.1f %16.1f\n%!" pairs search combined)
     [ 1; 5; 10; 25; 50; 100 ]
-
-let ablation_evaluation_strategy () =
-  heading
-    "Ablation: entangled query evaluation strategy\n\
-     goal-driven search (Coordinate) vs combined-query compilation [6]\n\
-     (same declarative semantics; wall-clock differs)";
-  let n = max 200 (txns_total / 5) in
-  Printf.printf "%12s %14s %14s %10s\n" "strategy" "sim time (s)"
-    "wall clock (s)" "commits";
-  List.iter
-    (fun (name, evaluation) ->
-      let config =
-        {
-          Scheduler.default_config with
-          connections = 100;
-          trigger = Scheduler.Every_arrivals 20;
-          evaluation;
-        }
-      in
-      let world = Travel.build ~users:world_users ~cities:world_cities ~config () in
-      let t0 = Unix.gettimeofday () in
-      let ids =
-        List.map (Manager.submit world.manager)
-          (Gen.batch world ~transactional:true Gen.Entangled ~n ~tag_base:0)
-      in
-      Manager.drain world.manager;
-      let wall = Unix.gettimeofday () -. t0 in
-      let commits =
-        List.length
-          (List.filter
-             (fun id -> Manager.outcome world.manager id = Some Scheduler.Committed)
-             ids)
-      in
-      Printf.printf "%12s %14.2f %14.3f %10d\n%!" name
-        (Manager.now world.manager) wall commits)
-    [ ("search", Scheduler.Search); ("combined", Scheduler.Combined) ]
 
 (* --- bechamel microbenches --- *)
 
@@ -994,8 +962,42 @@ let load_json path =
     ~finally:(fun () -> close_in ic)
     (fun () -> Json.of_string (In_channel.input_all ic))
 
+(* The one reader all three gates share: each series of a bench
+   document as (name, [(x, time_s)]), keeping the points whose x is an
+   int and whose time is positive. *)
+let series_points doc =
+  match Json.member "series" doc with
+  | Some (Json.List series) ->
+    List.filter_map
+      (fun s ->
+        match (Json.member "name" s, Json.member "points" s) with
+        | Some (Json.Str name), Some (Json.List points) ->
+          Some
+            ( name,
+              List.filter_map
+                (fun p ->
+                  match
+                    ( Option.bind (Json.member "x" p) Json.to_int_opt,
+                      Option.bind (Json.member "time_s" p) Json.to_float_opt )
+                  with
+                  | Some x, Some t when t > 0.0 -> Some (x, t)
+                  | _ -> None)
+                points )
+        | _ -> None)
+      series
+  | _ -> []
+
+(* (base, fresh) values at every x both series have, in base order. *)
+let shared_points base fresh =
+  List.filter_map
+    (fun (x, b) -> Option.map (fun f -> (b, f)) (List.assoc_opt x fresh))
+    base
+
+(* Mean of [sel] over a non-empty list. *)
+let mean_over xs sel =
+  List.fold_left (fun acc x -> acc +. sel x) 0.0 xs /. float_of_int (List.length xs)
+
 let perfgate ~tolerance ~fresh ~baseline =
-  let load = load_json in
   let series_of doc =
     let txns =
       match Json.member "bench_txns" doc with
@@ -1011,31 +1013,13 @@ let perfgate ~tolerance ~fresh ~baseline =
       | Some (Json.Str "fig6c") -> max 200 (txns / 5)
       | _ -> txns
     in
-    match Json.member "series" doc with
-    | Some (Json.List series) ->
-      List.filter_map
-        (fun s ->
-          match Json.member "name" s, Json.member "points" s with
-          | Some (Json.Str name), Some (Json.List points) ->
-            let points =
-              List.filter_map
-                (fun p ->
-                  match Json.member "x" p, Json.member "time_s" p with
-                  | Some x, Some t -> (
-                    match Json.to_int_opt x, Json.to_float_opt t with
-                    | Some x, Some t when t > 0.0 ->
-                      (* per-transaction throughput (txn / simulated s) *)
-                      Some (x, float_of_int txns /. t)
-                    | _ -> None)
-                  | _ -> None)
-                points
-            in
-            Some (name, points)
-          | _ -> None)
-        series
-    | _ -> []
+    (* per-transaction throughput (txn / simulated s) *)
+    List.map
+      (fun (name, points) ->
+        (name, List.map (fun (x, t) -> (x, float_of_int txns /. t)) points))
+      (series_points doc)
   in
-  let fresh_doc = load fresh and baseline_doc = load baseline in
+  let fresh_doc = load_json fresh and baseline_doc = load_json baseline in
   let fresh_series = series_of fresh_doc
   and baseline_series = series_of baseline_doc in
   let failed = ref false in
@@ -1046,25 +1030,15 @@ let perfgate ~tolerance ~fresh ~baseline =
         Printf.eprintf "perfgate: series %s missing from %s\n%!" name fresh;
         failed := true
       | Some fresh_points ->
-        let shared =
-          List.filter_map
-            (fun (x, base_tp) ->
-              Option.map
-                (fun fresh_tp -> (base_tp, fresh_tp))
-                (List.assoc_opt x fresh_points))
-            base_points
-        in
+        let shared = shared_points base_points fresh_points in
         if shared = [] then begin
           Printf.eprintf "perfgate: series %s shares no points with baseline\n%!"
             name;
           failed := true
         end
         else begin
-          let mean sel =
-            List.fold_left (fun acc p -> acc +. sel p) 0.0 shared
-            /. float_of_int (List.length shared)
-          in
-          let base_mean = mean fst and fresh_mean = mean snd in
+          let base_mean = mean_over shared fst
+          and fresh_mean = mean_over shared snd in
           let ratio = fresh_mean /. base_mean in
           let verdict = ratio >= 1.0 -. tolerance in
           Printf.printf "%-16s baseline %10.2f txn/s  fresh %10.2f txn/s  %+6.1f%%  %s\n%!"
@@ -1084,36 +1058,13 @@ let perfgate ~tolerance ~fresh ~baseline =
    BENCH_scaleup.json document, for both the NoSocial-T series —
    embarrassingly parallel at the DB-lock level, so the honest measure
    of scheduler overhead ([min_speedup]) — and the Entangled-T series,
-   whose scaling depends on the partitioned parallel matcher
+   whose scaling comes from parallel stepping and grounding
    ([min_entangled]); Social-T is reported for information only. The
    gate is taken at 4 domains when the sweep has a 4-domain point
    (otherwise at the top measured count): CI runners have 4 vCPUs, so
    points beyond 4 from the 1–16 nightly sweep are informational. *)
 let perfgate_wallclock ~min_speedup ~min_entangled ~file =
-  let doc = load_json file in
-  let series =
-    match Json.member "series" doc with
-    | Some (Json.List series) ->
-      List.filter_map
-        (fun s ->
-          match (Json.member "name" s, Json.member "points" s) with
-          | Some (Json.Str name), Some (Json.List points) ->
-            Some
-              ( name,
-                List.filter_map
-                  (fun p ->
-                    match
-                      ( Option.bind (Json.member "x" p) Json.to_int_opt,
-                        Option.bind (Json.member "time_s" p) Json.to_float_opt
-                      )
-                    with
-                    | Some x, Some t when t > 0.0 -> Some (x, t)
-                    | _ -> None)
-                  points )
-          | _ -> None)
-        series
-    | _ -> []
-  in
+  let series = series_points (load_json file) in
   let failed = ref false in
   let gates = [ ("NoSocial-T", min_speedup); ("Entangled-T", min_entangled) ] in
   List.iter
@@ -1175,41 +1126,9 @@ let perfgate_wallclock ~min_speedup ~min_entangled ~file =
    the mixed series is reported for information only. *)
 
 let perfgate_si ~tolerance ~file =
-  let doc = load_json file in
-  let series =
-    match Json.member "series" doc with
-    | Some (Json.List series) ->
-      List.filter_map
-        (fun s ->
-          match (Json.member "name" s, Json.member "points" s) with
-          | Some (Json.Str name), Some (Json.List points) ->
-            Some
-              ( name,
-                List.filter_map
-                  (fun p ->
-                    match
-                      ( Option.bind (Json.member "x" p) Json.to_int_opt,
-                        Option.bind (Json.member "time_s" p) Json.to_float_opt
-                      )
-                    with
-                    | Some x, Some t when t > 0.0 -> Some (x, t)
-                    | _ -> None)
-                  points )
-          | _ -> None)
-        series
-    | _ -> []
-  in
-  let mean_over shared sel =
-    List.fold_left (fun acc p -> acc +. sel p) 0.0 shared
-    /. float_of_int (List.length shared)
-  in
+  let series = series_points (load_json file) in
   let compare_against base_points (name, points) ~gated =
-    let shared =
-      List.filter_map
-        (fun (x, base_t) ->
-          Option.map (fun t -> (base_t, t)) (List.assoc_opt x points))
-        base_points
-    in
+    let shared = shared_points base_points points in
     if shared = [] then begin
       Printf.eprintf "perfgate: series %s shares no points with the 2pl \
                       series in %s\n%!" name file;
@@ -1341,8 +1260,6 @@ let () =
         match Ent_obs.Slo.load path with
         | Ok specs ->
           slo_specs := Some specs;
-          (* Before any cell builds its system: lock shards and domain
-             pools register their sampling-only gauges at creation. *)
           Ent_obs.Timeseries.enable ();
           parse rest
         | Error msg ->
@@ -1400,7 +1317,6 @@ let () =
     run "ablation-isolation" ablation_isolation;
     run "ablation-frequency" ablation_run_frequency;
     run "ablation-search" ablation_coordination_search;
-    run "ablation-strategy" ablation_evaluation_strategy;
     run "micro" microbenches;
     if !metrics_enabled then begin
       Obs.write_snapshot !metrics_path;

@@ -88,9 +88,7 @@ let run_script path connections frequency parallel isolation_name show_tables
         Ent_obs.Event.set_logging true;
         Ent_obs.Event.reset ()
       end;
-      (* Windowed sampling must be on before the system is built: lock
-         shards and domain pools register their sampling-only gauges at
-         creation time (keeping default runs' snapshots byte-identical). *)
+      (* windowed sampling feeds the SLO monitor and the flight recorder *)
       if slo_specs <> None || flight_out <> None then
         Ent_obs.Timeseries.enable ();
       let monitor =

@@ -27,20 +27,12 @@ let m_coord_batch = Obs.histogram "core.coordinate.batch"
 let m_blocked = Obs.histogram "core.entangle.blocked_s"
 let m_txn_latency = Obs.histogram "core.scheduler.txn_latency_s"
 
-(* SI-only: interned lazily so a pure-2PL run never registers it and the
-   default metric snapshots stay byte-identical with the seed fixtures.
-   Both forcing sites run on the coordinator domain, so the lazy cell is
-   never raced. *)
-let m_si_aborts = lazy (Obs.counter "txn.si_aborts")
+let m_si_aborts = Obs.counter "txn.si_aborts"
 
 type trigger =
   | Every_arrivals of int
   | Every_seconds of float
   | Manual
-
-type evaluation_strategy =
-  | Search
-  | Combined
 
 type config = {
   isolation : Isolation.t;
@@ -48,7 +40,6 @@ type config = {
   costs : Ent_sim.Cost.t;
   trigger : trigger;
   snapshot_pool : bool;
-  evaluation : evaluation_strategy;
   runner : Ent_par.Pool.t option;
       (* [None] = the deterministic single-domain mode (bit-identical
          to the pre-parallel scheduler); [Some pool] = step runnable
@@ -64,7 +55,6 @@ let default_config =
     costs = Ent_sim.Cost.default;
     trigger = Every_arrivals 1;
     snapshot_pool = false;
-    evaluation = Search;
     runner = None;
   }
 
@@ -414,7 +404,7 @@ let run_once t =
         Obs.incr m_deadlocks
       | Failed (Si_conflict _) ->
         t.stats.si_aborts <- t.stats.si_aborts + 1;
-        Obs.incr (Lazy.force m_si_aborts)
+        Obs.incr m_si_aborts
       | _ -> ()
     in
     let progress = ref true in
@@ -505,7 +495,7 @@ let run_once t =
                   member.work <- member.work +. costs.c_abort;
                   drain_work t member;
                   t.stats.si_aborts <- t.stats.si_aborts + 1;
-                  Obs.incr (Lazy.force m_si_aborts);
+                  Obs.incr m_si_aborts;
                   Hashtbl.remove alive member.task_id;
                   fail_or_repool t member)
                 to_commit;
@@ -639,16 +629,7 @@ let run_once t =
               (fun ((task : Executor.task), ir, gs) -> (task.task_id, ir, gs))
               entries
           in
-          let results =
-            match (t.config.evaluation, t.config.runner) with
-            (* Parallel mode searches signature-connectivity components
-               on the pool; equivalent to the sequential search as long
-               as no seed exhausts its node budget. *)
-            | Search, Some pool ->
-              Coordinate.evaluate_parallel ~runner:pool entry_triples
-            | Search, None -> Coordinate.evaluate entry_triples
-            | Combined, _ -> Combined.evaluate entry_triples
-          in
+          let results = Coordinate.evaluate entry_triples in
           let result_index = Hashtbl.create (List.length results) in
           List.iter
             (fun (task_id, outcome) ->

@@ -27,17 +27,12 @@ type trigger =
           frequency can be explicitly given as a time interval") *)
   | Manual  (** runs start only via {!run_once} *)
 
-type evaluation_strategy =
-  | Search  (** goal-driven coordination-set search ({!Ent_entangle.Coordinate}) *)
-  | Combined  (** combined-query compilation, the algorithm of [6] ({!Ent_entangle.Combined}) *)
-
 type config = {
   isolation : Isolation.t;
   connections : int;
   costs : Ent_sim.Cost.t;
   trigger : trigger;
   snapshot_pool : bool;  (** persist dormant pool to the WAL after each run *)
-  evaluation : evaluation_strategy;
   runner : Ent_par.Pool.t option;
       (** [None] (the default) is the deterministic single-domain mode,
           bit-identical to the pre-parallel scheduler. [Some pool]

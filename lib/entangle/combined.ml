@@ -129,35 +129,12 @@ let solve_combined ~budget combined groundings_of =
   in
   go [] combined.member_ids
 
-let m_evaluations = Ent_obs.Obs.counter "entangle.combined.evaluations"
-
 let evaluate ?(max_matchings = 64) queries =
-  Ent_obs.Obs.incr m_evaluations;
-  if Ent_obs.Event.logging () then
-    Ent_obs.Event.emit
-      (Ent_obs.Event.Coord_round
-         { participants = List.map (fun (qid, _, _) -> qid) queries });
-  (* Same injection points as the search strategy: both strategies
-     must present identical failure semantics to the scheduler. *)
-  let dropped =
-    if Ent_fault.Injector.drops Coordinate.s_round_abort then
-      List.map (fun (qid, _, _) -> qid) queries
-    else
-      List.filter_map
-        (fun (qid, _, _) ->
-          if Ent_fault.Injector.drops Coordinate.s_partner_drop then Some qid
-          else None)
-        queries
-  in
-  let live =
-    List.filter (fun (qid, _, _) -> not (List.mem qid dropped)) queries
-  in
-  let patterns = List.map (fun (qid, ir, _) -> (qid, ir)) live in
+  let patterns = List.map (fun (qid, ir, _) -> (qid, ir)) queries in
   let blocked = Coordinate.structurally_blocked patterns in
-  let blocked = dropped @ blocked in
   let combineds = compile ~max_matchings patterns in
   let groundings_of qid =
-    match List.find_opt (fun (q, _, _) -> q = qid) live with
+    match List.find_opt (fun (q, _, _) -> q = qid) queries with
     | Some (_, _, gs) -> gs
     | None -> []
   in

@@ -42,7 +42,10 @@ val compile : ?max_matchings:int -> (int * Ir.t) list -> combined list
 
 (** [evaluate queries] — same interface and outcome classification as
     {!Coordinate.evaluate}, implemented by compiling combined queries
-    and joining member groundings. Deterministic. *)
+    and joining member groundings. Deterministic. The scheduler does
+    not call it: it is the pure algorithm (no metrics, events or fault
+    sites), kept as the test oracle for {!Coordinate.evaluate} and as
+    the second column of the [ablation-search] bench. *)
 val evaluate :
   ?max_matchings:int ->
   (int * Ir.t * Ground.grounding list) list ->

@@ -22,15 +22,6 @@ let m_no_partner = Obs.counter "entangle.coordinate.no_partner"
    keeps the metric discoverable. *)
 let m_latency = Obs.histogram "entangle.coordinate.match_latency_us"
 
-(* Parallel-path metrics, interned lazily so deterministic runs
-   (runner = None, which never calls [evaluate_parallel]) keep their
-   metric snapshots byte-identical to the sequential binary. Forced on
-   the coordinator only. *)
-let m_components = lazy (Obs.counter "entangle.coordinate.components")
-
-let m_component_size =
-  lazy (Obs.histogram "entangle.coordinate.component_size")
-
 type outcome =
   | Answered of Ground.grounding
   | Empty
@@ -133,76 +124,14 @@ let structurally_blocked queries =
     (fun (qid, _) -> if Hashtbl.find sb_alive qid then None else Some qid)
     queries
 
-(* --- signature-connectivity partition --- *)
-
-(* Two queries can only interact during the search through ground
-   atoms, and a ground atom fixes its (rel, arity) signature; grounding
-   preserves the signature of the pattern it came from. So queries that
-   share no signature — transitively, across head and postcondition
-   atoms — can never provide for, block, or compete with one another:
-   their head indexes, provided sets and assignments are disjoint.
-   Union-find over the signatures of each query's head+post atoms
-   therefore yields components whose searches compose exactly: running
-   the search per component visits the same nodes and commits the same
-   assignments as the sequential search over the whole set. *)
-let partition entries =
-  let parent : (string * int, string * int) Hashtbl.t = Hashtbl.create 32 in
-  let rec find s =
-    match Hashtbl.find_opt parent s with
-    | None ->
-      Hashtbl.replace parent s s;
-      s
-    | Some p when p = s -> s
-    | Some p ->
-      let r = find p in
-      Hashtbl.replace parent s r;
-      r
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then Hashtbl.replace parent ra rb
-  in
-  let sigs_of (_, (q : Ir.t), _) = List.map sig_of (q.head @ q.post) in
-  List.iter
-    (fun entry ->
-      match sigs_of entry with
-      | [] -> ()
-      | first :: rest -> List.iter (union first) rest)
-    entries;
-  (* Bucket by component root. Entry order is preserved within each
-     component and components are listed by first appearance, so the
-     concatenation of the result is a stable permutation of the input
-     (identical when there is a single component). *)
-  let comps :
-      (string * int, (int * Ir.t * Ground.grounding list) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let order = ref [] in
-  List.iter
-    (fun entry ->
-      let key =
-        match sigs_of entry with
-        | [] -> ("", -1) (* unreachable: validated queries have a head *)
-        | s :: _ -> find s
-      in
-      match Hashtbl.find_opt comps key with
-      | Some b -> b := entry :: !b
-      | None ->
-        let b = ref [ entry ] in
-        Hashtbl.add comps key b;
-        order := key :: !order)
-    entries;
-  List.rev_map (fun key -> List.rev !(Hashtbl.find comps key)) !order
-
 (* --- coordination search --- *)
 
 module Atom_tbl = Hashtbl
 
 (* One backtracking search over a participant set. Pure apart from its
    own tables — event emission, faults, blocking and all metrics belong
-   to the caller — so independent participant sets can be searched
-   concurrently. Returns the committed assignment, the total nodes
-   expanded across seeds, and whether any seed ran into the budget. *)
+   to [evaluate]. Returns the committed assignment and the total nodes
+   expanded across seeds. *)
 let search ~budget participants =
   (* Index every grounding by each of its head atoms. *)
   let head_index : (Ir.ground_atom, (int * Ground.grounding) list) Atom_tbl.t =
@@ -235,16 +164,12 @@ let search ~budget participants =
   in
   let nodes = ref 0 in
   let total_nodes = ref 0 in
-  let exhausted = ref false in
   (* Try to cover every atom on the agenda by (possibly) assigning
      groundings to so-far-unassigned queries. Undoes its own side
      effects on failure. *)
   let rec satisfy agenda =
     incr nodes;
-    if !nodes > budget then begin
-      exhausted := true;
-      false
-    end
+    if !nodes > budget then false
     else
       match agenda with
       | [] -> true
@@ -293,13 +218,14 @@ let search ~budget participants =
         total_nodes := !total_nodes + !nodes
       end)
     participants;
-  (assignment, !total_nodes, !exhausted)
+  (assignment, !total_nodes)
 
-(* Round prelude shared by both entry points: count the round, log it,
-   apply fault drops, and run the structural-participation check.
-   Returns the blocked set (dropped ∪ structurally blocked) and the
-   surviving participants, in submission order. *)
-let round_prelude queries =
+(* One coordination round: count and log it, apply fault drops, run the
+   structural-participation check, search the survivors, then classify
+   every query and record the outcome counters and (tracing-gated)
+   wall-clock match latency. *)
+let evaluate ?(budget = 200_000) queries =
+  let t_start = Ent_obs.Clock.monotonic () in
   Obs.incr m_evaluations;
   if Ent_obs.Event.logging () then
     Ent_obs.Event.emit
@@ -329,11 +255,8 @@ let round_prelude queries =
   let participants =
     List.filter (fun (qid, _, _) -> not (Hashtbl.mem blocked_set qid)) live
   in
-  (blocked_set, participants)
-
-(* Classification, outcome counters and (tracing-gated) wall-clock
-   match latency, shared by both entry points. *)
-let round_postlude ~t_start ~blocked_set ~assignment queries =
+  let assignment, total_nodes = search ~budget participants in
+  Obs.incr ~n:total_nodes m_nodes;
   let results =
     List.map
       (fun (qid, _, _) ->
@@ -356,69 +279,3 @@ let round_postlude ~t_start ~blocked_set ~assignment queries =
     Obs.observe m_latency (1e6 *. (Ent_obs.Clock.monotonic () -. t_start));
   results
 
-let evaluate ?(budget = 200_000) queries =
-  let t_start = Ent_obs.Clock.monotonic () in
-  let blocked_set, participants = round_prelude queries in
-  let assignment, total_nodes, _exhausted = search ~budget participants in
-  Obs.incr ~n:total_nodes m_nodes;
-  round_postlude ~t_start ~blocked_set ~assignment queries
-
-let evaluate_parallel ?(budget = 200_000) ~runner queries =
-  let t_start = Ent_obs.Clock.monotonic () in
-  let blocked_set, participants = round_prelude queries in
-  let comps = Array.of_list (partition participants) in
-  let n_comps = Array.length comps in
-  if n_comps > 0 then begin
-    Obs.incr ~n:n_comps (Lazy.force m_components);
-    Array.iter
-      (fun c ->
-        Obs.observe (Lazy.force m_component_size)
-          (float_of_int (List.length c)))
-      comps
-  end;
-  (* Pass 1: each component gets the sequential per-seed budget, so as
-     long as no seed exhausts it this is exactly the sequential search
-     (same assignments, same node counts), just spread over the pool.
-     The placeholder tuple is overwritten for every index. *)
-  let results = Array.make n_comps (Hashtbl.create 1, 0, false) in
-  Ent_par.Pool.run_indexed runner n_comps (fun i ->
-      results.(i) <- search ~budget comps.(i));
-  (* Pass 2 — budget redistribution: components that ran into a seed
-     budget rerun with the round's unspent budget split evenly among
-     them. The bonus depends only on aggregate node counts, which are
-     deterministic given the input — never on domain scheduling — so
-     parallel rounds stay reproducible. *)
-  let pass1_nodes =
-    Array.fold_left (fun acc (_, n, _) -> acc + n) 0 results
-  in
-  let unspent =
-    max 0 ((List.length participants * budget) - pass1_nodes)
-  in
-  let exhausted =
-    Array.to_list results
-    |> List.mapi (fun i (_, _, ex) -> (i, ex))
-    |> List.filter_map (fun (i, ex) -> if ex then Some i else None)
-  in
-  let rerun_nodes = ref 0 in
-  (match exhausted with
-  | [] -> ()
-  | _ when unspent = 0 -> ()
-  | idxs ->
-    let bonus = unspent / List.length idxs in
-    let arr = Array.of_list idxs in
-    Ent_par.Pool.run_indexed runner (Array.length arr) (fun j ->
-        let i = arr.(j) in
-        results.(i) <- search ~budget:(budget + bonus) comps.(i));
-    rerun_nodes :=
-      List.fold_left
-        (fun acc i ->
-          let _, n, _ = results.(i) in
-          acc + n)
-        0 idxs);
-  Obs.incr ~n:(pass1_nodes + !rerun_nodes) m_nodes;
-  let assignment : (int, Ground.grounding) Hashtbl.t = Hashtbl.create 32 in
-  Array.iter
-    (fun (asg, _, _) ->
-      Hashtbl.iter (fun qid g -> Hashtbl.replace assignment qid g) asg)
-    results;
-  round_postlude ~t_start ~blocked_set ~assignment queries

@@ -25,45 +25,16 @@ type outcome =
     list order and groundings in their given order, so replaying the
     same input yields the same answers (the determinism assumption of
     §C.1). [budget] caps backtracking nodes per seed query (default
-    200_000). Returns an outcome per qid, same order as the input. *)
+    200_000). Returns an outcome per qid, same order as the input.
+    The fault sites [entangle.coordinate.round_abort] and
+    [entangle.coordinate.partner_drop] turn the whole round, or single
+    participants, into [No_partner]. *)
 val evaluate :
   ?budget:int ->
   (int * Ir.t * Ground.grounding list) list ->
   (int * outcome) list
 
-(** [evaluate_parallel ~runner queries] answers the same queries as
-    {!evaluate}, but first splits the participants into
-    signature-connectivity components — queries can only provide for or
-    block one another when their head/postcondition atoms share a
-    (rel, arity) signature, transitively — and searches each component
-    on the [runner] pool. Per-seed budgets make the first pass exactly
-    the sequential search restricted to each component; components that
-    exhaust a seed budget are rerun with the round's unspent budget
-    split evenly among them (a deterministic function of the input, so
-    parallel rounds stay reproducible). Whenever no seed exhausts its
-    budget the result is identical to [evaluate] on the same input. *)
-val evaluate_parallel :
-  ?budget:int ->
-  runner:Ent_par.Pool.t ->
-  (int * Ir.t * Ground.grounding list) list ->
-  (int * outcome) list
-
-(** The signature-connectivity partition alone (exposed for tests):
-    groups entries into independent components. Entry order is kept
-    within each component; components are ordered by first
-    appearance. *)
-val partition :
-  (int * Ir.t * Ground.grounding list) list ->
-  (int * Ir.t * Ground.grounding list) list list
-
-(** The structural participation check alone (exposed for tests):
+(** The structural participation check alone (shared with {!Combined},
+    exposed for tests):
     returns the qids that would be [No_partner]. *)
 val structurally_blocked : (int * Ir.t) list -> int list
-
-(** Fault-injection points, shared by both evaluation strategies.
-    [s_round_abort] abandons a whole coordination round ([No_partner]
-    for every query); [s_partner_drop] removes a single participant
-    mid-round. Inert unless a fault plan is installed. *)
-val s_round_abort : Ent_fault.Injector.site
-
-val s_partner_drop : Ent_fault.Injector.site

@@ -31,7 +31,6 @@ type config = {
   cities : int;
   max_arms : int;  (* upper bound on generated fault-plan arms *)
   break_group_commit : bool;  (* run without group commit (widow detector test) *)
-  combined : bool;  (* combined-query evaluation instead of coordination search *)
   certify : bool;  (* online schedule certification per epoch *)
   isolation : string;
       (* per-transaction level of the workload: "2pl" (all Strict 2PL),
@@ -50,7 +49,6 @@ let default =
     cities = 6;
     max_arms = 4;
     break_group_commit = false;
-    combined = false;
     certify = false;
     isolation = "2pl";
     timeline = 16;
@@ -86,7 +84,6 @@ let scheduler_config cfg =
        else Isolation.full);
     trigger = Scheduler.Every_arrivals 4;
     snapshot_pool = true;
-    evaluation = (if cfg.combined then Scheduler.Combined else Scheduler.Search);
   }
 
 (* The workload is a fixed deterministic mix; the seed varies the
@@ -563,7 +560,7 @@ let shrink cfg plan =
 (* The one-line repro command for a failing (config, plan). *)
 let repro cfg plan =
   let flag name v d = if v = d then "" else Printf.sprintf " --%s %d" name v in
-  Printf.sprintf "entsim --seed %d%s%s%s%s%s%s%s%s%s%s%s --plan '%s'" cfg.seed
+  Printf.sprintf "entsim --seed %d%s%s%s%s%s%s%s%s%s%s --plan '%s'" cfg.seed
     (flag "pairs" cfg.pairs default.pairs)
     (flag "rollback-pairs" cfg.rollback_pairs default.rollback_pairs)
     (flag "plain" cfg.plain default.plain)
@@ -571,7 +568,6 @@ let repro cfg plan =
     (flag "users" cfg.users default.users)
     (flag "cities" cfg.cities default.cities)
     (if cfg.break_group_commit then " --break-group-commit" else "")
-    (if cfg.combined then " --combined" else "")
     (if cfg.certify then " --certify" else "")
     (if cfg.isolation = default.isolation then ""
      else " --isolation " ^ cfg.isolation)

@@ -36,10 +36,10 @@ type metric =
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 
-(* Registration/lookup is a rare path, but lazily-registered metrics
-   (txn.si_aborts and friends) can first fire on a worker domain under
-   --parallel; the mutex keeps the registry hashtable itself safe.
-   Metric updates never take it — they go through the Atomic cells. *)
+(* Registration/lookup is a rare path (module initialization, lookups
+   by name), but it may run on any domain; the mutex keeps the registry
+   hashtable itself safe. Metric updates never take it — they go
+   through the Atomic cells. *)
 let reg_mu = Mutex.create ()
 
 let locked f =

@@ -29,22 +29,16 @@ type t = {
   mutable gen : int;
   mutable shutdown : bool;
   busy : int Atomic.t;        (* domains currently inside a region *)
-  busy_gauge : Ent_obs.Obs.gauge option;
-      (* par.pool.busy_domains — registered only for a real multi-domain
-         pool created while time-series sampling was on, so the
-         deterministic default runs keep their metric snapshots
-         byte-identical. *)
 }
+
+let m_busy = Ent_obs.Obs.gauge "par.pool.busy_domains"
 
 let domains t = t.n_domains
 
 (* Pull items until the bag is empty. The first exception is recorded;
    later items still run (an abandoned item would hang [completed]). *)
 let work_loop t job =
-  (match t.busy_gauge with
-  | Some g ->
-    Ent_obs.Obs.set g (float_of_int (1 + Atomic.fetch_and_add t.busy 1))
-  | None -> ());
+  Ent_obs.Obs.set m_busy (float_of_int (1 + Atomic.fetch_and_add t.busy 1));
   let rec go () =
     let i = Atomic.fetch_and_add job.next 1 in
     if i < job.total then begin
@@ -61,10 +55,7 @@ let work_loop t job =
     end
   in
   go ();
-  match t.busy_gauge with
-  | Some g ->
-    Ent_obs.Obs.set g (float_of_int (Atomic.fetch_and_add t.busy (-1) - 1))
-  | None -> ()
+  Ent_obs.Obs.set m_busy (float_of_int (Atomic.fetch_and_add t.busy (-1) - 1))
 
 let worker t =
   let last_gen = ref 0 in
@@ -90,11 +81,7 @@ let create ~domains =
     { n_domains; workers = []; mu = Mutex.create ();
       cv = Condition.create (); done_cv = Condition.create ();
       job = None; gen = 0; shutdown = false;
-      busy = Atomic.make 0;
-      busy_gauge =
-        (if n_domains > 1 && Ent_obs.Timeseries.enabled () then
-           Some (Ent_obs.Obs.gauge "par.pool.busy_domains")
-         else None) }
+      busy = Atomic.make 0 }
   in
   t.workers <-
     List.init (n_domains - 1) (fun _ -> Domain.spawn (fun () -> worker t));

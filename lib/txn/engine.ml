@@ -10,12 +10,9 @@ let m_deadlocks = Obs.counter "txn.engine.deadlock_victims"
 let m_undone = Obs.counter "txn.engine.writes_undone"
 let m_checkpoints = Obs.counter "txn.engine.checkpoints"
 
-(* SI-only metrics are interned lazily: a pure-2PL run never forces
-   them, so default metric snapshots stay byte-identical with the seed
-   fixtures (unregistered metrics are simply absent). *)
-let m_si_validations = lazy (Obs.counter "txn.si_validations")
-let m_mvcc_chain_entries = lazy (Obs.gauge "storage.mvcc.chain_entries")
-let m_mvcc_versions_gcd = lazy (Obs.counter "storage.mvcc.versions_gcd")
+let m_si_validations = Obs.counter "txn.si_validations"
+let m_mvcc_chain_entries = Obs.gauge "storage.mvcc.chain_entries"
+let m_mvcc_versions_gcd = Obs.counter "storage.mvcc.versions_gcd"
 
 exception Blocked of int
 exception Deadlock_victim of int
@@ -666,7 +663,7 @@ let validate_snapshot t txn_id =
   let txn = find_txn t txn_id in
   if txn.level <> Snapshot then None
   else begin
-    Obs.incr (Lazy.force m_si_validations);
+    Obs.incr m_si_validations;
     with_mu t.mu (fun () ->
         List.find_map
           (fun w ->
@@ -803,7 +800,7 @@ let gc_versions t =
         0
         (Catalog.table_names t.catalog)
     in
-    if removed > 0 then Obs.incr ~n:removed (Lazy.force m_mvcc_versions_gcd);
+    if removed > 0 then Obs.incr ~n:removed m_mvcc_versions_gcd;
     with_mu t.mu (fun () ->
         let prune tbl =
           let dead =
@@ -815,8 +812,7 @@ let gc_versions t =
         in
         prune t.committed_at;
         prune t.last_write);
-    Obs.set
-      (Lazy.force m_mvcc_chain_entries)
+    Obs.set m_mvcc_chain_entries
       (float_of_int
          (List.fold_left
             (fun acc name ->

@@ -1,5 +1,4 @@
 module Obs = Ent_obs.Obs
-module Timeseries = Ent_obs.Timeseries
 
 (* layer.component.metric, DESIGN.md §3 *)
 let m_requests = Obs.counter "txn.lock.requests"
@@ -61,6 +60,11 @@ type entry = {
 let n_shards = 16
 let n_stripes = 16
 
+(* per-shard wait depth *)
+let m_shard_waiters =
+  Array.init n_shards (fun i ->
+      Obs.gauge (Printf.sprintf "txn.lock.shard_waiters.%02d" i))
+
 type shard = {
   sh_mu : Mutex.t;
   sh_entries : (resource, entry) Hashtbl.t;
@@ -78,12 +82,6 @@ type t = {
   groups_mu : Mutex.t;
   groups : (int, int) Hashtbl.t;  (* txn -> entanglement group tag *)
   total_entries : int Atomic.t;
-  waiter_gauges : Obs.gauge array option;
-      (* per-shard wait-depth gauges (txn.lock.shard_waiters.NN) —
-         registered only when time-series sampling was enabled before
-         the manager was built. Lock waits do happen in default runs,
-         so unconditional registration would change the default metric
-         snapshots that fixtures compare byte-for-byte. *)
 }
 
 let shard_count = n_shards
@@ -105,18 +103,9 @@ let create () =
     groups_mu = Mutex.create ();
     groups = Hashtbl.create 16;
     total_entries = Atomic.make 0;
-    waiter_gauges =
-      (if Timeseries.enabled () then
-         Some
-           (Array.init n_shards (fun i ->
-                Obs.gauge (Printf.sprintf "txn.lock.shard_waiters.%02d" i)))
-       else None);
   }
 
-let note_waiters t i sh =
-  match t.waiter_gauges with
-  | Some g -> Obs.set g.(i) (float_of_int sh.sh_waiters)
-  | None -> ()
+let note_waiters i sh = Obs.set m_shard_waiters.(i) (float_of_int sh.sh_waiters)
 
 let with_mu mu f =
   Mutex.lock mu;
@@ -230,7 +219,7 @@ let request t ~txn resource mode =
           else begin
             entry.queue <- entry.queue @ [ (txn, need) ];
             sh.sh_waiters <- sh.sh_waiters + 1;
-            note_waiters t i sh;
+            note_waiters i sh;
             note_owned t txn resource;
             Obs.incr m_waits;
             Waiting
@@ -281,7 +270,7 @@ let release_all t ~txn =
             entry.queue <- List.filter (fun (o, _) -> o <> txn) entry.queue;
             sh.sh_waiters <- sh.sh_waiters - (before - List.length entry.queue);
             woken := promote_waiters t sh entry @ !woken;
-            note_waiters t i sh;
+            note_waiters i sh;
             if entry.holders = [] && entry.queue = [] then begin
               Hashtbl.remove sh.sh_entries resource;
               Atomic.decr t.total_entries

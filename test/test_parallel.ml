@@ -1,8 +1,9 @@
 (* Multicore execution (DESIGN.md §9): shard boundaries of the sharded
    lock manager, agreement of the static (entlint) lock order with what
-   a transaction acquires through the sharded manager, and equivalence
+   a transaction acquires through the sharded manager, the coordination
+   evaluator on random query sets, and equivalence
    of parallel (--parallel N) and deterministic runs over the same
-   workload. *)
+   workload, partnerless stragglers included. *)
 
 (* alias the shared test module before [open Ent_workload] shadows [Gen] *)
 module Tgen = Gen
@@ -140,7 +141,7 @@ let test_static_lock_order_across_shards () =
         (index e.eu < index e.ev))
     matrix.Ent_analysis.Matrix.edges
 
-(* --- coordination: signature partition + parallel evaluation --- *)
+(* --- coordination: the one evaluator on random query sets --- *)
 
 module Coordinate = Ent_entangle.Coordinate
 module Ir = Ent_entangle.Ir
@@ -166,6 +167,8 @@ let gatom r k = (r, [ Value.Int k ])
 let query ~head ~post =
   { Ir.head; post; body = Ent_sql.Ast.True; binds = []; choose = 1 }
 
+(* Entries [(qid, query, groundings)], each tagged with the kind of
+   spec it came from. *)
 let build_entries specs =
   let next = ref 0 in
   let fresh () =
@@ -192,27 +195,29 @@ let build_entries specs =
         in
         let gsa = if k mod 2 = 0 then [ decoy; ga ] else [ ga ] in
         [
-          (qa, query ~head:[ atom (rel a) k ] ~post:[ atom (rel b) k ], gsa);
-          (qb, query ~head:[ atom (rel b) k ] ~post:[ atom (rel a) k ], [ gb ]);
+          ((qa, query ~head:[ atom (rel a) k ] ~post:[ atom (rel b) k ], gsa), `Pair);
+          ((qb, query ~head:[ atom (rel b) k ] ~post:[ atom (rel a) k ], [ gb ]), `Pair);
         ]
       | Solo (a, k) ->
         let q = fresh () in
         [
-          ( q,
-            query ~head:[ atom (rel a) k ] ~post:[],
-            [ { Ground.g_head = [ gatom (rel a) k ]; g_post = [] } ] );
+          ( ( q,
+              query ~head:[ atom (rel a) k ] ~post:[],
+              [ { Ground.g_head = [ gatom (rel a) k ]; g_post = [] } ] ),
+            `Solo );
         ]
       | Lonely (a, b, k) ->
         let q = fresh () in
         [
-          ( q,
-            query ~head:[ atom (rel a) k ] ~post:[ atom (lonely_rel b) k ],
-            [
-              {
-                Ground.g_head = [ gatom (rel a) k ];
-                g_post = [ gatom (lonely_rel b) k ];
-              };
-            ] );
+          ( ( q,
+              query ~head:[ atom (rel a) k ] ~post:[ atom (lonely_rel b) k ],
+              [
+                {
+                  Ground.g_head = [ gatom (rel a) k ];
+                  g_post = [ gatom (lonely_rel b) k ];
+                };
+              ] ),
+            `Lonely );
         ])
     specs
 
@@ -238,82 +243,46 @@ let print_coord_specs specs =
          | Lonely (a, b, k) -> Printf.sprintf "L(%d,%d,%d)" a b k)
        specs)
 
-(* The signature partition is a true partition: every entry lands in
-   exactly one component, and no postcondition pattern in one component
-   unifies with a head pattern in another (so no cross-component match
-   can exist). *)
-let prop_partition_is_true_partition =
+(* [Coordinate.evaluate] answers one outcome per query in input order:
+   lonely queries are No_partner, solos are answered, and a pair member
+   is answered or Empty (the greedy search may commit an earlier query
+   to a decoy its partner needed). Every answer is one of the query's
+   own groundings, and the answered groundings form a coordinating set:
+   their heads cover all their postconditions (Appendix A). A second
+   evaluation of the same input gives the same outcomes. *)
+let prop_evaluate_coordinates =
   QCheck2.Test.make ~count:60
-    ~name:"signature partition: exhaustive, disjoint, no cross-component match"
+    ~name:"evaluate: lonely No_partner, answers coordinate"
     ~print:print_coord_specs
     QCheck2.Gen.(list_size (int_range 1 24) coord_spec_gen)
     (fun specs ->
-      let entries = build_entries specs in
-      let comps = Coordinate.partition entries in
-      let qid (q, _, _) = q in
-      let flat = List.concat comps in
-      if
-        List.sort compare (List.map qid flat)
-        <> List.sort compare (List.map qid entries)
-      then
-        QCheck2.Test.fail_report "components are not a permutation of input";
-      List.iteri
-        (fun i ci ->
-          List.iteri
-            (fun j cj ->
-              if i <> j then
-                List.iter
-                  (fun (_, (q1 : Ir.t), _) ->
-                    List.iter
-                      (fun (_, (q2 : Ir.t), _) ->
-                        List.iter
-                          (fun post ->
-                            List.iter
-                              (fun head ->
-                                if Ir.unifiable post head then
-                                  QCheck2.Test.fail_report
-                                    "cross-component (post, head) unifiable \
-                                     pair")
-                              q2.head)
-                          q1.post)
-                      cj)
-                  ci)
-            comps)
-        comps;
-      true)
-
-(* Parallel per-component evaluation is the sequential search: same
-   Answered/Empty/No_partner classification, identical groundings, in
-   the same (input) order, at 2–4 domains. *)
-let prop_parallel_evaluate_matches_sequential =
-  QCheck2.Test.make ~count:40
-    ~name:"evaluate_parallel ≡ evaluate on random query sets"
-    ~print:(fun (d, specs) ->
-      Printf.sprintf "domains=%d specs=%s" d (print_coord_specs specs))
-    QCheck2.Gen.(
-      pair (int_range 2 4) (list_size (int_range 1 24) coord_spec_gen))
-    (fun (domains, specs) ->
-      let entries = build_entries specs in
-      let seq = Coordinate.evaluate entries in
-      let pool = Pool.create ~domains in
-      let par =
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown pool)
-          (fun () -> Coordinate.evaluate_parallel ~runner:pool entries)
+      let tagged = build_entries specs in
+      let entries = List.map fst tagged in
+      let results = Coordinate.evaluate entries in
+      if List.map fst results <> List.map (fun (q, _, _) -> q) entries then
+        QCheck2.Test.fail_report "outcomes not one per query in input order";
+      let heads = Hashtbl.create 64 in
+      let answered =
+        List.concat
+          (List.map2
+             (fun ((q, _, gs), kind) (_, outcome) ->
+               match (kind, outcome) with
+               | `Lonely, Coordinate.No_partner | `Pair, Coordinate.Empty -> []
+               | (`Solo | `Pair), Coordinate.Answered g when List.memq g gs ->
+                 List.iter (fun a -> Hashtbl.replace heads a ()) g.Ground.g_head;
+                 [ g ]
+               | _ ->
+                 QCheck2.Test.fail_report
+                   (Printf.sprintf "unexpected outcome for qid %d" q))
+             tagged results)
       in
-      if List.length seq <> List.length par then
-        QCheck2.Test.fail_report "result lengths differ";
-      List.iter2
-        (fun (q1, o1) (q2, o2) ->
-          if q1 <> q2 then QCheck2.Test.fail_report "result order differs";
-          match (o1, o2) with
-          | Coordinate.Answered g1, Coordinate.Answered g2 when g1 = g2 -> ()
-          | Coordinate.Empty, Coordinate.Empty -> ()
-          | Coordinate.No_partner, Coordinate.No_partner -> ()
-          | _ ->
-            QCheck2.Test.fail_report
-              (Printf.sprintf "outcome differs for qid %d" q1))
-        seq par;
+      List.iter
+        (fun (g : Ground.grounding) ->
+          if not (List.for_all (Hashtbl.mem heads) g.g_post) then
+            QCheck2.Test.fail_report "answered postcondition not covered")
+        answered;
+      if Coordinate.evaluate entries <> results then
+        QCheck2.Test.fail_report "second evaluation differs";
       true)
 
 (* --- parallel/deterministic equivalence --- *)
@@ -351,6 +320,11 @@ let run_case ~domains ~kind ~n =
   let c = Certify.create () in
   Manager.observe world.manager ~on_event:(Certify.on_engine_event c)
     ~on_entangle:(Certify.on_entangle c);
+  (* Partnerless stragglers go first: every run answers them No_partner
+     and repools them, on the pool path as on the deterministic one. *)
+  List.iter
+    (fun p -> ignore (Manager.submit world.manager p))
+    (Gen.lonely world ~n:3 ~tag_base:1_000_000);
   let programs = Gen.batch world ~transactional:true kind ~n ~tag_base:0 in
   let ids = List.map (Manager.submit world.manager) programs in
   Manager.drain world.manager;
@@ -359,7 +333,10 @@ let run_case ~domains ~kind ~n =
       (fun id -> Manager.outcome world.manager id = Some Scheduler.Committed)
       ids
   in
-  (Certify.ok c, List.sort compare committed, final_tables world)
+  ( Certify.ok c,
+    List.sort compare committed,
+    final_tables world,
+    Manager.now world.manager )
 
 let prop_parallel_matches_deterministic =
   let kinds = [ Gen.No_social; Gen.Social; Gen.Entangled ] in
@@ -376,14 +353,21 @@ let prop_parallel_matches_deterministic =
     ~print:(fun (d, n, k) -> Printf.sprintf "domains=%d n=%d kind=%s" d n (kind_name k))
     gen
     (fun (domains, n, kind) ->
-      let det_ok, det_committed, det_tables = run_case ~domains:1 ~kind ~n in
-      let par_ok, par_committed, par_tables = run_case ~domains ~kind ~n in
+      let det_ok, det_committed, det_tables, det_now =
+        run_case ~domains:1 ~kind ~n
+      in
+      let par_ok, par_committed, par_tables, par_now =
+        run_case ~domains ~kind ~n
+      in
       if not det_ok then QCheck2.Test.fail_report "deterministic run failed certification";
       if not par_ok then QCheck2.Test.fail_report "parallel run failed certification";
       if det_committed <> par_committed then
         QCheck2.Test.fail_report "committed-transaction sets differ";
       if det_tables <> par_tables then
         QCheck2.Test.fail_report "final table states differ";
+      if det_now <> par_now then
+        QCheck2.Test.fail_report
+          (Printf.sprintf "simulated time differs: %g vs %g" det_now par_now);
       true)
 
 let () =
@@ -401,11 +385,7 @@ let () =
           Alcotest.test_case "static lock order across shards" `Quick
             test_static_lock_order_across_shards;
         ] );
-      ( "coordination",
-        [
-          Tgen.to_alcotest prop_partition_is_true_partition;
-          Tgen.to_alcotest prop_parallel_evaluate_matches_sequential;
-        ] );
+      ("coordination", [ Tgen.to_alcotest prop_evaluate_coordinates ]);
       ( "equivalence",
         [ Tgen.to_alcotest prop_parallel_matches_deterministic ] );
     ]
