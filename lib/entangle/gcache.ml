@@ -6,6 +6,10 @@ let m_misses = Obs.counter "entangle.gcache.misses"
 let m_invalidations = Obs.counter "entangle.gcache.invalidations"
 let m_footprint = Obs.histogram "entangle.gcache.footprint"
 
+(* Ground's own histogram (metrics are interned by name): a reused
+   grounding list is still one list served. *)
+let m_ground_size = Obs.histogram "entangle.ground.size"
+
 (* One recorded read of a grounding computation. [Scan] covers the
    whole table; [Point]/[Range] are keyed sub-reads whose results can
    only change when a write touches a matching row. *)
@@ -24,40 +28,55 @@ type table_entry = {
 type entry = {
   e_valuations : Ground.valuation list;
   e_tables : table_entry list;  (* first-read order *)
+  mutable e_served : ((Ir.atom list * Ir.atom list) * Ground.grounding list) list;
+      (* the grounding lists already served, by the query's (head, post) *)
 }
 
 (* Two grounding computations coincide iff body, the host bindings the
    body mentions, and the exploration limit coincide — the per-query
    head/post substitution happens after the cache. Keys are compared
-   structurally ([Value.t] has no floats, so polymorphic equality and
-   hashing are exact). *)
-(* The fields are only ever read by the polymorphic hash/equality of
+   structurally ([Value.t] has no floats, so polymorphic equality is
+   exact). [Hashtbl.hash] gives up long before the literals that tell
+   two bodies apart, so [k_hash] mixes in every literal and host
+   binding of the body. *)
+(* The other fields are only ever read by the polymorphic equality of
    the entries table, hence the unused-field waiver. *)
 type key = {
   k_body : Ent_sql.Ast.cond;
   k_env : (string * Value.t option) list;  (* sorted by host-var name *)
   k_limit : int;
+  k_hash : int;
 } [@@warning "-69"]
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal = ( = )
+  let hash k = k.k_hash
+end)
 
 type t = {
   catalog : Catalog.t;
-  entries : (key, entry) Hashtbl.t;
-  max_entries : int;
+  entries : entry Key_tbl.t;
+  max_entries : int;  (* bounds the grounding lists held, over all entries *)
+  mutable lists : int;
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
-  (* Guards [entries] and the counters: groundings for independent
-     pending tasks run concurrently on worker domains. Validation and
-     insertion happen under [mu]; the expensive part (valuation
-     enumeration, lock acquisition via [touch]) runs outside it. *)
+  (* Guards [entries], [e_served], [lists] and the counters: groundings
+     for independent pending tasks run concurrently on worker domains.
+     Validation and insertion happen under [mu]; the expensive part
+     (valuation enumeration, substitution, lock acquisition via
+     [touch]) runs outside it. *)
   mu : Mutex.t;
 }
 
 let create ?(max_entries = 4096) catalog =
   {
     catalog;
-    entries = Hashtbl.create 64;
+    entries = Key_tbl.create 64;
     max_entries;
+    lists = 0;
     hits = 0;
     misses = 0;
     invalidations = 0;
@@ -71,49 +90,60 @@ let with_mu mu f =
   | exception e -> Mutex.unlock mu; raise e
 
 let stats t = (t.hits, t.misses, t.invalidations)
-let size t = Hashtbl.length t.entries
 
-let clear t =
-  Hashtbl.reset t.entries
+(* --- literals and host variables of a body --- *)
 
-(* --- host variables referenced by a body --- *)
-
-let rec expr_hosts acc (e : Ent_sql.Ast.expr) =
+(* Fold [f] over every literal and host-variable leaf of a body, in a
+   fixed order. *)
+let rec expr_leaves f acc (e : Ent_sql.Ast.expr) =
   match e with
-  | Lit _ | Col _ | Agg (_, None) -> acc
-  | Host name -> name :: acc
-  | Binop (_, a, b) -> expr_hosts (expr_hosts acc a) b
-  | Agg (_, Some a) -> expr_hosts acc a
+  | Lit _ | Host _ -> f acc e
+  | Col _ | Agg (_, None) -> acc
+  | Binop (_, a, b) -> expr_leaves f (expr_leaves f acc a) b
+  | Agg (_, Some a) -> expr_leaves f acc a
 
-let rec cond_hosts acc (c : Ent_sql.Ast.cond) =
+let rec cond_leaves f acc (c : Ent_sql.Ast.cond) =
   match c with
   | True -> acc
-  | Cmp (_, a, b) -> expr_hosts (expr_hosts acc a) b
-  | And (a, b) | Or (a, b) -> cond_hosts (cond_hosts acc a) b
-  | Not a -> cond_hosts acc a
-  | In_select (exprs, sub) ->
-    select_hosts (List.fold_left expr_hosts acc exprs) sub
-  | In_list (e, values) -> List.fold_left expr_hosts (expr_hosts acc e) values
-  | Between (e, lo, hi) -> expr_hosts (expr_hosts (expr_hosts acc e) lo) hi
-  | In_answer (exprs, _) -> List.fold_left expr_hosts acc exprs
+  | Cmp (_, a, b) -> exprs_leaves f acc [ a; b ]
+  | And (a, b) | Or (a, b) -> cond_leaves f (cond_leaves f acc a) b
+  | Not a -> cond_leaves f acc a
+  | In_select (es, sub) -> select_leaves f (exprs_leaves f acc es) sub
+  | In_list (e, values) -> exprs_leaves f acc (e :: values)
+  | Between (e, lo, hi) -> exprs_leaves f acc [ e; lo; hi ]
+  | In_answer (es, _) -> exprs_leaves f acc es
 
-and select_hosts acc (sel : Ent_sql.Ast.select) =
-  let acc =
-    List.fold_left
-      (fun acc (p : Ent_sql.Ast.proj) -> expr_hosts acc p.pexpr)
-      acc sel.projs
-  in
-  let acc = cond_hosts acc sel.where in
-  let acc = List.fold_left expr_hosts acc sel.group_by in
-  List.fold_left (fun acc (e, _) -> expr_hosts acc e) acc sel.order_by
+and exprs_leaves f acc es = List.fold_left (expr_leaves f) acc es
+
+and select_leaves f acc (sel : Ent_sql.Ast.select) =
+  let projs = List.map (fun (p : Ent_sql.Ast.proj) -> p.pexpr) sel.projs in
+  let acc = cond_leaves f (exprs_leaves f acc projs) sel.where in
+  exprs_leaves f (exprs_leaves f acc sel.group_by) (List.map fst sel.order_by)
+
+let mix h x = (h * 31) + x
 
 let key_of ~env ~limit body =
-  let hosts = List.sort_uniq String.compare (cond_hosts [] body) in
+  let hosts, h =
+    cond_leaves
+      (fun (hosts, h) (e : Ent_sql.Ast.expr) ->
+        let hosts = match e with Host name -> name :: hosts | _ -> hosts in
+        (hosts, mix h (Hashtbl.hash e)))
+      ([], mix (Hashtbl.hash body) limit)
+      body
+  in
+  let k_env =
+    List.map
+      (fun name -> (name, Hashtbl.find_opt env name))
+      (List.sort_uniq String.compare hosts)
+  in
   {
     k_body = body;
-    k_env = List.map (fun name -> (name, Hashtbl.find_opt env name)) hosts;
+    k_env;
     k_limit = limit;
+    k_hash = List.fold_left (fun h b -> mix h (Hashtbl.hash b)) h k_env;
   }
+
+let key_hash ~env ~limit body = (key_of ~env ~limit body).k_hash
 
 (* --- footprint recording --- *)
 
@@ -235,18 +265,20 @@ let compute t ?(limit = 10_000) ?(bypass = false) ~access ~touch ~env
     (Ground.groundings_of query vals, false)
   else
   let key = key_of ~env ~limit query.body in
+  let shape = (query.head, query.post) in
   let cached =
     with_mu t.mu (fun () ->
-        match Hashtbl.find_opt t.entries key with
+        match Key_tbl.find_opt t.entries key with
         | Some entry when entry_valid t entry ->
           refresh entry;
           t.hits <- t.hits + 1;
           Obs.incr m_hits;
-          Some entry
+          Some (entry, List.assoc_opt shape entry.e_served)
         | found ->
           (match found with
-          | Some _ ->
-            Hashtbl.remove t.entries key;
+          | Some entry ->
+            Key_tbl.remove t.entries key;
+            t.lists <- t.lists - List.length entry.e_served;
             t.invalidations <- t.invalidations + 1;
             Obs.incr m_invalidations
           | None -> ());
@@ -255,25 +287,55 @@ let compute t ?(limit = 10_000) ?(bypass = false) ~access ~touch ~env
           None)
   in
   match cached with
-  | Some entry ->
+  | Some (entry, served) -> (
     (* reproduce the grounding-lock side effects before serving; may
        raise Blocked/Deadlock_victim exactly like a recomputation *)
     touch (List.map (fun te -> te.te_name) entry.e_tables);
-    (Ground.groundings_of query entry.e_valuations, true)
+    match served with
+    | Some groundings ->
+      Obs.observe m_ground_size (float_of_int (List.length groundings));
+      (groundings, true)
+    | None ->
+      let groundings = Ground.groundings_of query entry.e_valuations in
+      (* keep the list while the entry is still live and the cache has
+         room (only a miss resets it); another domain may have kept
+         the same shape meanwhile *)
+      with_mu t.mu (fun () ->
+          match Key_tbl.find_opt t.entries key with
+          | Some e
+            when e == entry
+                 && t.lists < t.max_entries
+                 && not (List.mem_assoc shape entry.e_served) ->
+            entry.e_served <- (shape, groundings) :: entry.e_served;
+            t.lists <- t.lists + 1
+          | _ -> ());
+      (groundings, true))
   | None ->
     let raccess, finish = recording access in
     let vals = Ground.valuations ~limit ~access:raccess ~env query.body in
+    let groundings = Ground.groundings_of query vals in
     (match finish t.catalog with
     | tables ->
       with_mu t.mu (fun () ->
-          if Hashtbl.length t.entries >= t.max_entries then
-            Hashtbl.reset t.entries;
-          Hashtbl.replace t.entries key
-            { e_valuations = vals; e_tables = tables };
+          if t.lists >= t.max_entries then begin
+            Key_tbl.reset t.entries;
+            t.lists <- 0
+          end;
+          (* a concurrent miss on the same key may have got here first *)
+          Option.iter
+            (fun old -> t.lists <- t.lists - List.length old.e_served)
+            (Key_tbl.find_opt t.entries key);
+          Key_tbl.replace t.entries key
+            {
+              e_valuations = vals;
+              e_tables = tables;
+              e_served = [ (shape, groundings) ];
+            };
+          t.lists <- t.lists + 1;
           Obs.observe m_footprint
             (float_of_int
                (List.fold_left
                   (fun acc te -> acc + List.length te.te_reads)
                   0 tables)))
     | exception Exit -> ());
-    (Ground.groundings_of query vals, false)
+    (groundings, false)

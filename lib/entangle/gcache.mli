@@ -31,8 +31,9 @@
 type t
 
 (** [create catalog] makes an empty cache over [catalog]'s live
-    tables. [max_entries] bounds the entry count (the cache resets
-    wholesale when full). *)
+    tables. [max_entries] (default 4096) bounds the grounding lists
+    held over all entries, and so the entry count (the cache resets
+    wholesale when a miss finds it full). *)
 val create : ?max_entries:int -> Ent_storage.Catalog.t -> t
 
 (** [compute t ~access ~touch ~env query] returns [query]'s groundings
@@ -61,8 +62,7 @@ val compute :
 (** (hits, misses, invalidations) since [create]. *)
 val stats : t -> int * int * int
 
-(** Live entry count. *)
-val size : t -> int
-
-(** Drop every cached entry (counters keep their values). *)
-val clear : t -> unit
+(** [key_hash ~env ~limit body] is the hash under which the cache files
+    a grounding of [body]. It mixes in every literal and host binding
+    of [body]. Exported for the hash-spread test only. *)
+val key_hash : env:Ent_sql.Eval.env -> limit:int -> Ent_sql.Ast.cond -> int

@@ -68,16 +68,31 @@ let valuations ?(limit = 10_000) ~access ~env (body : Ent_sql.Ast.cond) =
       (conjuncts body)
   in
   (* Enumerate valuations binder by binder (left to right, correlated
-     subqueries see earlier bindings). *)
+     subqueries see earlier bindings). A subquery whose evaluation never
+     consulted the valuation took no branch that depends on it, and
+     grounding only reads, so every other valuation would read the same
+     rows: keep them instead of re-running it. *)
   let explored = ref 0 in
   let step valuations (c : Ent_sql.Ast.cond) =
     match c with
     | In_select (exprs, sub) ->
+      let shared = ref None in
       List.concat_map
         (fun valuation ->
           let rows =
-            Ent_sql.Eval.(
-              select_rows_correlated ~var:(lookup_of valuation) access env sub)
+            match !shared with
+            | Some rows -> rows
+            | None ->
+              let correlated = ref false in
+              let var x =
+                correlated := true;
+                lookup_of valuation x
+              in
+              let rows =
+                Ent_sql.Eval.select_rows_correlated ~var access env sub
+              in
+              if not !correlated then shared := Some rows;
+              rows
           in
           List.filter_map
             (fun row ->

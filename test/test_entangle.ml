@@ -142,6 +142,138 @@ let test_ground_limit () =
     Alcotest.fail "limit not enforced"
   with Ground.Ground_error _ -> ()
 
+(* --- property: binder reuse --- *)
+
+let obs_count name = Ent_obs.Obs.counter_value (Ent_obs.Obs.counter name)
+
+(* The valuation enumeration as it reads in Appendix A: every binder
+   subquery runs once per valuation. [Ground.valuations] runs a binder
+   that never reads the valuation only once; it must not be told
+   apart from this. *)
+let reference_valuations ~limit ~access ~env (body : Ast.cond) =
+  let rec conjuncts (c : Ast.cond) =
+    match c with
+    | And (a, b) -> conjuncts a @ conjuncts b
+    | True -> []
+    | c -> [ c ]
+  in
+  let binders, filters =
+    List.partition
+      (function Ast.In_select _ -> true | _ -> false)
+      (conjuncts body)
+  in
+  let var valuation x = Ground.Valuation.find_opt x valuation in
+  let unify valuation exprs row =
+    List.fold_left2
+      (fun acc (e : Ast.expr) value ->
+        match acc, e with
+        | None, _ -> None
+        | Some v, Col (None, x) -> (
+          match Ground.Valuation.find_opt x v with
+          | Some bound -> if Value.equal bound value then acc else None
+          | None -> Some (Ground.Valuation.add x value v))
+        | Some v, _ -> (
+          match Eval.eval_expr ~var:(var v) access env [] e with
+          | w when Value.equal w value -> acc
+          | _ | (exception Eval.Eval_error _) -> None))
+      (Some valuation) exprs row
+  in
+  let explored = ref 0 in
+  let step valuations (c : Ast.cond) =
+    match c with
+    | In_select (exprs, sub) ->
+      List.concat_map
+        (fun valuation ->
+          Eval.select_rows_correlated ~var:(var valuation) access env sub
+          |> List.filter_map (fun row ->
+                 incr explored;
+                 if !explored > limit then raise (Ground.Ground_error "limit");
+                 unify valuation exprs (Array.to_list row)))
+        valuations
+    | _ -> assert false
+  in
+  let valuations = List.fold_left step [ Ground.Valuation.empty ] binders in
+  ( List.filter
+      (fun v ->
+        List.for_all (fun c -> Eval.eval_cond ~var:(var v) access env [] c) filters)
+      valuations,
+    !explored )
+
+let prop_binder_reuse =
+  (* Bodies mix uncorrelated binders (including a constant membership
+     check shaped like Entangled-T's friendship check) with binders
+     that read earlier bindings. Valuations, their order, the
+     [entangle.ground.valuations] count and the limit error must all
+     match the per-valuation reference. *)
+  let binders =
+    [| "(y) IN (SELECT q2 FROM Q WHERE q1 = 1)";
+       "(1) IN (SELECT p2 FROM P WHERE p1 = 2)";
+       "(y) IN (SELECT p2 FROM P WHERE p1 = x)";
+       "(x, y) IN (SELECT q1, q2 FROM Q WHERE q2 > x)";
+       "(z) IN (SELECT q1 FROM Q WHERE q2 = y)";
+       "(z) IN (SELECT p1 FROM P)" |]
+  in
+  let gen =
+    QCheck2.Gen.(
+      triple
+        (pair
+           (list_size (int_range 0 6) (pair (int_range 0 3) (int_range 0 3)))
+           (list_size (int_range 0 6) (pair (int_range 0 3) (int_range 0 3))))
+        (list_size (int_range 0 4) (int_range 0 (Array.length binders - 1)))
+        (pair bool (int_range 1 40)))
+  in
+  QCheck2.Test.make ~name:"binder reuse matches per-valuation enumeration"
+    ~count:300 gen
+    (fun ((p_rows, q_rows), picks, (filtered, limit)) ->
+      let cat = Catalog.create () in
+      let load name cols rows =
+        let t =
+          Catalog.create_table cat name
+            (Schema.make
+               (List.map (fun c -> { Schema.name = c; ty = T_int }) cols))
+        in
+        List.iter
+          (fun (a, b) -> ignore (Table.insert t [| Value.Int a; Value.Int b |]))
+          rows;
+        t
+      in
+      Table.add_index (load "P" [ "p1"; "p2" ] p_rows) ~positions:[ 0 ];
+      ignore (load "Q" [ "q1"; "q2" ] q_rows);
+      let conds =
+        ("(x) IN (SELECT p1 FROM P)" :: List.map (Array.get binders) picks)
+        @ if filtered then [ "x < 2" ] else []
+      in
+      let body =
+        (translate
+           (Printf.sprintf
+              "SELECT 'M', x INTO ANSWER R WHERE %s AND ('X', x) IN ANSWER R \
+               CHOOSE 1"
+              (String.concat " AND " conds)))
+          .body
+      in
+      let access = Eval.direct_access cat in
+      let env = Eval.fresh_env () in
+      let outcome f =
+        try Ok (f ()) with
+        | Ground.Ground_error _ -> Error `Limit
+        | Eval.Eval_error _ -> Error `Unbound
+      in
+      let before = obs_count "entangle.ground.valuations" in
+      let got =
+        outcome (fun () ->
+            List.map Ground.Valuation.bindings
+              (Ground.valuations ~limit ~access ~env body))
+      in
+      let counted = obs_count "entangle.ground.valuations" - before in
+      let expected =
+        outcome (fun () -> reference_valuations ~limit ~access ~env body)
+      in
+      match got, expected with
+      | Ok vals, Ok (ref_vals, explored) ->
+        vals = List.map Ground.Valuation.bindings ref_vals && counted = explored
+      | Error a, Error b -> a = b && counted = 0
+      | _ -> false)
+
 (* --- coordination (Figure 1) --- *)
 
 let evaluate_pair cat =
@@ -580,13 +712,76 @@ let test_gcache_point_footprint () =
            g.g_head)
        served)
 
+(* --- Entangled-T bodies: read count and key spread --- *)
+
+(* The translated entangled query of each program, with the host
+   environment ([@uid], [@hometown]) its first statement binds. *)
+let entangled_queries (world : Ent_workload.Travel.t) programs =
+  let cat = Ent_core.Manager.catalog world.manager in
+  let access = Eval.direct_access cat in
+  List.map
+    (fun (p : Ent_core.Program.t) ->
+      let env = Eval.fresh_env () in
+      List.find_map
+        (fun ((stmt : Ast.stmt), _) ->
+          match stmt with
+          | Entangled e -> Some (Translate.of_ast ~env e)
+          | stmt ->
+            ignore (Eval.exec_stmt access env stmt);
+            None)
+        p.ast.body
+      |> fun q -> (Option.get q, env))
+    programs
+
+let test_friendship_body_reads () =
+  (* The flight binder reads only [@hometown] and the friendship check
+     only literals. Neither reads the valuation, so each runs once: one
+     index probe each, however many destinations the first yields. *)
+  let world = Ent_workload.Travel.build () in
+  let q, env =
+    List.hd
+      (entangled_queries world
+         (Ent_workload.Gen.batch world ~transactional:true Entangled ~n:2
+            ~tag_base:0))
+  in
+  let access = Eval.direct_access (Ent_core.Manager.catalog world.manager) in
+  let lookups = obs_count "storage.index.lookups" in
+  let vals = Ground.valuations ~access ~env q.body in
+  Alcotest.(check bool) "grounds to several destinations" true
+    (List.length vals > 1);
+  Alcotest.(check int) "index lookups" 2
+    (obs_count "storage.index.lookups" - lookups)
+
+let test_gcache_key_spread () =
+  let world = Ent_workload.Travel.build () in
+  let bodies =
+    entangled_queries world
+      (Ent_workload.Gen.batch world ~transactional:true Entangled ~n:1200
+         ~tag_base:0)
+    |> List.sort_uniq (fun ((a : Ir.t), _) ((b : Ir.t), _) -> compare a.body b.body)
+    |> List.filteri (fun i _ -> i < 1000)
+  in
+  Alcotest.(check int) "distinct bodies" 1000 (List.length bodies);
+  let hashes =
+    List.sort_uniq Int.compare
+      (List.map
+         (fun ((q : Ir.t), env) -> Gcache.key_hash ~env ~limit:10_000 q.body)
+         bodies)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct hashes >= 990" (List.length hashes))
+    true
+    (List.length hashes >= 990)
+
 (* --- property: grounding-cache transparency --- *)
 
 let prop_gcache_transparent =
   (* The cache's defining property: under arbitrary interleavings of
      writes, index creation and grounding rounds, a grounding request
      served through the cache equals a fresh Ground.compute on the
-     current database — groundings, order and all. *)
+     current database — groundings, order and all. Each body is asked
+     for under two heads, so hits must also keep apart the grounding
+     lists they reuse. *)
   let op_gen =
     QCheck2.Gen.(
       oneof
@@ -610,12 +805,21 @@ let prop_gcache_transparent =
         ignore (Table.insert flights [| Value.Int i; Value.Str "LA" |])
       done;
       let cache = Gcache.create cat in
+      (* body [i] under tag [u] and under tag [v]: one cache entry,
+         two (head, post) shapes it must serve apart *)
       let queries =
         Array.init 5 (fun i ->
-            translate
-              (Gen.pair_query
-                 (Printf.sprintf "u%d" i)
-                 (Printf.sprintf "u%d" ((i + 1) mod 5))))
+            List.map
+              (fun tag ->
+                translate
+                  (Printf.sprintf
+                     "SELECT '%s%d', fno INTO ANSWER R WHERE (fno) IN (SELECT \
+                      fno FROM Flights WHERE dest='%s') AND fno > %d AND \
+                      ('%s%d', fno) IN ANSWER R CHOOSE 1"
+                     tag i
+                     (if i mod 2 = 0 then "LA" else "NY")
+                     (i / 2) tag ((i + 1) mod 5)))
+              [ "u"; "v" ])
       in
       let access = Eval.direct_access cat in
       let env = Eval.fresh_env () in
@@ -636,10 +840,13 @@ let prop_gcache_transparent =
             Table.add_index flights ~positions:[ 1 ];
             true
           | `Ground qi ->
-            let served, _cached =
-              Gcache.compute cache ~access ~touch:(fun _ -> ()) ~env queries.(qi)
-            in
-            served = Ground.compute ~access ~env queries.(qi))
+            List.for_all
+              (fun q ->
+                let served, _cached =
+                  Gcache.compute cache ~access ~touch:(fun _ -> ()) ~env q
+                in
+                served = Ground.compute ~access ~env q)
+              queries.(qi))
         ops)
 
 (* --- property: coordination soundness --- *)
@@ -719,9 +926,13 @@ let () =
           Alcotest.test_case "unrelated write keeps entry" `Quick
             test_gcache_unrelated_write_keeps_entry;
           Alcotest.test_case "point footprint" `Quick
-            test_gcache_point_footprint ] );
+            test_gcache_point_footprint;
+          Alcotest.test_case "friendship body reads" `Quick
+            test_friendship_body_reads;
+          Alcotest.test_case "key hash spread" `Quick test_gcache_key_spread ] );
       ( "properties",
         List.map Gen.to_alcotest
           [ prop_coordination_sound;
             prop_combined_agrees_with_search;
-            prop_gcache_transparent ] ) ]
+            prop_gcache_transparent;
+            prop_binder_reuse ] ) ]
