@@ -129,17 +129,8 @@ let create ?(config = default_config) engine =
   in
   (* Events carry simulated time alongside the monotonic stamp; the
      newest scheduler owns the clock (tests and tools run one at a
-     time). The storage concurrency switch follows the same
-     newest-scheduler-wins convention: a parallel scheduler turns on
-     table-level locking/materialization, a deterministic one restores
-     the original lock-free lazy paths. *)
+     time). *)
   Event.set_sim_clock (fun () -> Ent_sim.Pool.now t.pool);
-  Ent_storage.Table.set_concurrent (config.runner <> None);
-  (* Versioned mode follows the same newest-scheduler-wins convention,
-     but is enabled lazily by [submit] on the first Snapshot program —
-     a pure-2PL scheduler never touches version chains and stays
-     byte-identical to the pre-MVCC engine. *)
-  Ent_storage.Table.set_versioned false;
   t
 
 let engine t = t.engine
@@ -800,13 +791,14 @@ let submit t (program : Program.t) =
   let task_id = t.next_task in
   t.next_task <- task_id + 1;
   Obs.incr m_submitted;
-  (* First snapshot-isolation program: turn on version chains from here
-     on. Never turned back off mid-scheduler — earlier 2PL writers left
-     no chain entries, which reads exactly like "visible to all". *)
-  if
-    program.isolation = Ent_txn.Engine.Snapshot
-    && not (Ent_storage.Table.versioned_enabled ())
-  then Ent_storage.Table.set_versioned true;
+  (* First snapshot-isolation program: turn on this engine's version
+     chains from here on. Never turned back off — earlier 2PL writers
+     left no chain entries, which reads exactly like "visible to all".
+     Flipped at submit rather than at the first Snapshot begin: runs
+     start with no transaction active, so no uncommitted 2PL write can
+     precede the switch without a chain entry. *)
+  if program.isolation = Ent_txn.Engine.Snapshot then
+    Ent_storage.Catalog.enable_versioning (Ent_txn.Engine.catalog t.engine);
   let task = Executor.make_task ~task_id ~arrival:(now t) program in
   Hashtbl.replace t.task_index task_id task;
   Event.emit ~task:task_id Event.Pool_enter;

@@ -18,3 +18,11 @@ val mem : t -> string -> bool
 val drop : t -> string -> unit
 val table_names : t -> string list
 val iter : (string -> Table.t -> unit) -> t -> unit
+
+(** Whether versioned mode is on for this catalog's tables. *)
+val versioned : t -> bool
+
+(** Turn on {!Table.enable_versioning} for every table, including tables
+    created later. One-way and idempotent; a fresh catalog (including
+    one rebuilt by recovery) starts unversioned. *)
+val enable_versioning : t -> unit

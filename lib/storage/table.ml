@@ -25,26 +25,6 @@ type change = {
    changed. *)
 let changelog_cap = 256
 
-(* Concurrent mode (set while a scheduler runs with a domain pool):
-   mutators take the per-table mutex and read paths materialize their
-   result under it, because IS (reader) and IX (writer) DB locks are
-   compatible, so an index probe can race a concurrent insert's
-   Hashtbl mutation. In the default deterministic mode every code path
-   below is exactly the pre-parallel one — no locking, same lazy
-   sequences — so existing fixtures stay bit-identical. *)
-let concurrent = Atomic.make false
-let set_concurrent b = Atomic.set concurrent b
-
-(* Versioned mode (set by the scheduler once a snapshot-isolation
-   transaction is submitted): every mutation additionally pushes a
-   writer-tagged before-image onto the row's version chain, so
-   snapshot readers can reconstruct the row as of their begin
-   timestamp. Off — the default — no chain is ever touched, keeping
-   deterministic 2PL runs bit-identical to the unversioned engine. *)
-let versioned = Atomic.make false
-let set_versioned b = Atomic.set versioned b
-let versioned_enabled () = Atomic.get versioned
-
 (* One link of a row's version chain, newest first: [v_writer] made a
    write whose before-image was [v_before] ([None] = the row did not
    exist). The value *after* the newest entry's write is the live
@@ -66,6 +46,11 @@ type t = {
   indexes : (int list, Index.t) Hashtbl.t;
   ordered : (int, Ordered_index.t) Hashtbl.t;
   chains : (int, ventry list) Hashtbl.t;  (* row id -> versions, newest first *)
+  (* versioned mode (switched on by the owning catalog once a
+     snapshot-isolation transaction is submitted): every mutation
+     additionally pushes a writer-tagged before-image onto the row's
+     chain; off, no chain is ever touched. Read and written under [mu]. *)
+  mutable versioned : bool;
   version : int Atomic.t;
   mutable changes : (int * change) list;  (* newest first *)
   mutable changes_len : int;
@@ -83,6 +68,7 @@ let create ?(name = "<anon>") schema =
     indexes = Hashtbl.create 4;
     ordered = Hashtbl.create 4;
     chains = Hashtbl.create 8;
+    versioned = false;
     version = Atomic.make 0;
     changes = [];
     changes_len = 0;
@@ -94,17 +80,17 @@ let name t = t.name
 let schema t = t.schema
 let version t = Atomic.get t.version
 
-(* Run [f] under the table mutex in concurrent mode, plainly otherwise.
-   Never nested: internal helpers (note_change, iter, get, ...) do not
-   lock themselves. *)
+(* Run [f] under the table mutex: IS (reader) and IX (writer) DB
+   locks are compatible, so an index probe can race a concurrent
+   insert's Hashtbl mutation. Never nested: internal helpers
+   (note_change, iter, get, ...) do not lock themselves. *)
 let locked t f =
-  if Atomic.get concurrent then begin
-    Mutex.lock t.mu;
-    match f () with
-    | v -> Mutex.unlock t.mu; v
-    | exception e -> Mutex.unlock t.mu; raise e
-  end
-  else f ()
+  Mutex.lock t.mu;
+  match f () with
+  | v -> Mutex.unlock t.mu; v
+  | exception e -> Mutex.unlock t.mu; raise e
+
+let enable_versioning t = locked t (fun () -> t.versioned <- true)
 
 let note_change t before after =
   let version = Atomic.get t.version + 1 in
@@ -153,7 +139,7 @@ let changes_since t since =
    before-image onto the row's chain, tagged with the writing
    transaction (0 = bootstrap/recovery, visible to everyone). *)
 let note_version t ~writer id before =
-  if Atomic.get versioned then
+  if t.versioned then
     let entries = Option.value ~default:[] (Hashtbl.find_opt t.chains id) in
     Hashtbl.replace t.chains id ({ v_writer = writer; v_before = before } :: entries)
 
@@ -251,11 +237,8 @@ let fold f t init =
   iter (fun id row -> acc := f id row !acc) t;
   !acc
 
-(* Raw slot iteration as a sequence: lazy, no intermediate list. The
-   high-water mark is captured at creation so rows inserted while a
-   consumer is mid-iteration are not observed (same snapshot the
-   materializing [to_list] gave). Metrics are charged per row actually
-   consumed. *)
+(* Raw slot iteration as a sequence, forced under the mutex by
+   [published] below. *)
 let seq_slots t =
   let limit = t.next_id in
   let rec go id () =
@@ -274,34 +257,17 @@ let counted seq =
       pair)
     seq
 
-(* Read-path publication: deterministic mode streams the raw sequence
-   lazily (unchanged behaviour); concurrent mode forces it to a list
-   under the table mutex, then streams the list. Row-read metrics are
-   charged per row consumed in both modes. *)
+(* Read-path publication: force the raw sequence to a list under the
+   table mutex, then stream the list. Row-read metrics are charged per
+   row consumed. *)
 let published t raw =
-  if Atomic.get concurrent then
-    counted (List.to_seq (locked t (fun () -> List.of_seq (raw ()))))
-  else counted (raw ())
+  counted (List.to_seq (locked t (fun () -> List.of_seq (raw ()))))
 
 let to_seq t =
   Obs.incr m_scans;
   published t (fun () -> seq_slots t)
 
-let to_list t =
-  Obs.incr m_scans;
-  locked t (fun () ->
-      (* single pass: build the list and count the rows in the same fold *)
-      let n = ref 0 in
-      let rows =
-        List.rev
-          (fold
-             (fun id row acc ->
-               incr n;
-               (id, row) :: acc)
-             t [])
-      in
-      Obs.incr ~n:!n m_rows_read;
-      rows)
+let to_list t = List.of_seq (to_seq t)
 
 (* Lookups canonicalize the probe to sorted column positions, so a
    WHERE clause listing columns in any order still finds the index. *)
@@ -311,6 +277,10 @@ let canonical_probe positions key =
   (List.map fst sorted, List.map snd sorted)
 
 let find_index t positions = Hashtbl.find_opt t.indexes positions
+
+(* The scan-path probe: does [row] carry [key] at [positions]? *)
+let key_matches ~positions key (_, row) =
+  List.equal Value.equal (List.map (fun i -> Tuple.get row i) positions) key
 
 let add_index t ~positions =
   let positions = List.sort_uniq Int.compare positions in
@@ -336,12 +306,7 @@ let lookup_seq t ~positions key =
           (List.to_seq (Index.lookup ix key)))
   | None ->
     Obs.incr m_scan_lookups;
-    published t (fun () ->
-        Seq.filter
-          (fun (_, row) ->
-            let projected = List.map (fun i -> Tuple.get row i) positions in
-            List.equal Value.equal projected key)
-          (seq_slots t))
+    published t (fun () -> Seq.filter (key_matches ~positions key) (seq_slots t))
 
 let lookup t ~positions key = List.of_seq (lookup_seq t ~positions key)
 
@@ -411,12 +376,11 @@ let value_at_unlocked t id ~visible =
 let read_at t id ~visible =
   locked t (fun () -> value_at_unlocked t id ~visible)
 
-(* Snapshot scans materialize under the mutex (concurrent mode) or
-   plainly (deterministic mode): they must visit deleted slots whose
-   chains still hold a version some snapshot can see, so the lazy
-   slot sequence does not apply. Indexes reflect the live state only
-   and are bypassed; row-read metrics are charged per element
-   consumed, as on the live paths. *)
+(* Snapshot scans materialize under the mutex too, but they must also
+   visit deleted slots whose chains still hold a version some snapshot
+   can see, so [seq_slots] (live slots only) does not apply. Indexes
+   reflect the live state only and are bypassed; row-read metrics are
+   charged per element consumed, as on the live paths. *)
 let rows_at t ~visible =
   locked t (fun () ->
       let acc = ref [] in
@@ -436,11 +400,7 @@ let lookup_seq_at t ~positions key ~visible =
   Obs.incr m_scan_lookups;
   counted
     (List.to_seq
-       (List.filter
-          (fun (_, row) ->
-            let projected = List.map (fun i -> Tuple.get row i) positions in
-            List.equal Value.equal projected key)
-          (rows_at t ~visible)))
+       (List.filter (key_matches ~positions key) (rows_at t ~visible)))
 
 let range_lookup_seq_at t ~position ~lo ~hi ~visible =
   Obs.incr m_range_scans;

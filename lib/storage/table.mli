@@ -4,32 +4,26 @@
     Row ids are assigned in insertion order and never reused, which
     gives deterministic scan order — important for reproducible
     experiment runs and for the deterministic-evaluation assumption the
-    paper's serializability proof relies on (§C.1). *)
+    paper's serializability proof relies on (§C.1).
+
+    Every mutator and every read path below except {!get}, {!cardinal},
+    {!iter} and {!fold} runs under a per-table mutex, and reads return
+    a result materialized under it: IS-locked readers and IX-locked
+    writers may touch one table from different domains at once. The
+    four direct accessors read the slots unguarded and are meant for
+    quiescent callers (tests, tools after a run). *)
 
 type t
 
 type row_id = int
 
-(** Concurrent mode, set by the scheduler while a domain pool is
-    active: mutators take a per-table mutex and lazy read paths
-    materialize their result under it (an IS-locked index probe may
-    otherwise race a compatible IX writer's index maintenance). Off —
-    the default — every path is the original lock-free lazy code, so
-    deterministic runs are bit-identical to the pre-parallel engine.
-    Global, not per-table: flip it only around a parallel run. *)
-val set_concurrent : bool -> unit
-
-(** Versioned mode, set by the scheduler once a snapshot-isolation
-    transaction has been submitted: every row mutation additionally
-    pushes a writer-tagged before-image onto the row's version chain,
-    enabling the [_at] snapshot read paths below. Off — the default —
-    chains are never touched and the table behaves exactly as the
-    unversioned engine (deterministic 2PL runs stay bit-identical).
-    Global, like {!set_concurrent}. *)
-val set_versioned : bool -> unit
-
-(** Whether versioned mode is currently on. *)
-val versioned_enabled : unit -> bool
+(** Turn on versioned mode for this table (one-way; the owning
+    {!Catalog} does it once a snapshot-isolation transaction has been
+    submitted): every row mutation additionally pushes a writer-tagged
+    before-image onto the row's version chain, enabling the [_at]
+    snapshot read paths below. Off — the default — chains are never
+    touched and the table behaves exactly as the unversioned engine. *)
+val enable_versioning : t -> unit
 
 (** One committed-or-not physical write, as seen by the changelog:
     insert = [None -> Some], delete = [Some -> None], update = both. *)
@@ -86,10 +80,9 @@ val iter : (row_id -> Tuple.t -> unit) -> t -> unit
 val fold : (row_id -> Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> (row_id * Tuple.t) list
 
-(** Lazy scan in ascending row-id order; no intermediate list. The
-    high-water mark is captured at creation, so rows inserted during
-    iteration are not observed. Row-read metrics are charged per
-    element consumed; consume each sequence at most once. *)
+(** Scan in ascending row-id order, materialized when called, so rows
+    written during iteration are not observed. Row-read metrics are
+    charged per element consumed; consume each sequence at most once. *)
 val to_seq : t -> (row_id * Tuple.t) Seq.t
 
 (** [add_index t ~positions] creates (and backfills) a hash index; a
@@ -111,7 +104,7 @@ val range_lookup :
   hi:Ordered_index.bound ->
   (row_id * Tuple.t) list
 
-(** Lazy {!range_lookup}; same caveats as {!to_seq}. *)
+(** Sequence form of {!range_lookup}; same caveats as {!to_seq}. *)
 val range_lookup_seq :
   t ->
   position:int ->
@@ -126,9 +119,9 @@ val has_ordered_index : t -> position:int -> bool
     exists, else scans. Returns matching (id, row) pairs in id order. *)
 val lookup : t -> positions:int list -> Value.t list -> (row_id * Tuple.t) list
 
-(** Lazy {!lookup}; same caveats as {!to_seq}. Probes are canonicalized
-    to sorted column positions, so WHERE-clause column order does not
-    affect index discovery. *)
+(** Sequence form of {!lookup}; same caveats as {!to_seq}. Probes are
+    canonicalized to sorted column positions, so WHERE-clause column
+    order does not affect index discovery. *)
 val lookup_seq :
   t -> positions:int list -> Value.t list -> (row_id * Tuple.t) Seq.t
 
@@ -149,8 +142,7 @@ val clear : t -> unit
     exists. *)
 val read_at : t -> row_id -> visible:(int -> bool) -> Tuple.t option
 
-(** Snapshot scan in ascending row-id order, materialized eagerly
-    (under the table mutex in concurrent mode). *)
+(** Snapshot scan in ascending row-id order, materialized eagerly. *)
 val to_seq_at : t -> visible:(int -> bool) -> (row_id * Tuple.t) Seq.t
 
 (** Snapshot {!lookup_seq}: filter-scan over the visible rows (probes

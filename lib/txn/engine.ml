@@ -71,7 +71,7 @@ type t = {
   mutable on_event : (event -> unit) option;
   mutable constraints : (string * (Catalog.t -> bool)) list;
   write_seq : int Atomic.t;
-  (* MVCC bookkeeping, populated only while [Table.versioned_enabled]:
+  (* MVCC bookkeeping, populated only while [Catalog.versioned]:
      [commit_stamp] is the logical commit clock (a transaction's
      snapshot is the clock value at its begin), [committed_at] maps
      finished writers to their commit stamp (entries at or below every
@@ -676,7 +676,7 @@ let validate_snapshot t txn_id =
 
 let commit t txn_id =
   let txn = find_txn t txn_id in
-  if Table.versioned_enabled () then begin
+  if Catalog.versioned t.catalog then begin
     let stamp = Atomic.fetch_and_add t.commit_stamp 1 + 1 in
     with_mu t.mu (fun () ->
         Hashtbl.replace t.committed_at txn_id stamp;
@@ -739,13 +739,6 @@ let recover records =
       0 records
   in
   t.next_txn <- high_water + 1;
-  (* Version chains are volatile MVCC state, but [Recovery.replay]
-     writes through the (process-global) versioned table layer when a
-     snapshot transaction ever ran: drop them so the recovered engine
-     starts from the durable images alone. *)
-  Catalog.iter
-    (fun _ table -> ignore (Table.gc_versions table ~obsolete:(fun _ -> true)))
-    t.catalog;
   checkpoint t;
   (t, analysis)
 
@@ -778,7 +771,7 @@ let grounding_reads t txn_id = (find_txn t txn_id).grounding_tables
    because the visibility closure treats a missing, inactive writer as
    visible, which is exactly what pruning implies. *)
 let gc_versions t =
-  if Table.versioned_enabled () then begin
+  if Catalog.versioned t.catalog then begin
     let s_min =
       with_mu t.mu (fun () ->
           Hashtbl.fold

@@ -89,8 +89,9 @@ val load : t -> string -> Value.t array -> int
 (** [begin_txn ?isolation t] starts a transaction. A [Snapshot]
     transaction additionally records the current commit stamp as its
     snapshot and registers itself for version-chain GC purposes; the
-    version chains themselves are only populated while
-    {!Ent_storage.Table.set_versioned} is on. *)
+    version chains themselves are only populated once
+    {!Ent_storage.Catalog.enable_versioning} has run on this engine's
+    catalog. *)
 val begin_txn : ?isolation:level -> t -> int
 
 (** True when the id denotes a live (begun, not yet finished) txn. *)
@@ -177,7 +178,8 @@ val checkpoint : t -> unit
     (already-durable records are not re-logged, so a crash during
     recovery loses nothing), transaction ids resume above the image's
     high-water mark, and a sharp checkpoint is written as the recovery
-    barrier. Returns the engine and the recovery analysis (for pool
+    barrier. The replayed catalog is new, so it starts unversioned with
+    empty version chains. Returns the engine and the recovery analysis (for pool
     resubmission). *)
 val recover : Wal.record list -> t * Recovery.analysis
 
@@ -190,8 +192,9 @@ val grounding_reads : t -> int -> string list
 
 (** Truncate every table's version chains below the oldest live
     snapshot and prune the commit-stamp maps accordingly. No-op unless
-    versioned mode is on. Cheap enough to call at every group-commit
-    boundary; at quiescence it empties the chains entirely. *)
+    versioned mode is on for this engine's catalog. Cheap enough to
+    call at every group-commit boundary; at quiescence it empties the
+    chains entirely. *)
 val gc_versions : t -> unit
 
 (** Total retained version-chain entries across the catalog (0 at

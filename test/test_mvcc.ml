@@ -12,7 +12,12 @@
      all-2PL, all-SI and mixed must certify under the level-aware
      checker and agree on committed effects and final table state
      (the workload is write-disjoint, so no SI anomaly can separate
-     the levels). *)
+     the levels).
+
+   The [instances] group checks that storage modes belong to the
+   catalog that owns the tables: a second manager, a recovery or an
+   interleaved run of another instance leaves each one's mode and
+   results as they are when it runs alone. *)
 
 open Ent_storage
 module Manager = Ent_core.Manager
@@ -24,16 +29,13 @@ module Certify = Ent_schedule.Certify
 module Travel = Ent_workload.Travel
 module Wgen = Ent_workload.Gen
 
-(* [Table.set_versioned] is process-global: every test that flips it
-   restores the previous state, so suite order cannot leak MVCC mode
-   into the plain-storage tests. *)
-let with_versioned f =
-  let was = Table.versioned_enabled () in
-  Table.set_versioned true;
-  Fun.protect ~finally:(fun () -> Table.set_versioned was) f
-
+(* A fresh single-column table with version chains on. *)
 let int_table () =
-  Table.create ~name:"T" (Schema.make [ { Schema.name = "v"; ty = T_int } ])
+  let t =
+    Table.create ~name:"T" (Schema.make [ { Schema.name = "v"; ty = T_int } ])
+  in
+  Table.enable_versioning t;
+  t
 
 let read_live table id = List.assoc_opt id (Table.to_list table)
 
@@ -45,7 +47,6 @@ let check_tuple name expected actual =
 (* --- version-chain semantics on the raw table --- *)
 
 let test_chain_visibility () =
-  with_versioned @@ fun () ->
   let t = int_table () in
   let id = Table.insert t [| Value.Int 1 |] in
   (* writer 0 is bootstrap: visible to every snapshot *)
@@ -65,7 +66,6 @@ let test_chain_visibility () =
   Alcotest.(check bool) "chain is non-empty" true (Table.chain_entries t > 0)
 
 let test_uncommitted_insert_invisible () =
-  with_versioned @@ fun () ->
   let t = int_table () in
   let _stable = Table.insert t [| Value.Int 10 |] in
   let fresh = Table.insert ~writer:9 t [| Value.Int 99 |] in
@@ -81,7 +81,6 @@ let test_uncommitted_insert_invisible () =
     (List.mem fresh (seen (fun _ -> true)))
 
 let test_gc_drains_chains () =
-  with_versioned @@ fun () ->
   let t = int_table () in
   let id = Table.insert t [| Value.Int 1 |] in
   ignore (Table.update ~writer:3 t id [| Value.Int 2 |]);
@@ -154,6 +153,22 @@ let retag level programs =
   | `All_si -> List.map snap programs
   | `Mixed -> List.mapi (fun i p -> if i land 1 = 1 then snap p else p) programs
 
+(* The committed Reserve contents, sorted. *)
+let reserve_of m =
+  List.sort compare
+    (List.map
+       (fun row -> Array.to_list (Array.map Value.to_string row))
+       (Manager.query m "SELECT uid, fid FROM Reserve"))
+
+(* A small travel world with the online certifier attached. *)
+let certified_world ~seed config =
+  let world = Travel.build ~seed ~users:30 ~cities:5 ~config () in
+  let certifier = Certify.create () in
+  Manager.observe world.Travel.manager
+    ~on_event:(Certify.on_engine_event certifier)
+    ~on_entangle:(Certify.on_entangle certifier);
+  (world, certifier)
+
 (* Run one randomized batch (entangled pairs + plain social bookings)
    under [level]: returns per-label outcomes, the sorted committed
    Reserve contents, the certifier's verdict, and the version-chain
@@ -162,11 +177,7 @@ let run_batch ~world_seed ~pairs ~plain level =
   let config =
     { Scheduler.default_config with trigger = Scheduler.Every_arrivals 4 }
   in
-  let world = Travel.build ~seed:world_seed ~users:30 ~cities:5 ~config () in
-  let certifier = Certify.create () in
-  Manager.observe world.Travel.manager
-    ~on_event:(Certify.on_engine_event certifier)
-    ~on_entangle:(Certify.on_entangle certifier);
+  let world, certifier = certified_world ~seed:world_seed config in
   let programs =
     Wgen.batch world ~transactional:true Wgen.Entangled ~n:(2 * pairs)
       ~tag_base:0
@@ -186,12 +197,7 @@ let run_batch ~world_seed ~pairs ~plain level =
         (label, Gen.outcome_name (Manager.outcome world.Travel.manager id)))
       ids
   in
-  let reserve =
-    List.sort compare
-      (List.map
-         (fun row -> Array.to_list (Array.map Value.to_string row))
-         (Manager.query world.Travel.manager "SELECT uid, fid FROM Reserve"))
-  in
+  let reserve = reserve_of world.Travel.manager in
   let chains = Engine.chain_entries (Manager.engine world.Travel.manager) in
   (outcomes, reserve, Certify.violations certifier, chains)
 
@@ -237,6 +243,190 @@ let prop_differential_isolation =
         true
       | [] -> true)
 
+(* --- storage modes belong to the instance that owns the tables --- *)
+
+(* Versioned mode is switched on per catalog. Creating a second manager
+   after the first one's Snapshot submit must leave the first one's
+   version chains on, and the second one's off. *)
+let test_second_manager_keeps_versioning () =
+  let a = Gen.travel_manager () in
+  let si =
+    Manager.submit a
+      (Program.of_string ~label:"si" ~isolation:Engine.Snapshot
+         "BEGIN TRANSACTION;\nSELECT fno FROM Flights;\nCOMMIT;")
+  in
+  Manager.drain a;
+  Gen.check_outcome a "snapshot transaction commits" "committed" si;
+  let b = Gen.travel_manager () in
+  Alcotest.(check bool)
+    "A is versioned" true
+    (Catalog.versioned (Manager.catalog a));
+  Alcotest.(check bool)
+    "B is not versioned" false
+    (Catalog.versioned (Manager.catalog b));
+  let flights = Catalog.find_exn (Manager.catalog a) "Flights" in
+  let before = Table.chain_entries flights in
+  let row = Option.get (Table.get flights 0) in
+  ignore (Table.update ~writer:999 flights 0 row);
+  Alcotest.(check int)
+    "A's write still records a chain entry" (before + 1)
+    (Table.chain_entries flights)
+
+(* Version chains are volatile: a catalog rebuilt from the WAL after an
+   SI run starts unversioned with empty chains, a 2PL write keeps it
+   so, and the next Snapshot submit turns it back on. *)
+let test_recovery_starts_unversioned () =
+  let booking name =
+    Printf.sprintf
+      "BEGIN TRANSACTION;\nINSERT INTO Reserve VALUES ('%s', 'flight', 122);\n\
+       COMMIT;"
+      name
+  in
+  let m = Gen.travel_manager () in
+  let si =
+    Manager.submit m
+      (Program.of_string ~label:"si" ~isolation:Engine.Snapshot (booking "si"))
+  in
+  Manager.drain m;
+  Gen.check_outcome m "snapshot booking commits" "committed" si;
+  let r = Manager.crash_and_recover m in
+  let versioned () = Catalog.versioned (Manager.catalog r) in
+  Alcotest.(check bool) "recovered catalog is unversioned" false (versioned ());
+  Catalog.iter
+    (fun name table ->
+      Alcotest.(check int)
+        (name ^ " has no chain") 0 (Table.chain_entries table))
+    (Manager.catalog r);
+  let plain = Manager.submit_string r ~label:"2pl" (booking "2pl") in
+  Manager.drain r;
+  Gen.check_outcome r "2PL booking commits" "committed" plain;
+  Alcotest.(check bool)
+    "a 2PL submit leaves it unversioned" false (versioned ());
+  Alcotest.(check int)
+    "a 2PL write records no chain entry" 0
+    (Engine.chain_entries (Manager.engine r));
+  ignore
+    (Manager.submit r
+       (Program.of_string ~label:"si-2" ~isolation:Engine.Snapshot
+          (booking "si-2")));
+  Alcotest.(check bool) "a Snapshot submit turns it on" true (versioned ())
+
+(* A steppable instance: one travel world under its own scheduler, the
+   programs it has yet to submit, and its certifier. *)
+type instance = {
+  manager : Manager.t;
+  certifier : Certify.t;
+  mutable todo : Program.t list;
+  mutable submitted : (string * int) list;
+}
+
+let instance ?runner level =
+  let config = { Scheduler.default_config with trigger = Manual; runner } in
+  let world, certifier = certified_world ~seed:11 config in
+  let writers =
+    retag level
+      (Wgen.batch world ~transactional:true Wgen.Entangled ~n:8 ~tag_base:0
+      @ Wgen.batch world ~transactional:true Wgen.Social ~n:8 ~tag_base:500)
+  in
+  let reader k =
+    Program.of_string
+      ~label:(Printf.sprintf "reader-%d" k)
+      ~isolation:
+        (if level = `All_2pl then Engine.Serializable_2pl else Engine.Snapshot)
+      (Printf.sprintf
+         "BEGIN TRANSACTION;\nSELECT COUNT(*) AS @n FROM Reserve;\n\
+          INSERT INTO Reserve VALUES (%d, @n);\nCOMMIT;"
+         (-1 - k))
+  in
+  (* a reader after every third writer records the Reserve count its
+     snapshot (or its S lock) saw, so visibility shows in the results *)
+  let programs =
+    List.concat
+      (List.mapi
+         (fun k p -> if k mod 3 = 2 then [ p; reader k ] else [ p ])
+         writers)
+  in
+  { manager = world.Travel.manager; certifier; todo = programs;
+    submitted = [] }
+
+(* Submit the next block of four programs without running them. *)
+let submit_block i =
+  let rec go n =
+    match i.todo with
+    | p :: rest when n > 0 ->
+      i.todo <- rest;
+      i.submitted <-
+        (p.Program.label, Manager.submit i.manager p) :: i.submitted;
+      go (n - 1)
+    | _ -> ()
+  in
+  go 4
+
+let run i = Manager.run_once i.manager
+
+(* Submit the rest and drain; then the outcomes, final Reserve
+   contents, simulated time and certifier verdict. *)
+let finish i =
+  while i.todo <> [] do
+    submit_block i;
+    run i
+  done;
+  Manager.drain i.manager;
+  ( List.rev_map
+      (fun (label, id) ->
+        (label, Gen.outcome_name (Manager.outcome i.manager id)))
+      i.submitted,
+    reserve_of i.manager,
+    Manager.now i.manager,
+    List.map
+      (fun (v : Certify.violation) -> v.code)
+      (Certify.violations i.certifier) )
+
+(* Each instance's results when stepped in alternation with another in
+   one process must equal its solo run. The second instance is created
+   between the first one's first submits and its first run, so a mode
+   the first one set up at a Snapshot submit (or at creation) is live
+   when the second appears. *)
+let check_alternation name make_a make_b =
+  let solo_a = finish (make_a ()) and solo_b = finish (make_b ()) in
+  let a = make_a () in
+  submit_block a;
+  let b = make_b () in
+  let rec alternate () =
+    submit_block b;
+    run a;
+    run b;
+    if a.todo <> [] || b.todo <> [] then begin
+      submit_block a;
+      alternate ()
+    end
+  in
+  alternate ();
+  let same what solo (outcomes, reserve, now, verdict) =
+    let outcomes0, reserve0, now0, verdict0 = solo in
+    Alcotest.(check (list (pair string string)))
+      (what ^ " outcomes") outcomes0 outcomes;
+    Alcotest.(check (list (list string))) (what ^ " Reserve") reserve0 reserve;
+    Alcotest.(check (float 0.0)) (what ^ " simulated time") now0 now;
+    Alcotest.(check (list string))
+      (what ^ " certifier verdict") verdict0 verdict
+  in
+  let ra = finish a and rb = finish b in
+  same (name ^ ": first") solo_a ra;
+  same (name ^ ": second") solo_b rb
+
+let test_alternating_isolation () =
+  check_alternation "si beside 2pl"
+    (fun () -> instance `All_si)
+    (fun () -> instance `All_2pl)
+
+let test_alternating_runners () =
+  let pool = Ent_par.Pool.create ~domains:2 in
+  Fun.protect ~finally:(fun () -> Ent_par.Pool.shutdown pool) @@ fun () ->
+  check_alternation "pool beside deterministic"
+    (fun () -> instance ~runner:pool `Mixed)
+    (fun () -> instance `Mixed)
+
 let () =
   Alcotest.run "mvcc"
     [ ( "version-chains",
@@ -247,5 +437,14 @@ let () =
       ( "locks",
         [ Alcotest.test_case "snapshot reads take zero locks" `Quick
             test_snapshot_zero_read_locks ] );
+      ( "instances",
+        [ Alcotest.test_case "second manager keeps versioning" `Quick
+            test_second_manager_keeps_versioning;
+          Alcotest.test_case "recovery starts unversioned" `Quick
+            test_recovery_starts_unversioned;
+          Alcotest.test_case "2pl and si alternate" `Quick
+            test_alternating_isolation;
+          Alcotest.test_case "pool and deterministic alternate" `Quick
+            test_alternating_runners ] );
       ( "differential",
         List.map Gen.to_alcotest [ prop_differential_isolation ] ) ]
