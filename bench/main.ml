@@ -749,10 +749,21 @@ let ablation_isolation () =
              (fun id -> Manager.outcome world.manager id = Some Scheduler.Committed)
              ids)
       in
-      let history = Ent_schedule.Recorder.completed_history recorder in
+      let codes =
+        List.map
+          (fun (v : Ent_schedule.Certify.violation) -> v.code)
+          (Ent_schedule.Certify.violations
+             (Ent_schedule.Certify.replay
+                (Ent_schedule.Recorder.completed_history recorder)))
+      in
       let anomalies =
-        Format.asprintf "%a" Ent_schedule.Anomaly.pp_report
-          (Ent_schedule.Anomaly.report history)
+        match
+          List.filter (fun c -> List.mem c codes)
+            [ "conflict-cycle"; "read-from-aborted"; "widowed";
+              "unrepeatable-quasi-read" ]
+        with
+        | [] -> "none"
+        | shown -> String.concat ", " shown
       in
       Printf.printf "%22s %12.2f %10d   %s\n%!" name
         (Manager.now world.manager) commits anomalies)

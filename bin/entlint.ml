@@ -131,6 +131,11 @@ let si_levels_of history = function
            "bad --si %S: expected \"all\" or comma-separated transaction ids"
            spec))
 
+let report ~serializability certifier history =
+  let r = Histcheck.check ~serializability certifier history in
+  Format.printf "%a@.%!" Histcheck.pp r;
+  if Histcheck.ok r then 0 else 1
+
 let check_main path serializability si_txns =
   match serializability_of serializability with
   | Error msg -> fail_input msg
@@ -140,35 +145,9 @@ let check_main path serializability si_txns =
     | Ok history -> (
       match si_levels_of history si_txns with
       | Error msg -> fail_input msg
-      | Ok None ->
-        let report = Histcheck.check ~serializability history in
-        Format.printf "%a@.%!" Histcheck.pp report;
-        if Histcheck.ok report then 0 else 1
-      | Ok (Some levels) ->
-        (* Mixed-level history: the strict-serializability oracle no
-           longer applies to the SI members, so judge the schedule with
-           the level-aware certifier instead. *)
-        let violations = Ent_schedule.Certify.check_history ~levels history in
-        let si =
-          String.concat ","
-            (List.map (fun (txn, _) -> string_of_int txn) levels)
-        in
-        if violations = [] then begin
-          Format.printf "certify: ok under mixed levels (si: %s)@.%!" si;
-          0
-        end
-        else begin
-          Format.printf "certify: %d violation%s under mixed levels (si: %s)@\n"
-            (List.length violations)
-            (if List.length violations = 1 then "" else "s")
-            si;
-          List.iter
-            (fun v ->
-              Format.printf "  %a@\n" Ent_schedule.Certify.pp_violation v)
-            violations;
-          Format.printf "%!";
-          1
-        end))
+      | Ok levels ->
+        report ~serializability (Ent_schedule.Certify.replay ?levels history)
+          history))
 
 (* --- record --- *)
 
@@ -184,29 +163,15 @@ let record_main path isolation frequency serializability print_history =
       | "mixed" -> ("full", "mixed")
       | other -> (other, "2pl")
     in
-    let certifier =
-      if txn_isolation = "2pl" then None
-      else Some (Ent_schedule.Certify.create ())
-    in
     match
       Result.bind (read_input path)
-        (Driver.record_script ~isolation ~txn_isolation ~frequency ?certifier)
+        (Driver.record_script ~isolation ~txn_isolation ~frequency)
     with
     | Error msg -> fail_input msg
-    | Ok history -> (
+    | Ok (history, certifier) ->
       if print_history then
         Format.printf "%a@." Ent_schedule.History.pp history;
-      match certifier with
-      | None ->
-        let report = Histcheck.check ~serializability history in
-        Format.printf "%a@.%!" Histcheck.pp report;
-        if Histcheck.ok report then 0 else 1
-      | Some c ->
-        (* Mixed-level run: Appendix C's strict-serializability oracle
-           does not apply to the SI members — report the level-aware
-           online certifier instead. *)
-        Format.printf "%a@.%!" Ent_schedule.Certify.pp_report c;
-        if Ent_schedule.Certify.ok c then 0 else 1))
+      report ~serializability certifier history)
 
 (* --- command line --- *)
 

@@ -77,7 +77,7 @@ let write_flight path (o : Harness.outcome) =
     Printf.printf "entsim: wrote flight-recorder dump to %s\n" path
 
 let main seeds seed plan_str pairs rollback_pairs plain lonely users cities
-    max_arms break_group_commit certify isolation timeline out_path
+    max_arms break_group_commit isolation timeline out_path
     trace_out flight_out verbose =
   if not (List.mem isolation [ "2pl"; "si"; "snapshot"; "mixed" ]) then begin
     prerr_endline
@@ -106,7 +106,6 @@ let main seeds seed plan_str pairs rollback_pairs plain lonely users cities
       cities;
       max_arms;
       break_group_commit;
-      certify;
       isolation;
       timeline;
     }
@@ -227,15 +226,6 @@ let break_group_commit =
           "Commit entanglement-group members independently (deliberately \
            broken; the harness must report widow violations).")
 
-let certify =
-  Arg.(
-    value & flag
-    & info [ "certify" ]
-        ~doc:
-          "Run an online schedule certifier per epoch; a certification \
-           violation is reported (and shrunken) like any other invariant \
-           violation.")
-
 let isolation =
   Arg.(
     value & opt string Harness.default.isolation
@@ -288,7 +278,7 @@ let cmd =
     (Cmd.info "entsim" ~version:"1.0.0" ~doc)
     Term.(
       const main $ seeds $ seed $ plan $ pairs $ rollback_pairs $ plain $ lonely
-      $ users $ cities $ max_arms $ break_group_commit $ certify
+      $ users $ cities $ max_arms $ break_group_commit
       $ isolation $ timeline $ out $ trace_out $ flight_out $ verbose)
 
 let () = exit (Cmd.eval' cmd)

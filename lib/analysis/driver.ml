@@ -126,15 +126,13 @@ let txn_isolation_of_name = function
   | s ->
     Error (Printf.sprintf "unknown transaction isolation %S (2pl|si|mixed)" s)
 
-(* Execute a script under a recorder and return the schedule of the
-   terminated transactions — the bridge from the simulator to the
-   formal checkers. [txn_isolation] tags the submitted programs:
-   [si] runs them all under snapshot isolation, [mixed] alternates per
-   submission. [certifier], when given, is subscribed to the engine and
-   entanglement hooks alongside the recorder — the online mixed-level
-   checker, since the offline history notation carries no levels. *)
+(* Execute a script under a recorder and a certifier and return the
+   schedule of the terminated transactions with the certifier that
+   watched it — the bridge from the simulator to the formal checkers.
+   [txn_isolation] tags the submitted programs: [si] runs them all
+   under snapshot isolation, [mixed] alternates per submission. *)
 let record_script ?(isolation = "full") ?(txn_isolation = "2pl")
-    ?(frequency = 1) ?certifier text =
+    ?(frequency = 1) text =
   let open Ent_core in
   let* isolation = isolation_of_name isolation in
   let* txn_isolation = txn_isolation_of_name txn_isolation in
@@ -153,20 +151,14 @@ let record_script ?(isolation = "full") ?(txn_isolation = "2pl")
   in
   let m = Manager.create ~config () in
   let recorder = Ent_schedule.Recorder.create () in
-  Ent_txn.Engine.set_on_event (Manager.engine m)
-    (Some
-       (fun ev ->
-         Ent_schedule.Recorder.on_engine_event recorder ev;
-         Option.iter
-           (fun c -> Ent_schedule.Certify.on_engine_event c ev)
-           certifier));
-  Scheduler.set_on_entangle (Manager.scheduler m)
-    (Some
-       (fun ~event participants ->
-         Ent_schedule.Recorder.on_entangle recorder ~event participants;
-         Option.iter
-           (fun c -> Ent_schedule.Certify.on_entangle c ~event participants)
-           certifier));
+  let certifier = Ent_schedule.Certify.create () in
+  Manager.observe m
+    ~on_event:(fun ev ->
+      Ent_schedule.Recorder.on_engine_event recorder ev;
+      Ent_schedule.Certify.on_engine_event certifier ev)
+    ~on_entangle:(fun ~event participants ->
+      Ent_schedule.Recorder.on_entangle recorder ~event participants;
+      Ent_schedule.Certify.on_entangle certifier ~event participants);
   let access = Ent_sql.Eval.direct_access (Manager.catalog m) in
   let env = Ent_sql.Eval.fresh_env () in
   let count = ref 0 in
@@ -190,7 +182,7 @@ let record_script ?(isolation = "full") ?(txn_isolation = "2pl")
       items;
     Manager.drain m
   with
-  | () -> Ok (Ent_schedule.Recorder.completed_history recorder)
+  | () -> Ok (Ent_schedule.Recorder.completed_history recorder, certifier)
   | exception Ent_sql.Eval.Eval_error msg -> Error ("evaluation error: " ^ msg)
 
 (* ------------------------------------------------------------------ *)

@@ -24,20 +24,17 @@ val history_of_text : string -> (Ent_schedule.History.t, string) result
 
 val isolation_of_name : string -> (Ent_core.Isolation.t, string) result
 
-(** Execute a script under a {!Ent_schedule.Recorder} and return the
-    schedule of the transactions that terminated. [txn_isolation]
-    ([2pl], the default; [si]; [mixed]) tags the submitted programs'
-    per-transaction level; [certifier], when given, is subscribed to
-    the engine and entanglement hooks alongside the recorder — the
-    online mixed-level checker, since the offline history notation
-    carries no isolation levels. *)
+(** Execute a script under a {!Ent_schedule.Recorder} and a
+    {!Ent_schedule.Certify} certifier; return the schedule of the
+    transactions that terminated and the certifier that watched the
+    run (for {!Histcheck.check}). [txn_isolation] ([2pl], the default;
+    [si]; [mixed]) tags the submitted programs' per-transaction level. *)
 val record_script :
   ?isolation:string ->
   ?txn_isolation:string ->
   ?frequency:int ->
-  ?certifier:Ent_schedule.Certify.t ->
   string ->
-  (Ent_schedule.History.t, string) result
+  (Ent_schedule.History.t * Ent_schedule.Certify.t, string) result
 
 (** Drop findings agreeing on (source, position, program, code) — the
     [Finding.compare] key — keeping the first of each run; output is

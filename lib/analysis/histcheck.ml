@@ -13,110 +13,54 @@ type report = {
   aborted : int list;
   validity : string list;
   violations : violation list;
+  allowed : violation list;
   level : [ `Full | `No_widow | `Loose ];
   serializable : bool option;
 }
 
-let obj_str x = Format.asprintf "%a" History.pp_obj x
+(* The certifier's C.1 codes: [History.validity_errors] reports every
+   fault they catch, and more. *)
+let validity_codes =
+  [ "unanswered-ground"; "ground-gap"; "post-terminal"; "double-terminal" ]
 
-(* Requirement C.3 with a witness: a committed transaction read an
-   object after an aborted one wrote it. Anomaly.find_dirty_read_witness
-   is looser (any reader), so filter to committed readers here. *)
-let find_read_from_aborted history =
-  let aborted = History.aborted history in
-  let committed = History.committed history in
-  let rec scan = function
-    | [] -> None
-    | History.Write (i, x) :: rest when List.mem i aborted -> (
-      let found =
-        List.find_map
-          (fun (op : History.op) ->
-            match op with
-            | Read (j, y) | Ground_read (j, y) | Quasi_read (j, y)
-              when j <> i && List.mem j committed && History.overlaps x y ->
-              Some (i, j, x, y)
-            | _ -> None)
-          rest
-      in
-      match found with
-      | Some _ -> found
-      | None -> scan rest)
-    | _ :: rest -> scan rest
+(* The certifier's other codes in report order, with the requirement
+   each one violates. *)
+let requirements =
+  [ ("conflict-cycle", "C.2 (no cycles)");
+    ("read-from-aborted", "C.3 (no read from aborted)");
+    ("widowed", "C.4 (no widowed transactions)");
+    ("unrepeatable-quasi-read", "quasi-read stability (Figure 3b)");
+    ("si-lost-update", "snapshot isolation (first committer wins)");
+    ("si-read-uncommitted", "snapshot isolation (committed versions only)");
+    ("si-write-skew", "snapshot isolation") ]
+
+(* Drop the C.1 codes, label the rest, list them in requirement order. *)
+let report_of vs =
+  let rank code =
+    Option.value ~default:max_int
+      (List.find_index (fun (c, _) -> c = code) requirements)
   in
-  scan (History.expand_quasi_reads history)
+  List.filter
+    (fun (v : Certify.violation) -> not (List.mem v.code validity_codes))
+    vs
+  |> List.map (fun (v : Certify.violation) ->
+         {
+           code = v.code;
+           requirement =
+             Option.value ~default:v.code (List.assoc_opt v.code requirements);
+           witness = v.detail;
+         })
+  |> List.stable_sort (fun a b -> compare (rank a.code) (rank b.code))
 
-let entangle_event_of history a c =
-  List.find_map
-    (fun (op : History.op) ->
-      match op with
-      | Entangle (k, participants)
-        when List.mem a participants && List.mem c participants -> Some k
-      | _ -> None)
-    history
-
-let check ?(serializability = `Auto) history =
-  let validity = History.validity_errors history in
+let check ?(serializability = `Auto) c history =
+  let txns = History.txns history in
   let committed = History.committed history in
-  let aborted = History.aborted history in
-  let violations = ref [] in
-  let add v = violations := v :: !violations in
-  (match Conflict.find_cycle (Conflict.of_schedule (History.expand_quasi_reads history)) with
-  | Some cycle ->
-    add
-      {
-        code = "conflict-cycle";
-        requirement = "C.2 (no cycles)";
-        witness =
-          String.concat " -> " (List.map (fun i -> "T" ^ string_of_int i) cycle)
-          ^ " -> T"
-          ^ string_of_int (List.hd cycle);
-      }
-  | None -> ());
-  (match find_read_from_aborted history with
-  | Some (writer, reader, x, y) ->
-    add
-      {
-        code = "read-from-aborted";
-        requirement = "C.3 (no read from aborted)";
-        witness =
-          Printf.sprintf
-            "T%d read %s after aborted T%d wrote %s (dirty read)" reader
-            (obj_str y) writer (obj_str x);
-      }
-  | None -> ());
-  (match Anomaly.find_widowed history with
-  | Some (a, c) ->
-    let event =
-      match entangle_event_of history a c with
-      | Some k -> Printf.sprintf "entanglement E%d" k
-      | None -> "an entanglement"
-    in
-    add
-      {
-        code = "widowed";
-        requirement = "C.4 (no widowed transactions)";
-        witness =
-          Printf.sprintf "%s joins T%d (aborted) with T%d (committed)" event a
-            c;
-      }
-  | None -> ());
-  (match Anomaly.find_unrepeatable_quasi_read history with
-  | Some (txn, x) ->
-    add
-      {
-        code = "unrepeatable-quasi-read";
-        requirement = "quasi-read stability (Figure 3b)";
-        witness =
-          Printf.sprintf
-            "T%d quasi-read %s, another transaction wrote it, and T%d then \
-             read it again"
-            txn (obj_str x) txn;
-      }
-  | None -> ());
+  let violations = report_of (Certify.violations c) in
   let serializable =
     let compute () = Some (Abstract.oracle_serializable history) in
     match serializability with
     | `Off -> None
+    | (`On | `Auto) when List.exists (Certify.is_si c) txns -> None
     | `On -> compute ()
     | `Auto ->
       (* The oracle falls back from exhaustive permutation search to a
@@ -126,12 +70,16 @@ let check ?(serializability = `Auto) history =
   in
   {
     ops = List.length history;
-    txns = History.txns history;
+    txns;
     committed;
-    aborted;
-    validity;
-    violations = List.rev !violations;
-    level = Anomaly.level history;
+    aborted = History.aborted history;
+    validity = History.validity_errors history;
+    violations;
+    allowed = report_of (Certify.anomalies c);
+    level =
+      (if violations = [] then `Full
+       else if List.exists (fun v -> v.code = "widowed") violations then `Loose
+       else `No_widow);
     serializable;
   }
 
@@ -154,14 +102,14 @@ let pp ppf r =
     Format.fprintf ppf "validity (C.1): %d error%s@\n" (List.length errs)
       (if List.length errs = 1 then "" else "s");
     List.iter (fun e -> Format.fprintf ppf "    %s@\n" e) errs);
-  (match r.violations with
-  | [] -> Format.fprintf ppf "anomalies: none@\n"
-  | vs ->
-    List.iter
-      (fun v ->
-        Format.fprintf ppf "anomaly [%s] violates %s:@\n    %s@\n" v.code
+  let pp_violations verdict =
+    List.iter (fun v ->
+        Format.fprintf ppf "anomaly [%s] %s %s:@\n    %s@\n" v.code verdict
           v.requirement v.witness)
-      vs);
+  in
+  if r.violations = [] then Format.fprintf ppf "anomalies: none@\n";
+  pp_violations "violates" r.violations;
+  pp_violations "allowed by" r.allowed;
   Format.fprintf ppf "isolation level: %a@\n" pp_level r.level;
   match r.serializable with
   | None -> Format.fprintf ppf "oracle-serializable: not checked"

@@ -16,6 +16,7 @@ module Rng = Ent_fault.Rng
 module Wal = Ent_txn.Wal
 module Recovery = Ent_txn.Recovery
 module Recorder = Ent_schedule.Recorder
+module Certify = Ent_schedule.Certify
 module Histcheck = Ent_analysis.Histcheck
 module Event = Ent_obs.Event
 module Timeseries = Ent_obs.Timeseries
@@ -31,7 +32,6 @@ type config = {
   cities : int;
   max_arms : int;  (* upper bound on generated fault-plan arms *)
   break_group_commit : bool;  (* run without group commit (widow detector test) *)
-  certify : bool;  (* online schedule certification per epoch *)
   isolation : string;
       (* per-transaction level of the workload: "2pl" (all Strict 2PL),
          "si" (all snapshot), "mixed" (alternating) *)
@@ -49,7 +49,6 @@ let default =
     cities = 6;
     max_arms = 4;
     break_group_commit = false;
-    certify = false;
     isolation = "2pl";
     timeline = 16;
   }
@@ -256,44 +255,29 @@ let run (cfg : config) plan =
   let mgr = ref world.Ent_workload.Travel.manager in
   (* The recorder replaces any stale hooks (a recovered engine starts
      clean, but the scheduler hook slot is per-manager anyway); the
-     optional certifier is then added beside it. One certifier per
-     epoch: engine transaction ids restart from the recovered log's
-     high-water mark, so an epoch is a self-contained schedule. *)
+     certifier is then added beside it. One of each per epoch: engine
+     transaction ids restart from the recovered log's high-water mark,
+     so an epoch is a self-contained schedule. The certifier sees each
+     Ev_begin, so snapshot reads are judged where the snapshot was
+     taken. *)
   let attach m =
     let r = Recorder.create () in
     Ent_txn.Engine.set_on_event (Manager.engine m)
       (Some (Recorder.on_engine_event r));
     Scheduler.set_on_entangle (Manager.scheduler m)
       (Some (Recorder.on_entangle r));
-    let c =
-      if not cfg.certify then None
-      else begin
-        let c = Ent_schedule.Certify.create () in
-        Manager.observe m
-          ~on_event:(Ent_schedule.Certify.on_engine_event c)
-          ~on_entangle:(Ent_schedule.Certify.on_entangle c);
-        Some c
-      end
-    in
+    let c = Certify.create () in
+    Manager.observe m ~on_event:(Certify.on_engine_event c)
+      ~on_entangle:(Certify.on_entangle c);
     (r, c)
   in
-  let recorder, certifier =
-    let r, c = attach !mgr in
-    (ref r, ref c)
-  in
-  let check_certifier epoch_index =
-    match !certifier with
-    | None -> ()
-    | Some c ->
-      List.iter
-        (fun (v : Ent_schedule.Certify.violation) ->
-          viol [] "certify"
-            (Printf.sprintf "epoch %d: [%s] %s" epoch_index v.code v.detail))
-        (Ent_schedule.Certify.violations c)
-  in
-  let epochs_closed = ref 0 in
+  let epoch = ref (attach !mgr) in
   let epoch_live = ref true in
   let histories = ref [] in
+  let close_epoch () =
+    let r, c = !epoch in
+    (c, Recorder.completed_history r)
+  in
   let commits = ref 0 in
   let crashes = ref 0 in
   let flush_failures = ref 0 in
@@ -351,9 +335,7 @@ let run (cfg : config) plan =
              viol [] "version-gc"
                "recovered engine starts with non-empty version chains";
            mgr := Manager.create_with_engine ~config:sched_config engine;
-           let r, c = attach !mgr in
-           recorder := r;
-           certifier := c;
+           epoch := attach !mgr;
            epoch_live := true;
            (* Dormant-pool survivors resume: every program of the last
               snapshot must deserialize and resubmit. *)
@@ -377,11 +359,9 @@ let run (cfg : config) plan =
        decr crash_budget;
        if !crash_budget <= 0 then Fault.deactivate ();
        if !epoch_live then begin
-         histories := Recorder.completed_history !recorder :: !histories;
+         histories := close_epoch () :: !histories;
          commits := !commits + (Manager.stats !mgr).Scheduler.commits;
          check_no_errors !mgr;
-         check_certifier !epochs_closed;
-         incr epochs_closed;
          epoch_live := false
        end;
        last_resumed := [];
@@ -390,10 +370,8 @@ let run (cfg : config) plan =
   done;
   if not !aborted_sim then begin
     if !epoch_live then begin
-      histories := Recorder.completed_history !recorder :: !histories;
-      commits := !commits + (Manager.stats !mgr).Scheduler.commits;
-      check_certifier !epochs_closed;
-      incr epochs_closed
+      histories := close_epoch () :: !histories;
+      commits := !commits + (Manager.stats !mgr).Scheduler.commits
     end;
     check_no_errors !mgr;
     (* Resumed dormant survivors must either have finished or still be
@@ -436,10 +414,11 @@ let run (cfg : config) plan =
       if dump_catalog replayed <> dump_catalog (Manager.catalog !mgr) then
         viol [] "durability" "quiescent replay differs from the live store");
     (* Every epoch's completed history must pass the Appendix C
-       checker (widow detection lives here when no group is logged). *)
+       checker, as judged by the certifier that watched it (widow
+       detection lives here when no group is logged). *)
     List.iteri
-      (fun i h ->
-        let report = Histcheck.check h in
+      (fun i (c, h) ->
+        let report = Histcheck.check c h in
         if not (Histcheck.ok report) then
           viol [] "history"
             (Format.asprintf "epoch %d history fails the checker:@ %a" i
@@ -560,7 +539,7 @@ let shrink cfg plan =
 (* The one-line repro command for a failing (config, plan). *)
 let repro cfg plan =
   let flag name v d = if v = d then "" else Printf.sprintf " --%s %d" name v in
-  Printf.sprintf "entsim --seed %d%s%s%s%s%s%s%s%s%s%s --plan '%s'" cfg.seed
+  Printf.sprintf "entsim --seed %d%s%s%s%s%s%s%s%s%s --plan '%s'" cfg.seed
     (flag "pairs" cfg.pairs default.pairs)
     (flag "rollback-pairs" cfg.rollback_pairs default.rollback_pairs)
     (flag "plain" cfg.plain default.plain)
@@ -568,7 +547,6 @@ let repro cfg plan =
     (flag "users" cfg.users default.users)
     (flag "cities" cfg.cities default.cities)
     (if cfg.break_group_commit then " --break-group-commit" else "")
-    (if cfg.certify then " --certify" else "")
     (if cfg.isolation = default.isolation then ""
      else " --isolation " ^ cfg.isolation)
     (flag "timeline" cfg.timeline default.timeline)

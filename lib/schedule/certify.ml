@@ -94,8 +94,10 @@ type t = {
   (* quasi-read stability tracking *)
   quasi_by_key : (string, quasi list ref) Hashtbl.t;
   quasi_by_txn_key : (int * string, quasi list ref) Hashtbl.t;
-  (* dirty-read tracking *)
+  (* every write, per transaction (dirty reads, lost updates) and per
+     group key (newest first; what a late quasi-read is invalidated by) *)
   writes_of : (int, (History.obj * int) list ref) Hashtbl.t;
+  writes_by_key : (string, (int * int * History.obj) list ref) Hashtbl.t;
   tainted : (int, string) Hashtbl.t;  (* committed-to-be readers of aborted writes *)
   (* entanglement groups *)
   ginfos : (int, ginfo) Hashtbl.t;
@@ -132,6 +134,7 @@ let create () =
     quasi_by_key = Hashtbl.create 16;
     quasi_by_txn_key = Hashtbl.create 64;
     writes_of = Hashtbl.create 64;
+    writes_by_key = Hashtbl.create 16;
     tainted = Hashtbl.create 8;
     ginfos = Hashtbl.create 32;
     groups_of_txn = Hashtbl.create 64;
@@ -201,6 +204,11 @@ let side_for_row g row =
     let s = new_side () in
     Hashtbl.add g.rows row s;
     s
+
+let push tbl key v =
+  match Hashtbl.find_opt tbl key with
+  | Some l -> l := v :: !l
+  | None -> Hashtbl.add tbl key (ref [ v ])
 
 let touch tbl txn p =
   match Hashtbl.find_opt tbl txn with
@@ -346,6 +354,13 @@ let scan_spans t ~txn ~p ~wit_new ~other_is_write ~new_is_write ~taint_reads
       end)
     spans
 
+let unrepeatable t q p =
+  violate t "unrepeatable-quasi-read"
+    (Printf.sprintf
+       "T%d quasi-read %s@%d, a foreign write at %d invalidated it, and T%d \
+        read it again at %d"
+       q.qtxn (obj_str q.qobj) q.qpos q.armed q.qtxn p)
+
 let data_op t kind txn obj p =
   t.op_count <- t.op_count + 1;
   Hashtbl.replace t.seen_txns txn ();
@@ -405,15 +420,8 @@ let data_op t kind txn obj p =
     end;
     touch (if is_w then g.whole.w else g.whole.r) txn p);
   if is_w then begin
-    (let l =
-       match Hashtbl.find_opt t.writes_of txn with
-       | Some l -> l
-       | None ->
-         let l = ref [] in
-         Hashtbl.add t.writes_of txn l;
-         l
-     in
-     l := (obj, p) :: !l);
+    push t.writes_of txn (obj, p);
+    push t.writes_by_key key (p, txn, obj);
     (* arm quasi-reads this write invalidates *)
     match Hashtbl.find_opt t.quasi_by_key key with
     | Some records ->
@@ -435,14 +443,50 @@ let data_op t kind txn obj p =
       List.iter
         (fun q ->
           if q.armed >= 0 && q.armed < p && History.overlaps q.qobj obj then
-            violate t "unrepeatable-quasi-read"
-              (Printf.sprintf
-                 "T%d quasi-read %s@%d, a foreign write at %d invalidated it, \
-                  and T%d read it again at %d"
-                 txn (obj_str q.qobj) q.qpos q.armed txn p))
+            unrepeatable t q p)
         !records
     | Some _ | None -> ()
   end
+
+(* A quasi-read of [obj] by [txn] at [p]. Expanded at its entanglement,
+   it lands retroactively at the grounding read's position, so writes
+   and re-reads may already lie after it: arm it with the first foreign
+   overlapping write after [p] and flag [txn]'s reads past that write.
+   Later writes and reads are handled as they arrive by [data_op]. *)
+let quasi_read t txn obj p =
+  t.quasi_count <- t.quasi_count + 1;
+  let q = { qtxn = txn; qpos = p; qobj = obj; armed = -1 } in
+  let key = key_of_obj obj in
+  push t.quasi_by_key key q;
+  push t.quasi_by_txn_key (txn, key) q;
+  (match Hashtbl.find_opt t.writes_by_key key with
+  | Some log ->
+    let rec first found = function
+      | (wp, j, y) :: older when wp > p ->
+        first (if j <> txn && History.overlaps obj y then wp else found) older
+      | _ -> found
+    in
+    q.armed <- first (-1) !log
+  | None -> ());
+  if q.armed >= 0 && not (is_si t txn) then begin
+    let g = group_for t key in
+    let last (s : side) =
+      match Hashtbl.find_opt s.r txn with
+      | Some sp -> sp.last
+      | None -> -1
+    in
+    let last_read =
+      match obj with
+      | History.Row (_, row) ->
+        max (last g.whole)
+          (match Hashtbl.find_opt g.rows row with
+          | Some s -> last s
+          | None -> -1)
+      | History.Table _ | History.Named _ -> max (last g.whole) (last g.agg)
+    in
+    if last_read > q.armed then unrepeatable t q last_read
+  end;
+  data_op t Q txn obj p
 
 let buffer_of t txn =
   match Hashtbl.find_opt t.ground_buffer txn with
@@ -649,18 +693,7 @@ let entangle t event participants =
     }
   in
   Hashtbl.replace t.ginfos event gi;
-  List.iter
-    (fun i ->
-      let l =
-        match Hashtbl.find_opt t.groups_of_txn i with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.add t.groups_of_txn i l;
-          l
-      in
-      l := event :: !l)
-    participants;
+  List.iter (fun i -> push t.groups_of_txn i event) participants;
   check_widow t event gi;
   (* expand buffered grounding reads into quasi-reads of the other
      participants, at the grounding read's original position *)
@@ -670,22 +703,7 @@ let entangle t event participants =
       | Some buffered ->
         List.iter
           (fun (p, x) ->
-            List.iter
-              (fun i ->
-                if i <> j then begin
-                  t.quasi_count <- t.quasi_count + 1;
-                  let q = { qtxn = i; qpos = p; qobj = x; armed = -1 } in
-                  let key = key_of_obj x in
-                  let push tbl k =
-                    match Hashtbl.find_opt tbl k with
-                    | Some l -> l := q :: !l
-                    | None -> Hashtbl.add tbl k (ref [ q ])
-                  in
-                  push t.quasi_by_key key;
-                  push t.quasi_by_txn_key (i, key);
-                  data_op t Q i x p
-                end)
-              participants)
+            List.iter (fun i -> if i <> j then quasi_read t i x p) participants)
           !buffered;
         buffered := []
       | None -> ())
@@ -729,18 +747,7 @@ let on_op t (op : History.op) =
   | Quasi_read (i, x) ->
     (* pre-expanded input (e.g. a checked file): track it like one the
        certifier expanded itself *)
-    t.quasi_count <- t.quasi_count + 1;
-    let p = next_pos t in
-    let q = { qtxn = i; qpos = p; qobj = x; armed = -1 } in
-    let key = key_of_obj x in
-    let push tbl k =
-      match Hashtbl.find_opt tbl k with
-      | Some l -> l := q :: !l
-      | None -> Hashtbl.add tbl k (ref [ q ])
-    in
-    push t.quasi_by_key key;
-    push t.quasi_by_txn_key (i, key);
-    data_op t Q i x p
+    quasi_read t i x (next_pos t)
   | Write (i, x) ->
     let p = next_pos t in
     anchor t i p;
@@ -792,11 +799,11 @@ let stats t =
     quasi_reads = t.quasi_count;
   }
 
-let check_history ?(levels = []) history =
+let replay ?(levels = []) history =
   let t = create () in
   List.iter (fun (txn, level) -> set_level t txn level) levels;
   List.iter (on_op t) history;
-  violations t
+  t
 
 let pp_violation ppf v = Format.fprintf ppf "[%s] %s" v.code v.detail
 

@@ -1,11 +1,10 @@
-(** Online schedule certification: a sanitizer for the scheduler.
+(** Schedule certification: the one checker of Appendix C's isolation
+    requirements and a sanitizer for the scheduler.
 
     Subscribe {!on_engine_event} / {!on_entangle} next to a
-    {!Recorder} (or feed a complete schedule through {!check_history})
-    and the certifier maintains the committed-prefix conflict graph
-    incrementally, flagging — as the run unfolds, without retaining
-    the operation history — every condition the offline Appendix C
-    checker ({!Ent_analysis.Histcheck}) would reject:
+    {!Recorder} (or feed a complete schedule through {!replay}) and the
+    certifier maintains the committed-prefix conflict graph
+    incrementally, flagging as the run unfolds:
 
     - [conflict-cycle]: the conflict graph over committed transactions
       (quasi-reads expanded, C.2) acquired a cycle;
@@ -14,7 +13,9 @@
     - [widowed]: an entanglement group with both an aborted and a
       committed member (C.4);
     - [unrepeatable-quasi-read]: a quasi-read was invalidated by a
-      foreign write and then re-read (Figure 3b);
+      foreign write and then re-read (Figure 3b) — counting writes and
+      re-reads that fall between the grounding read and the
+      entanglement that turns it into a quasi-read;
     - [unanswered-ground]: a transaction committed between a grounding
       read and its entanglement (C.1 validity);
     - [ground-gap]: a read or write between a grounding read and its
@@ -24,7 +25,7 @@
 
     {b Mixed isolation levels.} Transactions declared as
     {!Ent_txn.Engine.Snapshot} (via [Ev_begin], {!set_level} or the
-    [levels] argument of {!check_history}) are judged against snapshot
+    [levels] argument of {!replay}) are judged against snapshot
     isolation instead of strict serializability: their reads are
     repositioned to the snapshot anchor (the begin position, or the
     first operation when the stream carries no begins), re-reads after
@@ -40,11 +41,13 @@
     failing certification.
 
     Instead of the history, the certifier keeps per-object first/last
-    access positions per transaction, so memory is bounded by (live
-    objects x touching transactions), not by run length. Conflict
-    edges activate when both endpoints commit; each activation runs an
-    incremental reachability check, so a cycle is reported at the
-    commit that closes it. *)
+    access positions per transaction, every write's (object, position)
+    indexed by transaction and by table, every quasi-read, and every
+    conflict edge discovered; memory therefore grows with the number
+    of writes, quasi-reads and conflicting pairs of a run, not with its
+    reads. Conflict edges activate when both endpoints commit; each
+    activation runs an incremental reachability check, so a cycle is
+    reported at the commit that closes it. *)
 
 type violation = {
   code : string;
@@ -82,6 +85,9 @@ val on_entangle : t -> event:int -> (int * string list) list -> unit
     [Ev_begin]; explicit declaration serves offline histories). *)
 val set_level : t -> int -> Ent_txn.Engine.level -> unit
 
+(** Was the transaction declared {!Ent_txn.Engine.Snapshot}? *)
+val is_si : t -> int -> bool
+
 (** Violations found so far, in detection order (deduplicated; at most
     {!max_violations} retained). *)
 val violations : t -> violation list
@@ -94,12 +100,14 @@ val max_violations : int
 val ok : t -> bool
 val stats : t -> stats
 
-(** Replay a complete recorded history through a fresh certifier —
-    the offline entry point (mutation tests, [entlint]). [levels]
-    declares per-transaction isolation ahead of replay (2PL when
-    absent). *)
-val check_history :
-  ?levels:(int * Ent_txn.Engine.level) list -> History.t -> violation list
+(** Replay a complete history through a fresh certifier — the entry
+    point for history files and tests. [levels] declares
+    per-transaction isolation ahead of replay (2PL when absent). A
+    recorded run should be judged by the certifier that watched it
+    instead: only the live stream carries [Ev_begin], which anchors
+    snapshot reads where the snapshot was taken rather than at the
+    transaction's first operation. *)
+val replay : ?levels:(int * Ent_txn.Engine.level) list -> History.t -> t
 
 val pp_violation : Format.formatter -> violation -> unit
 

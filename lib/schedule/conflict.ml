@@ -92,32 +92,3 @@ let topo_order t =
   go [] t.nodes
 
 let has_cycle t = topo_order t = None
-
-let find_cycle t =
-  (* DFS with grey/black colouring; a back edge u -> v closes the cycle
-     v -> ... -> u -> v, reconstructed through DFS parents. *)
-  let color : (int, [ `Grey | `Black ]) Hashtbl.t = Hashtbl.create 16 in
-  let parent : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let result = ref None in
-  let rec dfs u =
-    Hashtbl.replace color u `Grey;
-    List.iter
-      (fun v ->
-        if !result = None then
-          match Hashtbl.find_opt color v with
-          | Some `Grey ->
-            let rec collect acc w =
-              if w = v then w :: acc else collect (w :: acc) (Hashtbl.find parent w)
-            in
-            result := Some (collect [] u)
-          | Some `Black -> ()
-          | None ->
-            Hashtbl.replace parent v u;
-            dfs v)
-      (successors t u);
-    Hashtbl.replace color u `Black
-  in
-  List.iter
-    (fun n -> if !result = None && not (Hashtbl.mem color n) then dfs n)
-    t.nodes;
-  !result

@@ -17,7 +17,3 @@ val has_cycle : t -> bool
 
 (** A topological order of the committed transactions, if acyclic. *)
 val topo_order : t -> int list option
-
-(** A concrete witness cycle [t1; ...; tk] (with an edge from each
-    element to the next and from [tk] back to [t1]), if any. *)
-val find_cycle : t -> int list option

@@ -174,6 +174,74 @@ let plan_gen =
   in
   list_size (int_range 0 4) arm
 
+(* --- Appendix C schedule generator --- *)
+
+(* Valid schedules over four named objects, by simulating transactions
+   with states Active / Grounding / Done: the seed list drives which
+   transaction acts, how, and on which object; entanglements join the
+   acting transaction with every other one currently grounding. *)
+let schedule_of_seed (n_txns, seed) =
+  let open Ent_schedule.History in
+  let objects = [| Named "x"; Named "y"; Named "z"; Named "w" |] in
+  let state = Array.make (n_txns + 1) `Active in
+  let ops = ref [] in
+  let next_event = ref 1 in
+  let emit op = ops := op :: !ops in
+  let grounding_others me =
+    List.filter
+      (fun j -> j <> me && state.(j) = `Grounding)
+      (List.init n_txns (fun i -> i + 1))
+  in
+  List.iter
+    (fun r ->
+      let txn = 1 + (r mod n_txns) in
+      let action = (r / 7) mod 10 in
+      let obj = objects.((r / 3) mod Array.length objects) in
+      match state.(txn) with
+      | `Done -> ()
+      | `Active ->
+        if action < 4 then emit (Read (txn, obj))
+        else if action < 7 then emit (Write (txn, obj))
+        else if action < 9 then begin
+          emit (Ground_read (txn, obj));
+          state.(txn) <- `Grounding
+        end
+        else begin
+          emit (if action = 9 then Commit txn else Abort txn);
+          state.(txn) <- `Done
+        end
+      | `Grounding ->
+        if action < 3 then emit (Ground_read (txn, obj))
+        else if action < 8 then begin
+          match grounding_others txn with
+          | [] -> ()
+          | others ->
+            let participants = txn :: others in
+            emit (Entangle (!next_event, participants));
+            incr next_event;
+            List.iter (fun j -> state.(j) <- `Active) participants
+        end
+        else begin
+          emit (Abort txn);
+          state.(txn) <- `Done
+        end)
+    seed;
+  (* terminate the stragglers *)
+  for txn = 1 to n_txns do
+    match state.(txn) with
+    | `Active -> emit (Commit txn)
+    | `Grounding -> emit (Abort txn)
+    | `Done -> ()
+  done;
+  List.rev !ops
+
+let seeded_schedule_gen =
+  QCheck2.Gen.(
+    pair (int_range 2 4) (list_size (int_range 8 40) (int_range 0 10_000)))
+
+let print_seeded_schedule seed =
+  Format.asprintf "%a" Ent_schedule.History.pp (schedule_of_seed seed)
+
 (* --- WAL schedule generator --- *)
 
 (* A coherent small log: tables created first; each transaction begins,

@@ -304,7 +304,7 @@ let test_histparse_comments_and_errors () =
 
 let check_fixture name =
   match Result.bind (Driver.read_file ("fixtures/" ^ name)) Driver.history_of_text with
-  | Ok h -> Histcheck.check h
+  | Ok h -> Histcheck.check (Ent_schedule.Certify.replay h) h
   | Error msg -> Alcotest.failf "loading %s: %s" name msg
 
 let violation_codes (r : Histcheck.report) =
@@ -325,7 +325,9 @@ let test_check_fig3b_quasi () =
   Alcotest.(check (list string)) "cycle + unrepeatable quasi-read"
     [ "conflict-cycle"; "unrepeatable-quasi-read" ] (violation_codes r);
   let cycle = List.hd r.violations in
-  Alcotest.(check string) "concrete cycle witness" "T3 -> T1 -> T3" cycle.witness;
+  Alcotest.(check string) "concrete cycle witness"
+    "T3 -> T1 -> T3 (closing conflict: T1@3 before W3(Airlines)@5)"
+    cycle.witness;
   Alcotest.(check bool) "not ok" false (Histcheck.ok r)
 
 let test_check_fig3c_dirty () =
@@ -334,7 +336,7 @@ let test_check_fig3c_dirty () =
     (violation_codes r);
   let v = List.hd r.violations in
   Alcotest.(check string) "witness names the pair and object"
-    "T2 read x after aborted T1 wrote x (dirty read)" v.witness;
+    "T2 committed after it read x after aborted T1 wrote it at 1" v.witness;
   Alcotest.(check bool) "not ok" false (Histcheck.ok r)
 
 let test_check_clean_history () =
@@ -367,8 +369,8 @@ let booking_script =
 let test_record_script () =
   match Driver.record_script booking_script with
   | Error msg -> Alcotest.fail msg
-  | Ok history ->
-    let r = Histcheck.check history in
+  | Ok (history, certifier) ->
+    let r = Histcheck.check certifier history in
     Alcotest.(check (list string)) "valid schedule" [] r.validity;
     Alcotest.(check (list string)) "no anomalies under full isolation" []
       (violation_codes r);

@@ -1,11 +1,34 @@
 (* Tests for the formal model (Appendix C): schedule validity,
-   quasi-read expansion, conflict graphs, the anomaly detectors on the
-   paper's Figure 3 scenarios, oracle-serializability, Theorem 3.6 as a
-   property over generated schedules, and checking recorded real
+   quasi-read expansion, conflict graphs, the certifier's verdicts on
+   the paper's Figure 3 scenarios, oracle-serializability, Theorem 3.6
+   as a property over generated schedules, and checking recorded real
    executions. *)
 
 open Ent_schedule
 open History
+module Histcheck = Ent_analysis.Histcheck
+
+(* The certifier's violations on a replay of the schedule. *)
+let violations h = Certify.violations (Certify.replay h)
+
+let codes h =
+  List.sort_uniq String.compare
+    (List.map (fun (v : Certify.violation) -> v.code) (violations h))
+
+let detail code h =
+  match
+    List.find_opt (fun (v : Certify.violation) -> v.code = code) (violations h)
+  with
+  | Some v -> v.detail
+  | None -> Alcotest.failf "no %s violation" code
+
+(* Definition C.5: Requirements C.2 (no cycles), C.3 (no read from
+   aborted) and C.4 (no widowed transactions) all hold. *)
+let entangled_isolated h =
+  not
+    (List.exists
+       (fun c -> List.mem c (codes h))
+       [ "conflict-cycle"; "read-from-aborted"; "widowed" ])
 
 let x = Named "x"
 let y = Named "y"
@@ -78,7 +101,7 @@ let test_conflict_graph () =
 
 let test_example_isolated_and_serializable () =
   Alcotest.(check bool) "entangled isolated" true
-    (Anomaly.entangled_isolated example_c1);
+    (entangled_isolated example_c1);
   Alcotest.(check bool) "oracle serializable" true
     (Abstract.oracle_serializable example_c1)
 
@@ -103,8 +126,9 @@ let test_unrepeatable_classical_read () =
   let s =
     [ Read (1, x); Write (2, x); Commit 2; Read (1, x); Commit 1 ]
   in
-  Alcotest.(check bool) "cycle detected" false (Anomaly.req_no_cycles s);
-  Alcotest.(check bool) "not isolated" false (Anomaly.entangled_isolated s)
+  Alcotest.(check bool) "cycle detected" true
+    (List.mem "conflict-cycle" (codes s));
+  Alcotest.(check bool) "not isolated" false (entangled_isolated s)
 
 let test_entangle_between_grounding_blocks () =
   (* two entangled queries in sequence in the same transaction: the
@@ -124,7 +148,7 @@ let test_entangle_between_grounding_blocks () =
   (* each grounding read gains exactly one quasi-read *)
   Alcotest.(check int) "four quasi-reads" (List.length s + 4)
     (List.length expanded);
-  Alcotest.(check bool) "isolated" true (Anomaly.entangled_isolated s);
+  Alcotest.(check bool) "isolated" true (entangled_isolated s);
   Alcotest.(check bool) "serializable" true (Abstract.oracle_serializable s)
 
 (* Figure 3(a): Mickey (1) and Minnie (2) entangle; Minnie aborts while
@@ -139,14 +163,11 @@ let figure_3a =
     Commit 1 ]
 
 let test_widowed_detection () =
-  Alcotest.(check bool) "requirement C.4 violated" false
-    (Anomaly.req_no_widowed figure_3a);
-  (match Anomaly.find_widowed figure_3a with
-  | Some (2, 1) -> ()
-  | Some (a, c) -> Alcotest.failf "wrong witness (%d,%d)" a c
-  | None -> Alcotest.fail "widow not found");
+  Alcotest.(check string) "requirement C.4 violated"
+    "entanglement E1 joins T2 (aborted) with T1 (committed)"
+    (detail "widowed" figure_3a);
   Alcotest.(check bool) "not isolated" false
-    (Anomaly.entangled_isolated figure_3a);
+    (entangled_isolated figure_3a);
   (* group commit turns the same history into an isolated one *)
   let both_commit =
     List.map
@@ -157,7 +178,7 @@ let test_widowed_detection () =
       figure_3a
   in
   Alcotest.(check bool) "both-commit variant is isolated" true
-    (Anomaly.entangled_isolated both_commit)
+    (entangled_isolated both_commit)
 
 (* Figure 3(b): Minnie (2) grounds on Airlines; Mickey (1) entangles
    with her (so he quasi-reads Airlines); Donald (3) inserts into
@@ -179,49 +200,48 @@ let figure_3b =
     Commit 2 ]
 
 let test_unrepeatable_quasi_read_detection () =
-  (match Anomaly.find_unrepeatable_quasi_read figure_3b with
-  | Some (1, o) when o = airlines -> ()
-  | Some (i, _) -> Alcotest.failf "wrong transaction %d" i
-  | None -> Alcotest.fail "anomaly not found");
+  Alcotest.(check string) "Mickey re-reads Airlines"
+    "T1 quasi-read Airlines@3, a foreign write at 5 invalidated it, and T1 \
+     read it again at 7"
+    (detail "unrepeatable-quasi-read" figure_3b);
   (* the quasi-read makes the conflict graph cyclic: 1 -> 3 (RQ before
      W) and 3 -> 1 (W before R) *)
   Alcotest.(check bool) "cycle" true
     (Conflict.has_cycle (Conflict.of_schedule (expand_quasi_reads figure_3b)));
   Alcotest.(check bool) "not isolated" false
-    (Anomaly.entangled_isolated figure_3b)
+    (entangled_isolated figure_3b)
   (* Note: Theorem 3.6 is one-directional. This schedule is in fact
      still final-state oracle-serializable (order Minnie, Donald,
      Mickey validates), exactly like classical conflict- vs
      final-state-serializability. *)
 
 let test_anomaly_report_and_level () =
-  (match Anomaly.report example_c1 with
-  | { conflict_cycle = false; read_from_aborted = false; widowed = false;
-      unrepeatable_quasi_read = false } -> ()
-  | _ -> Alcotest.fail "clean schedule misreported");
-  Alcotest.(check bool) "full level" true (Anomaly.level example_c1 = `Full);
-  (match Anomaly.report figure_3a with
-  | { widowed = true; _ } -> ()
-  | _ -> Alcotest.fail "widow not reported");
-  Alcotest.(check bool) "3a is loose" true (Anomaly.level figure_3a = `Loose);
-  (match Anomaly.report figure_3b with
-  | { unrepeatable_quasi_read = true; conflict_cycle = true; widowed = false; _ } -> ()
-  | _ -> Alcotest.fail "3b misreported");
-  Alcotest.(check bool) "3b avoids widows" true (Anomaly.level figure_3b = `No_widow);
-  Alcotest.(check string) "printer" "conflict-cycle, unrepeatable-quasi-read"
-    (Format.asprintf "%a" Anomaly.pp_report (Anomaly.report figure_3b))
+  let report h = Histcheck.check (Certify.replay h) h in
+  let report_codes h =
+    List.map (fun (v : Histcheck.violation) -> v.code) (report h).violations
+    |> List.sort String.compare
+  in
+  Alcotest.(check (list string)) "clean schedule" [] (report_codes example_c1);
+  Alcotest.(check bool) "full level" true ((report example_c1).level = `Full);
+  Alcotest.(check (list string)) "widow reported" [ "widowed" ]
+    (report_codes figure_3a);
+  Alcotest.(check bool) "3a is loose" true ((report figure_3a).level = `Loose);
+  Alcotest.(check (list string)) "3b"
+    [ "conflict-cycle"; "unrepeatable-quasi-read" ]
+    (report_codes figure_3b);
+  Alcotest.(check bool) "3b avoids widows" true
+    ((report figure_3b).level = `No_widow)
 
 let test_dirty_read_detection () =
   let s = [ Write (1, x); Read (2, x); Abort 1; Commit 2 ] in
-  (match Anomaly.find_dirty_read s with
-  | Some (1, 2) -> ()
-  | _ -> Alcotest.fail "dirty read not found");
-  Alcotest.(check bool) "req C.3 violated" false (Anomaly.req_no_read_from_aborted s)
+  Alcotest.(check string) "req C.3 violated"
+    "T2 committed after it read x after aborted T1 wrote it at 1"
+    (detail "read-from-aborted" s)
 
 let test_read_from_aborted_ok_when_reader_aborts () =
   (* C.3 only protects committed readers *)
   let s = [ Write (1, x); Read (2, x); Abort 1; Abort 2 ] in
-  Alcotest.(check bool) "no violation" true (Anomaly.req_no_read_from_aborted s)
+  Alcotest.(check (list string)) "no violation" [] (codes s)
 
 (* --- abstract machine sanity --- *)
 
@@ -245,83 +265,23 @@ let test_lost_update_not_serializable () =
      cyclic conflicts, and no serial order reproduces the final state
      with both reads seeing 0 *)
   let s = [ Read (1, x); Read (2, x); Write (1, x); Write (2, x); Commit 1; Commit 2 ] in
-  Alcotest.(check bool) "not isolated" false (Anomaly.entangled_isolated s);
+  Alcotest.(check bool) "not isolated" false (entangled_isolated s);
   Alcotest.(check bool) "not oracle-serializable" false (Abstract.oracle_serializable s)
 
 (* --- Theorem 3.6 as a property --- *)
 
-(* Generate valid schedules by simulating transactions with states
-   Active / Grounding / Done. *)
-let schedule_of_seed (n_txns, seed) =
-  let objects = [| x; y; z; w |] in
-  let state = Array.make (n_txns + 1) `Active in
-  let ops = ref [] in
-  let next_event = ref 1 in
-  let emit op = ops := op :: !ops in
-  let grounding_others me =
-    List.filter
-      (fun j -> j <> me && state.(j) = `Grounding)
-      (List.init n_txns (fun i -> i + 1))
-  in
-  List.iter
-    (fun r ->
-      let txn = 1 + (r mod n_txns) in
-      let action = (r / 7) mod 10 in
-      let obj = objects.((r / 3) mod Array.length objects) in
-      match state.(txn) with
-      | `Done -> ()
-      | `Active ->
-        if action < 4 then emit (Read (txn, obj))
-        else if action < 7 then emit (Write (txn, obj))
-        else if action < 9 then begin
-          emit (Ground_read (txn, obj));
-          state.(txn) <- `Grounding
-        end
-        else begin
-          emit (if action = 9 then Commit txn else Abort txn);
-          state.(txn) <- `Done
-        end
-      | `Grounding ->
-        if action < 3 then emit (Ground_read (txn, obj))
-        else if action < 8 then begin
-          match grounding_others txn with
-          | [] -> ()
-          | others ->
-            let participants = txn :: others in
-            emit (Entangle (!next_event, participants));
-            incr next_event;
-            List.iter (fun j -> state.(j) <- `Active) participants
-        end
-        else begin
-          emit (Abort txn);
-          state.(txn) <- `Done
-        end)
-    seed;
-  (* terminate the stragglers *)
-  for txn = 1 to n_txns do
-    match state.(txn) with
-    | `Active -> emit (Commit txn)
-    | `Grounding -> emit (Abort txn)
-    | `Done -> ()
-  done;
-  List.rev !ops
-
-let schedule_gen =
-  QCheck2.Gen.(
-    pair (int_range 2 4) (list_size (int_range 8 40) (int_range 0 10_000)))
-
 let prop_generated_schedules_valid =
   QCheck2.Test.make ~name:"generator produces valid schedules" ~count:300
-    schedule_gen
-    (fun seed -> validity_errors (schedule_of_seed seed) = [])
+    ~print:Gen.print_seeded_schedule Gen.seeded_schedule_gen
+    (fun seed -> validity_errors (Gen.schedule_of_seed seed) = [])
 
 let prop_theorem_3_6 =
   QCheck2.Test.make
     ~name:"Theorem 3.6: entangled-isolated implies oracle-serializable"
-    ~count:800 schedule_gen
+    ~count:800 ~print:Gen.print_seeded_schedule Gen.seeded_schedule_gen
     (fun seed ->
-      let s = schedule_of_seed seed in
-      (not (Anomaly.entangled_isolated s)) || Abstract.oracle_serializable s)
+      let s = Gen.schedule_of_seed seed in
+      (not (entangled_isolated s)) || Abstract.oracle_serializable s)
 
 let prop_serial_always_isolated =
   (* sanity: schedules where transactions run one after another (with a
@@ -343,7 +303,7 @@ let prop_serial_always_isolated =
                @ [ Commit txn ])
              txn_scripts)
       in
-      Anomaly.entangled_isolated s && Abstract.oracle_serializable s)
+      entangled_isolated s && Abstract.oracle_serializable s)
 
 (* --- recorded real executions --- *)
 
@@ -394,7 +354,7 @@ let test_recorded_history_isolated () =
   let recorder = record_real_execution () in
   let history = Recorder.completed_history recorder in
   Alcotest.(check bool) "entangled isolated (full 2PL + group commit)" true
-    (Anomaly.entangled_isolated history);
+    (entangled_isolated history);
   Alcotest.(check bool) "oracle serializable" true
     (Abstract.oracle_serializable history)
 
