@@ -378,9 +378,8 @@ let read_at t id ~visible =
 
 (* Snapshot scans materialize under the mutex too, but they must also
    visit deleted slots whose chains still hold a version some snapshot
-   can see, so [seq_slots] (live slots only) does not apply. Indexes
-   reflect the live state only and are bypassed; row-read metrics are
-   charged per element consumed, as on the live paths. *)
+   can see, so [seq_slots] (live slots only) does not apply. Row-read
+   metrics are charged per element consumed, as on the live paths. *)
 let rows_at t ~visible =
   locked t (fun () ->
       let acc = ref [] in
@@ -395,20 +394,49 @@ let to_seq_at t ~visible =
   Obs.incr m_scans;
   counted (List.to_seq (rows_at t ~visible))
 
+(* Indexed snapshot probe. A row the snapshot sees with a matching key
+   either has no chain, so its live slot matches and the index holds
+   it, or has a chain. The candidates are therefore the index's ids
+   plus every chained id; each is rebuilt as the snapshot sees it and
+   filtered, in ascending id order like [rows_at]. *)
+let probe_at t ~visible ids keep =
+  counted
+    (List.to_seq
+       (locked t (fun () ->
+            let ids =
+              List.sort_uniq Int.compare
+                (Hashtbl.fold (fun id _ acc -> id :: acc) t.chains (ids ()))
+            in
+            List.filter_map
+              (fun id ->
+                match value_at_unlocked t id ~visible with
+                | Some row when keep (id, row) -> Some (id, row)
+                | _ -> None)
+              ids)))
+
 let lookup_seq_at t ~positions key ~visible =
   let positions, key = canonical_probe positions key in
-  Obs.incr m_scan_lookups;
-  counted
-    (List.to_seq
-       (List.filter (key_matches ~positions key) (rows_at t ~visible)))
+  match find_index t positions with
+  | Some ix ->
+    Obs.incr m_index_lookups;
+    probe_at t ~visible
+      (fun () -> Index.lookup ix key)
+      (key_matches ~positions key)
+  | None ->
+    Obs.incr m_scan_lookups;
+    counted
+      (List.to_seq
+         (List.filter (key_matches ~positions key) (rows_at t ~visible)))
 
 let range_lookup_seq_at t ~position ~lo ~hi ~visible =
-  Obs.incr m_range_scans;
-  counted
-    (List.to_seq
-       (List.filter
-          (fun (_, row) -> in_bounds ~lo ~hi (Tuple.get row position))
-          (rows_at t ~visible)))
+  let in_range (_, row) = in_bounds ~lo ~hi (Tuple.get row position) in
+  match Hashtbl.find_opt t.ordered position with
+  | Some ox ->
+    Obs.incr m_range_lookups;
+    probe_at t ~visible (fun () -> Ordered_index.range ox ~lo ~hi) in_range
+  | None ->
+    Obs.incr m_range_scans;
+    counted (List.to_seq (List.filter in_range (rows_at t ~visible)))
 
 (* [gc_versions t ~obsolete] truncates every chain at the newest entry
    whose writer is obsolete (committed before the oldest live snapshot,

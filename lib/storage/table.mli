@@ -133,10 +133,15 @@ val clear : t -> unit
 
     [visible w] decides whether writer [w]'s effects belong to the
     caller's snapshot; the row state is reconstructed by undoing every
-    invisible write along the version chain (newest first). These
-    paths never consult indexes — a deleted slot may still carry a
-    version some snapshot sees — and charge the usual scan/row-read
-    metrics per element consumed. *)
+    invisible write along the version chain (newest first). Indexes
+    reflect the live state only, so an indexed probe reads a candidate
+    set: the index's ids plus every row with a non-empty version chain
+    (which covers deleted slots and rows whose key changed since the
+    snapshot). Each candidate is rebuilt as the snapshot sees it and
+    filtered. Results are in ascending row-id order on every snapshot
+    path, indexed or not. Each probe counts one index or scan lookup,
+    as on the live paths, and row reads are charged per element
+    consumed. *)
 
 (** The row as the snapshot sees it, or [None] when no visible version
     exists. *)
@@ -145,8 +150,9 @@ val read_at : t -> row_id -> visible:(int -> bool) -> Tuple.t option
 (** Snapshot scan in ascending row-id order, materialized eagerly. *)
 val to_seq_at : t -> visible:(int -> bool) -> (row_id * Tuple.t) Seq.t
 
-(** Snapshot {!lookup_seq}: filter-scan over the visible rows (probes
-    canonicalized like the live path, indexes bypassed). *)
+(** Snapshot {!lookup_seq}: probes are canonicalized like the live
+    path; a hash index on the positions supplies the candidates, else
+    the visible rows are filter-scanned. Ascending row-id order. *)
 val lookup_seq_at :
   t ->
   positions:int list ->
@@ -154,7 +160,9 @@ val lookup_seq_at :
   visible:(int -> bool) ->
   (row_id * Tuple.t) Seq.t
 
-(** Snapshot {!range_lookup_seq}: filter-scan over the visible rows. *)
+(** Snapshot {!range_lookup_seq}: an ordered index on the column supplies
+    the candidates, else the visible rows are filter-scanned. Ascending
+    row-id order in both cases, unlike the indexed live path. *)
 val range_lookup_seq_at :
   t ->
   position:int ->

@@ -277,8 +277,9 @@ let acquire t txn_id resource mode =
       raise (Deadlock_victim txn_id)
     | None ->
       Obs.incr m_blocks;
-      (* Guarded: Lock.blockers walks the lock table, so do not pay for
-         it when event logging is off. *)
+      (* Guarded: the event payload takes every lock shard for
+         Lock.blockers and formats the resource, so do not pay for it
+         when event logging is off. *)
       if Event.logging () then
         Event.emit ~txn:txn_id
           (Event.Lock_wait

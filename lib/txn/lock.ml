@@ -48,11 +48,14 @@ type entry = {
 (* The entry map is sharded by resource hash so that transactions
    touching disjoint keys never contend on a lock-manager mutex — the
    DB-level locks were already disjoint, this makes the manager's own
-   synchronization disjoint too. [owned] is striped by txn id (a txn's
-   requests come from one domain at a time, so stripes only order
-   request-vs-release). [groups] is a single small map behind its own
-   mutex. Mutex order, where nested: shard -> (owned stripe | groups).
-   Stripe and group mutexes are leaves. In the deterministic
+   synchronization disjoint too. [owned] and [waiting] are striped by
+   txn id (a txn's requests come from one domain at a time, so stripes
+   only order request-vs-release). [waiting] is the waits-for index: the
+   resources whose queue holds the txn. It is written only under the
+   shard mutex of the resource whose queue changed, so a reader holding
+   every shard sees it equal to the queues. [groups] is a single small
+   map behind its own mutex. Mutex order, where nested: shard -> (stripe
+   | groups). Stripe and group mutexes are leaves. In the deterministic
    single-domain mode every mutex is uncontended, and all observable
    outputs below are sorted, so sharding is invisible to existing
    fixtures. *)
@@ -74,6 +77,7 @@ type shard = {
 type stripe = {
   st_mu : Mutex.t;
   st_owned : (int, resource list) Hashtbl.t;  (* resources held or waited on *)
+  st_waiting : (int, resource list) Hashtbl.t;  (* resources queued on *)
 }
 
 type t = {
@@ -99,7 +103,11 @@ let create () =
           });
     stripes =
       Array.init n_stripes (fun _ ->
-          { st_mu = Mutex.create (); st_owned = Hashtbl.create 8 });
+          {
+            st_mu = Mutex.create ();
+            st_owned = Hashtbl.create 8;
+            st_waiting = Hashtbl.create 8;
+          });
     groups_mu = Mutex.create ();
     groups = Hashtbl.create 16;
     total_entries = Atomic.make 0;
@@ -147,14 +155,34 @@ let entry_for t sh resource =
     Atomic.incr t.total_entries;
     e
 
-let note_owned t txn resource =
+(* Rewrite [txn]'s resource list in one map of its stripe; an empty
+   list drops the key. *)
+let update_stripe t txn map f =
   let st = stripe_for t txn in
   with_mu st.st_mu (fun () ->
-      let existing =
-        Option.value ~default:[] (Hashtbl.find_opt st.st_owned txn)
-      in
-      if not (List.mem resource existing) then
-        Hashtbl.replace st.st_owned txn (resource :: existing))
+      let map = map st in
+      match f (Option.value ~default:[] (Hashtbl.find_opt map txn)) with
+      | [] -> Hashtbl.remove map txn
+      | rs -> Hashtbl.replace map txn rs)
+
+let note_owned t txn resource =
+  update_stripe t txn
+    (fun st -> st.st_owned)
+    (fun rs -> if List.mem resource rs then rs else resource :: rs)
+
+(* Waits-for index upkeep. Callers hold the shard mutex of [resource]. *)
+let note_waiting t txn resource =
+  update_stripe t txn (fun st -> st.st_waiting) (fun rs -> resource :: rs)
+
+let clear_waiting t txn resource =
+  update_stripe t txn
+    (fun st -> st.st_waiting)
+    (List.filter (fun r -> r <> resource))
+
+let waiting_on t txn =
+  let st = stripe_for t txn in
+  with_mu st.st_mu (fun () ->
+      Option.value ~default:[] (Hashtbl.find_opt st.st_waiting txn))
 
 type outcome =
   | Granted
@@ -166,11 +194,14 @@ type outcome =
 let probe : (txn:int -> resource -> mode -> unit) option ref = ref None
 let set_probe f = probe := f
 
-let other_holders t entry txn =
-  List.filter (fun (o, _) -> not (same_owner t o txn)) entry.holders
+(* Holder [(o, m)] blocks [txn] asking for [need] when the modes clash
+   and [o] is not [txn] or its group. Compatibility is tested first, so
+   [same_owner] and its mutex are reached only for clashing holders. *)
+let conflicts t txn need (o, m) =
+  (not (compatible need m)) && not (same_owner t o txn)
 
 let grantable t entry txn need =
-  List.for_all (fun (_, m) -> compatible need m) (other_holders t entry txn)
+  not (List.exists (conflicts t txn need) entry.holders)
 
 let request t ~txn resource mode =
   Obs.incr m_requests;
@@ -221,13 +252,14 @@ let request t ~txn resource mode =
             sh.sh_waiters <- sh.sh_waiters + 1;
             note_waiters i sh;
             note_owned t txn resource;
+            note_waiting t txn resource;
             Obs.incr m_waits;
             Waiting
           end
         end)
 
 (* Callers hold the entry's shard mutex. *)
-let promote_waiters t sh entry =
+let promote_waiters t sh resource entry =
   (* Grant from the front of the queue while compatible. *)
   let granted = ref [] in
   let rec go () =
@@ -239,6 +271,7 @@ let promote_waiters t sh entry =
           (txn, need) :: List.filter (fun (o, _) -> o <> txn) entry.holders;
         entry.queue <- rest;
         sh.sh_waiters <- sh.sh_waiters - 1;
+        clear_waiting t txn resource;
         granted := txn :: !granted;
         go ()
       end
@@ -268,8 +301,10 @@ let release_all t ~txn =
             entry.holders <- List.filter (fun (o, _) -> o <> txn) entry.holders;
             let before = List.length entry.queue in
             entry.queue <- List.filter (fun (o, _) -> o <> txn) entry.queue;
-            sh.sh_waiters <- sh.sh_waiters - (before - List.length entry.queue);
-            woken := promote_waiters t sh entry @ !woken;
+            let dropped = before - List.length entry.queue in
+            if dropped > 0 then clear_waiting t txn resource;
+            sh.sh_waiters <- sh.sh_waiters - dropped;
+            woken := promote_waiters t sh resource entry @ !woken;
             note_waiters i sh;
             if entry.holders = [] && entry.queue = [] then begin
               Hashtbl.remove sh.sh_entries resource;
@@ -306,46 +341,40 @@ let blockers_of_entry t entry txn =
     in
     let from_holders =
       List.filter_map
-        (fun (o, m) ->
-          if (not (same_owner t o txn)) && not (compatible need m) then Some o
-          else None)
+        (fun ((o, _) as h) -> if conflicts t txn need h then Some o else None)
         entry.holders
     in
     from_holders @ earlier [] entry.queue
 
+(* The live entry of [resource]. Callers hold its shard mutex. *)
+let find_entry t resource =
+  Hashtbl.find_opt t.shards.(shard_of resource).sh_entries resource
+
 (* Requires all shard mutexes (or single-domain quiescence). *)
 let blockers_unlocked t ~txn =
-  Array.fold_left
-    (fun acc sh ->
-      Hashtbl.fold
-        (fun _ entry acc -> blockers_of_entry t entry txn @ acc)
-        sh.sh_entries acc)
-    [] t.shards
+  List.concat_map
+    (fun resource ->
+      match find_entry t resource with
+      | Some entry -> blockers_of_entry t entry txn
+      | None -> [])
+    (waiting_on t txn)
   |> List.sort_uniq Int.compare
 
 let blockers t ~txn = with_all_shards t (fun () -> blockers_unlocked t ~txn)
 
-let is_waiting t ~txn =
-  Array.exists
-    (fun sh ->
-      with_mu sh.sh_mu (fun () ->
-          Hashtbl.fold
-            (fun _ entry acc ->
-              acc || List.exists (fun (o, _) -> o = txn) entry.queue)
-            sh.sh_entries false))
-    t.shards
+let is_waiting t ~txn = waiting_on t txn <> []
 
 let waits t ~txn =
-  Array.fold_left
-    (fun acc sh ->
-      with_mu sh.sh_mu (fun () ->
-          Hashtbl.fold
-            (fun resource entry acc ->
-              match List.find_opt (fun (o, _) -> o = txn) entry.queue with
-              | Some (_, need) -> (resource, need) :: acc
-              | None -> acc)
-            sh.sh_entries acc))
-    [] t.shards
+  List.filter_map
+    (fun resource ->
+      with_mu t.shards.(shard_of resource).sh_mu (fun () ->
+          match find_entry t resource with
+          | None -> None
+          | Some entry ->
+            Option.map
+              (fun need -> (resource, need))
+              (List.assoc_opt txn entry.queue)))
+    (waiting_on t txn)
   |> List.sort compare
 
 let dump t =
@@ -370,7 +399,9 @@ let deadlock_cycle t ~txn =
      path back to [txn]. All shards are locked for the duration so the
      graph is a consistent snapshot even under parallel execution. *)
   with_all_shards t (fun () ->
-      let rec dfs path visited node =
+      let visited = Hashtbl.create 16 in
+      Hashtbl.replace visited txn ();
+      let rec dfs path node =
         let next = blockers_unlocked t ~txn:node in
         if List.mem txn next then Some (List.rev (node :: path))
         else
@@ -379,12 +410,11 @@ let deadlock_cycle t ~txn =
               match acc with
               | Some _ -> acc
               | None ->
-                if List.mem n !visited then None
+                if Hashtbl.mem visited n then None
                 else begin
-                  visited := n :: !visited;
-                  dfs (node :: path) visited n
+                  Hashtbl.replace visited n ();
+                  dfs (node :: path) n
                 end)
             None next
       in
-      let visited = ref [ txn ] in
-      dfs [] visited txn)
+      dfs [] txn)

@@ -68,17 +68,24 @@ val holders : t -> resource -> (int * mode) list
 val held : t -> txn:int -> resource -> mode option
 
 (** [blockers t ~txn] is the set of transactions [txn] currently waits
-    for (empty when it has no queued request). *)
+    for (empty when it has no queued request). It takes every shard
+    mutex, but reads only the entries [txn] is queued on: the cost is
+    proportional to [txn]'s queued requests, not to the lock table. *)
 val blockers : t -> txn:int -> int list
 
 (** [deadlock_cycle t ~txn] is a waits-for cycle through [txn], if one
-    exists. *)
+    exists: [txn] first, each member waiting for the next, the last
+    waiting for [txn]. A depth-first search from [txn] under every shard
+    mutex; each node visited costs one {!blockers}. *)
 val deadlock_cycle : t -> txn:int -> int list option
 
-(** True when [txn] has a queued (not yet granted) request. *)
+(** True when [txn] has a queued (not yet granted) request. One lookup
+    in [txn]'s stripe of the waits-for index; no shard is taken. *)
 val is_waiting : t -> txn:int -> bool
 
-(** Queued (not yet granted) requests of [txn], as (resource, mode). *)
+(** Queued (not yet granted) requests of [txn], as (resource, mode),
+    sorted. Takes only the shards of those resources, so it costs in
+    proportion to [txn]'s queued requests. *)
 val waits : t -> txn:int -> (resource * mode) list
 
 (** Every live lock entry as (resource, holders, queue), sorted by

@@ -121,3 +121,86 @@ let codes schedule =
       ("read-from-aborted", read_from_aborted ops committed aborted);
       ("unrepeatable-quasi-read", unrepeatable_quasi_read ops);
       ("widowed", widowed ops committed aborted) ]
+
+(* A reference for the lock manager's waits-for queries, computed with
+   no index, over every entry of a [Lock.dump]. A
+   waiter waits for every holder of another owner whose mode is
+   incompatible with its request, and for every earlier incompatible
+   waiter. [group] is the caller's own copy of the entanglement tags;
+   two transactions of one group are one owner. *)
+module Locks = struct
+  module Lock = Ent_txn.Lock
+
+  let compatible a b =
+    match a, b with
+    | Lock.IS, (Lock.IS | Lock.IX | Lock.S)
+    | Lock.IX, (Lock.IS | Lock.IX)
+    | Lock.S, (Lock.IS | Lock.S) -> true
+    | _ -> false
+
+  let same_owner group a b =
+    a = b
+    ||
+    match group a, group b with
+    | Some ga, Some gb -> ga = gb
+    | _ -> false
+
+  let blockers dump ~group ~txn =
+    List.concat_map
+      (fun (_, holders, queue) ->
+        match List.assoc_opt txn queue with
+        | None -> []
+        | Some need ->
+          let rec earlier = function
+            | [] -> []
+            | (o, _) :: _ when o = txn -> []
+            | (o, m) :: rest ->
+              if compatible need m then earlier rest else o :: earlier rest
+          in
+          List.filter_map
+            (fun (o, m) ->
+              if same_owner group o txn || compatible need m then None
+              else Some o)
+            holders
+          @ earlier queue)
+      dump
+    |> List.sort_uniq Int.compare
+
+  let waits dump ~txn =
+    List.filter_map
+      (fun (resource, _, queue) ->
+        Option.map (fun m -> (resource, m)) (List.assoc_opt txn queue))
+      dump
+    |> List.sort compare
+
+  let is_waiting dump ~txn = waits dump ~txn <> []
+
+  (* Does [txn] reach itself along blocker edges? *)
+  let on_cycle dump ~group ~txn =
+    let seen = Hashtbl.create 8 in
+    let rec reaches node =
+      List.exists
+        (fun n ->
+          n = txn
+          || (not (Hashtbl.mem seen n))
+             && begin
+               Hashtbl.add seen n ();
+               reaches n
+             end)
+        (blockers dump ~group ~txn:node)
+    in
+    reaches txn
+
+  (* [cycle] starts at [txn], each member blocks on the next, and the
+     last blocks on [txn]. *)
+  let is_cycle dump ~group ~txn cycle =
+    let edge a b = List.mem b (blockers dump ~group ~txn:a) in
+    let rec links = function
+      | a :: (b :: _ as rest) -> edge a b && links rest
+      | [ last ] -> edge last txn
+      | [] -> false
+    in
+    match cycle with
+    | first :: _ -> first = txn && links cycle
+    | [] -> false
+end

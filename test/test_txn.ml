@@ -591,9 +591,98 @@ let prop_recovery_idempotent =
       (* recovered state matches the live state *)
       dump cat1 = dump catalog)
 
+(* The lock manager's waits-for queries against [Reference.Locks],
+   which recomputes them from a full [Lock.dump]. Random requests,
+   upgrades, releases and group tags over 6 txns and 4 resources; after
+   every step every txn's [blockers], [is_waiting], [waits] and
+   deadlock verdict must match, and any cycle returned must be a cycle
+   of the reference graph. *)
+type lock_op =
+  | Request of int * int * Lock.mode
+  | Upgrade of int * int
+  | Release of int
+  | Group of int * int
+
+let lock_op_to_string = function
+  | Request (txn, r, m) ->
+    Printf.sprintf "request t%d r%d %s" txn r (Lock.mode_to_string m)
+  | Upgrade (txn, r) -> Printf.sprintf "upgrade t%d r%d" txn r
+  | Release txn -> Printf.sprintf "release t%d" txn
+  | Group (txn, g) -> Printf.sprintf "group t%d g%d" txn g
+
+let prop_lock_waits_for_differential =
+  let lock_op =
+    QCheck2.Gen.(
+      let txn = int_range 1 6 and res = int_range 0 3 in
+      frequency
+        [ ( 6,
+            map3
+              (fun txn r m -> Request (txn, r, m))
+              txn res
+              (oneofl [ Lock.IS; Lock.IX; Lock.S; Lock.X ]) );
+          (2, map2 (fun txn r -> Upgrade (txn, r)) txn res);
+          (2, map (fun txn -> Release txn) txn);
+          (1, map2 (fun txn g -> Group (txn, g)) txn (int_range 1 2)) ])
+  in
+  QCheck2.Test.make ~name:"waits-for queries match a whole-table reference"
+    ~count:300
+    ~print:QCheck2.Print.(list lock_op_to_string)
+    QCheck2.Gen.(list_size (int_range 1 60) lock_op)
+    (fun ops ->
+      let lm = Lock.create () in
+      let resources =
+        [| res_a; Lock.Table "B"; Lock.Row ("A", 7); Lock.Row ("B", 2) |]
+      in
+      let groups = Hashtbl.create 8 in
+      let group txn = Hashtbl.find_opt groups txn in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Request (txn, r, m) -> ignore (Lock.request lm ~txn resources.(r) m)
+          | Upgrade (txn, r) ->
+            (* strengthen whatever [txn] holds, preferring [r] *)
+            let held =
+              List.filter
+                (fun r -> Lock.held lm ~txn r <> None)
+                (resources.(r) :: Array.to_list resources)
+            in
+            (match held with
+            | res :: _ -> ignore (Lock.request lm ~txn res Lock.X)
+            | [] -> ignore (Lock.request lm ~txn resources.(r) Lock.S))
+          | Release txn ->
+            ignore (Lock.release_all lm ~txn);
+            Hashtbl.remove groups txn
+          | Group (txn, g) ->
+            Lock.set_group lm ~txn ~group:g;
+            Hashtbl.replace groups txn g);
+          let dump = Lock.dump lm in
+          for txn = 1 to 6 do
+            let fail what =
+              QCheck2.Test.fail_reportf "step %d (%s): t%d %s" step
+                (lock_op_to_string op) txn what
+            in
+            if Lock.blockers lm ~txn <> Reference.Locks.blockers dump ~group ~txn
+            then fail "blockers differ";
+            if Lock.is_waiting lm ~txn <> Reference.Locks.is_waiting dump ~txn
+            then fail "is_waiting differs";
+            if Lock.waits lm ~txn <> Reference.Locks.waits dump ~txn then
+              fail "waits differ";
+            match Lock.deadlock_cycle lm ~txn with
+            | Some cycle ->
+              if not (Reference.Locks.is_cycle dump ~group ~txn cycle) then
+                fail "returned a cycle the reference graph lacks"
+            | None ->
+              if Reference.Locks.on_cycle dump ~group ~txn then
+                fail "missed a cycle"
+          done)
+        ops;
+      true)
+
 let properties =
   List.map Gen.to_alcotest
-    [ prop_lock_no_incompatible_holders; prop_recovery_idempotent ]
+    [ prop_lock_no_incompatible_holders;
+      prop_lock_waits_for_differential;
+      prop_recovery_idempotent ]
 
 let () =
   Alcotest.run "txn"
