@@ -14,8 +14,10 @@ val create : unit -> t
 (** [join t ids] merges all listed tasks into one group. *)
 val join : t -> int list -> unit
 
-(** All known members of [id]'s group, including [id] itself (a task
-    that never entangled is its own singleton group). *)
+(** All known members of [id]'s group in ascending order, including
+    [id] itself (a task that never entangled is its own singleton
+    group). The list is stored at the group's root: O(|group|) to
+    return, independent of how many tasks the structure holds. *)
 val members : t -> int -> int list
 
 val same_group : t -> int -> int -> bool

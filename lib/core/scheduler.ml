@@ -223,6 +223,24 @@ let id_set ids =
   List.iter (fun id -> Hashtbl.replace set id ()) ids;
   set
 
+(* Partition [items] by their group in [groups], in one pass: groups
+   in order of their first item, each group's items in input order.
+   A group is keyed by its smallest member id. *)
+let by_group groups id_of items =
+  let buckets = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun item ->
+      let key = List.hd (Group.members groups (id_of item)) in
+      match Hashtbl.find_opt buckets key with
+      | Some bucket -> bucket := item :: !bucket
+      | None ->
+        let bucket = ref [ item ] in
+        Hashtbl.add buckets key bucket;
+        order := bucket :: !order)
+    items;
+  List.rev_map (fun bucket -> List.rev !bucket) !order
+
 let components (answered : (Executor.task * Ground.grounding) list) =
   let uf = Group.create () in
   let providers : (Ir.ground_atom, int list) Hashtbl.t = Hashtbl.create 64 in
@@ -243,22 +261,7 @@ let components (answered : (Executor.task * Ground.grounding) list) =
           | None -> ())
         g.g_post)
     answered;
-  (* bucket tasks by component root *)
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun ((task : Executor.task), _) ->
-      if Hashtbl.mem seen task.task_id then None
-      else begin
-        let member_ids = id_set (Group.members uf task.task_id) in
-        let members =
-          List.filter
-            (fun ((other : Executor.task), _) -> Hashtbl.mem member_ids other.task_id)
-            answered
-        in
-        List.iter (fun ((o : Executor.task), _) -> Hashtbl.replace seen o.task_id ()) members;
-        Some (List.map fst members)
-      end)
-    answered
+  by_group uf (fun (task : Executor.task) -> task.task_id) (List.map fst answered)
 
 (* --- the run loop --- *)
 
@@ -740,34 +743,21 @@ let run_once t =
     (* Abort whole entanglement groups together: members share lock
        ownership and may have interleaved writes on the same rows, so
        their merged write log must be undone in one reverse pass. *)
-    let seen = Hashtbl.create 16 in
     List.iter
-      (fun (task : Executor.task) ->
-        if not (Hashtbl.mem seen task.task_id) then begin
-          let member_ids = id_set (Group.members t.groups task.task_id) in
-          let members =
-            List.filter
-              (fun (o : Executor.task) -> Hashtbl.mem member_ids o.task_id)
-              leftovers
-          in
-          List.iter
-            (fun (o : Executor.task) -> Hashtbl.replace seen o.task_id ())
-            members;
-          let to_abort =
-            List.filter
-              (fun (o : Executor.task) ->
-                Ent_txn.Engine.is_active t.engine o.txn)
-              members
-          in
-          Ent_txn.Engine.abort_group t.engine
-            (List.map (fun (o : Executor.task) -> o.txn) to_abort);
-          List.iter
-            (fun (o : Executor.task) ->
-              o.work <- o.work +. costs.c_abort;
-              drain_work t o)
-            to_abort
-        end)
-      leftovers;
+      (fun members ->
+        let to_abort =
+          List.filter
+            (fun (o : Executor.task) -> Ent_txn.Engine.is_active t.engine o.txn)
+            members
+        in
+        Ent_txn.Engine.abort_group t.engine
+          (List.map (fun (o : Executor.task) -> o.txn) to_abort);
+        List.iter
+          (fun (o : Executor.task) ->
+            o.work <- o.work +. costs.c_abort;
+            drain_work t o)
+          to_abort)
+      (by_group t.groups (fun (o : Executor.task) -> o.task_id) leftovers);
     List.iter (fun task -> fail_or_repool t task) leftovers;
     (* Every transaction of this run is finished now, so the oldest
        live snapshot horizon is the current commit stamp: GC empties

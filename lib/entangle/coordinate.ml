@@ -27,8 +27,6 @@ type outcome =
   | Empty
   | No_partner
 
-let sig_of (a : Ir.atom) = (a.rel, List.length a.args)
-
 (* --- structural participation (Appendix B) --- *)
 
 (* Fixpoint: repeatedly drop queries having a postcondition pattern
@@ -37,92 +35,123 @@ let sig_of (a : Ir.atom) = (a.rel, List.length a.args)
    structure, never at data, as Appendix B requires.
 
    Maintained incrementally: each postcondition keeps a count of the
-   alive heads it unifies with (candidates narrowed by (rel, arity)
-   buckets); when a query dies its heads decrement the counts of the
-   posts they supported, and a count reaching zero kills that post's
-   owner in turn (worklist). Total work is bounded by the number of
-   unifiable (post, head) pairs, instead of pairs × fixpoint rounds.
+   alive heads it unifies with; when a query dies its heads decrement
+   the counts of the posts they supported, and a count reaching zero
+   kills that post's owner in turn (worklist). Total work is bounded
+   by the number of unifiable (post, head) pairs, instead of pairs ×
+   fixpoint rounds.
 
-   The tables are module-level scratch, cleared (not re-allocated) at
-   the start of every call: [Hashtbl.clear] keeps the bucket arrays, so
-   a steady-state round allocates no fresh tables and capacity is
-   bounded by the largest round seen. Every caller runs on the
-   coordinator, so sharing the scratch is safe. *)
-let posts_by_sig : (string * int, (int * Ir.atom * int ref) list ref) Hashtbl.t
-    =
-  Hashtbl.create 64
+   Both passes probe with a head, so only posts are indexed: by
+   (rel, arity, position, constant), and per (rel, arity, position)
+   the posts holding a variable there. A post can unify with a head
+   only if, at each of the head's constant positions, it holds the
+   same constant or a variable; the head probes the two buckets of its
+   narrowest constant position and confirms each candidate with
+   [Ir.unifiable]. An all-variable head unifies with every post of its
+   signature. The tables belong to the call: concurrent callers share
+   nothing. *)
+type sb_query = {
+  qid : int;
+  heads : Ir.atom list;
+  mutable alive : bool;
+}
 
-let sb_alive : (int, bool) Hashtbl.t = Hashtbl.create 64
-let sb_heads : (int, Ir.atom list) Hashtbl.t = Hashtbl.create 64
+type sb_post = {
+  owner : sb_query;
+  pattern : Ir.atom;
+  mutable support : int;  (** alive heads unifying with [pattern] *)
+}
+
+type bucket = {
+  mutable posts : sb_post list;
+  mutable size : int;
+}
 
 let structurally_blocked queries =
-  Hashtbl.clear posts_by_sig;
-  Hashtbl.clear sb_alive;
-  Hashtbl.clear sb_heads;
-  (* posts bucketed by signature, as (owner qid, support count ref) *)
-  let bucket s =
-    match Hashtbl.find_opt posts_by_sig s with
+  let n = List.length queries in
+  let by_sig = Hashtbl.create n in
+  let by_const = Hashtbl.create n in
+  let by_var = Hashtbl.create n in
+  let add tbl key p =
+    match Hashtbl.find_opt tbl key with
+    | Some b ->
+      b.posts <- p :: b.posts;
+      b.size <- b.size + 1
+    | None -> Hashtbl.add tbl key { posts = [ p ]; size = 1 }
+  in
+  let owners =
+    List.map
+      (fun (qid, (q : Ir.t)) ->
+        let owner = { qid; heads = q.head; alive = true } in
+        List.iter
+          (fun (pattern : Ir.atom) ->
+            let p = { owner; pattern; support = 0 } in
+            let arity = List.length pattern.args in
+            add by_sig (pattern.rel, arity) p;
+            List.iteri
+              (fun i -> function
+                | Ir.Const c -> add by_const (pattern.rel, arity, i, c) p
+                | Ir.Var _ -> add by_var (pattern.rel, arity, i) p)
+              pattern.args)
+          q.post;
+        owner)
+      queries
+  in
+  let find tbl key =
+    match Hashtbl.find_opt tbl key with
     | Some b -> b
-    | None ->
-      let b = ref [] in
-      Hashtbl.add posts_by_sig s b;
-      b
+    | None -> { posts = []; size = 0 }
+  in
+  (* [f] on every post that unifies with [head] *)
+  let iter_unifiable (head : Ir.atom) f =
+    let arity = List.length head.args in
+    let rec narrowest i best = function
+      | [] -> best
+      | Ir.Var _ :: rest -> narrowest (i + 1) best rest
+      | Ir.Const c :: rest ->
+        let cs = find by_const (head.rel, arity, i, c) in
+        let vs = find by_var (head.rel, arity, i) in
+        let best =
+          match best with
+          | Some (bc, bv) when bc.size + bv.size <= cs.size + vs.size -> best
+          | _ -> Some (cs, vs)
+        in
+        if cs.size + vs.size = 0 then best else narrowest (i + 1) best rest
+    in
+    let check p = if Ir.unifiable p.pattern head then f p in
+    match narrowest 0 None head.args with
+    | None -> List.iter check (find by_sig (head.rel, arity)).posts
+    | Some (cs, vs) ->
+      List.iter check cs.posts;
+      List.iter check vs.posts
   in
   List.iter
-    (fun (qid, (q : Ir.t)) ->
-      Hashtbl.replace sb_alive qid true;
-      Hashtbl.replace sb_heads qid q.head;
+    (fun o ->
       List.iter
-        (fun post ->
-          let b = bucket (sig_of post) in
-          b := (qid, post, ref 0) :: !b)
-        q.post)
-    queries;
-  (* initial support: every (post, head) unifiable pair, same-signature
-     candidates only *)
-  List.iter
-    (fun (_, (q : Ir.t)) ->
-      List.iter
-        (fun head ->
-          match Hashtbl.find_opt posts_by_sig (sig_of head) with
-          | None -> ()
-          | Some b ->
-            List.iter
-              (fun (_, post, count) ->
-                if Ir.unifiable post head then incr count)
-              !b)
-        q.head)
-    queries;
+        (fun head -> iter_unifiable head (fun p -> p.support <- p.support + 1))
+        o.heads)
+    owners;
   let worklist = Queue.create () in
-  let kill qid =
-    if Hashtbl.find sb_alive qid then begin
-      Hashtbl.replace sb_alive qid false;
-      Queue.add qid worklist
+  let kill owner =
+    if owner.alive then begin
+      owner.alive <- false;
+      Queue.add owner worklist
     end
   in
   Hashtbl.iter
-    (fun _ b ->
-      List.iter (fun (qid, _, count) -> if !count = 0 then kill qid) !b)
-    posts_by_sig;
+    (fun _ b -> List.iter (fun p -> if p.support = 0 then kill p.owner) b.posts)
+    by_sig;
   while not (Queue.is_empty worklist) do
-    let dead = Queue.pop worklist in
     List.iter
       (fun head ->
-        match Hashtbl.find_opt posts_by_sig (sig_of head) with
-        | None -> ()
-        | Some b ->
-          List.iter
-            (fun (qid, post, count) ->
-              if Hashtbl.find sb_alive qid && Ir.unifiable post head then begin
-                decr count;
-                if !count = 0 then kill qid
-              end)
-            !b)
-      (Hashtbl.find sb_heads dead)
+        iter_unifiable head (fun p ->
+            if p.owner.alive then begin
+              p.support <- p.support - 1;
+              if p.support = 0 then kill p.owner
+            end))
+      (Queue.pop worklist).heads
   done;
-  List.filter_map
-    (fun (qid, _) -> if Hashtbl.find sb_alive qid then None else Some qid)
-    queries
+  List.filter_map (fun o -> if o.alive then None else Some o.qid) owners
 
 (* --- coordination search --- *)
 

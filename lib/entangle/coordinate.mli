@@ -35,6 +35,6 @@ val evaluate :
   (int * outcome) list
 
 (** The structural participation check alone (shared with {!Combined},
-    exposed for tests):
-    returns the qids that would be [No_partner]. *)
+    exposed for tests): returns the qids that would be [No_partner], in
+    input order. Query ids are distinct. *)
 val structurally_blocked : (int * Ir.t) list -> int list

@@ -204,3 +204,131 @@ module Locks = struct
     | first :: _ -> first = txn && links cycle
     | [] -> false
 end
+
+(* The Appendix B structural participation check with no index below
+   the signature: every head probes every post of its (rel, arity).
+   The reference for [Coordinate.structurally_blocked], which probes
+   only posts that agree with the head at one constant position. The
+   scratch tables are module-level: tests call it from one domain. *)
+module Structural = struct
+  module Ir = Ent_entangle.Ir
+
+  let sig_of (a : Ir.atom) = (a.rel, List.length a.args)
+
+  let posts_by_sig :
+      (string * int, (int * Ir.atom * int ref) list ref) Hashtbl.t =
+    Hashtbl.create 64
+
+  let sb_alive : (int, bool) Hashtbl.t = Hashtbl.create 64
+  let sb_heads : (int, Ir.atom list) Hashtbl.t = Hashtbl.create 64
+
+  let structurally_blocked queries =
+    Hashtbl.clear posts_by_sig;
+    Hashtbl.clear sb_alive;
+    Hashtbl.clear sb_heads;
+    (* posts bucketed by signature, as (owner qid, support count ref) *)
+    let bucket s =
+      match Hashtbl.find_opt posts_by_sig s with
+      | Some b -> b
+      | None ->
+        let b = ref [] in
+        Hashtbl.add posts_by_sig s b;
+        b
+    in
+    List.iter
+      (fun (qid, (q : Ir.t)) ->
+        Hashtbl.replace sb_alive qid true;
+        Hashtbl.replace sb_heads qid q.head;
+        List.iter
+          (fun post ->
+            let b = bucket (sig_of post) in
+            b := (qid, post, ref 0) :: !b)
+          q.post)
+      queries;
+    (* initial support: every (post, head) unifiable pair, same-signature
+       candidates only *)
+    List.iter
+      (fun (_, (q : Ir.t)) ->
+        List.iter
+          (fun head ->
+            match Hashtbl.find_opt posts_by_sig (sig_of head) with
+            | None -> ()
+            | Some b ->
+              List.iter
+                (fun (_, post, count) ->
+                  if Ir.unifiable post head then incr count)
+                !b)
+          q.head)
+      queries;
+    let worklist = Queue.create () in
+    let kill qid =
+      if Hashtbl.find sb_alive qid then begin
+        Hashtbl.replace sb_alive qid false;
+        Queue.add qid worklist
+      end
+    in
+    Hashtbl.iter
+      (fun _ b ->
+        List.iter (fun (qid, _, count) -> if !count = 0 then kill qid) !b)
+      posts_by_sig;
+    while not (Queue.is_empty worklist) do
+      let dead = Queue.pop worklist in
+      List.iter
+        (fun head ->
+          match Hashtbl.find_opt posts_by_sig (sig_of head) with
+          | None -> ()
+          | Some b ->
+            List.iter
+              (fun (qid, post, count) ->
+                if Hashtbl.find sb_alive qid && Ir.unifiable post head then begin
+                  decr count;
+                  if !count = 0 then kill qid
+                end)
+              !b)
+        (Hashtbl.find sb_heads dead)
+    done;
+    List.filter_map
+      (fun (qid, _) -> if Hashtbl.find sb_alive qid then None else Some qid)
+      queries
+end
+
+(* Entanglement groups as a bare union-find whose [members] folds the
+   whole table: the reference for [Ent_core.Group], which keeps each
+   group's member list at its root. *)
+module Group = struct
+  type t = { parent : (int, int) Hashtbl.t }
+
+  let create () = { parent = Hashtbl.create 32 }
+
+  let rec find t x =
+    match Hashtbl.find_opt t.parent x with
+    | None ->
+      Hashtbl.replace t.parent x x;
+      x
+    | Some p when p = x -> x
+    | Some p ->
+      let root = find t p in
+      Hashtbl.replace t.parent x root;
+      root
+
+  let join t ids =
+    match ids with
+    | [] -> ()
+    | first :: rest ->
+      let root = find t first in
+      List.iter (fun id -> Hashtbl.replace t.parent (find t id) root) rest
+
+  let members t id =
+    let root = find t id in
+    let out =
+      Hashtbl.fold
+        (fun x _ acc -> if find t x = root then x :: acc else acc)
+        t.parent []
+    in
+    let out = if List.mem id out then out else id :: out in
+    List.sort_uniq Int.compare out
+
+  let same_group t a b = find t a = find t b
+  let entangled t id = List.length (members t id) > 1
+  let reset t = Hashtbl.reset t.parent
+end

@@ -488,6 +488,57 @@ let prop_paired_outcomes_deterministic =
       in
       run () = run ())
 
+(* [Group] against [Reference.Group], whose [members] folds the whole
+   union-find table. Ids come from a small range so that joins often
+   re-link tasks already in one group; lookups reach past it to ids
+   never joined; [Reset] separates rounds. *)
+type group_op =
+  | Join of int list
+  | Lookup of int * int
+  | Reset
+
+let group_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (4, map (fun ids -> Join ids) (list_size (int_range 0 4) (int_range 0 11)));
+        (4, map2 (fun a b -> Lookup (a, b)) (int_range 0 15) (int_range 0 15));
+        (1, return Reset) ])
+
+let print_group_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Join ids ->
+           "join [" ^ String.concat "," (List.map string_of_int ids) ^ "]"
+         | Lookup (a, b) -> Printf.sprintf "lookup %d %d" a b
+         | Reset -> "reset")
+       ops)
+
+let prop_group_matches_reference =
+  QCheck2.Test.make ~count:500 ~name:"group agrees with the fold reference"
+    ~print:print_group_ops
+    QCheck2.Gen.(list_size (int_range 1 40) group_op_gen)
+    (fun ops ->
+      let g = Group.create () and r = Reference.Group.create () in
+      let agree a b =
+        Group.members g a = Reference.Group.members r a
+        && Group.same_group g a b = Reference.Group.same_group r a b
+        && Group.entangled g a = Reference.Group.entangled r a
+      in
+      List.for_all
+        (function
+          | Join ids ->
+            Group.join g ids;
+            Reference.Group.join r ids;
+            true
+          | Lookup (a, b) -> agree a b && agree b a
+          | Reset ->
+            Group.reset g;
+            Reference.Group.reset r;
+            true)
+        ops
+      && List.for_all (fun a -> agree a ((a + 1) mod 16)) (List.init 16 Fun.id))
+
 let () =
   Alcotest.run "core"
     [ ( "classical",
@@ -523,4 +574,5 @@ let () =
         List.map Gen.to_alcotest
           [ prop_pairs_always_coordinate;
             prop_scheduler_conserves_tasks;
-            prop_paired_outcomes_deterministic ] ) ]
+            prop_paired_outcomes_deterministic;
+            prop_group_matches_reference ] ) ]

@@ -371,6 +371,52 @@ let test_structural_blocking_cascades () =
   Alcotest.(check (list int)) "cascade" [ 1; 2 ]
     (List.sort Int.compare (Coordinate.structurally_blocked [ (1, a); (2, b) ]))
 
+(* Random query sets at the IR level, shaped to stress the index by
+   constant position: relations of arity 1-3, a five-value constant
+   domain (constants collide across queries; [Int 0] and [Date 0]
+   share a payload but not a type), all-variable atoms, heads and
+   posts of up to three atoms, and queries whose post is their own
+   head. *)
+let structural_gen =
+  let open QCheck2.Gen in
+  let var = map (fun x -> Ir.Var x) (oneofl [ "x"; "y" ]) in
+  let const =
+    map
+      (fun v -> Ir.Const v)
+      (oneofl
+         [ Value.Int 0; Value.Int 1; Value.Int 2; Value.Str "0"; Value.Date 0 ])
+  in
+  let atom =
+    let* rel = oneofl [ "R"; "S" ] in
+    let* arity = int_range 1 3 in
+    let* all_vars = frequency [ (1, return true); (4, return false) ] in
+    let+ args =
+      list_repeat arity
+        (if all_vars then var else frequency [ (1, var); (2, const) ])
+    in
+    { Ir.rel; args }
+  in
+  let query =
+    let* head = list_size (frequency [ (4, return 1); (1, int_range 2 3) ]) atom in
+    let* post = list_size (int_range 0 3) atom in
+    let+ self = frequency [ (5, return false); (1, return true) ] in
+    let post = if self then List.hd head :: post else post in
+    { Ir.head; post; body = Ast.True; binds = []; choose = 1 }
+  in
+  let+ queries = list_size (int_range 0 12) query in
+  List.mapi (fun i q -> (i, q)) queries
+
+let print_structural queries =
+  String.concat "; "
+    (List.map (fun (qid, q) -> Format.asprintf "%d: %a" qid Ir.pp q) queries)
+
+let prop_structural_matches_reference =
+  QCheck2.Test.make ~count:1000
+    ~name:"indexed structurally_blocked equals the all-pairs reference"
+    ~print:print_structural structural_gen (fun queries ->
+      Coordinate.structurally_blocked queries
+      = Reference.Structural.structurally_blocked queries)
+
 (* --- complex structures (used by Figure 6c) --- *)
 
 let flights_only_catalog = Gen.flights_only_catalog
@@ -933,6 +979,7 @@ let () =
       ( "properties",
         List.map Gen.to_alcotest
           [ prop_coordination_sound;
+            prop_structural_matches_reference;
             prop_combined_agrees_with_search;
             prop_gcache_transparent;
             prop_binder_reuse ] ) ]
