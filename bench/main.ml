@@ -1,11 +1,11 @@
 (* Benchmark harness: regenerates every figure of the paper's
    evaluation (Figure 6 a/b/c), plus ablations over the execution
-   model's design choices and bechamel microbenches of the core
-   engine operations.
+   model's design choices.
 
    Times are simulated seconds (see DESIGN.md §2.3): the shapes — who
    wins, scaling trends, crossovers — are the reproduction target, not
-   absolute numbers.
+   absolute numbers. Wall-clock time per layer is the ledger's job
+   (ledger/).
 
    Usage:
      dune exec bench/main.exe                  # everything
@@ -21,20 +21,18 @@
    cell runs with event logging on and its Perfetto trace is written
    to FILE.json. "validate FILE..." checks BENCH_*.json and trace
    documents against the schema and exits nonzero on the first
-   violation — CI's bench-smoke gate. "perfgate FRESH.json
-   BASELINE.json [--tolerance 0.30]" compares per-transaction
-   throughput per series against a checked-in baseline and exits
-   nonzero on a regression beyond the tolerance — CI's perf gate.
-   With --certify, every figure cell runs under an online schedule
-   certifier (Ent_schedule.Certify) and any violation fails the run.
+   violation — CI's bench-smoke gate. "perfgate BENCH_*.json..." runs
+   the gates of gate.ml that each document's "figure" selects (Figure
+   6 series against the committed baselines in test/fixtures, scale-up
+   at 4 domains against 1, SI against 2PL) and exits nonzero if any
+   fails — CI's perf gate. With --certify, every figure cell runs
+   under an online schedule certifier (Ent_schedule.Certify) and any
+   violation fails the run.
 
    --parallel N runs the scale-up experiment: wall-clock time of the
    same workloads on an OCaml-5 domain pool of 1, 2, ..., N domains
    (N up to 16 in the nightly sweep), each point carrying its
-   coordination_share, written to BENCH_scaleup.json with --metrics.
-   "perfgate --wallclock BENCH_scaleup.json [--min-speedup 1.8]
-   [--min-entangled 1.5]" gates the measured NoSocial and Entangled
-   scale-up at 4 domains — CI's scaleup job. *)
+   coordination_share, written to BENCH_scaleup.json with --metrics. *)
 
 open Ent_core
 open Ent_workload
@@ -562,8 +560,8 @@ let fig6c () =
    submit-and-drain, plus the coordination share — the fraction of the
    cell's wall time spent in the grounding+coordination phase
    ([Scheduler.stats.coord_wall_s]). CI's scaleup job gates the
-   NoSocial-T and Entangled-T series with "perfgate --wallclock"
-   (DESIGN.md §9, EXPERIMENTS.md). *)
+   NoSocial-T and Entangled-T series with perfgate (gate.ml,
+   DESIGN.md §9, EXPERIMENTS.md). *)
 
 let parallel_domains = ref 0
 
@@ -853,119 +851,7 @@ let ablation_coordination_search () =
       Printf.printf "%8d %16.1f %16.1f\n%!" pairs search combined)
     [ 1; 5; 10; 25; 50; 100 ]
 
-(* --- bechamel microbenches --- *)
-
-let microbenches () =
-  heading "Microbenches (bechamel, wall-clock per operation)";
-  let open Bechamel in
-  let open Toolkit in
-  let mickey_src =
-    "BEGIN TRANSACTION WITH TIMEOUT 2 DAYS;\n\
-     SELECT 'Mickey', fno AS @fno INTO ANSWER R\n\
-     WHERE (fno) IN (SELECT fno FROM Flights WHERE dest='LA')\n\
-     AND ('Minnie', fno) IN ANSWER R CHOOSE 1;\n\
-     INSERT INTO Bookings VALUES ('Mickey', @fno);\n\
-     COMMIT;"
-  in
-  let ground_fixture () =
-    let cat = Ent_storage.Catalog.create () in
-    let flights =
-      Ent_storage.Catalog.create_table cat "Flights"
-        (Ent_storage.Schema.make
-           [ { name = "fno"; ty = T_int }; { name = "dest"; ty = T_str } ])
-    in
-    for i = 1 to 50 do
-      ignore
-        (Ent_storage.Table.insert flights
-           [| Ent_storage.Value.Int i; Ent_storage.Value.Str "LA" |])
-    done;
-    let env = Ent_sql.Eval.fresh_env () in
-    let query =
-      match
-        Ent_sql.Parser.parse_stmt
-          "SELECT 'M', fno INTO ANSWER R WHERE (fno) IN (SELECT fno FROM \
-           Flights WHERE dest='LA') AND ('N', fno) IN ANSWER R CHOOSE 1"
-      with
-      | Ent_sql.Ast.Entangled e -> Ent_entangle.Translate.of_ast ~env e
-      | _ -> assert false
-    in
-    (Ent_sql.Eval.direct_access cat, env, query)
-  in
-  let access, genv, gquery = ground_fixture () in
-  let lock_bench () =
-    let lm = Ent_txn.Lock.create () in
-    for txn = 1 to 20 do
-      ignore (Ent_txn.Lock.request lm ~txn (Ent_txn.Lock.Table "T") S);
-      ignore (Ent_txn.Lock.request lm ~txn (Ent_txn.Lock.Row ("T", txn)) X)
-    done;
-    for txn = 1 to 20 do
-      ignore (Ent_txn.Lock.release_all lm ~txn)
-    done
-  in
-  let wal_bench () =
-    let wal = Ent_txn.Wal.create () in
-    for txn = 1 to 20 do
-      ignore (Ent_txn.Wal.append wal (Ent_txn.Wal.Begin txn));
-      ignore
-        (Ent_txn.Wal.append wal
-           (Ent_txn.Wal.Write
-              { txn; table = "T"; row = txn; before = None;
-                after = Some [| Ent_storage.Value.Int txn |] }));
-      ignore (Ent_txn.Wal.append wal (Ent_txn.Wal.Commit txn))
-    done
-  in
-  let fig6a_cell () =
-    ignore
-      (run_workload ~connections:10 ~frequency:20 ~transactional:true
-         Gen.Entangled ~n:100)
-  in
-  let fig6b_cell () = ignore (run_pending ~p:10 ~frequency:10 ~n:100) in
-  let fig6c_cell () =
-    ignore (run_structured ~structure:`Cycle ~set_size:5 ~frequency:10 ~total_txns:50)
-  in
-  let tests =
-    Test.make_grouped ~name:"youtopia"
-      [ Test.make ~name:"parse-entangled-txn"
-          (Staged.stage (fun () -> ignore (Ent_sql.Parser.parse_program mickey_src)));
-        Test.make ~name:"ground-50-flights"
-          (Staged.stage (fun () ->
-               ignore (Ent_entangle.Ground.compute ~access ~env:genv gquery)));
-        Test.make ~name:"lock-20txn-cycle" (Staged.stage lock_bench);
-        Test.make ~name:"wal-60-records" (Staged.stage wal_bench);
-        Test.make ~name:"fig6a-cell-100txn" (Staged.stage fig6a_cell);
-        Test.make ~name:"fig6b-cell-100txn" (Staged.stage fig6b_cell);
-        Test.make ~name:"fig6c-cell-50txn" (Staged.stage fig6c_cell) ]
-  in
-  let benchmark () =
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) () in
-    Benchmark.all cfg Instance.[ monotonic_clock ] tests
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  let results = analyze (benchmark ()) in
-  Printf.printf "%-40s %16s\n" "benchmark" "ns per run";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, ols) ->
-         let ns =
-           match Bechamel.Analyze.OLS.estimates ols with
-           | Some (x :: _) -> x
-           | _ -> nan
-         in
-         Printf.printf "%-40s %16.1f\n%!" name ns)
-
-(* --- perf gate ---
-
-   Compare a fresh BENCH_fig6*.json against a checked-in baseline and
-   fail on throughput regressions. Runs at different BENCH_TXNS are
-   comparable because cells are homogeneous: time per transaction is
-   the unit, throughput its inverse. Per-series we compare the mean
-   per-transaction throughput over the points both documents share;
-   the tolerance absorbs scale effects (cache warm-up, pool mixing). *)
+(* --- perf gate: the table and evaluator are in gate.ml --- *)
 
 let load_json path =
   let ic = open_in path in
@@ -973,213 +859,27 @@ let load_json path =
     ~finally:(fun () -> close_in ic)
     (fun () -> Json.of_string (In_channel.input_all ic))
 
-(* The one reader all three gates share: each series of a bench
-   document as (name, [(x, time_s)]), keeping the points whose x is an
-   int and whose time is positive. *)
-let series_points doc =
-  match Json.member "series" doc with
-  | Some (Json.List series) ->
-    List.filter_map
-      (fun s ->
-        match (Json.member "name" s, Json.member "points" s) with
-        | Some (Json.Str name), Some (Json.List points) ->
-          Some
-            ( name,
-              List.filter_map
-                (fun p ->
-                  match
-                    ( Option.bind (Json.member "x" p) Json.to_int_opt,
-                      Option.bind (Json.member "time_s" p) Json.to_float_opt )
-                  with
-                  | Some x, Some t when t > 0.0 -> Some (x, t)
-                  | _ -> None)
-                points )
-        | _ -> None)
-      series
-  | _ -> []
-
-(* (base, fresh) values at every x both series have, in base order. *)
-let shared_points base fresh =
-  List.filter_map
-    (fun (x, b) -> Option.map (fun f -> (b, f)) (List.assoc_opt x fresh))
-    base
-
-(* Mean of [sel] over a non-empty list. *)
-let mean_over xs sel =
-  List.fold_left (fun acc x -> acc +. sel x) 0.0 xs /. float_of_int (List.length xs)
-
-let perfgate ~tolerance ~fresh ~baseline =
-  let series_of doc =
-    let txns =
-      match Json.member "bench_txns" doc with
-      | Some t -> Option.value ~default:1 (Json.to_int_opt t)
-      | None -> 1
-    in
-    (* fig6c cells run max(200, BENCH_TXNS/5) transactions (see
-       [fig6c]), not BENCH_TXNS; use the effective per-cell count so
-       smoke runs compare against paper-scale baselines on honest
-       per-transaction throughput. *)
-    let txns =
-      match Json.member "figure" doc with
-      | Some (Json.Str "fig6c") -> max 200 (txns / 5)
-      | _ -> txns
-    in
-    (* per-transaction throughput (txn / simulated s) *)
-    List.map
-      (fun (name, points) ->
-        (name, List.map (fun (x, t) -> (x, float_of_int txns /. t)) points))
-      (series_points doc)
+let perfgate files =
+  let ok =
+    List.fold_left
+      (fun ok file ->
+        match
+          Gate.check
+            ~baseline:(fun fig -> load_json (Gate.baseline_path fig))
+            (load_json file)
+        with
+        | [] ->
+          Printf.eprintf "perfgate: %s: no gate applies to this document\n%!" file;
+          false
+        | verdicts ->
+          List.iter (fun v -> Printf.printf "%s\n%!" (Gate.describe v)) verdicts;
+          ok && List.for_all Gate.passed verdicts
+        | exception (Sys_error msg | Json.Parse_error msg) ->
+          Printf.eprintf "perfgate: %s: %s\n%!" file msg;
+          false)
+      true files
   in
-  let fresh_doc = load_json fresh and baseline_doc = load_json baseline in
-  let fresh_series = series_of fresh_doc
-  and baseline_series = series_of baseline_doc in
-  let failed = ref false in
-  List.iter
-    (fun (name, base_points) ->
-      match List.assoc_opt name fresh_series with
-      | None ->
-        Printf.eprintf "perfgate: series %s missing from %s\n%!" name fresh;
-        failed := true
-      | Some fresh_points ->
-        let shared = shared_points base_points fresh_points in
-        if shared = [] then begin
-          Printf.eprintf "perfgate: series %s shares no points with baseline\n%!"
-            name;
-          failed := true
-        end
-        else begin
-          let base_mean = mean_over shared fst
-          and fresh_mean = mean_over shared snd in
-          let ratio = fresh_mean /. base_mean in
-          let verdict = ratio >= 1.0 -. tolerance in
-          Printf.printf "%-16s baseline %10.2f txn/s  fresh %10.2f txn/s  %+6.1f%%  %s\n%!"
-            name base_mean fresh_mean
-            ((ratio -. 1.0) *. 100.0)
-            (if verdict then "ok" else "REGRESSION");
-          if not verdict then failed := true
-        end)
-    baseline_series;
-  if baseline_series = [] then begin
-    Printf.eprintf "perfgate: no series found in %s\n%!" baseline;
-    failed := true
-  end;
-  exit (if !failed then 1 else 0)
-
-(* perfgate --wallclock: gate the measured multicore scale-up of a
-   BENCH_scaleup.json document, for both the NoSocial-T series —
-   embarrassingly parallel at the DB-lock level, so the honest measure
-   of scheduler overhead ([min_speedup]) — and the Entangled-T series,
-   whose scaling comes from parallel stepping and grounding
-   ([min_entangled]); Social-T is reported for information only. The
-   gate is taken at 4 domains when the sweep has a 4-domain point
-   (otherwise at the top measured count): CI runners have 4 vCPUs, so
-   points beyond 4 from the 1–16 nightly sweep are informational. *)
-let perfgate_wallclock ~min_speedup ~min_entangled ~file =
-  let series = series_points (load_json file) in
-  let failed = ref false in
-  let gates = [ ("NoSocial-T", min_speedup); ("Entangled-T", min_entangled) ] in
-  List.iter
-    (fun (name, points) ->
-      let threshold = List.assoc_opt name gates in
-      let gated = threshold <> None in
-      match List.assoc_opt 1 points with
-      | None ->
-        Printf.eprintf "perfgate: series %s has no 1-domain point in %s\n%!"
-          name file;
-        if gated then failed := true
-      | Some t1 ->
-        let top = List.fold_left (fun acc (x, _) -> max acc x) 1 points in
-        let gate_x = if List.mem_assoc 4 points then 4 else top in
-        if gated && top = 1 then begin
-          Printf.eprintf
-            "perfgate: series %s has no multi-domain point in %s\n%!" name file;
-          failed := true
-        end;
-        List.iter
-          (fun (x, t) ->
-            if x > 1 then begin
-              let speedup = t1 /. t in
-              let verdict =
-                match threshold with
-                | Some min_x when x = gate_x ->
-                  if speedup >= min_x then "ok" else "TOO SLOW"
-                | _ -> "(info)"
-              in
-              Printf.printf
-                "%-14s %d -> %d domains: %8.3fs -> %8.3fs  speedup %5.2fx  %s\n%!"
-                name 1 x t1 t speedup verdict;
-              match threshold with
-              | Some min_x when x = gate_x && speedup < min_x -> failed := true
-              | _ -> ()
-            end)
-          (List.sort compare points))
-    series;
-  List.iter
-    (fun (gate_series, _) ->
-      if not (List.mem_assoc gate_series series) then begin
-        Printf.eprintf "perfgate: series %s missing from %s\n%!" gate_series
-          file;
-        failed := true
-      end)
-    gates;
-  if !failed then
-    Printf.eprintf
-      "perfgate: wall-clock scale-up below the gate (NoSocial-T %.2fx, \
-       Entangled-T %.2fx)\n\
-       %!"
-      min_speedup min_entangled;
-  exit (if !failed then 1 else 0)
-
-(* perfgate --si: gate the 2PL-vs-SI comparison of a BENCH_si.json
-   document. Snapshot isolation drops the read locks, so on Social-T
-   it must be at least as fast as Strict 2PL (mean per-transaction
-   throughput over the shared sweep points, with [tolerance] slack);
-   the mixed series is reported for information only. *)
-
-let perfgate_si ~tolerance ~file =
-  let series = series_points (load_json file) in
-  let compare_against base_points (name, points) ~gated =
-    let shared = shared_points base_points points in
-    if shared = [] then begin
-      Printf.eprintf "perfgate: series %s shares no points with the 2pl \
-                      series in %s\n%!" name file;
-      gated
-    end
-    else begin
-      let base_mean = mean_over shared fst and mean = mean_over shared snd in
-      (* same transaction count per cell: time ratio = inverse
-         throughput ratio *)
-      let speedup = base_mean /. mean in
-      let ok = speedup >= 1.0 -. tolerance in
-      Printf.printf "%-16s 2pl %10.2fs  %s %10.2fs  speedup %5.2fx  %s\n%!"
-        name base_mean
-        (if gated then "si " else "mix")
-        mean speedup
-        (if not gated then "(info)" else if ok then "ok" else "SLOWER THAN 2PL");
-      gated && not ok
-    end
-  in
-  match List.assoc_opt "Social-T 2pl" series with
-  | None ->
-    Printf.eprintf "perfgate: series \"Social-T 2pl\" missing from %s\n%!" file;
-    exit 1
-  | Some base_points ->
-    let failed = ref false in
-    (match List.assoc_opt "Social-T si" series with
-    | None ->
-      Printf.eprintf "perfgate: series \"Social-T si\" missing from %s\n%!" file;
-      failed := true
-    | Some points ->
-      if compare_against base_points ("Social-T si", points) ~gated:true then
-        failed := true);
-    (match List.assoc_opt "Social-T mixed" series with
-    | None -> ()
-    | Some points ->
-      ignore (compare_against base_points ("Social-T mixed", points) ~gated:false));
-    if !failed then
-      Printf.eprintf "perfgate: snapshot isolation slower than 2PL on \
-                      Social-T\n%!";
-    exit (if !failed then 1 else 0)
+  exit (if ok then 0 else 1)
 
 let validate files =
   let ok =
@@ -1207,44 +907,12 @@ let () =
       exit 2
     end;
     validate files
-  | _ :: "perfgate" :: rest -> (
-    match rest with
-    | "--wallclock" :: file :: rest ->
-      let min_speedup = ref 1.8 in
-      let min_entangled = ref 1.5 in
-      let rec parse_gate = function
-        | "--min-speedup" :: s :: rest ->
-          (try min_speedup := float_of_string s with _ -> ());
-          parse_gate rest
-        | "--min-entangled" :: s :: rest ->
-          (try min_entangled := float_of_string s with _ -> ());
-          parse_gate rest
-        | _ -> ()
-      in
-      parse_gate rest;
-      perfgate_wallclock ~min_speedup:!min_speedup
-        ~min_entangled:!min_entangled ~file
-    | "--si" :: file :: rest ->
-      let tolerance =
-        match rest with
-        | [ "--tolerance"; t ] -> (try float_of_string t with _ -> 0.0)
-        | _ -> 0.0
-      in
-      perfgate_si ~tolerance ~file
-    | fresh :: baseline :: rest ->
-      let tolerance =
-        match rest with
-        | [ "--tolerance"; t ] -> (try float_of_string t with _ -> 0.30)
-        | _ -> 0.30
-      in
-      perfgate ~tolerance ~fresh ~baseline
-    | _ ->
-      prerr_endline
-        "usage: main.exe perfgate FRESH.json BASELINE.json [--tolerance 0.30]\n\
-        \       main.exe perfgate --wallclock BENCH_scaleup.json \
-         [--min-speedup 1.8] [--min-entangled 1.5]\n\
-        \       main.exe perfgate --si BENCH_si.json [--tolerance 0.0]";
-      exit 2)
+  | _ :: "perfgate" :: files ->
+    if files = [] then begin
+      prerr_endline "usage: main.exe perfgate BENCH_*.json...";
+      exit 2
+    end;
+    perfgate files
   | _ :: args ->
     let selected = ref [] in
     let trace_out = ref None in
@@ -1328,7 +996,6 @@ let () =
     run "ablation-isolation" ablation_isolation;
     run "ablation-frequency" ablation_run_frequency;
     run "ablation-search" ablation_coordination_search;
-    run "micro" microbenches;
     if !metrics_enabled then begin
       Obs.write_snapshot !metrics_path;
       Printf.printf "wrote %s (final-phase Obs snapshot)\n%!" !metrics_path

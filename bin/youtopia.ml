@@ -43,7 +43,7 @@ let write_metrics = function
     Printf.eprintf "wrote metrics snapshot to %s\n%!" path
 
 let run_script path connections frequency parallel isolation_name show_tables
-    verbose metrics trace trace_out wait_graph wait_graph_dot certify slo_path
+    verbose metrics trace_out wait_graph wait_graph_dot certify slo_path
     flight_out =
   match isolation_of_string isolation_name with
   | Error (`Msg msg) ->
@@ -83,7 +83,6 @@ let run_script path connections frequency parallel isolation_name show_tables
       Printf.eprintf "lex error: %s\n" msg;
       2
     | items ->
-      if trace then Ent_obs.Obs.set_tracing true;
       if trace_out <> None then begin
         Ent_obs.Event.set_logging true;
         Ent_obs.Event.reset ()
@@ -558,11 +557,6 @@ let metrics =
          & info [ "metrics-out"; "metrics" ] ~docv:"FILE"
              ~doc:"Write an Obs metrics snapshot (JSON) to $(docv) on exit.")
 
-let trace =
-  Arg.(value & flag & info [ "trace" ]
-         ~doc:"Enable span tracing; spans are included in the --metrics \
-               snapshot.")
-
 let trace_out =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
          ~doc:"Log causal transaction events and write a Perfetto / \
@@ -611,7 +605,7 @@ let run_cmd =
   let doc = "execute a script of classical and entangled transactions" in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run_script $ path $ connections $ frequency $ parallel
-          $ isolation $ show $ verbose $ metrics $ trace $ trace_out
+          $ isolation $ show $ verbose $ metrics $ trace_out
           $ wait_graph $ wait_graph_dot $ certify $ slo $ flight_out)
 
 let repl_cmd =

@@ -15,13 +15,6 @@ let m_answered = Obs.counter "entangle.coordinate.answered"
 let m_empty = Obs.counter "entangle.coordinate.empty"
 let m_no_partner = Obs.counter "entangle.coordinate.no_partner"
 
-(* Match latency is wall-clock and therefore nondeterministic; it is
-   only observed when span tracing is on (like spans themselves), so
-   default runs stay byte-identical across reruns. The histogram is
-   still registered eagerly: a count-0 summary is deterministic and
-   keeps the metric discoverable. *)
-let m_latency = Obs.histogram "entangle.coordinate.match_latency_us"
-
 type outcome =
   | Answered of Ground.grounding
   | Empty
@@ -251,10 +244,8 @@ let search ~budget participants =
 
 (* One coordination round: count and log it, apply fault drops, run the
    structural-participation check, search the survivors, then classify
-   every query and record the outcome counters and (tracing-gated)
-   wall-clock match latency. *)
+   every query and record the outcome counters. *)
 let evaluate ?(budget = 200_000) queries =
-  let t_start = Ent_obs.Clock.monotonic () in
   Obs.incr m_evaluations;
   if Ent_obs.Event.logging () then
     Ent_obs.Event.emit
@@ -304,7 +295,5 @@ let evaluate ?(budget = 200_000) queries =
         | Empty -> m_empty
         | No_partner -> m_no_partner))
     results;
-  if Obs.tracing () then
-    Obs.observe m_latency (1e6 *. (Ent_obs.Clock.monotonic () -. t_start));
   results
 

@@ -1,4 +1,4 @@
-(** Clocks for spans and events.
+(** Clocks for events and wall-clock measurements.
 
     {!monotonic} never goes backwards and is unaffected by wall-clock
     adjustment (NTP slew, manual changes); durations and event order

@@ -1,10 +1,8 @@
-(* Global metrics registry and span tracer.
+(* Global metrics registry.
 
    Metric names follow "layer.component.metric" (DESIGN.md §3). Hot
    paths bump counters through [Atomic] — an instrumented site costs
-   one fetch-and-add, cheap enough to stay on by default. Spans carry
-   real bookkeeping (clock reads, ring-buffer writes) and therefore sit
-   behind [set_tracing]; with tracing off, [with_span] is a flag test.
+   one fetch-and-add, cheap enough to stay on by default.
 
    Everything lives in one process-global registry: instrumentation in
    lib/txn, lib/storage, lib/entangle and lib/core registers metrics at
@@ -140,72 +138,6 @@ let find_histogram name =
   | Some (Histogram h) -> Some (hist h)
   | _ -> None
 
-(* --- span tracing --- *)
-
-type span_record = {
-  sp_name : string;
-  sp_start : float;  (* seconds, monotonic clock (Clock.to_wall projects) *)
-  sp_dur : float;  (* seconds *)
-  sp_depth : int;  (* nesting level at entry, outermost = 0 *)
-}
-
-let tracing_on = ref false
-let trace_capacity = ref 4096
-let trace_ring : span_record option array ref = ref (Array.make 4096 None)
-let trace_next = ref 0  (* total spans ever recorded *)
-let span_depth = ref 0
-
-let set_tracing on = tracing_on := on
-let tracing () = !tracing_on
-
-let set_trace_capacity n =
-  if n <= 0 then invalid_arg "Obs.set_trace_capacity: capacity must be positive";
-  trace_capacity := n;
-  trace_ring := Array.make n None;
-  trace_next := 0
-
-let record_span sp =
-  let ring = !trace_ring in
-  ring.(!trace_next mod Array.length ring) <- Some sp;
-  trace_next := !trace_next + 1
-
-let with_span name f =
-  if not !tracing_on then f ()
-  else begin
-    let depth = !span_depth in
-    span_depth := depth + 1;
-    (* Monotonic: wall clock jumps (NTP, manual adjustment) must not
-       corrupt durations. Clock.to_wall anchors for export. *)
-    let start = Clock.monotonic () in
-    let finish () =
-      let stop = Clock.monotonic () in
-      span_depth := depth;
-      record_span
-        { sp_name = name; sp_start = start; sp_dur = stop -. start; sp_depth = depth }
-    in
-    match f () with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e
-  end
-
-let spans () =
-  (* oldest-first; the ring keeps the last [capacity] spans *)
-  let ring = !trace_ring in
-  let cap = Array.length ring in
-  let total = !trace_next in
-  let first = if total > cap then total - cap else 0 in
-  List.filter_map
-    (fun i -> ring.(i mod cap))
-    (List.init (total - first) (fun k -> first + k))
-
-let spans_dropped () =
-  let cap = Array.length !trace_ring in
-  if !trace_next > cap then !trace_next - cap else 0
-
 (* --- snapshot --- *)
 
 let sorted_registry () =
@@ -225,30 +157,12 @@ let snapshot_json () =
         gauges := (name, Json.Float (if Float.is_finite v then v else 0.0)) :: !gauges
       | Histogram h -> hists := (name, Hist.summary (hist h)) :: !hists)
     (sorted_registry ());
-  let base =
+  Json.Obj
     [
       ("counters", Json.Obj (List.rev !counters));
       ("gauges", Json.Obj (List.rev !gauges));
       ("histograms", Json.Obj (List.rev !hists));
     ]
-  in
-  if not !tracing_on then Json.Obj base
-  else
-    let span_json sp =
-      Json.Obj
-        [
-          ("name", Json.Str sp.sp_name);
-          ("start", Json.Float sp.sp_start);
-          ("dur", Json.Float sp.sp_dur);
-          ("depth", Json.Int sp.sp_depth);
-        ]
-    in
-    Json.Obj
-      (base
-      @ [
-          ("spans", Json.List (List.map span_json (spans ())));
-          ("spans_dropped", Json.Int (spans_dropped ()));
-        ])
 
 let snapshot () = Json.to_string (snapshot_json ())
 
@@ -273,9 +187,6 @@ let reset () =
                 Mutex.unlock mu)
               h.h_stripes)
         registry);
-  Array.fill !trace_ring 0 (Array.length !trace_ring) None;
-  trace_next := 0;
-  span_depth := 0;
   Event.reset ();
   List.iter (fun f -> f ()) !reset_hooks
 

@@ -1,11 +1,11 @@
-(** Process-global metrics registry and span tracer.
+(** Process-global metrics registry.
 
     Metric names follow ["layer.component.metric"], e.g.
     ["txn.lock.waits"]. Counters, gauges and histograms are interned by
     name: instrumented modules call {!counter}/{!gauge}/{!histogram}
     once at initialization and bump the returned handle on the hot
     path (an [Atomic] fetch-and-add — cheap enough to stay on by
-    default). Span tracing is off unless {!set_tracing} enabled it. *)
+    default). *)
 
 (** {1 Metrics} *)
 
@@ -43,38 +43,12 @@ val find_gauge : string -> float option
 val find_histogram : string -> Hist.t option
 val metric_names : unit -> string list
 
-(** {1 Span tracing} *)
-
-type span_record = {
-  sp_name : string;
-  sp_start : float;
-      (** seconds on the monotonic clock ({!Clock.monotonic});
-          project with {!Clock.to_wall} for an epoch instant *)
-  sp_dur : float;  (** seconds *)
-  sp_depth : int;  (** nesting level at entry, outermost = 0 *)
-}
-
-val set_tracing : bool -> unit
-val tracing : unit -> bool
-
-val with_span : string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a named span. With tracing off this is just
-    the call; with tracing on, the completed span (exceptional exits
-    included) lands in a bounded ring buffer. *)
-
-val spans : unit -> span_record list
-(** Completed spans still in the ring, oldest first. *)
-
-val spans_dropped : unit -> int
-val set_trace_capacity : int -> unit
-
 (** {1 Snapshots} *)
 
 val snapshot_json : unit -> Json.t
 (** All registered metrics:
-    [{"counters": {..}, "gauges": {..}, "histograms": {name: summary}}]
-    plus ["spans"]/["spans_dropped"] when tracing is on. Keys are
-    sorted; every value is finite. *)
+    [{"counters": {..}, "gauges": {..}, "histograms": {name: summary}}].
+    Keys are sorted; every value is finite. *)
 
 val snapshot : unit -> string
 (** [Json.to_string (snapshot_json ())]. *)
@@ -83,7 +57,7 @@ val write_snapshot : string -> unit
 (** Write [snapshot ()] (newline-terminated) to a file. *)
 
 val reset : unit -> unit
-(** Zero every metric, clear the trace ring and the {!Event} log, then
+(** Zero every metric, clear the {!Event} log, then
     run the {!add_reset_hook} hooks. Registered handles stay valid
     (benchmarks reset between cells). *)
 

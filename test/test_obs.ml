@@ -1,6 +1,6 @@
 (* Tests for the observability layer (lib/obs): histogram quantiles
-   against a sorted-array oracle, snapshot JSON round-trips, span
-   nesting, the bench-document schema validator, and an integration
+   against a sorted-array oracle, snapshot JSON round-trips, the
+   bench-document schema validator, and an integration
    check that one entangled workload leaves non-zero metrics in every
    layer of the engine. *)
 
@@ -95,37 +95,6 @@ let prop_json_roundtrip =
           (Printf.sprintf "%d.%s" i k, Json.Int v)) kvs)
       in
       Json.of_string (Json.to_string obj) = obj)
-
-(* --- span nesting --- *)
-
-let test_span_nesting () =
-  Obs.reset ();
-  Obs.set_tracing true;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_tracing false)
-    (fun () ->
-      let r =
-        Obs.with_span "outer" (fun () ->
-            Obs.with_span "inner" (fun () -> 7))
-      in
-      Alcotest.(check int) "result threaded" 7 r;
-      (try Obs.with_span "raises" (fun () -> failwith "boom") with
-      | Failure _ -> ());
-      let spans = Obs.spans () in
-      Alcotest.(check (list (pair string int)))
-        "names and depths, oldest first"
-        [ ("inner", 1); ("outer", 0); ("raises", 0) ]
-        (List.map (fun s -> (s.Obs.sp_name, s.Obs.sp_depth)) spans);
-      List.iter
-        (fun s ->
-          if s.Obs.sp_dur < 0.0 then Alcotest.fail "negative span duration")
-        spans)
-
-let test_spans_off_by_default () =
-  Obs.reset ();
-  Alcotest.(check bool) "tracing off" false (Obs.tracing ());
-  ignore (Obs.with_span "ignored" (fun () -> ()));
-  Alcotest.(check int) "no spans recorded" 0 (List.length (Obs.spans ()))
 
 (* --- bench document schema validation --- *)
 
@@ -237,9 +206,6 @@ let counter_value name =
 
 let test_entangled_workload_metrics () =
   Obs.reset ();
-  (* match latency is wall-clock and only observed while tracing is on
-     (default runs stay byte-identical across reruns) *)
-  Obs.set_tracing true;
   let m = obs_manager () in
   let mickey = Manager.submit_string m (flight_program "Mickey" "Minnie") in
   let minnie = Manager.submit_string m (flight_program "Minnie" "Mickey") in
@@ -247,7 +213,6 @@ let test_entangled_workload_metrics () =
   let u1 = Manager.submit_string m (update_program "Paris") in
   let u2 = Manager.submit_string m (update_program "Tokyo") in
   Manager.drain m;
-  Obs.set_tracing false;
   List.iter
     (fun (name, id) ->
       match Manager.outcome m id with
@@ -275,9 +240,6 @@ let test_entangled_workload_metrics () =
   nonzero "storage.table.rows_read";
   nonzero "entangle.ground.computes";
   nonzero "core.scheduler.runs";
-  (match Obs.find_histogram "entangle.coordinate.match_latency_us" with
-  | Some h when Hist.count h > 0 -> ()
-  | _ -> Alcotest.fail "no partner-match latency samples");
   (match Obs.find_histogram "core.entangle.blocked_s" with
   | Some h when Hist.count h > 0 -> ()
   | _ -> Alcotest.fail "no entangled-blocking samples");
@@ -556,10 +518,6 @@ let () =
         [ Alcotest.test_case "round-trip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "interning" `Quick test_registry_interning;
           Gen.to_alcotest prop_json_roundtrip ] );
-      ( "spans",
-        [ Alcotest.test_case "nesting" `Quick test_span_nesting;
-          Alcotest.test_case "off by default" `Quick test_spans_off_by_default
-        ] );
       ( "schema",
         [ Alcotest.test_case "accepts valid" `Quick test_schema_accepts_valid;
           Alcotest.test_case "rejects invalid" `Quick
