@@ -58,7 +58,7 @@ end)
 type t = {
   catalog : Catalog.t;
   entries : entry Key_tbl.t;
-  max_entries : int;  (* bounds the grounding lists held, over all entries *)
+  max_entries : int;  (* a miss that finds this many entries resets *)
   mutable lists : int;
   mutable hits : int;
   mutable misses : int;
@@ -317,7 +317,7 @@ let compute t ?(limit = 10_000) ?(bypass = false) ~access ~touch ~env
     (match finish t.catalog with
     | tables ->
       with_mu t.mu (fun () ->
-          if t.lists >= t.max_entries then begin
+          if Key_tbl.length t.entries >= t.max_entries then begin
             Key_tbl.reset t.entries;
             t.lists <- 0
           end;

@@ -31,9 +31,10 @@
 type t
 
 (** [create catalog] makes an empty cache over [catalog]'s live
-    tables. [max_entries] (default 4096) bounds the grounding lists
-    held over all entries, and so the entry count (the cache resets
-    wholesale when a miss finds it full). *)
+    tables. [max_entries] (default 4096) bounds the entry count: the
+    cache resets wholesale when a miss finds that many entries. A hit
+    keeps a new grounding list only while fewer than [max_entries]
+    lists are held, so the lists stay under twice [max_entries]. *)
 val create : ?max_entries:int -> Ent_storage.Catalog.t -> t
 
 (** [compute t ~access ~touch ~env query] returns [query]'s groundings

@@ -53,12 +53,16 @@ type entry = {
    only order request-vs-release). [waiting] is the waits-for index: the
    resources whose queue holds the txn. It is written only under the
    shard mutex of the resource whose queue changed, so a reader holding
-   every shard sees it equal to the queues. [groups] is a single small
-   map behind its own mutex. Mutex order, where nested: shard -> (stripe
-   | groups). Stripe and group mutexes are leaves. In the deterministic
-   single-domain mode every mutex is uncontended, and all observable
-   outputs below are sorted, so sharding is invisible to existing
-   fixtures. *)
+   every shard sees it equal to the queues. [owned] gains a resource
+   under its shard mutex too, and [deadlock_cycle] reads its in-edges
+   from it; [release_all] drops the whole list before it takes any
+   shard, so a search that meets a txn mid-release sees nothing waiting
+   on it. Such a txn is finishing, so no cycle through it can persist.
+   [groups] is a single small map behind its own mutex. Mutex order,
+   where nested: shard -> (stripe | groups). Stripe and group mutexes
+   are leaves. In the deterministic single-domain mode every mutex is
+   uncontended, and all observable outputs below are sorted, so
+   sharding is invisible to existing fixtures. *)
 
 let n_shards = 16
 let n_stripes = 16
@@ -179,10 +183,13 @@ let clear_waiting t txn resource =
     (fun st -> st.st_waiting)
     (List.filter (fun r -> r <> resource))
 
-let waiting_on t txn =
+let stripe_list t txn map =
   let st = stripe_for t txn in
   with_mu st.st_mu (fun () ->
-      Option.value ~default:[] (Hashtbl.find_opt st.st_waiting txn))
+      Option.value ~default:[] (Hashtbl.find_opt (map st) txn))
+
+let waiting_on t txn = stripe_list t txn (fun st -> st.st_waiting)
+let owned_by t txn = stripe_list t txn (fun st -> st.st_owned)
 
 type outcome =
   | Granted
@@ -362,6 +369,42 @@ let blockers_unlocked t ~txn =
 
 let blockers t ~txn = with_all_shards t (fun () -> blockers_unlocked t ~txn)
 
+(* The mirror of [blockers_of_entry]: the waiters on [entry] that wait
+   for [x]. Those are the waiters whose request clashes with the mode
+   [x] holds (outside [x]'s group), and those queued after [x] whose
+   request clashes with [x]'s queued one. *)
+let waiters_of_entry t entry x =
+  match entry.queue with
+  | [] -> []
+  | queue ->
+    let on_held =
+      match List.assoc_opt x entry.holders with
+      | None -> []
+      | Some held ->
+        List.filter_map
+          (fun (w, need) -> if conflicts t w need (x, held) then Some w else None)
+          queue
+    in
+    let rec behind = function
+      | [] -> []
+      | (o, queued) :: rest when o = x ->
+        List.filter_map
+          (fun (w, need) -> if compatible need queued then None else Some w)
+          rest
+      | _ :: rest -> behind rest
+    in
+    on_held @ behind queue
+
+(* Every txn that waits for [txn], read over the entries [txn] holds or
+   is queued on. Requires all shard mutexes. *)
+let waiters_unlocked t ~txn =
+  List.concat_map
+    (fun resource ->
+      match find_entry t resource with
+      | Some entry -> waiters_of_entry t entry txn
+      | None -> [])
+    (owned_by t txn)
+
 let is_waiting t ~txn = waiting_on t txn <> []
 
 let waits t ~txn =
@@ -395,26 +438,28 @@ let resource_to_string = function
   | Row (t, k) -> Printf.sprintf "row %s/%d" t k
 
 let deadlock_cycle t ~txn =
-  (* DFS over the waits-for graph starting from [txn], looking for a
-     path back to [txn]. All shards are locked for the duration so the
-     graph is a consistent snapshot even under parallel execution. *)
+  (* DFS over the waits-for graph's in-edges from [txn]: a cycle through
+     [txn] exists exactly when [txn] reaches itself backwards. [chain] is
+     the path found from [node] forward to [txn], [txn] left out. All
+     shards are locked for the duration so the graph is a consistent
+     snapshot even under parallel execution. *)
   with_all_shards t (fun () ->
       let visited = Hashtbl.create 16 in
       Hashtbl.replace visited txn ();
-      let rec dfs path node =
-        let next = blockers_unlocked t ~txn:node in
-        if List.mem txn next then Some (List.rev (node :: path))
+      let rec dfs chain node =
+        let waiters = waiters_unlocked t ~txn:node in
+        if List.mem txn waiters then Some (txn :: chain)
         else
           List.fold_left
-            (fun acc n ->
+            (fun acc w ->
               match acc with
               | Some _ -> acc
               | None ->
-                if Hashtbl.mem visited n then None
+                if Hashtbl.mem visited w then None
                 else begin
-                  Hashtbl.replace visited n ();
-                  dfs (node :: path) n
+                  Hashtbl.replace visited w ();
+                  dfs (w :: chain) w
                 end)
-            None next
+            None waiters
       in
       dfs [] txn)

@@ -75,8 +75,12 @@ val blockers : t -> txn:int -> int list
 
 (** [deadlock_cycle t ~txn] is a waits-for cycle through [txn], if one
     exists: [txn] first, each member waiting for the next, the last
-    waiting for [txn]. A depth-first search from [txn] under every shard
-    mutex; each node visited costs one {!blockers}. *)
+    waiting for [txn]. A depth-first search backwards from [txn], over
+    the edges into each node, under every shard mutex. Each node visited
+    reads the queues of the resources it holds or waits on, so the cost
+    follows the transactions that wait on [txn], transitively, not the
+    queues ahead of it. A fresh waiter, queued last and holding nothing
+    another transaction waits for, costs one node. *)
 val deadlock_cycle : t -> txn:int -> int list option
 
 (** True when [txn] has a queued (not yet granted) request. One lookup

@@ -758,6 +758,44 @@ let test_gcache_point_footprint () =
            g.g_head)
        served)
 
+(* A miss resets the cache wholesale when it finds [max_entries]
+   entries, however many grounding lists they serve. At
+   [~max_entries:2], body 0 served under two heads is one entry with two
+   lists, so body 1's miss must keep it; body 2's miss finds two entries
+   and resets. *)
+let test_gcache_capacity_counts_entries () =
+  let cat = Catalog.create () in
+  let flights =
+    Catalog.create_table cat "Flights"
+      (Schema.make
+         [ { Schema.name = "fno"; ty = T_int }; { name = "dest"; ty = T_str } ])
+  in
+  for i = 1 to 3 do
+    ignore (Table.insert flights [| Value.Int i; Value.Str "LA" |])
+  done;
+  let cache = Gcache.create ~max_entries:2 cat in
+  let access = Eval.direct_access cat in
+  let env = Eval.fresh_env () in
+  let cached tag i =
+    let q =
+      translate
+        (Printf.sprintf
+           "SELECT '%s%d', fno INTO ANSWER R WHERE (fno) IN (SELECT fno FROM \
+            Flights WHERE dest='LA') AND fno > %d AND ('%s%d', fno) IN ANSWER \
+            R CHOOSE 1"
+           tag i i tag (i + 1))
+    in
+    snd (Gcache.compute cache ~access ~touch:(fun _ -> ()) ~env q)
+  in
+  Alcotest.(check bool) "body 0 under u misses" false (cached "u" 0);
+  Alcotest.(check bool) "body 0 under v hits" true (cached "v" 0);
+  Alcotest.(check bool) "body 1 misses" false (cached "u" 1);
+  Alcotest.(check bool) "one entry short of full: body 0 kept" true
+    (cached "u" 0);
+  Alcotest.(check bool) "body 2 misses" false (cached "u" 2);
+  Alcotest.(check bool) "two entries: the reset dropped body 0" false
+    (cached "u" 0)
+
 (* --- Entangled-T bodies: read count and key spread --- *)
 
 (* The translated entangled query of each program, with the host
@@ -975,7 +1013,9 @@ let () =
             test_gcache_point_footprint;
           Alcotest.test_case "friendship body reads" `Quick
             test_friendship_body_reads;
-          Alcotest.test_case "key hash spread" `Quick test_gcache_key_spread ] );
+          Alcotest.test_case "key hash spread" `Quick test_gcache_key_spread;
+          Alcotest.test_case "capacity counts entries" `Quick
+            test_gcache_capacity_counts_entries ] );
       ( "properties",
         List.map Gen.to_alcotest
           [ prop_coordination_sound;

@@ -79,6 +79,37 @@ let test_lock_deadlock_detection () =
   let woken = Lock.release_all lm ~txn:2 in
   Alcotest.(check (list int)) "t1 woken" [ 1 ] woken
 
+(* The cycle 2 -> 3 -> 2 closes on an earlier-waiter edge: t3's S on A
+   clashes with t2's X queued ahead of it, not with t1's S holder. *)
+let test_lock_queue_order_deadlock () =
+  let lm = Lock.create () in
+  let res_b = Lock.Table "B" in
+  ignore (Lock.request lm ~txn:1 res_a S);
+  Alcotest.(check bool) "t2 X on A queues" true (Lock.request lm ~txn:2 res_a X = Waiting);
+  ignore (Lock.request lm ~txn:3 res_b X);
+  Alcotest.(check bool) "t3 S on A queues" true (Lock.request lm ~txn:3 res_a S = Waiting);
+  Alcotest.(check (list int)) "t3 waits for t2" [ 2 ] (Lock.blockers lm ~txn:3);
+  Alcotest.(check bool) "no cycle yet" true (Lock.deadlock_cycle lm ~txn:3 = None);
+  Alcotest.(check bool) "t2 X on B queues" true (Lock.request lm ~txn:2 res_b X = Waiting);
+  Alcotest.(check (option (list int))) "cycle" (Some [ 2; 3 ])
+    (Lock.deadlock_cycle lm ~txn:2)
+
+(* As above, but t2 and t3 share a group, so t3's X on B does not block
+   t2; t2 queues on B only behind t4's compatible IS. No cycle. *)
+let test_lock_group_cuts_holder_edge () =
+  let lm = Lock.create () in
+  let res_b = Lock.Table "B" in
+  Lock.set_group lm ~txn:2 ~group:1;
+  Lock.set_group lm ~txn:3 ~group:1;
+  ignore (Lock.request lm ~txn:1 res_a S);
+  ignore (Lock.request lm ~txn:2 res_a X);
+  ignore (Lock.request lm ~txn:3 res_b X);
+  ignore (Lock.request lm ~txn:3 res_a S);
+  Alcotest.(check bool) "t4 IS on B queues" true (Lock.request lm ~txn:4 res_b IS = Waiting);
+  Alcotest.(check bool) "t2 S on B queues" true (Lock.request lm ~txn:2 res_b S = Waiting);
+  Alcotest.(check (list int)) "t2 waits for t1 only" [ 1 ] (Lock.blockers lm ~txn:2);
+  Alcotest.(check (option (list int))) "no cycle" None (Lock.deadlock_cycle lm ~txn:2)
+
 let test_lock_waiter_removed_on_release () =
   let lm = Lock.create () in
   ignore (Lock.request lm ~txn:1 res_a X);
@@ -593,10 +624,11 @@ let prop_recovery_idempotent =
 
 (* The lock manager's waits-for queries against [Reference.Locks],
    which recomputes them from a full [Lock.dump]. Random requests,
-   upgrades, releases and group tags over 6 txns and 4 resources; after
-   every step every txn's [blockers], [is_waiting], [waits] and
-   deadlock verdict must match, and any cycle returned must be a cycle
-   of the reference graph. *)
+   upgrades, releases and group tags; after every step every txn's
+   [blockers], [is_waiting], [waits] and deadlock verdict must match,
+   and any cycle returned must be a cycle of the reference graph. Two
+   shapes: 6 txns over 4 resources, and 10 txns over 2 resources, where
+   mixed-mode queues of 5 and more waiters form. *)
 type lock_op =
   | Request of int * int * Lock.mode
   | Upgrade of int * int
@@ -610,10 +642,11 @@ let lock_op_to_string = function
   | Release txn -> Printf.sprintf "release t%d" txn
   | Group (txn, g) -> Printf.sprintf "group t%d g%d" txn g
 
-let prop_lock_waits_for_differential =
+let lock_waits_for_differential ~name ~count ~txns ~max_ops resources =
   let lock_op =
     QCheck2.Gen.(
-      let txn = int_range 1 6 and res = int_range 0 3 in
+      let txn = int_range 1 txns
+      and res = int_range 0 (Array.length resources - 1) in
       frequency
         [ ( 6,
             map3
@@ -624,15 +657,11 @@ let prop_lock_waits_for_differential =
           (2, map (fun txn -> Release txn) txn);
           (1, map2 (fun txn g -> Group (txn, g)) txn (int_range 1 2)) ])
   in
-  QCheck2.Test.make ~name:"waits-for queries match a whole-table reference"
-    ~count:300
+  QCheck2.Test.make ~name ~count
     ~print:QCheck2.Print.(list lock_op_to_string)
-    QCheck2.Gen.(list_size (int_range 1 60) lock_op)
+    QCheck2.Gen.(list_size (int_range 1 max_ops) lock_op)
     (fun ops ->
       let lm = Lock.create () in
-      let resources =
-        [| res_a; Lock.Table "B"; Lock.Row ("A", 7); Lock.Row ("B", 2) |]
-      in
       let groups = Hashtbl.create 8 in
       let group txn = Hashtbl.find_opt groups txn in
       List.iteri
@@ -656,7 +685,7 @@ let prop_lock_waits_for_differential =
             Lock.set_group lm ~txn ~group:g;
             Hashtbl.replace groups txn g);
           let dump = Lock.dump lm in
-          for txn = 1 to 6 do
+          for txn = 1 to txns do
             let fail what =
               QCheck2.Test.fail_reportf "step %d (%s): t%d %s" step
                 (lock_op_to_string op) txn what
@@ -678,10 +707,23 @@ let prop_lock_waits_for_differential =
         ops;
       true)
 
+let prop_lock_waits_for_differential =
+  lock_waits_for_differential
+    ~name:"waits-for queries match a whole-table reference" ~count:300
+    ~txns:6 ~max_ops:60
+    [| res_a; Lock.Table "B"; Lock.Row ("A", 7); Lock.Row ("B", 2) |]
+
+let prop_lock_waits_for_long_queues =
+  lock_waits_for_differential
+    ~name:"long queues: waits-for queries match the reference" ~count:300
+    ~txns:10 ~max_ops:120
+    [| res_a; Lock.Table "B" |]
+
 let properties =
   List.map Gen.to_alcotest
     [ prop_lock_no_incompatible_holders;
       prop_lock_waits_for_differential;
+      prop_lock_waits_for_long_queues;
       prop_recovery_idempotent ]
 
 let () =
@@ -694,6 +736,8 @@ let () =
           Alcotest.test_case "covered re-request" `Quick test_lock_covered_rerequest;
           Alcotest.test_case "fifo" `Quick test_lock_fifo;
           Alcotest.test_case "deadlock detection" `Quick test_lock_deadlock_detection;
+          Alcotest.test_case "queue-order deadlock" `Quick test_lock_queue_order_deadlock;
+          Alcotest.test_case "group cuts holder edge" `Quick test_lock_group_cuts_holder_edge;
           Alcotest.test_case "waiter removal" `Quick test_lock_waiter_removed_on_release ] );
       ( "engine",
         [ Alcotest.test_case "commit visible" `Quick test_engine_commit_visible;
