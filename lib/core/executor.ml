@@ -172,29 +172,31 @@ let rec step engine (isolation : Isolation.t) (costs : Ent_sim.Cost.t) task =
         task.work <- task.work +. costs.c_abort;
         task.status <- Failed (Program_error msg))
 
-let bind_answer task (query : Ir.t) (values : Value.t list option) =
+(* Bind the query's [AS @var] positions in [env]. The first head atom
+   of the chosen grounding is the query's own contribution; its values
+   feed the bindings (Figure 2's @ArrivalDay). No answer, or an empty
+   one, binds [Null]. *)
+let bind_answer env (query : Ir.t) (answer : Ground.grounding option) =
+  let own =
+    match answer with
+    | Some { g_head = (_, values) :: _; _ } -> Some values
+    | _ -> None
+  in
   List.iter
     (fun (var, pos) ->
       let value =
-        match values with
+        match own with
         | Some vs when pos < List.length vs -> List.nth vs pos
         | _ -> Value.Null
       in
-      Hashtbl.replace task.env var value)
+      Hashtbl.replace env var value)
     query.binds
 
 let deliver engine (costs : Ent_sim.Cost.t) task outcome =
   match task.pending, outcome with
   | None, _ -> invalid_arg "Executor.deliver: task has no pending query"
   | Some query, Coordinate.Answered g ->
-    (* The first head atom is the query's own contribution; its values
-       feed the AS @var bindings (Figure 2's @ArrivalDay). *)
-    let own =
-      match g.g_head with
-      | (_, values) :: _ -> Some values
-      | [] -> None
-    in
-    bind_answer task query own;
+    bind_answer task.env query (Some g);
     task.answers <- g.g_head @ task.answers;
     task.pending <- None;
     task.pc <- task.pc + 1;
@@ -205,7 +207,7 @@ let deliver engine (costs : Ent_sim.Cost.t) task outcome =
     (* Appendix B: evaluation included the query but produced no
        answer; this is success with an empty result, the transaction
        proceeds. *)
-    bind_answer task query None;
+    bind_answer task.env query None;
     task.pending <- None;
     task.pc <- task.pc + 1;
     autocommit_boundary engine costs task;

@@ -56,6 +56,12 @@ val start : Ent_txn.Engine.t -> Ent_sim.Cost.t -> task -> unit
 val step :
   Ent_txn.Engine.t -> Isolation.t -> Ent_sim.Cost.t -> task -> unit
 
+(** [bind_answer env query answer] binds [query]'s [AS @var]
+    positions in [env] from the query's own answer tuple (the first
+    head atom of [answer]), or to [Null] when there is none. *)
+val bind_answer :
+  Ent_sql.Eval.env -> Ir.t -> Ground.grounding option -> unit
+
 (** Deliver the result of entangled-query evaluation.
     [Answered g] binds the [AS @var] positions from the task's own
     answer tuple and resumes; [Empty] resumes with [Null] bindings;

@@ -123,62 +123,31 @@ and evaluate_parked hub =
     let results = Coordinate.evaluate entries in
     let answered =
       List.filter_map
-        (fun (s, _) ->
+        (fun (s, query) ->
           match List.assoc_opt s.id results with
-          | Some (Coordinate.Answered g) -> Some (s, g)
+          | Some (Coordinate.Answered g) -> Some (s, query, g)
           | Some Coordinate.Empty ->
             (* success with empty answer: deliver nothing, resume *)
-            (match s.state with
-            | Parked query ->
-              List.iter
-                (fun (var, _) -> Hashtbl.replace s.env var Ent_storage.Value.Null)
-                query.binds
-            | _ -> ());
+            Executor.bind_answer s.env query None;
             s.state <- Active;
             None
           | Some Coordinate.No_partner | None -> None)
         parked
     in
-    (* one entanglement event per answered component, as in the batch
-       scheduler; here components are approximated by the full answered
-       set of one evaluation round, which is exact for pairwise
-       coordination and conservative otherwise *)
-    if answered <> [] then begin
-      let event = hub.next_event in
-      hub.next_event <- event + 1;
-      Group.join hub.groups (List.map (fun (s, _) -> s.id) answered);
-      Ent_txn.Engine.log_entangle_group hub.engine ~event
-        ~members:(List.map (fun (s, _) -> s.txn) answered);
-      let tag =
-        List.fold_left min max_int (List.map (fun (s, _) -> s.id) answered)
-      in
-      List.iter
-        (fun (s, _) ->
-          Ent_txn.Engine.set_lock_group hub.engine ~txn:s.txn ~group:tag)
-        answered;
-      List.iter
-        (fun (s, (g : Ground.grounding)) ->
-          (match s.state with
-          | Parked query ->
-            let own =
-              match g.g_head with
-              | (_, values) :: _ -> Some values
-              | [] -> None
-            in
-            List.iter
-              (fun (var, pos) ->
-                let value =
-                  match own with
-                  | Some vs when pos < List.length vs -> List.nth vs pos
-                  | _ -> Ent_storage.Value.Null
-                in
-                Hashtbl.replace s.env var value)
-              query.binds
-          | _ -> ());
-          s.received <- g.g_head @ s.received;
-          s.state <- Active)
-        answered
-    end
+    Group.entangle hub.groups hub.engine
+      ~next_event:(fun () ->
+        let event = hub.next_event in
+        hub.next_event <- event + 1;
+        event)
+      ~txn_of:(fun id ->
+        List.find_map (fun s -> if s.id = id then Some s.txn else None) hub.sessions)
+      (List.map (fun (s, _, g) -> (s.id, s.txn, g)) answered);
+    List.iter
+      (fun (s, query, (g : Ground.grounding)) ->
+        Executor.bind_answer s.env query (Some g);
+        s.received <- g.g_head @ s.received;
+        s.state <- Active)
+      answered
   end
 
 (* Try to commit every group whose members all want to commit. *)

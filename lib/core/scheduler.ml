@@ -41,11 +41,6 @@ type config = {
   trigger : trigger;
   snapshot_pool : bool;
   runner : Ent_par.Pool.t option;
-      (* [None] = the deterministic single-domain mode (bit-identical
-         to the pre-parallel scheduler); [Some pool] = step runnable
-         tasks and ground pending entangled queries on the pool's
-         domains. Coordination rounds, wake-ups, group commits and all
-         simulated-time accounting stay on the coordinator domain. *)
 }
 
 let default_config =
@@ -151,22 +146,6 @@ let connection_loads t = Ent_sim.Pool.loads t.pool
 let advance_time t seconds = Ent_sim.Pool.advance_to t.pool (now t +. seconds)
 let stats t = t.stats
 
-(* Parallel phases take observability off the workers' hot path: while
-   the region runs, engine observer dispatch (the certifier/recorder
-   behind [obs_mu]) and event-ring emission buffer into per-domain
-   shards; the coordinator merges both — in emission-stamp order, an
-   exact linearization — when the region ends. Flushing sits in the
-   [finally] so an escaping exception cannot leave buffering on. *)
-let in_parallel_region t f =
-  Ent_txn.Engine.set_deferred_events t.engine true;
-  Event.set_buffered true;
-  Fun.protect
-    ~finally:(fun () ->
-      Ent_txn.Engine.set_deferred_events t.engine false;
-      Event.set_buffered false;
-      Ent_txn.Engine.flush_events t.engine;
-      Event.flush_buffered ())
-    f
 let outcome t task_id = Hashtbl.find_opt t.outcomes task_id
 
 let results t =
@@ -211,59 +190,38 @@ let drain_work t (task : Executor.task) =
     task.work <- 0.0
   end
 
-(* --- entanglement components ---
+(* --- the run loop ---
 
-   After coordination, the answered queries decompose into connected
-   components: q is linked to q' when one of q's chosen postconditions
-   is provided by q''s chosen head. Each component is one entanglement
-   operation E (it corresponds to one connected combined query in the
-   algorithm of [6]). *)
-let id_set ids =
-  let set = Hashtbl.create (List.length ids) in
-  List.iter (fun id -> Hashtbl.replace set id ()) ids;
-  set
+   A run is a loop of phases over the tasks it took from the dormant
+   pool (§4): runnable tasks step until they block, lock waiters wake,
+   ready groups commit and, when none of these moved a task, pending
+   entangled queries are grounded and coordinated together. A round
+   that moves nothing ends the run: stragglers abort and return to the
+   pool. [run_once] drives the phases below over one [run] record. *)
 
-(* Partition [items] by their group in [groups], in one pass: groups
-   in order of their first item, each group's items in input order.
-   A group is keyed by its smallest member id. *)
-let by_group groups id_of items =
-  let buckets = Hashtbl.create 16 in
-  let order = ref [] in
+type run = {
+  tasks : Executor.task list;  (* pool order; every phase iterates it *)
+  alive : (int, Executor.task) Hashtbl.t;
+      (* tasks still in the run, by id: removal is O(1) and leaves
+         [tasks], and so the deterministic order, untouched *)
+  rank : (int, int) Hashtbl.t;  (* task id -> position in [tasks] *)
+  mutable progress : bool;  (* some phase moved a task this round *)
+}
+
+let iter_live r f =
   List.iter
-    (fun item ->
-      let key = List.hd (Group.members groups (id_of item)) in
-      match Hashtbl.find_opt buckets key with
-      | Some bucket -> bucket := item :: !bucket
-      | None ->
-        let bucket = ref [ item ] in
-        Hashtbl.add buckets key bucket;
-        order := bucket :: !order)
-    items;
-  List.rev_map (fun bucket -> List.rev !bucket) !order
+    (fun (task : Executor.task) -> if Hashtbl.mem r.alive task.task_id then f task)
+    r.tasks
 
-let components (answered : (Executor.task * Ground.grounding) list) =
-  let uf = Group.create () in
-  let providers : (Ir.ground_atom, int list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun ((task : Executor.task), (g : Ground.grounding)) ->
-      List.iter
-        (fun atom ->
-          let existing = Option.value ~default:[] (Hashtbl.find_opt providers atom) in
-          Hashtbl.replace providers atom (task.task_id :: existing))
-        g.g_head)
-    answered;
-  List.iter
-    (fun ((task : Executor.task), (g : Ground.grounding)) ->
-      List.iter
-        (fun atom ->
-          match Hashtbl.find_opt providers atom with
-          | Some owners -> Group.join uf (task.task_id :: owners)
-          | None -> ())
-        g.g_post)
-    answered;
-  by_group uf (fun (task : Executor.task) -> task.task_id) (List.map fst answered)
+let live_tasks r =
+  List.filter (fun (task : Executor.task) -> Hashtbl.mem r.alive task.task_id) r.tasks
 
-(* --- the run loop --- *)
+(* Live members of a group, in pool order (groups are tiny, the sort is
+   noise). *)
+let members_live r ids =
+  List.filter_map (fun id -> Hashtbl.find_opt r.alive id) ids
+  |> List.sort (fun (a : Executor.task) (b : Executor.task) ->
+         Int.compare (Hashtbl.find r.rank a.task_id) (Hashtbl.find r.rank b.task_id))
 
 let repool t (task : Executor.task) =
   Executor.reset_for_retry task;
@@ -298,483 +256,389 @@ let fail_or_repool t (task : Executor.task) =
     end
     else repool t task
 
+let count_failure t (task : Executor.task) =
+  match task.status with
+  | Failed Deadlock ->
+    t.stats.deadlocks <- t.stats.deadlocks + 1;
+    Obs.incr m_deadlocks
+  | Failed (Si_conflict _) ->
+    t.stats.si_aborts <- t.stats.si_aborts + 1;
+    Obs.incr m_si_aborts
+  | _ -> ()
+
+(* The coordinator's half of a step or a grounding: simulated-time
+   drain, entanglement-wait stamping, deadlock and SI-abort counts. *)
+let settle t (task : Executor.task) =
+  drain_work t task;
+  if task.status = Waiting_entangled && task.entangled_since = None then
+    task.entangled_since <- Some (now t);
+  count_failure t task
+
+(* Parallel phases take observability off the workers' hot path: while
+   the region runs, engine observer dispatch (the certifier/recorder
+   behind [obs_mu]) and event-ring emission buffer into per-domain
+   shards; the coordinator merges both — in emission-stamp order, an
+   exact linearization — when the region ends. Flushing sits in the
+   [finally] so an escaping exception cannot leave buffering on. *)
+let in_parallel_region t f =
+  Ent_txn.Engine.set_deferred_events t.engine true;
+  Event.set_buffered true;
+  Fun.protect
+    ~finally:(fun () ->
+      Ent_txn.Engine.set_deferred_events t.engine false;
+      Event.set_buffered false;
+      Ent_txn.Engine.flush_events t.engine;
+      Event.flush_buffered ())
+    f
+
+(* Run [body] on every task, settle each task on the coordinator in
+   pool order, and return the bodies' results in the same order. With
+   no runner, body and settle alternate task by task. With a pool, the
+   bodies run on its domains inside one parallel region and the tasks
+   settle after it, so the order of simulated-time accounting does not
+   depend on which domain ran which body. *)
+let for_each_task t tasks body =
+  match t.config.runner with
+  | None ->
+    List.map
+      (fun task ->
+        let result = body task in
+        settle t task;
+        result)
+      tasks
+  | Some pool ->
+    let arr = Array.of_list tasks in
+    let out = Array.make (Array.length arr) None in
+    in_parallel_region t (fun () ->
+        Ent_par.Pool.run_indexed pool (Array.length arr) (fun i ->
+            out.(i) <- Some (body arr.(i))));
+    Array.iter (settle t) arr;
+    Array.to_list (Array.map Option.get out)
+
+(* Start: take the whole dormant pool and begin a transaction for every
+   task. Connections are assigned round-robin, one transaction per
+   connection at a time; a greedy least-loaded pick would dump a whole
+   run onto a connection that lagged after the previous run, because
+   only the tiny BEGIN cost is visible at assignment time. *)
+let start_phase t =
+  t.stats.runs <- t.stats.runs + 1;
+  Obs.incr m_runs;
+  t.arrivals_since_run <- 0;
+  Group.reset t.groups;
+  let tasks = List.of_seq (Queue.to_seq t.dormant) in
+  Queue.clear t.dormant;
+  let n = List.length tasks in
+  Obs.observe m_run_length (float_of_int n);
+  ignore (Event.new_run ());
+  Event.emit (Event.Run_start { pool = n });
+  let r = { tasks; alive = Hashtbl.create n; rank = Hashtbl.create n; progress = true } in
+  List.iteri
+    (fun i (task : Executor.task) ->
+      Hashtbl.replace r.alive task.task_id task;
+      Hashtbl.replace r.rank task.task_id i;
+      task.conn <- t.next_conn mod t.config.connections;
+      t.next_conn <- t.next_conn + 1;
+      Event.emit ~task:task.task_id Event.Pool_exit;
+      Executor.start t.engine t.config.costs task;
+      drain_work t task)
+    tasks;
+  r
+
+(* Step: every runnable task executes statements until it blocks,
+   finishes or fails. On a pool, independent transactions step
+   concurrently: [Executor.step] only mutates task-private fields plus
+   engine and storage state that is shard- or mutex-guarded. A task
+   that loses a lock race parks as [Waiting_lock] and is woken by the
+   wake phase, exactly like a sequentially blocked task. *)
+let step_phase t r =
+  let runnable =
+    List.filter (fun (task : Executor.task) -> task.status = Runnable) (live_tasks r)
+  in
+  if runnable <> [] then begin
+    ignore
+      (for_each_task t runnable (fun task ->
+           Fault.hit s_step;
+           Executor.step t.engine t.config.isolation t.config.costs task));
+    r.progress <- true
+  end
+
+(* Wake: lock waiters whose requests were granted become runnable. Txn
+   ids drift as -Q tasks autocommit, so the txn→task map is rebuilt per
+   batch: O(live + woken), not O(live × woken). *)
+let wake_phase t r =
+  let woken = Ent_txn.Engine.take_wakeups t.engine in
+  if woken <> [] then begin
+    let by_txn : (int, Executor.task) Hashtbl.t = Hashtbl.create 32 in
+    iter_live r (fun task -> Hashtbl.replace by_txn task.txn task);
+    List.iter
+      (fun txn ->
+        match Hashtbl.find_opt by_txn txn with
+        | Some task when task.status = Waiting_lock ->
+          task.status <- Runnable;
+          Event.emit ~txn:task.txn ~task:task.task_id Event.Lock_grant;
+          r.progress <- true
+        | _ -> ())
+      woken
+  end
+
+let commit_group t r (members : Executor.task list) =
+  let costs = t.config.costs in
+  Obs.observe m_group_size (float_of_int (List.length members));
+  if Event.logging () then
+    Event.emit
+      (Event.Group_commit
+         { members = List.map (fun (o : Executor.task) -> o.task_id) members });
+  List.iter
+    (fun (task : Executor.task) ->
+      (* crash between the member commits of one group: the log keeps a
+         half-committed Entangle_group that recovery must roll back as
+         group victims *)
+      Fault.hit s_group_commit;
+      let wrote = Ent_txn.Engine.savepoint t.engine task.txn > 0 in
+      Ent_txn.Engine.commit t.engine task.txn;
+      (* explicit COMMIT is a round trip; the flush is paid only when
+         this transaction wrote (always, for -T programs that made it
+         here; usually never, for -Q whose statements committed
+         themselves) *)
+      if task.program.transactional then task.work <- task.work +. costs.c_stmt;
+      if wrote then task.work <- task.work +. costs.c_commit;
+      drain_work t task;
+      t.stats.commits <- t.stats.commits + 1;
+      finalize t task Committed;
+      Hashtbl.remove r.alive task.task_id)
+    members
+
+(* Abort [members] together: group members share lock ownership and may
+   have interleaved writes on the same rows, so their merged write log
+   is undone in one reverse pass. Then, member by member, charge and
+   drain the abort, drop the member from the run and hand it to [k]. *)
+let abort_members t r (members : Executor.task list) k =
+  Ent_txn.Engine.abort_group t.engine (List.map (fun (o : Executor.task) -> o.txn) members);
+  List.iter
+    (fun (o : Executor.task) ->
+      o.work <- o.work +. t.config.costs.c_abort;
+      drain_work t o;
+      Hashtbl.remove r.alive o.task_id;
+      k o)
+    members
+
+(* Commit: a ready task commits as soon as every live member of its
+   entanglement group is ready (Figure 4). *)
+let commit_phase t r =
+  let group_commit = t.config.isolation.group_commit in
+  iter_live r (fun (task : Executor.task) ->
+      if task.status = Ready then begin
+        let to_commit =
+          if group_commit then members_live r (Group.members t.groups task.task_id)
+          else [ task ]
+        in
+        if List.for_all (fun (o : Executor.task) -> o.status = Ready) to_commit then begin
+          r.progress <- true;
+          (* First-committer-wins (snapshot isolation): a member whose
+             write set was overwritten by a commit after its snapshot
+             dooms the whole group. Abort and repool — the retry runs
+             on a fresh snapshot. *)
+          match
+            List.find_map
+              (fun (o : Executor.task) -> Ent_txn.Engine.validate_snapshot t.engine o.txn)
+              to_commit
+          with
+          | Some (table, row) ->
+            List.iter
+              (fun (o : Executor.task) ->
+                o.status <- Executor.Failed (Executor.Si_conflict (table, row)))
+              to_commit;
+            abort_members t r to_commit (fun o ->
+                count_failure t o;
+                fail_or_repool t o)
+          | None -> (
+            (* Integrity check (Assumption 3.1/3.5): refuse to commit a
+               (group of) transaction(s) whose writes leave the database
+               inconsistent. The whole group fails permanently: retrying
+               would re-derive the same state. *)
+            match Ent_txn.Engine.violated_constraint t.engine with
+            | Some name ->
+              abort_members t r to_commit (fun o ->
+                  finalize t o (Errored ("constraint violated: " ^ name)))
+            | None -> commit_group t r to_commit)
+        end
+      end)
+
+(* Ground one pending entangled query: engine and cache side effects
+   happen here (safe from any domain); accounting is the settle
+   step's. *)
+let ground t (task : Executor.task) =
+  match task.pending with
+  | None -> None
+  | Some ir -> (
+    let lock_reads = t.config.isolation.lock_grounding_reads in
+    let access =
+      Ent_txn.Engine.access t.engine task.txn ~grounding:true ~lock_reads ()
+    in
+    (* A cache hit re-acquires the footprint's grounding locks through
+       [touch]; blocking/deadlock there is handled exactly like a
+       blocked recomputation. *)
+    let touch tables =
+      Ent_txn.Engine.touch_grounding_tables t.engine task.txn ~lock_reads tables
+    in
+    (* Snapshot tasks ground against their begin-stamp snapshot, which
+       the cache — keyed to live table versions — cannot serve: bypass
+       it entirely (no lookup, no insert). *)
+    let bypass = task.program.isolation = Ent_txn.Engine.Snapshot in
+    match Gcache.compute ~bypass t.gcache ~access ~touch ~env:task.env ir with
+    | groundings, cached ->
+      task.work <-
+        task.work
+        +. (float_of_int (List.length groundings)
+           *. if cached then t.config.costs.c_ground_hit else t.config.costs.c_ground);
+      Some (task, ir, groundings)
+    | exception Ent_txn.Engine.Blocked _ ->
+      (* retry grounding after a wake-up; the statement pointer still
+         sits at the entangled query *)
+      task.pending <- None;
+      task.status <- Waiting_lock;
+      None
+    | exception Ent_txn.Engine.Deadlock_victim _ ->
+      Ent_txn.Engine.abort t.engine task.txn;
+      task.status <- Failed Deadlock;
+      None
+    | exception Ground.Ground_error msg ->
+      Ent_txn.Engine.abort t.engine task.txn;
+      task.status <- Failed (Program_error msg);
+      None)
+
+(* Coordinate: ground every pending entangled query, evaluate them all
+   together, perform one entanglement operation per answered component
+   and deliver the results. Groundings only read (table-S locks) and no
+   transaction steps during this phase, so on a pool they run
+   concurrently; they settle in pool order, which keeps coordination
+   input deterministic up to lock outcomes. *)
+let coordinate_phase t r =
+  (* Wall-clock (not simulated) time spent in the whole phase, accrued
+     into [stats.coord_wall_s]: bench divides it by the cell's wall time
+     to report the coordination share of each scale-up point. Reading
+     the monotonic clock never feeds back into scheduling, so
+     deterministic output is unaffected. *)
+  let coord_t0 = Ent_obs.Clock.monotonic () in
+  let pending =
+    List.filter
+      (fun (task : Executor.task) -> task.status = Waiting_entangled)
+      (live_tasks r)
+  in
+  let entries = List.filter_map Fun.id (for_each_task t pending (ground t)) in
+  if entries <> [] then begin
+    let costs = t.config.costs in
+    t.stats.coordination_rounds <- t.stats.coordination_rounds + 1;
+    Obs.incr m_coord_rounds;
+    Obs.observe m_coord_batch (float_of_int (List.length entries));
+    Ent_sim.Pool.barrier t.pool (float_of_int (List.length entries) *. costs.c_coord);
+    let results =
+      Coordinate.evaluate
+        (List.map
+           (fun ((task : Executor.task), ir, gs) -> (task.task_id, ir, gs))
+           entries)
+    in
+    let result_index = Hashtbl.create (List.length results) in
+    List.iter
+      (fun (task_id, outcome) ->
+        if not (Hashtbl.mem result_index task_id) then
+          Hashtbl.add result_index task_id outcome)
+      results;
+    let outcome_of task_id = Hashtbl.find result_index task_id in
+    Group.entangle t.groups t.engine
+      ~next_event:(fun () ->
+        let event = t.next_event in
+        t.next_event <- event + 1;
+        t.stats.entangle_events <- t.stats.entangle_events + 1;
+        event)
+      ~txn_of:(fun id ->
+        Option.map (fun (task : Executor.task) -> task.txn) (Hashtbl.find_opt r.alive id))
+      ?on_entangle:t.on_entangle
+      (List.filter_map
+         (fun ((task : Executor.task), _, _) ->
+           match outcome_of task.task_id with
+           | Coordinate.Answered g -> Some (task.task_id, task.txn, g)
+           | Coordinate.Empty | Coordinate.No_partner -> None)
+         entries);
+    List.iter
+      (fun ((task : Executor.task), _, _) ->
+        match outcome_of task.task_id with
+        | Coordinate.Answered _ | Coordinate.Empty ->
+          (match task.entangled_since with
+          | Some since ->
+            Obs.observe m_blocked (now t -. since);
+            task.entangled_since <- None
+          | None -> ());
+          Event.emit ~txn:task.txn ~task:task.task_id
+            (Event.Answer { empty = outcome_of task.task_id = Coordinate.Empty });
+          Executor.deliver t.engine costs task (outcome_of task.task_id);
+          drain_work t task;
+          r.progress <- true
+        | Coordinate.No_partner -> ())
+      entries
+  end;
+  t.stats.coord_wall_s <-
+    t.stats.coord_wall_s +. (Ent_obs.Clock.monotonic () -. coord_t0)
+
+(* Run end: whoever is left cannot proceed in this run. Blocked and
+   ready-but-widowed tasks are aborted and repooled (the group abort
+   cascade falls out: a ready task whose partner failed was never
+   committed, so it lands here and aborts); final failures are
+   recorded; expired timeouts fail permanently. *)
+let end_phase t r =
+  let leftovers = live_tasks r in
+  (* A Ready leftover finished its statements but its group never
+     committed (a partner failed or never arrived): aborting and
+     repooling it here is exactly the widow prevention of §3.4. *)
+  List.iter
+    (fun (task : Executor.task) ->
+      if task.status = Ready then begin
+        Obs.incr m_widow_preventions;
+        Event.emit ~txn:task.txn ~task:task.task_id Event.Widow_prevention
+      end)
+    leftovers;
+  List.iter
+    (fun members ->
+      abort_members t r
+        (List.filter
+           (fun (o : Executor.task) -> Ent_txn.Engine.is_active t.engine o.txn)
+           members)
+        ignore)
+    (Group.by_group t.groups (fun (o : Executor.task) -> o.task_id) leftovers);
+  List.iter (fail_or_repool t) leftovers;
+  (* Every transaction of this run is finished now, so the oldest live
+     snapshot horizon is the current commit stamp: GC empties the
+     version chains entirely. No-op in pure-2PL mode. *)
+  Ent_txn.Engine.gc_versions t.engine;
+  (* A dropped snapshot models the middleware failing to persist its
+     pool state: recovery then falls back to the previous snapshot. *)
+  if t.config.snapshot_pool && not (Fault.drops s_pool_snapshot) then
+    Ent_txn.Engine.log_pool_snapshot t.engine
+      (List.of_seq
+         (Seq.map
+            (fun (task : Executor.task) -> Program.to_string task.program)
+            (Queue.to_seq t.dormant)));
+  Obs.set m_dormant (float_of_int (Queue.length t.dormant));
+  Event.emit (Event.Run_end { dormant = Queue.length t.dormant });
+  t.last_run_end <- now t;
+  Timeseries.sample (now t)
+
 let run_once t =
   if not (Queue.is_empty t.dormant) then begin
-    let costs = t.config.costs in
-    let isolation = t.config.isolation in
-    t.stats.runs <- t.stats.runs + 1;
-    Obs.incr m_runs;
-    t.arrivals_since_run <- 0;
-    Group.reset t.groups;
-    let tasks = List.of_seq (Queue.to_seq t.dormant) in
-    Queue.clear t.dormant;
-    Obs.observe m_run_length (float_of_int (List.length tasks));
-    ignore (Event.new_run ());
-    Event.emit (Event.Run_start { pool = List.length tasks });
-    (* Liveness is a hash set keyed by task id; iteration stays on the
-       original [tasks] list (pool order) and skips dead entries, so
-       removal is O(1) without disturbing the deterministic order. *)
-    let alive : (int, Executor.task) Hashtbl.t =
-      Hashtbl.create (List.length tasks)
-    in
-    let rank : (int, int) Hashtbl.t = Hashtbl.create (List.length tasks) in
-    List.iteri
-      (fun i (task : Executor.task) ->
-        Hashtbl.replace alive task.task_id task;
-        Hashtbl.replace rank task.task_id i)
-      tasks;
-    let iter_live f =
-      List.iter
-        (fun (task : Executor.task) ->
-          if Hashtbl.mem alive task.task_id then f task)
-        tasks
-    in
-    let live_tasks () =
-      List.filter
-        (fun (task : Executor.task) -> Hashtbl.mem alive task.task_id)
-        tasks
-    in
-    (* Live members of a group, in pool order (groups are tiny, the
-       sort is noise). *)
-    let members_live ids =
-      List.filter_map (fun id -> Hashtbl.find_opt alive id) ids
-      |> List.sort (fun (a : Executor.task) (b : Executor.task) ->
-             Int.compare (Hashtbl.find rank a.task_id)
-               (Hashtbl.find rank b.task_id))
-    in
-    (* Round-robin connection assignment: one transaction per
-       connection at a time; a greedy least-loaded pick would dump a
-       whole run onto a connection that lagged after the previous run,
-       because only the tiny BEGIN cost is visible at assignment
-       time. *)
-    List.iter
-      (fun (task : Executor.task) ->
-        task.conn <- t.next_conn mod t.config.connections;
-        t.next_conn <- t.next_conn + 1;
-        Event.emit ~task:task.task_id Event.Pool_exit;
-        Executor.start t.engine costs task;
-        drain_work t task)
-      tasks;
-    let commit_group t_ (members : Executor.task list) =
-      Obs.observe m_group_size (float_of_int (List.length members));
-      if Event.logging () then
-        Event.emit
-          (Event.Group_commit
-             {
-               members =
-                 List.map (fun (o : Executor.task) -> o.task_id) members;
-             });
-      List.iter
-        (fun (task : Executor.task) ->
-          (* crash between the member commits of one group: the log
-             keeps a half-committed Entangle_group that recovery must
-             roll back as group victims *)
-          Fault.hit s_group_commit;
-          let wrote = Ent_txn.Engine.savepoint t_.engine task.txn > 0 in
-          Ent_txn.Engine.commit t_.engine task.txn;
-          (* explicit COMMIT is a round trip; the flush is paid only
-             when this transaction wrote (always, for -T programs that
-             made it here; usually never, for -Q whose statements
-             committed themselves) *)
-          if task.program.transactional then
-            task.work <- task.work +. costs.c_stmt;
-          if wrote then task.work <- task.work +. costs.c_commit;
-          drain_work t_ task;
-          t_.stats.commits <- t_.stats.commits + 1;
-          finalize t_ task Committed;
-          Hashtbl.remove alive task.task_id)
-        members
-    in
-    (* Post-step bookkeeping shared by both modes: simulated-time
-       drain, entanglement-wait stamping, deadlock accounting. Runs on
-       the coordinator (it touches the sim pool and the stats). *)
-    let after_step (task : Executor.task) =
-      drain_work t task;
-      if task.status = Waiting_entangled && task.entangled_since = None then
-        task.entangled_since <- Some (now t);
-      match task.status with
-      | Failed Deadlock ->
-        t.stats.deadlocks <- t.stats.deadlocks + 1;
-        Obs.incr m_deadlocks
-      | Failed (Si_conflict _) ->
-        t.stats.si_aborts <- t.stats.si_aborts + 1;
-        Obs.incr m_si_aborts
-      | _ -> ()
-    in
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      (* 1. step every runnable task *)
-      (match t.config.runner with
-      | None ->
-        iter_live (fun (task : Executor.task) ->
-            if task.status = Runnable then begin
-              Fault.hit s_step;
-              Executor.step t.engine isolation costs task;
-              after_step task;
-              progress := true
-            end)
-      | Some pool ->
-        (* Independent transactions step concurrently: [Executor.step]
-           only mutates task-private fields plus engine/storage state
-           that is shard- or mutex-guarded. A task that loses a lock
-           race simply parks as [Waiting_lock] and is woken in phase 2,
-           exactly like a sequentially blocked task. *)
-        let runnable =
-          List.filter
-            (fun (task : Executor.task) -> task.status = Runnable)
-            (live_tasks ())
-        in
-        if runnable <> [] then begin
-          let arr = Array.of_list runnable in
-          in_parallel_region t (fun () ->
-              Ent_par.Pool.run_indexed pool (Array.length arr) (fun i ->
-                  Fault.hit s_step;
-                  Executor.step t.engine isolation costs arr.(i)));
-          Array.iter after_step arr;
-          progress := true
-        end);
-      (* 2. lock wake-ups. Txn ids drift as -Q tasks autocommit, so the
-         txn→task map is rebuilt per batch: O(live + woken), not
-         O(live × woken). *)
-      let woken = Ent_txn.Engine.take_wakeups t.engine in
-      if woken <> [] then begin
-        let by_txn : (int, Executor.task) Hashtbl.t = Hashtbl.create 32 in
-        iter_live (fun task -> Hashtbl.replace by_txn task.txn task);
-        List.iter
-          (fun txn ->
-            match Hashtbl.find_opt by_txn txn with
-            | Some task when task.status = Waiting_lock ->
-              task.status <- Runnable;
-              Event.emit ~txn:task.txn ~task:task.task_id Event.Lock_grant;
-              progress := true
-            | _ -> ())
-          woken
-      end;
-      (* 3. group commits: a ready task commits as soon as every live
-         member of its entanglement group is ready (Figure 4). *)
-      let committed_some = ref false in
-      let consider (task : Executor.task) =
-        if task.status = Ready && Hashtbl.mem alive task.task_id
-        then begin
-          let member_tasks = members_live (Group.members t.groups task.task_id) in
-          let all_ready =
-            (not isolation.group_commit)
-            || List.for_all
-                 (fun (o : Executor.task) -> o.status = Ready)
-                 member_tasks
-          in
-          if all_ready then begin
-            let to_commit =
-              if isolation.group_commit then member_tasks else [ task ]
-            in
-            (* First-committer-wins (snapshot isolation): a member
-               whose write set was overwritten by a commit after its
-               snapshot dooms the whole group. Abort and repool —
-               the retry runs on a fresh snapshot. *)
-            let si_conflict =
-              List.find_map
-                (fun (o : Executor.task) ->
-                  Ent_txn.Engine.validate_snapshot t.engine o.txn)
-                to_commit
-            in
-            match si_conflict with
-            | Some (table, row) ->
-              Ent_txn.Engine.abort_group t.engine
-                (List.map (fun (o : Executor.task) -> o.txn) to_commit);
-              List.iter
-                (fun (member : Executor.task) ->
-                  member.status <-
-                    Executor.Failed (Executor.Si_conflict (table, row));
-                  member.work <- member.work +. costs.c_abort;
-                  drain_work t member;
-                  t.stats.si_aborts <- t.stats.si_aborts + 1;
-                  Obs.incr m_si_aborts;
-                  Hashtbl.remove alive member.task_id;
-                  fail_or_repool t member)
-                to_commit;
-              committed_some := true
-            | None -> (
-              (* Integrity check (Assumption 3.1/3.5): refuse to commit
-                 a (group of) transaction(s) whose writes leave the
-                 database inconsistent. The whole group fails
-                 permanently: retrying would re-derive the same state. *)
-              match Ent_txn.Engine.violated_constraint t.engine with
-              | Some name ->
-                Ent_txn.Engine.abort_group t.engine
-                  (List.map (fun (o : Executor.task) -> o.txn) to_commit);
-                List.iter
-                  (fun (member : Executor.task) ->
-                    member.work <- member.work +. costs.c_abort;
-                    drain_work t member;
-                    finalize t member (Errored ("constraint violated: " ^ name));
-                    Hashtbl.remove alive member.task_id)
-                  to_commit;
-                committed_some := true
-              | None ->
-                commit_group t to_commit;
-                committed_some := true)
-          end
-        end
-      in
-      iter_live consider;
-      if !committed_some then progress := true;
-      (* 4. when nothing else can move: evaluate all pending entangled
-         queries together *)
-      if not !progress then begin
-        (* Wall-clock (not simulated) time spent in the whole
-           grounding+coordination phase, accrued into
-           [stats.coord_wall_s]: bench divides it by the cell's wall
-           time to report the coordination share of each scale-up
-           point. Reading the monotonic clock never feeds back into
-           scheduling, so deterministic output is unaffected. *)
-        let coord_t0 = Ent_obs.Clock.monotonic () in
-        let pending =
-          List.filter
-            (fun (task : Executor.task) -> task.status = Waiting_entangled)
-            (live_tasks ())
-        in
-        (* Ground one pending entangled query: engine/cache side
-           effects happen here (safe from any domain); stats and
-           simulated-time accounting are left to the caller. *)
-        let ground_one (task : Executor.task) ir =
-          let access =
-            Ent_txn.Engine.access t.engine task.txn ~grounding:true
-              ~lock_reads:isolation.lock_grounding_reads ()
-          in
-          (* A cache hit re-acquires the footprint's grounding locks
-             through [touch]; blocking/deadlock there is handled
-             exactly like a blocked recomputation. *)
-          let touch tables =
-            Ent_txn.Engine.touch_grounding_tables t.engine task.txn
-              ~lock_reads:isolation.lock_grounding_reads tables
-          in
-          (* Snapshot tasks ground against their begin-stamp snapshot,
-             which the cache — keyed to live table versions — cannot
-             serve: bypass it entirely (no lookup, no insert). *)
-          let bypass =
-            task.program.isolation = Ent_txn.Engine.Snapshot
-          in
-          match Gcache.compute ~bypass t.gcache ~access ~touch ~env:task.env ir with
-          | groundings, cached ->
-            task.work <-
-              task.work
-              +. (float_of_int (List.length groundings)
-                 *. if cached then costs.c_ground_hit else costs.c_ground);
-            `Ok (task, ir, groundings)
-          | exception Ent_txn.Engine.Blocked _ ->
-            (* retry grounding after a wake-up; the statement pointer
-               still sits at the entangled query *)
-            task.pending <- None;
-            task.status <- Waiting_lock;
-            `Gave_up
-          | exception Ent_txn.Engine.Deadlock_victim _ ->
-            Ent_txn.Engine.abort t.engine task.txn;
-            task.status <- Failed Deadlock;
-            `Deadlock
-          | exception Ground.Ground_error msg ->
-            Ent_txn.Engine.abort t.engine task.txn;
-            task.status <- Failed (Program_error msg);
-            `Gave_up
-        in
-        let settle = function
-          | `Ok ((task : Executor.task), ir, groundings) ->
-            drain_work t task;
-            Some (task, ir, groundings)
-          | `Deadlock ->
-            t.stats.deadlocks <- t.stats.deadlocks + 1;
-            None
-          | `Gave_up -> None
-        in
-        let with_ir =
-          List.filter_map
-            (fun (task : Executor.task) ->
-              Option.map (fun ir -> (task, ir)) task.pending)
-            pending
-        in
-        let entries =
-          match t.config.runner with
-          | None ->
-            List.filter_map
-              (fun ((task : Executor.task), ir) -> settle (ground_one task ir))
-              with_ir
-          | Some pool ->
-            (* Groundings only read (table-S locks) and no transaction
-               is stepping during this phase, so pending queries ground
-               concurrently; results settle in pool order on the
-               coordinator, keeping coordination input deterministic up
-               to lock outcomes. *)
-            let arr = Array.of_list with_ir in
-            let out = Array.make (Array.length arr) `Gave_up in
-            in_parallel_region t (fun () ->
-                Ent_par.Pool.run_indexed pool (Array.length arr) (fun i ->
-                    let task, ir = arr.(i) in
-                    out.(i) <- ground_one task ir));
-            List.filter_map settle (Array.to_list out)
-        in
-        if entries <> [] then begin
-          t.stats.coordination_rounds <- t.stats.coordination_rounds + 1;
-          Obs.incr m_coord_rounds;
-          Obs.observe m_coord_batch (float_of_int (List.length entries));
-          Ent_sim.Pool.barrier t.pool
-            (float_of_int (List.length entries) *. costs.c_coord);
-          let entry_triples =
-            List.map
-              (fun ((task : Executor.task), ir, gs) -> (task.task_id, ir, gs))
-              entries
-          in
-          let results = Coordinate.evaluate entry_triples in
-          let result_index = Hashtbl.create (List.length results) in
-          List.iter
-            (fun (task_id, outcome) ->
-              if not (Hashtbl.mem result_index task_id) then
-                Hashtbl.add result_index task_id outcome)
-            results;
-          let outcome_of task_id = Hashtbl.find result_index task_id in
-          let answered =
-            List.filter_map
-              (fun ((task : Executor.task), _, _) ->
-                match outcome_of task.task_id with
-                | Coordinate.Answered g -> Some (task, g)
-                | Coordinate.Empty | Coordinate.No_partner -> None)
-              entries
-          in
-          (* entanglement operations: one per component *)
-          List.iter
-            (fun (component : Executor.task list) ->
-              let event = t.next_event in
-              t.next_event <- event + 1;
-              t.stats.entangle_events <- t.stats.entangle_events + 1;
-              (* One Partner_match per member: each names the peers it
-                 was entangled with, giving the exporter its causal
-                 (flow) edges. *)
-              if Event.logging () then begin
-                let ids =
-                  List.map (fun (task : Executor.task) -> task.task_id) component
-                in
-                List.iter
-                  (fun (member : Executor.task) ->
-                    Event.emit ~txn:member.txn ~task:member.task_id
-                      (Event.Partner_match
-                         {
-                           event;
-                           peers =
-                             List.filter (fun i -> i <> member.task_id) ids;
-                         }))
-                  component
-              end;
-              Group.join t.groups
-                (List.map (fun (task : Executor.task) -> task.task_id) component);
-              (* Group members share lock ownership from now on: they
-                 will commit or abort together, so a member writing a
-                 table its partner grounding-read must not self-block
-                 the group. Retag the whole (possibly merged) group. *)
-              (match component with
-              | first :: _ ->
-                let full_group = Group.members t.groups first.task_id in
-                let tag = List.fold_left min max_int full_group in
-                List.iter
-                  (fun tid ->
-                    match Hashtbl.find_opt alive tid with
-                    | Some member
-                      when Ent_txn.Engine.is_active t.engine member.txn ->
-                      Ent_txn.Engine.set_lock_group t.engine ~txn:member.txn
-                        ~group:tag
-                    | _ -> ())
-                  full_group
-              | [] -> ());
-              let txns = List.map (fun (task : Executor.task) -> task.txn) component in
-              Ent_txn.Engine.log_entangle_group t.engine ~event ~members:txns;
-              match t.on_entangle with
-              | Some hook ->
-                hook ~event
-                  (List.map
-                     (fun (task : Executor.task) ->
-                       (task.txn, Ent_txn.Engine.grounding_reads t.engine task.txn))
-                     component)
-              | None -> ())
-            (components answered);
-          (* deliver results *)
-          List.iter
-            (fun ((task : Executor.task), _, _) ->
-              match outcome_of task.task_id with
-              | Coordinate.Answered _ | Coordinate.Empty ->
-                (match task.entangled_since with
-                | Some since ->
-                  Obs.observe m_blocked (now t -. since);
-                  task.entangled_since <- None
-                | None -> ());
-                Event.emit ~txn:task.txn ~task:task.task_id
-                  (Event.Answer
-                     { empty = outcome_of task.task_id = Coordinate.Empty });
-                Executor.deliver t.engine costs task (outcome_of task.task_id);
-                drain_work t task;
-                progress := true
-              | Coordinate.No_partner -> ())
-            entries
-        end;
-        t.stats.coord_wall_s <-
-          t.stats.coord_wall_s +. (Ent_obs.Clock.monotonic () -. coord_t0)
-      end;
-      (* Coordinator-side telemetry sample, once per scheduler
-         iteration: the parallel phases above are barriers, so no worker
-         domain is running here and the time-series state is touched
-         from exactly one domain. A single branch when sampling is
-         off. *)
+    let r = start_phase t in
+    while r.progress do
+      r.progress <- false;
+      step_phase t r;
+      wake_phase t r;
+      commit_phase t r;
+      if not r.progress then coordinate_phase t r;
+      (* Coordinator-side telemetry sample, once per round: the parallel
+         phases are barriers, so no worker domain is running here and
+         the time-series state is touched from exactly one domain. A
+         single branch when sampling is off. *)
       Timeseries.sample (now t)
     done;
-    (* Run end: whoever is left cannot proceed in this run. Blocked and
-       ready-but-widowed tasks are aborted and repooled (the group
-       abort cascade falls out: a ready task whose partner failed was
-       never committed, so it lands here and aborts); final failures
-       are recorded; expired timeouts fail permanently. *)
-    let leftovers = live_tasks () in
-    Hashtbl.reset alive;
-    (* A Ready leftover finished its statements but its group never
-       committed (a partner failed or never arrived): aborting and
-       repooling it here is exactly the widow prevention of §3.4. *)
-    List.iter
-      (fun (task : Executor.task) ->
-        if task.status = Ready then begin
-          Obs.incr m_widow_preventions;
-          Event.emit ~txn:task.txn ~task:task.task_id Event.Widow_prevention
-        end)
-      leftovers;
-    (* Abort whole entanglement groups together: members share lock
-       ownership and may have interleaved writes on the same rows, so
-       their merged write log must be undone in one reverse pass. *)
-    List.iter
-      (fun members ->
-        let to_abort =
-          List.filter
-            (fun (o : Executor.task) -> Ent_txn.Engine.is_active t.engine o.txn)
-            members
-        in
-        Ent_txn.Engine.abort_group t.engine
-          (List.map (fun (o : Executor.task) -> o.txn) to_abort);
-        List.iter
-          (fun (o : Executor.task) ->
-            o.work <- o.work +. costs.c_abort;
-            drain_work t o)
-          to_abort)
-      (by_group t.groups (fun (o : Executor.task) -> o.task_id) leftovers);
-    List.iter (fun task -> fail_or_repool t task) leftovers;
-    (* Every transaction of this run is finished now, so the oldest
-       live snapshot horizon is the current commit stamp: GC empties
-       the version chains entirely. No-op in pure-2PL mode. *)
-    Ent_txn.Engine.gc_versions t.engine;
-    (* A dropped snapshot models the middleware failing to persist its
-       pool state: recovery then falls back to the previous snapshot. *)
-    if t.config.snapshot_pool && not (Fault.drops s_pool_snapshot) then
-      Ent_txn.Engine.log_pool_snapshot t.engine
-        (List.of_seq
-           (Seq.map
-              (fun (task : Executor.task) -> Program.to_string task.program)
-              (Queue.to_seq t.dormant)));
-    Obs.set m_dormant (float_of_int (Queue.length t.dormant));
-    Event.emit (Event.Run_end { dormant = Queue.length t.dormant });
-    t.last_run_end <- now t;
-    Timeseries.sample (now t)
+    end_phase t r
   end
 
 let submit t (program : Program.t) =
@@ -800,6 +664,11 @@ let submit t (program : Program.t) =
   | Every_seconds interval when now t -. t.last_run_end >= interval -> run_once t
   | Every_arrivals _ | Every_seconds _ | Manual -> ());
   task_id
+
+let id_set ids =
+  let set = Hashtbl.create (List.length ids) in
+  List.iter (fun id -> Hashtbl.replace set id ()) ids;
+  set
 
 (* Snapshot of who is blocked on whom. Unfinished tasks are either
    dormant (in the pool, possibly awaiting an entanglement partner) or

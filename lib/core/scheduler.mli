@@ -34,10 +34,9 @@ type config = {
   trigger : trigger;
   snapshot_pool : bool;  (** persist dormant pool to the WAL after each run *)
   runner : Ent_par.Pool.t option;
-      (** [None] (the default) is the deterministic single-domain mode,
-          bit-identical to the pre-parallel scheduler. [Some pool]
-          executes the step phase and the grounding phase of each run
-          on the pool's domains (DESIGN.md §9): independent
+      (** [None] (the default) is the deterministic single-domain mode.
+          [Some pool] executes the step phase and the grounding phase of
+          each run on the pool's domains (DESIGN.md §9): independent
           transactions take no shared lock thanks to the sharded lock
           manager, per-table storage mutexes and the gcache mutex.
           Wake-ups, group commits, coordination rounds and all

@@ -221,6 +221,56 @@ let test_constraint_in_interactive () =
   | Interactive.Aborted _ -> ()
   | _ -> Alcotest.fail "second booking must violate"
 
+(* Two pairs whose groundings queue behind the same writer are answered
+   in one poll; each pair is its own entanglement group, so one pair
+   commits without waiting for the other and a cancel in one leaves the
+   other committed. *)
+let test_unrelated_pairs_commit_apart () =
+  let engine, hub = fresh_hub () in
+  let writer = Interactive.start hub in
+  ignore (Interactive.execute writer "UPDATE Flights SET dest = 'SF' WHERE fno = 1");
+  let a = Interactive.start hub in
+  let b = Interactive.start hub in
+  let c = Interactive.start hub in
+  let d = Interactive.start hub in
+  List.iter
+    (fun (s, me, partner) ->
+      match Interactive.execute s (entangled_query me partner) with
+      | Interactive.Parked -> ()
+      | _ -> Alcotest.fail "grounding blocked behind the writer: park")
+    [ (a, "A", "B"); (b, "B", "A"); (c, "C", "D"); (d, "D", "C") ];
+  (match Interactive.commit writer with
+  | Interactive.Committed -> ()
+  | _ -> Alcotest.fail "writer commits");
+  (match Interactive.poll a with
+  | Interactive.Answered _ -> ()
+  | _ -> Alcotest.fail "a answered once the writer is gone");
+  List.iter
+    (fun s ->
+      match Interactive.poll s with
+      | Interactive.Answered _ -> ()
+      | _ -> Alcotest.fail "the same poll answered every pair")
+    [ b; c; d ];
+  ignore (Interactive.execute a "INSERT INTO Bookings VALUES ('A', @fno)");
+  ignore (Interactive.execute b "INSERT INTO Bookings VALUES ('B', @fno)");
+  (match Interactive.commit a with
+  | Interactive.Commit_pending -> ()
+  | _ -> Alcotest.fail "a waits for its partner b");
+  (match Interactive.commit b with
+  | Interactive.Committed -> ()
+  | _ -> Alcotest.fail "a and b commit without waiting for c and d");
+  Interactive.cancel c;
+  List.iter
+    (fun (name, s) ->
+      match Interactive.poll s with
+      | Interactive.Committed -> ()
+      | _ -> Alcotest.fail (name ^ " stays committed after c cancels"))
+    [ ("a", a); ("b", b) ];
+  (match Interactive.poll d with
+  | Interactive.Aborted _ -> ()
+  | _ -> Alcotest.fail "d is aborted with its partner c");
+  Alcotest.(check int) "a and b booked" 2 (List.length (bookings engine))
+
 let () =
   Alcotest.run "interactive"
     [ ( "sessions",
@@ -233,4 +283,6 @@ let () =
           Alcotest.test_case "three-way cycle" `Quick test_three_way_cycle_interactive;
           Alcotest.test_case "api misuse" `Quick test_api_misuse;
           Alcotest.test_case "parse error aborts" `Quick test_parse_error_aborts_session;
-          Alcotest.test_case "constraints" `Quick test_constraint_in_interactive ] ) ]
+          Alcotest.test_case "constraints" `Quick test_constraint_in_interactive;
+          Alcotest.test_case "unrelated pairs commit apart" `Quick
+            test_unrelated_pairs_commit_apart ] ) ]
