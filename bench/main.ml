@@ -717,12 +717,9 @@ let ablation_isolation () =
       in
       let world = Travel.build ~users:world_users ~cities:world_cities ~config () in
       let recorder = Ent_schedule.Recorder.create () in
-      Ent_txn.Engine.set_on_event (Manager.engine world.manager)
-        (Some (Ent_schedule.Recorder.on_engine_event recorder));
-      Scheduler.set_on_entangle (Manager.scheduler world.manager)
-        (Some
-           (fun ~event participants ->
-             Ent_schedule.Recorder.on_entangle recorder ~event participants));
+      Manager.observe world.manager
+        ~on_event:(Ent_schedule.Recorder.on_engine_event recorder)
+        ~on_entangle:(Ent_schedule.Recorder.on_entangle recorder);
       let programs = Gen.batch world ~transactional:true Gen.Entangled ~n ~tag_base:0 in
       let programs =
         List.mapi

@@ -130,7 +130,6 @@ let create ?(config = default_config) engine =
 
 let engine t = t.engine
 let config t = t.config
-let set_on_entangle t f = t.on_entangle <- f
 
 let add_on_entangle t f =
   match t.on_entangle with

@@ -75,14 +75,11 @@ val create : ?config:config -> Ent_txn.Engine.t -> t
 val engine : t -> Ent_txn.Engine.t
 val config : t -> config
 
-(** Install a hook called at each entanglement operation with the event
-    id and, per participant, its transaction id and the tables its
+(** Add a hook called at each entanglement operation with the event id
+    and, per participant, its transaction id and the tables its
     grounding read — the information a schedule recorder needs to emit
-    [E] operations and quasi-reads. *)
-val set_on_entangle : t -> (event:int -> (int * string list) list -> unit) option -> unit
-
-(** Add an entanglement hook without displacing the installed one: both
-    run, in installation order. *)
+    [E] operations and quasi-reads. Every hook runs, in installation
+    order; {!Manager.observe} attaches through this. *)
 val add_on_entangle : t -> (event:int -> (int * string list) list -> unit) -> unit
 
 (** [submit t program] adds a transaction to the dormant pool and

@@ -253,19 +253,15 @@ let run (cfg : config) plan =
       ~cities:cfg.cities ~config:sched_config ~wal:true ()
   in
   let mgr = ref world.Ent_workload.Travel.manager in
-  (* The recorder replaces any stale hooks (a recovered engine starts
-     clean, but the scheduler hook slot is per-manager anyway); the
-     certifier is then added beside it. One of each per epoch: engine
-     transaction ids restart from the recovered log's high-water mark,
-     so an epoch is a self-contained schedule. The certifier sees each
-     Ev_begin, so snapshot reads are judged where the snapshot was
-     taken. *)
+  (* One recorder and one certifier per epoch, attached to the epoch's
+     fresh manager: engine transaction ids restart from the recovered
+     log's high-water mark, so an epoch is a self-contained schedule.
+     The certifier sees each Ev_begin, so snapshot reads are judged
+     where the snapshot was taken. *)
   let attach m =
     let r = Recorder.create () in
-    Ent_txn.Engine.set_on_event (Manager.engine m)
-      (Some (Recorder.on_engine_event r));
-    Scheduler.set_on_entangle (Manager.scheduler m)
-      (Some (Recorder.on_entangle r));
+    Manager.observe m ~on_event:(Recorder.on_engine_event r)
+      ~on_entangle:(Recorder.on_entangle r);
     let c = Certify.create () in
     Manager.observe m ~on_event:(Certify.on_engine_event c)
       ~on_entangle:(Certify.on_entangle c);

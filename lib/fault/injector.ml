@@ -6,14 +6,16 @@
    (the default, and the only mode benchmarks ever run in) a hit is a
    single ref read — the registry costs nothing until a harness arms
    it. Hit counters are per-installation, so the same (seed, plan)
-   pair always fires the same arms at the same points. *)
+   pair always fires the same arms at the same points. They are
+   atomic, so sites hit from several domains count every hit and fire
+   every arm exactly once. *)
 
 exception Crashed of string  (* simulated process death at the named site *)
 exception Failed of string   (* injected component failure at the named site *)
 
 type site = {
   name : string;
-  mutable hits : int;
+  hits : int Atomic.t;
   mutable arms : (int * Plan.action) list;
 }
 
@@ -25,7 +27,7 @@ let site name =
   match Hashtbl.find_opt registry name with
   | Some s -> s
   | None ->
-    let s = { name; hits = 0; arms = [] } in
+    let s = { name; hits = Atomic.make 0; arms = [] } in
     Hashtbl.replace registry name s;
     order := name :: !order;
     s
@@ -35,7 +37,7 @@ let all_sites () = List.rev !order
 let reset () =
   Hashtbl.iter
     (fun _ s ->
-      s.hits <- 0;
+      Atomic.set s.hits 0;
       s.arms <- [])
     registry
 
@@ -55,22 +57,16 @@ let deactivate () =
   active := false;
   reset ()
 
-let counts () = List.map (fun name -> (name, (site name).hits)) (all_sites ())
+let counts () =
+  List.map (fun name -> (name, Atomic.get (site name).hits)) (all_sites ())
 
-(* One pass through the site: count it and return the armed action, if
-   any, consuming the arm so it fires exactly once. *)
+(* One pass through the site: count it and return the first action
+   armed at this hit number, if any. Every pass takes a distinct hit
+   number, so each arm fires exactly once and a duplicate arm never
+   fires. *)
 let fire s =
   if not !active then None
-  else begin
-    s.hits <- s.hits + 1;
-    let fired, rest =
-      List.partition (fun (h, _) -> h = s.hits) s.arms
-    in
-    s.arms <- rest;
-    match fired with
-    | [] -> None
-    | (_, action) :: _ -> Some action
-  end
+  else List.assoc_opt (Atomic.fetch_and_add s.hits 1 + 1) s.arms
 
 let crash s = raise (Crashed s.name)
 let fail s = raise (Failed s.name)

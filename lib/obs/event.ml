@@ -51,35 +51,14 @@ let with_mu f =
   | v -> Mutex.unlock mu; v
   | exception e -> Mutex.unlock mu; raise e
 
-(* --- per-domain buffering (parallel phases) --- *)
-
 (* Inside a parallel phase the scheduler switches the log into buffered
-   mode: emissions append to a per-domain shard — capturing their true
-   timestamps plus a global order stamp — and the coordinator merges
-   them into the ring at the phase boundary. Sorting by the stamp
-   reproduces the exact emission order (stamps are taken by an atomic
-   fetch-and-add at emission, so causally ordered emissions get
-   increasing stamps), which preserves per-txn order and cross-txn
-   lock-release/acquire order alike, while the hot path never touches
-   the shared ring mutex. *)
+   mode: emissions, with their true timestamps, go to a {!Stamped}
+   buffer, and the coordinator merges them into the ring in stamp order
+   at the phase boundary. That order is an exact linearization of
+   emission, so per-txn order and cross-txn lock-release/acquire order
+   survive, while the hot path never touches the shared ring mutex. *)
 let buffered = Atomic.make false
-let order = Atomic.make 0
-let buf_stripes = 16
-
-type pending = {
-  p_order : int;
-  p_mono : float;
-  p_sim : float;
-  p_run : int;
-  p_txn : int;
-  p_task : int;
-  p_domain : int;
-  p_kind : kind;
-}
-
-let buf_shards : (Mutex.t * pending list ref) array =
-  Array.init buf_stripes (fun _ -> (Mutex.create (), ref []))
-
+let pending : t Stamped.t = Stamped.create ()
 let set_buffered b = Atomic.set buffered b
 
 let set_capacity n =
@@ -92,13 +71,7 @@ let reset () =
   next := 0;
   run_id := 0;
   Hashtbl.reset txn_task;
-  Atomic.set order 0;
-  Array.iter
-    (fun (bmu, buf) ->
-      Mutex.lock bmu;
-      buf := [];
-      Mutex.unlock bmu)
-    buf_shards
+  Stamped.clear pending
 
 let register_txn ~txn ~task =
   with_mu (fun () -> Hashtbl.replace txn_task txn task)
@@ -112,73 +85,45 @@ let new_run () =
 
 let current_run () = !run_id
 
-(* Assigns the next ring slot; [mu] must be held. Task resolution
-   happens here so buffered events see the complete txn→task registry
-   at flush time ([register_txn] always goes straight through [mu]). *)
-let commit_event ~t_mono ~t_sim ~run ~txn ~task ~domain kind =
+(* Puts an event into the next ring slot, assigning its [seq]; [mu]
+   must be held. Task resolution happens here so buffered events see the
+   complete txn→task registry at flush time ([register_txn] always goes
+   straight through [mu]). *)
+let commit_event e =
   let task =
-    if task >= 0 then task
-    else if txn >= 0 then
-      match Hashtbl.find_opt txn_task txn with Some t -> t | None -> -1
+    if e.task >= 0 then e.task
+    else if e.txn >= 0 then
+      match Hashtbl.find_opt txn_task e.txn with Some t -> t | None -> -1
     else -1
   in
-  let e = { seq = !next; t_mono; t_sim; run; txn; task; domain; kind } in
   let r = !ring in
-  r.(!next mod Array.length r) <- Some e;
+  r.(!next mod Array.length r) <- Some { e with seq = !next; task };
   incr next
+
+(* [seq] is assigned when the event reaches the ring. The sim clock read
+   is racy on workers, but the clock only advances on the coordinator
+   between phases, so mid-phase reads are stable. *)
+let capture ~txn ~task kind =
+  {
+    seq = -1;
+    t_mono = Clock.monotonic ();
+    t_sim = !sim_clock ();
+    run = !run_id;
+    txn;
+    task;
+    domain = (Domain.self () :> int);
+    kind;
+  }
 
 let emit ?(txn = -1) ?(task = -1) kind =
   if !enabled then
-    if Atomic.get buffered then begin
-      let p =
-        {
-          p_order = Atomic.fetch_and_add order 1;
-          p_mono = Clock.monotonic ();
-          (* racy read of the sim clock: it only advances on the
-             coordinator between phases, so mid-phase reads are stable *)
-          p_sim = !sim_clock ();
-          p_run = !run_id;
-          p_txn = txn;
-          p_task = task;
-          p_domain = (Domain.self () :> int);
-          p_kind = kind;
-        }
-      in
-      let bmu, buf =
-        buf_shards.((Domain.self () :> int) land (buf_stripes - 1))
-      in
-      Mutex.lock bmu;
-      buf := p :: !buf;
-      Mutex.unlock bmu
-    end
-    else
-      with_mu (fun () ->
-          commit_event ~t_mono:(Clock.monotonic ()) ~t_sim:(!sim_clock ())
-            ~run:!run_id ~txn ~task ~domain:(Domain.self () :> int) kind)
+    if Atomic.get buffered then Stamped.push pending (capture ~txn ~task kind)
+    else with_mu (fun () -> commit_event (capture ~txn ~task kind))
 
 let flush_buffered () =
-  let pending =
-    Array.fold_left
-      (fun acc (bmu, buf) ->
-        Mutex.lock bmu;
-        let l = !buf in
-        buf := [];
-        Mutex.unlock bmu;
-        List.rev_append l acc)
-      [] buf_shards
-  in
-  match pending with
+  match Stamped.drain pending with
   | [] -> ()
-  | pending ->
-    let sorted =
-      List.sort (fun a b -> Int.compare a.p_order b.p_order) pending
-    in
-    with_mu (fun () ->
-        List.iter
-          (fun p ->
-            commit_event ~t_mono:p.p_mono ~t_sim:p.p_sim ~run:p.p_run
-              ~txn:p.p_txn ~task:p.p_task ~domain:p.p_domain p.p_kind)
-          sorted)
+  | evs -> with_mu (fun () -> List.iter commit_event evs)
 
 let dropped () = max 0 (!next - Array.length !ring)
 

@@ -79,18 +79,16 @@ val emit : ?txn:int -> ?task:int -> kind -> unit
     registry. *)
 
 val set_buffered : bool -> unit
-(** Switch emission into per-domain buffering: each {!emit} appends to
-    a shard for its executing domain — recording its true timestamps
-    and a global atomic order stamp — instead of taking the shared ring
-    mutex. The scheduler enables this around parallel phases and calls
-    {!flush_buffered} at the phase boundary. *)
+(** Switch emission into per-domain buffering: each {!emit} records its
+    true timestamps and goes to a {!Stamped} buffer instead of taking
+    the shared ring mutex. The scheduler enables this around parallel
+    phases and calls {!flush_buffered} at the phase boundary. *)
 
 val flush_buffered : unit -> unit
-(** Merge all buffered events into the ring, sorted by their emission
-    order stamp — an exact linearization of emission order, so per-txn
-    event order (and cross-txn lock hand-off order) is preserved.
-    Sequence numbers are assigned at flush. No-op with nothing
-    buffered. *)
+(** Merge all buffered events into the ring in {!Stamped} order — an
+    exact linearization of emission order, so per-txn event order (and
+    cross-txn lock hand-off order) is preserved. Sequence numbers are
+    assigned at flush. No-op with nothing buffered. *)
 
 val register_txn : txn:int -> task:int -> unit
 (** Associate a fresh engine txn with the scheduler task running it. *)

@@ -764,20 +764,13 @@ let on_op t (op : History.op) =
 
 let on_engine_event t (ev : Ent_txn.Engine.event) =
   match ev with
-  | Ev_read (txn, T_table table) -> on_op t (History.Read (txn, Table table))
-  | Ev_read (txn, T_row (table, row)) ->
-    on_op t (History.Read (txn, Row (table, row)))
-  | Ev_grounding_read (txn, table) ->
-    on_op t (History.Ground_read (txn, Table table))
-  | Ev_write (txn, table, row) -> on_op t (History.Write (txn, Row (table, row)))
-  | Ev_commit txn -> on_op t (History.Commit txn)
-  | Ev_abort txn -> on_op t (History.Abort txn)
   | Ev_begin (txn, level) ->
     (* not a schedule position of its own; it declares the level and,
        for snapshot transactions, pins the snapshot anchor *)
     set_level t txn level;
     if level = Ent_txn.Engine.Snapshot then
       Hashtbl.replace t.begin_pos txn t.pos
+  | ev -> Option.iter (on_op t) (History.of_engine_event ev)
 
 let on_entangle t ~event participants =
   on_op t (History.Entangle (event, List.map fst participants))

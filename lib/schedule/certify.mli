@@ -73,8 +73,9 @@ val create : unit -> t
     {!History.expand_quasi_reads}. *)
 val on_op : t -> History.op -> unit
 
-(** Adapter for [Ent_txn.Engine.set_on_event] — same event mapping as
-    {!Recorder.on_engine_event}. *)
+(** Engine observer, attached with [Ent_core.Manager.observe]: data
+    events go through {!History.of_engine_event} (as the recorder's do);
+    [Ev_begin] declares the level and anchors a snapshot. *)
 val on_engine_event : t -> Ent_txn.Engine.event -> unit
 
 (** Adapter for the scheduler's entanglement hook — same payload as

@@ -26,6 +26,15 @@ type op =
 
 type t = op list
 
+let of_engine_event : Ent_txn.Engine.event -> op option = function
+  | Ev_read (txn, T_table table) -> Some (Read (txn, Table table))
+  | Ev_read (txn, T_row (table, row)) -> Some (Read (txn, Row (table, row)))
+  | Ev_grounding_read (txn, table) -> Some (Ground_read (txn, Table table))
+  | Ev_write (txn, table, row) -> Some (Write (txn, Row (table, row)))
+  | Ev_commit txn -> Some (Commit txn)
+  | Ev_abort txn -> Some (Abort txn)
+  | Ev_begin _ -> None
+
 let txns_of_op = function
   | Read (i, _) | Ground_read (i, _) | Quasi_read (i, _) | Write (i, _)
   | Commit i | Abort i -> [ i ]

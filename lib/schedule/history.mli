@@ -32,6 +32,13 @@ type op =
 
 type t = op list
 
+(** The schedule operation an engine event stands for: full scans read
+    the whole table, indexed lookups and writes one row, grounding reads
+    are table-level. [Ev_begin] has no schedule position of its own
+    ([None]). The recorder and the certifier both read the engine
+    through this one mapping. *)
+val of_engine_event : Ent_txn.Engine.event -> op option
+
 (** The transaction an operation belongs to ([Entangle] belongs to all
     its participants; this returns them all). *)
 val txns_of_op : op -> int list

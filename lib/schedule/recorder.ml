@@ -1,44 +1,8 @@
-type t = {
-  mutable ops : History.op list;  (* newest first *)
-  mutable len : int;
-  cap : int option;
-  sink : (History.op -> unit) option;
-  mutable dropped_count : int;
-}
+type t = { mutable ops : History.op list (* newest first *) }
 
-let create ?cap ?sink () =
-  (match cap with
-  | Some c when c < 1 -> invalid_arg "Recorder.create: cap must be positive"
-  | _ -> ());
-  { ops = []; len = 0; cap; sink; dropped_count = 0 }
-
-(* With a cap, let the list grow to 2*cap and then cut it back to the
-   newest cap operations — amortized O(1) per push, never retaining
-   more than 2*cap. *)
-let push t op =
-  (match t.sink with
-  | Some f -> f op
-  | None -> ());
-  t.ops <- op :: t.ops;
-  t.len <- t.len + 1;
-  match t.cap with
-  | Some cap when t.len >= 2 * cap ->
-    t.ops <- List.filteri (fun i _ -> i < cap) t.ops;
-    t.dropped_count <- t.dropped_count + (t.len - cap);
-    t.len <- cap
-  | _ -> ()
-
-let dropped t = t.dropped_count
-
-let on_engine_event t (ev : Ent_txn.Engine.event) =
-  match ev with
-  | Ev_read (txn, T_table table) -> push t (History.Read (txn, Table table))
-  | Ev_read (txn, T_row (table, row)) -> push t (History.Read (txn, Row (table, row)))
-  | Ev_grounding_read (txn, table) -> push t (History.Ground_read (txn, Table table))
-  | Ev_write (txn, table, row) -> push t (History.Write (txn, Row (table, row)))
-  | Ev_commit txn -> push t (History.Commit txn)
-  | Ev_abort txn -> push t (History.Abort txn)
-  | Ev_begin _ -> ()
+let create () = { ops = [] }
+let push t op = t.ops <- op :: t.ops
+let on_engine_event t ev = Option.iter (push t) (History.of_engine_event ev)
 
 let on_entangle t ~event participants =
   push t (History.Entangle (event, List.map fst participants))

@@ -1,6 +1,7 @@
 open Ent_storage
 module Obs = Ent_obs.Obs
 module Event = Ent_obs.Event
+module Stamped = Ent_obs.Stamped
 
 let m_begins = Obs.counter "txn.engine.begins"
 let m_commits = Obs.counter "txn.engine.commits"
@@ -98,23 +99,18 @@ type t = {
      back into the engine.
 
      [deferred] takes [obs_mu] off the parallel hot path: while set
-     (the scheduler sets it around parallel phases), [emit] appends to
-     a per-domain shard with a global atomic order stamp instead of
-     dispatching, and [flush_events] replays the buffer sorted by
-     stamp at the phase boundary. The sorted replay is an exact
-     linearization of emission order — emissions ordered by a lock
-     release/acquire are also ordered by their fetch-and-add stamps —
+     (the scheduler sets it around parallel phases), [emit] pushes to
+     the [pending] {!Stamped} buffer instead of dispatching,
+     and [flush_events] replays it in stamp order at the phase
+     boundary. The replay is an exact linearization of emission order,
      so the conflict-order guarantee above carries over verbatim. *)
   mu : Mutex.t;
   obs_mu : Mutex.t;
   deferred : bool Atomic.t;
-  obs_order : int Atomic.t;
-  obs_shards : (Mutex.t * (int * event) list ref) array;
+  pending : event Stamped.t;
 }
 
-let obs_shard_count = 16
-
-let create ?(wal = false) ?on_event catalog =
+let create ?(wal = false) catalog =
   {
     catalog;
     locks = Lock.create ();
@@ -122,7 +118,7 @@ let create ?(wal = false) ?on_event catalog =
     txns = Hashtbl.create 32;
     next_txn = 1;
     wakeups = [];
-    on_event;
+    on_event = None;
     constraints = [];
     write_seq = Atomic.make 0;
     commit_stamp = Atomic.make 0;
@@ -132,9 +128,7 @@ let create ?(wal = false) ?on_event catalog =
     mu = Mutex.create ();
     obs_mu = Mutex.create ();
     deferred = Atomic.make false;
-    obs_order = Atomic.make 0;
-    obs_shards =
-      Array.init obs_shard_count (fun _ -> (Mutex.create (), ref []));
+    pending = Stamped.create ();
   }
 
 let with_mu mu f =
@@ -146,7 +140,6 @@ let with_mu mu f =
 let catalog t = t.catalog
 let log t = t.wal
 let locks t = t.locks
-let set_on_event t f = t.on_event <- f
 
 let add_on_event t f =
   match t.on_event with
@@ -162,37 +155,15 @@ let emit t ev =
   match t.on_event with
   | None -> ()
   | Some f ->
-    if Atomic.get t.deferred then begin
-      let stamp = Atomic.fetch_and_add t.obs_order 1 in
-      let bmu, buf =
-        t.obs_shards.((Domain.self () :> int) land (obs_shard_count - 1))
-      in
-      with_mu bmu (fun () -> buf := (stamp, ev) :: !buf)
-    end
+    if Atomic.get t.deferred then Stamped.push t.pending ev
     else with_mu t.obs_mu (fun () -> f ev)
 
 let set_deferred_events t b = Atomic.set t.deferred b
 
 let flush_events t =
-  let pending =
-    Array.fold_left
-      (fun acc (bmu, buf) ->
-        with_mu bmu (fun () ->
-            let l = !buf in
-            buf := [];
-            List.rev_append l acc))
-      [] t.obs_shards
-  in
-  match pending with
-  | [] -> ()
-  | pending -> (
-    let sorted =
-      List.sort (fun (a, _) (b, _) -> Int.compare a b) pending
-    in
-    match t.on_event with
-    | None -> ()
-    | Some f ->
-      with_mu t.obs_mu (fun () -> List.iter (fun (_, ev) -> f ev) sorted))
+  match (Stamped.drain t.pending, t.on_event) with
+  | [], _ | _, None -> ()
+  | evs, Some f -> with_mu t.obs_mu (fun () -> List.iter f evs)
 
 let log_record t record =
   match t.wal with

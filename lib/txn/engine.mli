@@ -52,31 +52,28 @@ type event =
 type t
 
 (** [create ~wal catalog] wraps an existing catalog. With [~wal:true]
-    every change is logged and {!log} is available for recovery tests.
-    [on_event] feeds the schedule recorder. *)
-val create : ?wal:bool -> ?on_event:(event -> unit) -> Catalog.t -> t
+    every change is logged and {!log} is available for recovery tests. *)
+val create : ?wal:bool -> Catalog.t -> t
 
 val catalog : t -> Catalog.t
 val log : t -> Wal.t option
 val locks : t -> Lock.t
 
-(** Replace the event listener (used to attach a recorder after setup). *)
-val set_on_event : t -> (event -> unit) option -> unit
-
-(** Add a listener without displacing the installed one: both run, in
-    installation order. Lets a certifier observe alongside a recorder. *)
+(** Add a listener: every listener sees every event, in installation
+    order. [Ent_core.Manager.observe] attaches through this, so a
+    recorder and a certifier can observe the same run. *)
 val add_on_event : t -> (event -> unit) -> unit
 
-(** While deferred, observer dispatch buffers events in per-domain
-    shards — each with a global atomic order stamp — instead of
-    serializing through the engine's observer mutex. The scheduler
-    defers around parallel phases and flushes at the boundary. *)
+(** While deferred, observer dispatch pushes events to an
+    {!Ent_obs.Stamped} buffer instead of serializing through the
+    engine's observer mutex. The scheduler defers around parallel
+    phases and flushes at the boundary. *)
 val set_deferred_events : t -> bool -> unit
 
-(** Dispatch all deferred events to the observers, sorted by emission
-    order stamp: an exact linearization of emission order, so the
-    conflict-order guarantee of live dispatch (events of two
-    conflicting operations never reorder) is preserved. *)
+(** Dispatch all deferred events to the observers in stamp order: an
+    exact linearization of emission order, so the conflict-order
+    guarantee of live dispatch (events of two conflicting operations
+    never reorder) is preserved. *)
 val flush_events : t -> unit
 
 (** Create a table through the engine so it is logged for recovery. *)

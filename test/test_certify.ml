@@ -1,7 +1,7 @@
 (* Tests for the online schedule certifier (entcheck's dynamic side):
    unit histories pinning each violation code, agreement with a naive
    transcription of Appendix C (test/reference.ml) over generated
-   schedules, bounded-memory recording, certification of real
+   schedules, the engine-event feed, certification of real
    scheduler runs, and a mutation suite — anomalies seeded into clean
    schedules must be rejected (the acceptance bar is >= 95%;
    these operators are constructed so the property demands 100%). *)
@@ -156,40 +156,42 @@ let prop_matches_reference =
       let h = Gen.schedule_of_seed seed in
       codes h = Reference.codes h)
 
-(* --- bounded-memory recording --- *)
+(* --- the engine feed --- *)
 
-let test_recorder_cap () =
-  let seen = ref 0 in
-  let r = Recorder.create ~cap:4 ~sink:(fun _ -> incr seen) () in
-  for i = 1 to 20 do
-    Recorder.on_engine_event r (Engine.Ev_write (i, "T", i))
-  done;
-  let h = Recorder.history r in
-  let n = List.length h in
-  Alcotest.(check bool) "bounded" true (n >= 4 && n < 8);
-  Alcotest.(check int) "dropped accounts for the rest" (20 - n)
-    (Recorder.dropped r);
-  Alcotest.(check bool) "newest suffix retained" true
-    (match List.rev h with
-    | Write (20, Row ("T", 20)) :: _ -> true
-    | _ -> false);
-  Alcotest.(check int) "sink saw everything" 20 !seen;
-  Alcotest.check_raises "cap < 1 rejected"
-    (Invalid_argument "Recorder.create: cap must be positive") (fun () ->
-      ignore (Recorder.create ~cap:0 ()))
+(* The one engine-event mapping, per constructor; the recorder records
+   exactly the mapped operations. *)
+let test_engine_event_mapping () =
+  let table =
+    [ (Engine.Ev_read (1, Engine.T_table "T"), Some (Read (1, Table "T")));
+      (Engine.Ev_read (1, Engine.T_row ("T", 4)), Some (Read (1, Row ("T", 4))));
+      (Engine.Ev_grounding_read (2, "F"), Some (Ground_read (2, Table "F")));
+      (Engine.Ev_write (1, "T", 4), Some (Write (1, Row ("T", 4))));
+      (Engine.Ev_begin (3, Engine.Snapshot), None);
+      (Engine.Ev_commit 1, Some (Commit 1));
+      (Engine.Ev_abort 2, Some (Abort 2)) ]
+  in
+  List.iter
+    (fun (ev, expected) ->
+      if History.of_engine_event ev <> expected then
+        Alcotest.failf "wrong mapping for %s"
+          (match expected with
+          | Some op -> Format.asprintf "%a" pp_op op
+          | None -> "Ev_begin"))
+    table;
+  let r = Recorder.create () in
+  List.iter (fun (ev, _) -> Recorder.on_engine_event r ev) table;
+  Alcotest.(check bool) "recorder keeps the mapped ops" true
+    (Recorder.history r = List.filter_map snd table)
 
-let test_recorder_sink_certifies_beyond_cap () =
-  (* the certifier, fed through the sink, catches a dirty read even
-     after the recorder truncated the evidence away *)
+(* The certifier fed straight from the engine catches a dirty read. *)
+let test_engine_feed_dirty_read () =
   let c = Certify.create () in
-  let r = Recorder.create ~cap:1 ~sink:(Certify.on_op c) () in
-  List.iter (Recorder.on_engine_event r)
+  List.iter (Certify.on_engine_event c)
     [ Engine.Ev_write (1, "T", 0);
       Engine.Ev_read (2, Engine.T_row ("T", 0));
       Engine.Ev_abort 1;
       Engine.Ev_commit 2 ];
-  Alcotest.(check bool) "recorder forgot" true (Recorder.dropped r > 0);
-  Alcotest.(check (list string)) "certifier remembers"
+  Alcotest.(check (list string)) "dirty read"
     [ "read-from-aborted" ]
     (Certify.violations c
     |> List.map (fun (v : Certify.violation) -> v.code)
@@ -460,12 +462,12 @@ let () =
             test_write_before_entangle_commit;
           Alcotest.test_case "validity codes" `Quick test_validity_codes;
           Alcotest.test_case "stats" `Quick test_stats;
-          Alcotest.test_case "violation cap" `Quick test_violation_cap ] );
+          Alcotest.test_case "violation cap" `Quick test_violation_cap;
+          Alcotest.test_case "engine event mapping" `Quick
+            test_engine_event_mapping;
+          Alcotest.test_case "dirty read from engine events" `Quick
+            test_engine_feed_dirty_read ] );
       ("reference", List.map Gen.to_alcotest [ prop_matches_reference ]);
-      ( "recorder",
-        [ Alcotest.test_case "cap bounds memory" `Quick test_recorder_cap;
-          Alcotest.test_case "sink certifies beyond cap" `Quick
-            test_recorder_sink_certifies_beyond_cap ] );
       ( "real runs",
         Alcotest.test_case "deterministic run" `Quick test_real_run_certifies
         :: List.map Gen.to_alcotest [ prop_real_runs_certify_clean ] );

@@ -112,6 +112,35 @@ let test_injector_drop_and_inactive () =
       Alcotest.(check bool) "armed hit drops" true (Fault.drops site);
       Alcotest.(check bool) "arm consumed" false (Fault.drops site))
 
+(* Hits from several domains at once: every hit is counted and every
+   arm fires exactly once, however the domains interleave. *)
+let test_injector_domains () =
+  Fault.deactivate ();
+  let name = "test.fault.domains" in
+  let site = Fault.site name in
+  let arms = [ (17, Plan.Drop); (5_000, Plan.Fail); (10_000, Plan.Crash) ] in
+  Fault.install
+    (List.map (fun (hit, action) -> { Plan.site = name; hit; action }) arms);
+  let pool = Ent_par.Pool.create ~domains:4 in
+  Fun.protect
+    ~finally:(fun () ->
+      Ent_par.Pool.shutdown pool;
+      Fault.deactivate ())
+    (fun () ->
+      let items = 100 in
+      let fired = Array.make items [] in
+      Ent_par.Pool.run_indexed pool items (fun i ->
+          for _ = 1 to 10_000 / items do
+            match Fault.fire site with
+            | Some action -> fired.(i) <- action :: fired.(i)
+            | None -> ()
+          done);
+      Alcotest.(check int) "every hit counted" 10_000
+        (List.assoc name (Fault.counts ()));
+      Alcotest.(check bool) "each arm fired exactly once" true
+        (List.sort compare (List.concat (Array.to_list fired))
+        = List.sort compare (List.map snd arms)))
+
 (* --- exhaustive crash-point sweep --- *)
 
 (* Truncate a real entangled workload's WAL at EVERY record boundary
@@ -343,7 +372,9 @@ let () =
       ( "injector",
         [ Alcotest.test_case "arm fires once" `Quick test_injector_arm_fires_once;
           Alcotest.test_case "profiling counts" `Quick test_injector_profiling_counts;
-          Alcotest.test_case "drop and inactive" `Quick test_injector_drop_and_inactive ] );
+          Alcotest.test_case "drop and inactive" `Quick test_injector_drop_and_inactive;
+          Alcotest.test_case "hits from several domains" `Quick
+            test_injector_domains ] );
       ( "crash-points",
         [ Alcotest.test_case "every record boundary" `Slow test_every_crash_point;
           Alcotest.test_case "every byte of the file encoding" `Quick

@@ -354,15 +354,13 @@ let prop_entangle_edges =
       with_event_log @@ fun () ->
       let m = Gen.travel_manager () in
       let coordinated : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-      Scheduler.set_on_entangle (Manager.scheduler m)
-        (Some
-           (fun ~event participants ->
-             let tasks =
-               List.filter_map
-                 (fun (txn, _tables) -> Event.task_of_txn txn)
-                 participants
-             in
-             Hashtbl.replace coordinated event tasks));
+      Manager.observe m ~on_event:ignore ~on_entangle:(fun ~event participants ->
+          let tasks =
+            List.filter_map
+              (fun (txn, _tables) -> Event.task_of_txn txn)
+              participants
+          in
+          Hashtbl.replace coordinated event tasks);
       List.iter (fun p -> ignore (Manager.submit m p)) programs;
       Manager.drain m;
       let matches =
@@ -502,6 +500,60 @@ let test_trace_export () =
   | Ok () -> Alcotest.fail "unbalanced flow events accepted"
   | Error _ -> ()
 
+(* --- the stamped per-domain buffer --- *)
+
+(* Pool items push (item, k) for k = 0.. on whatever domain runs them:
+   the drain holds every value once, each item's pushes in program
+   order, and leaves the buffer empty. *)
+let test_stamped_drain () =
+  let b = Stamped.create () in
+  let pool = Ent_par.Pool.create ~domains:4 in
+  let items = 40 and per_item = 250 in
+  Fun.protect ~finally:(fun () -> Ent_par.Pool.shutdown pool) (fun () ->
+      Ent_par.Pool.run_indexed pool items (fun i ->
+          for k = 0 to per_item - 1 do
+            Stamped.push b (i, k)
+          done));
+  let drained = Stamped.drain b in
+  Alcotest.(check int) "every push drained" (items * per_item)
+    (List.length drained);
+  let next = Array.make items 0 in
+  List.iter
+    (fun (i, k) ->
+      if k <> next.(i) then
+        Alcotest.failf "item %d: push %d drained where %d was due" i k next.(i);
+      next.(i) <- k + 1)
+    drained;
+  Alcotest.(check (list (pair int int))) "drain empties" [] (Stamped.drain b)
+
+(* Two domains take turns through an Atomic handshake, each pushing its
+   turn number before passing the turn on: pushes ordered by the
+   handshake drain in that order, though they sit in different
+   shards. *)
+let test_stamped_handshake () =
+  let b = Stamped.create () in
+  let turns = 2_000 in
+  let turn = Atomic.make 0 in
+  let play parity =
+    for n = 0 to turns - 1 do
+      if n land 1 = parity then begin
+        while Atomic.get turn <> n do
+          Domain.cpu_relax ()
+        done;
+        Stamped.push b n;
+        Atomic.set turn (n + 1)
+      end
+    done
+  in
+  let other = Domain.spawn (fun () -> play 1) in
+  play 0;
+  Domain.join other;
+  Alcotest.(check (list int)) "handshake order" (List.init turns Fun.id)
+    (Stamped.drain b);
+  Stamped.push b 7;
+  Stamped.clear b;
+  Alcotest.(check (list int)) "clear empties" [] (Stamped.drain b)
+
 let test_event_log_off_is_noop () =
   Event.set_logging false;
   Event.reset ();
@@ -524,6 +576,11 @@ let () =
             test_schema_rejects_invalid;
           Alcotest.test_case "paper-scale reference fixtures" `Quick
             test_reference_fixtures_valid ] );
+      ( "stamped",
+        [ Alcotest.test_case "drain holds every push in order" `Quick
+            test_stamped_drain;
+          Alcotest.test_case "handshake orders the drain" `Quick
+            test_stamped_handshake ] );
       ( "integration",
         [ Alcotest.test_case "entangled workload lights up every layer"
             `Quick test_entangled_workload_metrics ] );

@@ -3,7 +3,8 @@
    a transaction acquires through the sharded manager, the coordination
    evaluator on random query sets, and equivalence
    of parallel (--parallel N) and deterministic runs over the same
-   workload, partnerless stragglers included. *)
+   workload, partnerless stragglers included, and the event log merged
+   from the per-domain buffers. *)
 
 (* alias the shared test module before [open Ent_workload] shadows [Gen] *)
 module Tgen = Gen
@@ -12,6 +13,10 @@ open Ent_workload
 module Lock = Ent_txn.Lock
 module Pool = Ent_par.Pool
 module Certify = Ent_schedule.Certify
+module Event = Ent_obs.Event
+module Obs = Ent_obs.Obs
+module Schema = Ent_obs.Schema
+module Trace = Ent_obs.Trace
 
 (* --- shard boundaries --- *)
 
@@ -370,6 +375,73 @@ let prop_parallel_matches_deterministic =
           (Printf.sprintf "simulated time differs: %g vs %g" det_now par_now);
       true)
 
+(* --- the event log under the pool --- *)
+
+(* [run_case]'s workload on two domains with the event log on, in a
+   ring it cannot overflow: the log merged from the per-domain buffers
+   is dense, every task's timeline is legal, it agrees with the engine's
+   commit counter, and it exports a valid trace. *)
+let test_parallel_event_log () =
+  Event.set_capacity (1 lsl 20);
+  Obs.reset ();
+  Event.set_logging true;
+  Fun.protect
+    ~finally:(fun () ->
+      Event.set_logging false;
+      Event.set_capacity 65536)
+  @@ fun () ->
+  let ok, committed, _, _ = run_case ~domains:2 ~kind:Gen.Entangled ~n:40 in
+  Alcotest.(check bool) "certified" true ok;
+  Alcotest.(check bool) "some commit" true (committed <> []);
+  let evs = Event.events () in
+  Alcotest.(check int) "nothing dropped" 0 (Event.dropped ());
+  List.iteri
+    (fun i (e : Event.t) ->
+      if e.seq <> i then Alcotest.failf "seq %d at position %d" e.seq i)
+    evs;
+  let timelines = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Event.t) ->
+      if e.task >= 0 then
+        Hashtbl.replace timelines e.task
+          (e :: Option.value ~default:[] (Hashtbl.find_opt timelines e.task)))
+    evs;
+  Hashtbl.iter
+    (fun task newest_first ->
+      let tl = List.rev newest_first in
+      let kind_at (e : Event.t) = Event.kind_name e.kind in
+      if kind_at (List.hd tl) <> "pool_enter" then
+        Alcotest.failf "task %d starts with %s" task (kind_at (List.hd tl));
+      (* finalized, or left dormant: the partnerless stragglers *)
+      (match (List.hd newest_first).kind with
+      | Event.Finalize { outcome } ->
+        if List.mem task committed && outcome <> "committed" then
+          Alcotest.failf "committed task %d finalized %s" task outcome
+      | Event.Pool_enter when not (List.mem task committed) -> ()
+      | _ ->
+        Alcotest.failf "task %d ends with %s" task
+          (kind_at (List.hd newest_first)));
+      let begun = Hashtbl.create 4 in
+      List.iter
+        (fun (e : Event.t) ->
+          match e.kind with
+          | Event.Begin -> Hashtbl.replace begun e.txn ()
+          | Event.Commit | Event.Abort _ ->
+            if not (Hashtbl.mem begun e.txn) then
+              Alcotest.failf "task %d: txn %d ends before it begins" task e.txn
+          | _ -> ())
+        tl)
+    timelines;
+  let commits =
+    List.length
+      (List.filter (fun (e : Event.t) -> e.kind = Event.Commit) evs)
+  in
+  Alcotest.(check (option int)) "one Commit per engine commit" (Some commits)
+    (Obs.find_counter "txn.engine.commits");
+  match Schema.validate_trace (Trace.to_json evs) with
+  | Ok () -> ()
+  | Error errs -> Alcotest.failf "invalid trace: %s" (String.concat "; " errs)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -388,4 +460,7 @@ let () =
       ("coordination", [ Tgen.to_alcotest prop_evaluate_coordinates ]);
       ( "equivalence",
         [ Tgen.to_alcotest prop_parallel_matches_deterministic ] );
+      ( "event log",
+        [ Alcotest.test_case "merged log under the pool" `Quick
+            test_parallel_event_log ] );
     ]

@@ -311,10 +311,8 @@ let record_real_execution () =
   let open Ent_core in
   let m = Manager.create () in
   let recorder = Recorder.create () in
-  Ent_txn.Engine.set_on_event (Manager.engine m)
-    (Some (Recorder.on_engine_event recorder));
-  Scheduler.set_on_entangle (Manager.scheduler m)
-    (Some (fun ~event participants -> Recorder.on_entangle recorder ~event participants));
+  Manager.observe m ~on_event:(Recorder.on_engine_event recorder)
+    ~on_entangle:(Recorder.on_entangle recorder);
   Manager.define_table m "Flights"
     [ ("fno", Ent_storage.Schema.T_int); ("dest", Ent_storage.Schema.T_str) ];
   Manager.define_table m "Reserve"
