@@ -16,14 +16,17 @@ val connections : t -> int
     tie-break: lowest index). *)
 val least_loaded : t -> int
 
-(** Add [work] seconds to connection [conn]'s clock. *)
+(** Add [work] seconds to connection [conn]'s clock. [work] must be
+    non-negative: negative or NaN work raises [Invalid_argument], since
+    a clock that ran backwards would break {!now}. *)
 val add_work : t -> int -> float -> unit
 
 (** Advance every connection to the maximum clock (barrier), then add
     [work] seconds of centralized middle-tier time to all. *)
 val barrier : t -> float -> unit
 
-(** Current simulated time: the maximum connection clock. *)
+(** Current simulated time: the maximum connection clock, floored at
+    zero. One field read: every write to a clock keeps the maximum. *)
 val now : t -> float
 
 (** Advance every connection at least to [time] (e.g. when a new run

@@ -40,10 +40,99 @@ let lub a b =
     | IS, S | S, IS -> S
     | IS, IS | IX, IX | S, S | X, X -> a
 
+(* Holders keyed by txn id. Ids are small and dense, so the id is its
+   own hash. *)
+module Txns = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(* An entry's holders. Most row entries have one holder, kept inline
+   as [Sole]. Two or more live in [Shared]: a map from txn to mode,
+   plus one holder count per mode, so the grant check can tell whether
+   a clashing mode is held without a scan. A [Shared] entry stays
+   [Shared] until its last holder leaves. *)
+type holders =
+  | Free
+  | Sole of int * mode
+  | Shared of shared
+
+and shared = {
+  modes : mode Txns.t;
+  mutable n_is : int;
+  mutable n_ix : int;
+  mutable n_s : int;
+  mutable n_x : int;
+}
+
 type entry = {
-  mutable holders : (int * mode) list;
+  mutable holders : holders;
   mutable queue : (int * mode) list;  (* FIFO: head is the oldest waiter *)
 }
+
+let bump s mode d =
+  match mode with
+  | IS -> s.n_is <- s.n_is + d
+  | IX -> s.n_ix <- s.n_ix + d
+  | S -> s.n_s <- s.n_s + d
+  | X -> s.n_x <- s.n_x + d
+
+(* Holders whose mode is incompatible with [need] (the requester's own
+   hold included): the counts read through [compatible]'s table. *)
+let clashing s need =
+  match need with
+  | IS -> s.n_x
+  | IX -> s.n_s + s.n_x
+  | S -> s.n_ix + s.n_x
+  | X -> s.n_is + s.n_ix + s.n_s + s.n_x
+
+let mode_of entry txn =
+  match entry.holders with
+  | Free -> None
+  | Sole (o, m) -> if o = txn then Some m else None
+  | Shared s -> Txns.find_opt s.modes txn
+
+let put s txn mode =
+  Option.iter (fun old -> bump s old (-1)) (Txns.find_opt s.modes txn);
+  Txns.replace s.modes txn mode;
+  bump s mode 1
+
+(* Grant [mode] to [txn], replacing what it held. *)
+let add_holder entry txn mode =
+  match entry.holders with
+  | Free -> entry.holders <- Sole (txn, mode)
+  | Sole (o, _) when o = txn -> entry.holders <- Sole (txn, mode)
+  | Sole (o, m) ->
+    let s = { modes = Txns.create 8; n_is = 0; n_ix = 0; n_s = 0; n_x = 0 } in
+    put s o m;
+    put s txn mode;
+    entry.holders <- Shared s
+  | Shared s -> put s txn mode
+
+let remove_holder entry txn =
+  match entry.holders with
+  | Free -> ()
+  | Sole (o, _) -> if o = txn then entry.holders <- Free
+  | Shared s -> (
+    match Txns.find_opt s.modes txn with
+    | None -> ()
+    | Some m ->
+      bump s m (-1);
+      Txns.remove s.modes txn;
+      if Txns.length s.modes = 0 then entry.holders <- Free)
+
+let fold_holders f entry acc =
+  match entry.holders with
+  | Free -> acc
+  | Sole (o, m) -> f o m acc
+  | Shared s -> Txns.fold f s.modes acc
+
+(* Sorted by txn id. *)
+let holder_list entry =
+  fold_holders (fun o m acc -> (o, m) :: acc) entry []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 (* The entry map is sharded by resource hash so that transactions
    touching disjoint keys never contend on a lock-manager mutex — the
@@ -154,7 +243,7 @@ let entry_for t sh resource =
   match Hashtbl.find_opt sh.sh_entries resource with
   | Some e -> e
   | None ->
-    let e = { holders = []; queue = [] } in
+    let e = { holders = Free; queue = [] } in
     Hashtbl.add sh.sh_entries resource e;
     Atomic.incr t.total_entries;
     e
@@ -201,14 +290,35 @@ type outcome =
 let probe : (txn:int -> resource -> mode -> unit) option ref = ref None
 let set_probe f = probe := f
 
-(* Holder [(o, m)] blocks [txn] asking for [need] when the modes clash
-   and [o] is not [txn] or its group. Compatibility is tested first, so
-   [same_owner] and its mutex are reached only for clashing holders. *)
-let conflicts t txn need (o, m) =
+(* Holder [o] in mode [m] blocks [txn] asking for [need] when the modes
+   clash and [o] is not [txn] or its group. Compatibility is tested
+   first, so [same_owner] and its mutex are reached only for clashing
+   holders. *)
+let conflicts t txn need o m =
   (not (compatible need m)) && not (same_owner t o txn)
 
+let in_group t txn = with_mu t.groups_mu (fun () -> Hashtbl.mem t.groups txn)
+
+(* O(1) unless a clashing mode is held by another txn. If none is, the
+   request is grantable. If one is and [txn] has no group, no holder can
+   share its owner, so it is not. Only a grouped [txn] facing a clash
+   scans the holders, under the [conflicts] rule. *)
 let grantable t entry txn need =
-  not (List.exists (conflicts t txn need) entry.holders)
+  match entry.holders with
+  | Free -> true
+  | Sole (o, m) -> not (conflicts t txn need o m)
+  | Shared s ->
+    let own =
+      match Txns.find_opt s.modes txn with
+      | Some m when not (compatible need m) -> 1
+      | _ -> 0
+    in
+    clashing s need = own
+    || in_group t txn
+       && not
+            (Seq.exists
+               (fun (o, m) -> conflicts t txn need o m)
+               (Txns.to_seq s.modes))
 
 let request t ~txn resource mode =
   Obs.incr m_requests;
@@ -220,7 +330,7 @@ let request t ~txn resource mode =
   let sh = t.shards.(i) in
   with_mu sh.sh_mu (fun () ->
       let entry = entry_for t sh resource in
-      let held = List.assoc_opt txn entry.holders in
+      let held = mode_of entry txn in
       let need =
         match held with
         | Some h -> lub h mode
@@ -247,9 +357,7 @@ let request t ~txn resource mode =
              requests respect FIFO order. *)
           if grantable t entry txn need && (entry.queue = [] || is_upgrade)
           then begin
-            entry.holders <-
-              (txn, need)
-              :: List.filter (fun (o, _) -> o <> txn) entry.holders;
+            add_holder entry txn need;
             note_owned t txn resource;
             Obs.incr m_granted;
             Granted
@@ -274,8 +382,7 @@ let promote_waiters t sh resource entry =
     | [] -> ()
     | (txn, need) :: rest ->
       if grantable t entry txn need then begin
-        entry.holders <-
-          (txn, need) :: List.filter (fun (o, _) -> o <> txn) entry.holders;
+        add_holder entry txn need;
         entry.queue <- rest;
         sh.sh_waiters <- sh.sh_waiters - 1;
         clear_waiting t txn resource;
@@ -304,19 +411,24 @@ let release_all t ~txn =
       with_mu sh.sh_mu (fun () ->
           match Hashtbl.find_opt sh.sh_entries resource with
           | None -> ()
-          | Some entry ->
-            entry.holders <- List.filter (fun (o, _) -> o <> txn) entry.holders;
-            let before = List.length entry.queue in
-            entry.queue <- List.filter (fun (o, _) -> o <> txn) entry.queue;
-            let dropped = before - List.length entry.queue in
-            if dropped > 0 then clear_waiting t txn resource;
-            sh.sh_waiters <- sh.sh_waiters - dropped;
-            woken := promote_waiters t sh resource entry @ !woken;
-            note_waiters i sh;
-            if entry.holders = [] && entry.queue = [] then begin
+          | Some entry -> (
+            remove_holder entry txn;
+            (* With no queue nothing can be promoted and the shard's
+               waiter count, hence its gauge, cannot change. *)
+            if entry.queue <> [] then begin
+              let before = List.length entry.queue in
+              entry.queue <- List.filter (fun (o, _) -> o <> txn) entry.queue;
+              let dropped = before - List.length entry.queue in
+              if dropped > 0 then clear_waiting t txn resource;
+              sh.sh_waiters <- sh.sh_waiters - dropped;
+              woken := promote_waiters t sh resource entry @ !woken;
+              note_waiters i sh
+            end;
+            match entry.holders, entry.queue with
+            | Free, [] ->
               Hashtbl.remove sh.sh_entries resource;
               Atomic.decr t.total_entries
-            end))
+            | _ -> ())))
     resources;
   Obs.set m_entries (float_of_int (Atomic.get t.total_entries));
   let woken = List.sort_uniq Int.compare !woken in
@@ -328,9 +440,13 @@ let holders t resource =
   with_mu sh.sh_mu (fun () ->
       match Hashtbl.find_opt sh.sh_entries resource with
       | None -> []
-      | Some e -> e.holders)
+      | Some e -> holder_list e)
 
-let held t ~txn resource = List.assoc_opt txn (holders t resource)
+let held t ~txn resource =
+  let sh = t.shards.(shard_of resource) in
+  with_mu sh.sh_mu (fun () ->
+      Option.bind (Hashtbl.find_opt sh.sh_entries resource) (fun e ->
+          mode_of e txn))
 
 (* A waiter waits for every incompatible holder and every earlier
    incompatible waiter on the same resource. *)
@@ -347,9 +463,9 @@ let blockers_of_entry t entry txn =
         earlier (if compatible need m then acc else o :: acc) rest
     in
     let from_holders =
-      List.filter_map
-        (fun ((o, _) as h) -> if conflicts t txn need h then Some o else None)
-        entry.holders
+      fold_holders
+        (fun o m acc -> if conflicts t txn need o m then o :: acc else acc)
+        entry []
     in
     from_holders @ earlier [] entry.queue
 
@@ -378,11 +494,11 @@ let waiters_of_entry t entry x =
   | [] -> []
   | queue ->
     let on_held =
-      match List.assoc_opt x entry.holders with
+      match mode_of entry x with
       | None -> []
       | Some held ->
         List.filter_map
-          (fun (w, need) -> if conflicts t w need (x, held) then Some w else None)
+          (fun (w, need) -> if conflicts t w need x held then Some w else None)
           queue
     in
     let rec behind = function
@@ -426,7 +542,7 @@ let dump t =
         (fun acc sh ->
           Hashtbl.fold
             (fun resource entry acc ->
-              (resource, entry.holders, entry.queue) :: acc)
+              (resource, holder_list entry, entry.queue) :: acc)
             sh.sh_entries acc)
         [] t.shards)
   |> List.sort compare

@@ -47,7 +47,13 @@ type outcome =
     Upgrades combine the held and requested modes (e.g. holding [S] and
     requesting [IX] escalates to [X]). Re-requesting a covered mode is
     a no-op returning [Granted]. An already-queued request stays queued
-    and returns [Waiting] again. *)
+    and returns [Waiting] again.
+
+    Cost: O(1) expected in the number of holders of [resource]: a
+    lookup of the requester's hold, per-mode holder counts for the
+    grant check and one insert on grant. Only a requester tagged with a
+    group (see {!set_group}) that meets a clashing mode scans the
+    holders. Queueing appends to the resource's wait queue. *)
 val request : t -> txn:int -> resource -> mode -> outcome
 
 (** Install (or clear) a probe observing every {!request} before it is
@@ -58,10 +64,14 @@ val set_probe : (txn:int -> resource -> mode -> unit) option -> unit
 
 (** [release_all t ~txn] releases every lock held by [txn], removes its
     queued requests, and returns the transactions whose queued requests
-    became granted. *)
+    became granted, sorted.
+
+    Cost: one holder removal, O(1) expected, per resource [txn] held or
+    waited on. A resource with an empty wait queue costs nothing more;
+    one with waiters is filtered and its head promoted. *)
 val release_all : t -> txn:int -> int list
 
-(** Current holders of a resource, as (txn, mode). *)
+(** Current holders of a resource, as (txn, mode), sorted by txn. *)
 val holders : t -> resource -> (int * mode) list
 
 (** [held t ~txn resource] is the mode held, if any. *)
@@ -93,7 +103,8 @@ val is_waiting : t -> txn:int -> bool
 val waits : t -> txn:int -> (resource * mode) list
 
 (** Every live lock entry as (resource, holders, queue), sorted by
-    resource — the raw material for the wait-graph snapshot. *)
+    resource, each entry's holders sorted by txn and its queue oldest
+    first — the raw material for the wait-graph snapshot. *)
 val dump : t -> (resource * (int * mode) list * (int * mode) list) list
 
 val mode_to_string : mode -> string

@@ -203,6 +203,139 @@ module Locks = struct
     match cycle with
     | first :: _ -> first = txn && links cycle
     | [] -> false
+
+  (* The lock manager as it was before entries were keyed by holder:
+     one unsharded table of entries whose holders are a plain list,
+     newest first, with [request], [promote_waiters] and [release_all]
+     transcribed from that version. Every operation walks the holder
+     list. *)
+  module Model = struct
+    let covers held want =
+      match held, want with
+      | Lock.X, _ -> true
+      | Lock.S, (Lock.S | Lock.IS) -> true
+      | Lock.IX, (Lock.IX | Lock.IS) -> true
+      | Lock.IS, Lock.IS -> true
+      | _ -> false
+
+    let lub a b =
+      if covers a b then a
+      else if covers b a then b
+      else
+        match a, b with
+        | Lock.IS, Lock.IX | Lock.IX, Lock.IS -> Lock.IX
+        | Lock.IS, Lock.S | Lock.S, Lock.IS -> Lock.S
+        | _ -> Lock.X
+
+    type entry = {
+      mutable holders : (int * Lock.mode) list;
+      mutable queue : (int * Lock.mode) list;
+    }
+
+    type t = {
+      entries : (Lock.resource, entry) Hashtbl.t;
+      owned : (int, Lock.resource list) Hashtbl.t;
+      groups : (int, int) Hashtbl.t;
+    }
+
+    let create () =
+      { entries = Hashtbl.create 8; owned = Hashtbl.create 8; groups = Hashtbl.create 8 }
+
+    let set_group t ~txn ~group = Hashtbl.replace t.groups txn group
+
+    let conflicts t txn need (o, m) =
+      (not (compatible need m)) && not (same_owner (Hashtbl.find_opt t.groups) o txn)
+
+    let grantable t entry txn need =
+      not (List.exists (conflicts t txn need) entry.holders)
+
+    let note_owned t txn resource =
+      let rs = Option.value ~default:[] (Hashtbl.find_opt t.owned txn) in
+      if not (List.mem resource rs) then Hashtbl.replace t.owned txn (resource :: rs)
+
+    let request t ~txn resource mode =
+      let entry =
+        match Hashtbl.find_opt t.entries resource with
+        | Some e -> e
+        | None ->
+          let e = { holders = []; queue = [] } in
+          Hashtbl.add t.entries resource e;
+          e
+      in
+      let held = List.assoc_opt txn entry.holders in
+      let need =
+        match held with
+        | Some h -> lub h mode
+        | None -> mode
+      in
+      match held with
+      | Some h when covers h mode -> Lock.Granted
+      | _ ->
+        if List.exists (fun (o, _) -> o = txn) entry.queue then begin
+          entry.queue <-
+            List.map
+              (fun (o, m) -> if o = txn then (o, lub m need) else (o, m))
+              entry.queue;
+          Lock.Waiting
+        end
+        else if grantable t entry txn need && (entry.queue = [] || held <> None)
+        then begin
+          entry.holders <-
+            (txn, need) :: List.filter (fun (o, _) -> o <> txn) entry.holders;
+          note_owned t txn resource;
+          Lock.Granted
+        end
+        else begin
+          entry.queue <- entry.queue @ [ (txn, need) ];
+          note_owned t txn resource;
+          Lock.Waiting
+        end
+
+    let promote_waiters t entry =
+      let granted = ref [] in
+      let rec go () =
+        match entry.queue with
+        | (txn, need) :: rest when grantable t entry txn need ->
+          entry.holders <-
+            (txn, need) :: List.filter (fun (o, _) -> o <> txn) entry.holders;
+          entry.queue <- rest;
+          granted := txn :: !granted;
+          go ()
+        | _ -> ()
+      in
+      go ();
+      !granted
+
+    let release_all t ~txn =
+      let resources = Option.value ~default:[] (Hashtbl.find_opt t.owned txn) in
+      Hashtbl.remove t.owned txn;
+      Hashtbl.remove t.groups txn;
+      List.concat_map
+        (fun resource ->
+          match Hashtbl.find_opt t.entries resource with
+          | None -> []
+          | Some entry ->
+            entry.holders <- List.filter (fun (o, _) -> o <> txn) entry.holders;
+            entry.queue <- List.filter (fun (o, _) -> o <> txn) entry.queue;
+            let woken = promote_waiters t entry in
+            if entry.holders = [] && entry.queue = [] then
+              Hashtbl.remove t.entries resource;
+            woken)
+        resources
+      |> List.sort_uniq Int.compare
+
+    let held t ~txn resource =
+      Option.bind (Hashtbl.find_opt t.entries resource) (fun e ->
+          List.assoc_opt txn e.holders)
+
+    (* Holders sorted by txn, entries by resource, as [Lock.dump]. *)
+    let dump t =
+      Hashtbl.fold
+        (fun resource e acc ->
+          (resource, List.sort compare e.holders, e.queue) :: acc)
+        t.entries []
+      |> List.sort compare
+  end
 end
 
 (* The Appendix B structural participation check with no index below

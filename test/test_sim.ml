@@ -43,6 +43,61 @@ let test_pool_rejects_zero_connections () =
     Alcotest.fail "zero connections accepted"
   with Invalid_argument _ -> ()
 
+let test_pool_rejects_bad_work () =
+  let p = Pool.create ~connections:2 in
+  List.iter
+    (fun work ->
+      match Pool.add_work p 0 work with
+      | () -> Alcotest.failf "work %h accepted" work
+      | exception Invalid_argument _ -> ())
+    [ -1.0; -0.5e-300; Float.nan ];
+  Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Pool.loads p).(0)
+
+(* [now] is kept as a running maximum; it must stay bit-equal to the
+   maximum recomputed over every clock. *)
+type pool_op =
+  | Add of int * float
+  | Barrier of float
+  | Advance of float
+  | Reset
+
+let pool_op_to_string = function
+  | Add (c, w) -> Printf.sprintf "add %d %h" c w
+  | Barrier w -> Printf.sprintf "barrier %h" w
+  | Advance t -> Printf.sprintf "advance %h" t
+  | Reset -> "reset"
+
+let prop_pool_now_is_max =
+  let connections = 4 in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [ ( 6,
+            map2
+              (fun c w -> Add (c, w))
+              (int_range 0 (connections - 1))
+              (oneof [ float_range 0.0 5.0; return 0.0; return (-0.0) ]) );
+          (1, map (fun w -> Barrier w) (float_range 0.0 2.0));
+          (2, map (fun t -> Advance t) (float_range (-1.0) 20.0));
+          (1, return Reset) ])
+  in
+  QCheck2.Test.make ~name:"now is the maximum clock, bit for bit" ~count:500
+    ~print:QCheck2.Print.(list pool_op_to_string)
+    QCheck2.Gen.(list_size (int_range 1 60) op)
+    (fun ops ->
+      let p = Pool.create ~connections in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (c, w) -> Pool.add_work p c w
+          | Barrier w -> Pool.barrier p w
+          | Advance t -> Pool.advance_to p t
+          | Reset -> Pool.reset p);
+          Int64.equal
+            (Int64.bits_of_float (Pool.now p))
+            (Int64.bits_of_float (Array.fold_left Float.max 0.0 (Pool.loads p))))
+        ops)
+
 (* --- Group --- *)
 
 let test_group_union () =
@@ -82,7 +137,9 @@ let () =
         [ Alcotest.test_case "basics" `Quick test_pool_basics;
           Alcotest.test_case "barrier" `Quick test_pool_barrier;
           Alcotest.test_case "advance/reset" `Quick test_pool_advance_and_reset;
-          Alcotest.test_case "zero connections" `Quick test_pool_rejects_zero_connections ] );
+          Alcotest.test_case "zero connections" `Quick test_pool_rejects_zero_connections;
+          Alcotest.test_case "bad work" `Quick test_pool_rejects_bad_work;
+          Gen.to_alcotest prop_pool_now_is_max ] );
       ( "group",
         [ Alcotest.test_case "union-find" `Quick test_group_union;
           Gen.to_alcotest prop_group_members_symmetric ] ) ]

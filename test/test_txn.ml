@@ -642,7 +642,7 @@ let lock_op_to_string = function
   | Release txn -> Printf.sprintf "release t%d" txn
   | Group (txn, g) -> Printf.sprintf "group t%d g%d" txn g
 
-let lock_waits_for_differential ~name ~count ~txns ~max_ops resources =
+let lock_ops ~txns ~max_ops resources =
   let lock_op =
     QCheck2.Gen.(
       let txn = int_range 1 txns
@@ -657,9 +657,24 @@ let lock_waits_for_differential ~name ~count ~txns ~max_ops resources =
           (2, map (fun txn -> Release txn) txn);
           (1, map2 (fun txn g -> Group (txn, g)) txn (int_range 1 2)) ])
   in
+  QCheck2.Gen.(list_size (int_range 1 max_ops) lock_op)
+
+(* The request an [Upgrade] makes: strengthen whatever [txn] holds in
+   [lm], preferring resource [r]. *)
+let upgrade_request lm ~txn resources r =
+  let held =
+    List.filter
+      (fun r -> Lock.held lm ~txn r <> None)
+      (resources.(r) :: Array.to_list resources)
+  in
+  match held with
+  | res :: _ -> (res, Lock.X)
+  | [] -> (resources.(r), Lock.S)
+
+let lock_waits_for_differential ~name ~count ~txns ~max_ops resources =
   QCheck2.Test.make ~name ~count
     ~print:QCheck2.Print.(list lock_op_to_string)
-    QCheck2.Gen.(list_size (int_range 1 max_ops) lock_op)
+    (lock_ops ~txns ~max_ops resources)
     (fun ops ->
       let lm = Lock.create () in
       let groups = Hashtbl.create 8 in
@@ -669,15 +684,8 @@ let lock_waits_for_differential ~name ~count ~txns ~max_ops resources =
           (match op with
           | Request (txn, r, m) -> ignore (Lock.request lm ~txn resources.(r) m)
           | Upgrade (txn, r) ->
-            (* strengthen whatever [txn] holds, preferring [r] *)
-            let held =
-              List.filter
-                (fun r -> Lock.held lm ~txn r <> None)
-                (resources.(r) :: Array.to_list resources)
-            in
-            (match held with
-            | res :: _ -> ignore (Lock.request lm ~txn res Lock.X)
-            | [] -> ignore (Lock.request lm ~txn resources.(r) Lock.S))
+            let res, m = upgrade_request lm ~txn resources r in
+            ignore (Lock.request lm ~txn res m)
           | Release txn ->
             ignore (Lock.release_all lm ~txn);
             Hashtbl.remove groups txn
@@ -719,11 +727,100 @@ let prop_lock_waits_for_long_queues =
     ~txns:10 ~max_ops:120
     [| res_a; Lock.Table "B" |]
 
+(* The lock manager against [Reference.Locks.Model], the list-based
+   manager it replaced, over the same random traffic: every request
+   outcome, every woken list, [held] for every txn and resource, and
+   the whole [dump] must agree after every step. *)
+let lock_model_differential ~name ~count ~txns ~max_ops resources =
+  let module Model = Reference.Locks.Model in
+  QCheck2.Test.make ~name ~count
+    ~print:QCheck2.Print.(list lock_op_to_string)
+    (lock_ops ~txns ~max_ops resources)
+    (fun ops ->
+      let lm = Lock.create () and model = Model.create () in
+      List.iteri
+        (fun step op ->
+          let fail what =
+            QCheck2.Test.fail_reportf "step %d (%s): %s" step
+              (lock_op_to_string op) what
+          in
+          let request txn res m =
+            if Lock.request lm ~txn res m <> Model.request model ~txn res m then
+              fail "request outcome differs"
+          in
+          (match op with
+          | Request (txn, r, m) -> request txn resources.(r) m
+          | Upgrade (txn, r) ->
+            let res, m = upgrade_request lm ~txn resources r in
+            request txn res m
+          | Release txn ->
+            if Lock.release_all lm ~txn <> Model.release_all model ~txn then
+              fail "woken lists differ"
+          | Group (txn, g) ->
+            Lock.set_group lm ~txn ~group:g;
+            Model.set_group model ~txn ~group:g);
+          for txn = 1 to txns do
+            Array.iter
+              (fun res ->
+                if Lock.held lm ~txn res <> Model.held model ~txn res then
+                  fail (Printf.sprintf "held differs for t%d" txn))
+              resources
+          done;
+          let sorted_holders =
+            List.map (fun (r, hs, q) -> (r, List.sort compare hs, q))
+          in
+          if sorted_holders (Lock.dump lm) <> Model.dump model then
+            fail "dump differs")
+        ops;
+      true)
+
+let prop_lock_model_differential =
+  lock_model_differential
+    ~name:"lock manager matches the list-based model" ~count:300 ~txns:6
+    ~max_ops:60
+    [| res_a; Lock.Table "B"; Lock.Row ("A", 7); Lock.Row ("B", 2) |]
+
+let prop_lock_model_long_queues =
+  lock_model_differential
+    ~name:"long queues: lock manager matches the list-based model" ~count:300
+    ~txns:10 ~max_ops:120
+    [| res_a; Lock.Table "B" |]
+
+(* An IS request and release next to k other IS holders of the same
+   table must allocate the same whatever k is: neither walks nor copies
+   the holders. Steady state (the first cycle is a warm-up), averaged
+   over 100 cycles. *)
+let test_lock_cost_flat_in_holders () =
+  let words_per_cycle k =
+    let lm = Lock.create () in
+    let table = Lock.Table "T" in
+    for txn = 1 to k do
+      ignore (Lock.request lm ~txn table Lock.IS)
+    done;
+    let cycle () =
+      ignore (Lock.request lm ~txn:0 table Lock.IS);
+      ignore (Lock.release_all lm ~txn:0)
+    in
+    cycle ();
+    let cycles = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to cycles do
+      cycle ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int cycles
+  in
+  let few = words_per_cycle 10 and many = words_per_cycle 1_000 in
+  if Float.abs (many -. few) > 4.0 then
+    Alcotest.failf "words per cycle: %.1f with 10 holders, %.1f with 1000" few
+      many
+
 let properties =
   List.map Gen.to_alcotest
     [ prop_lock_no_incompatible_holders;
       prop_lock_waits_for_differential;
       prop_lock_waits_for_long_queues;
+      prop_lock_model_differential;
+      prop_lock_model_long_queues;
       prop_recovery_idempotent ]
 
 let () =
@@ -738,7 +835,8 @@ let () =
           Alcotest.test_case "deadlock detection" `Quick test_lock_deadlock_detection;
           Alcotest.test_case "queue-order deadlock" `Quick test_lock_queue_order_deadlock;
           Alcotest.test_case "group cuts holder edge" `Quick test_lock_group_cuts_holder_edge;
-          Alcotest.test_case "waiter removal" `Quick test_lock_waiter_removed_on_release ] );
+          Alcotest.test_case "waiter removal" `Quick test_lock_waiter_removed_on_release;
+          Alcotest.test_case "cost flat in holders" `Quick test_lock_cost_flat_in_holders ] );
       ( "engine",
         [ Alcotest.test_case "commit visible" `Quick test_engine_commit_visible;
           Alcotest.test_case "abort undoes" `Quick test_engine_abort_undoes;
