@@ -155,17 +155,8 @@ let record_main path isolation frequency serializability print_history =
   match serializability_of serializability with
   | Error msg -> fail_input msg
   | Ok serializability -> (
-    (* si / mixed select per-transaction levels over the full lock
-       protocol; the rest are the scheduler's 2PL weakening presets. *)
-    let isolation, txn_isolation =
-      match isolation with
-      | "si" | "snapshot" -> ("full", "si")
-      | "mixed" -> ("full", "mixed")
-      | other -> (other, "2pl")
-    in
     match
-      Result.bind (read_input path)
-        (Driver.record_script ~isolation ~txn_isolation ~frequency)
+      Result.bind (read_input path) (Driver.record_script ~isolation ~frequency)
     with
     | Error msg -> fail_input msg
     | Ok (history, certifier) ->

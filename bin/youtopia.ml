@@ -10,31 +10,10 @@
 
 open Ent_core
 
-(* The isolation flag selects either a 2PL weakening preset (the
-   scheduler's lock-protocol knobs) or a per-transaction level: [si]
-   runs every submitted transaction under snapshot isolation, [mixed]
-   alternates 2PL and SI per submission order. *)
-type levels =
-  | All_2pl
-  | All_si
-  | Mixed
-
-let isolation_of_string = function
-  | "full" -> Ok (Isolation.full, All_2pl)
-  | "no-group-commit" -> Ok (Isolation.no_group_commit, All_2pl)
-  | "no-grounding-locks" -> Ok (Isolation.no_grounding_locks, All_2pl)
-  | "read-uncommitted" -> Ok (Isolation.read_uncommitted, All_2pl)
-  | "si" | "snapshot" -> Ok (Isolation.full, All_si)
-  | "mixed" -> Ok (Isolation.full, Mixed)
-  | s -> Error (`Msg (Printf.sprintf "unknown isolation level %S" s))
-
-let level_of_count levels count =
-  match levels with
-  | All_2pl -> Ent_txn.Engine.Serializable_2pl
-  | All_si -> Ent_txn.Engine.Snapshot
-  | Mixed ->
-    if count land 1 = 1 then Ent_txn.Engine.Snapshot
-    else Ent_txn.Engine.Serializable_2pl
+(* The script file, or standard input when none is given. *)
+let read_input = function
+  | Some path -> In_channel.with_open_bin path In_channel.input_all
+  | None -> In_channel.input_all stdin
 
 let write_metrics = function
   | None -> ()
@@ -45,8 +24,8 @@ let write_metrics = function
 let run_script path connections frequency parallel isolation_name show_tables
     verbose metrics trace_out wait_graph wait_graph_dot certify slo_path
     flight_out =
-  match isolation_of_string isolation_name with
-  | Error (`Msg msg) ->
+  match Isolation.of_name isolation_name with
+  | Error msg ->
     prerr_endline msg;
     2
   | Ok (isolation, levels) -> (
@@ -65,16 +44,7 @@ let run_script path connections frequency parallel isolation_name show_tables
       Printf.eprintf "bad --slo file: %s\n" msg;
       2
     | Ok slo_specs -> (
-    let input =
-      match path with
-      | Some p ->
-        let ic = open_in p in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      | None -> In_channel.input_all stdin
-    in
+    let input = read_input path in
     match Ent_sql.Parser.parse_script input with
     | exception Ent_sql.Parser.Parse_error msg ->
       Printf.eprintf "parse error: %s\n" msg;
@@ -125,22 +95,7 @@ let run_script path connections frequency parallel isolation_name show_tables
           Some c
         end
       in
-      let access = Ent_sql.Eval.direct_access (Manager.catalog m) in
-      let env = Ent_sql.Eval.fresh_env () in
-      let submitted = ref [] in
-      let count = ref 0 in
-      List.iter
-        (fun item ->
-          match item with
-          | Ent_sql.Parser.Stmt (stmt, _) ->
-            ignore (Ent_sql.Eval.exec_stmt access env stmt)
-          | Ent_sql.Parser.Program ast ->
-            incr count;
-            let label = Printf.sprintf "txn-%d" !count in
-            let level = level_of_count levels !count in
-            let id = Manager.submit m (Program.make ~isolation:level ~label ast) in
-            submitted := (id, label) :: !submitted)
-        items;
+      let submitted = Manager.load_script m ~levels items in
       Manager.drain m;
       let pending = Scheduler.dormant (Manager.scheduler m) in
       List.iter
@@ -162,14 +117,14 @@ let run_script path connections frequency parallel isolation_name show_tables
                   (String.concat ", "
                      (List.map Ent_storage.Value.to_string values)))
               (Manager.answers_of m id))
-        (List.rev !submitted);
+        submitted;
       let s = Manager.stats m in
       Printf.printf
         "-- runs: %d, commits: %d, entanglements: %d, repooled: %d, \
          timeouts: %d, simulated time: %.3f ms\n"
         s.runs s.commits s.entangle_events s.repooled s.timeouts
         (1000.0 *. Manager.now m);
-      if levels <> All_2pl then
+      if levels <> Isolation.All_2pl then
         Printf.printf "-- si aborts (first-committer-wins): %d\n" s.si_aborts;
       List.iter
         (fun table ->
@@ -249,8 +204,8 @@ let run_script path connections frequency parallel isolation_name show_tables
    DDL/DML executed directly. "#" starts a comment. *)
 
 let repl path isolation_name =
-  match isolation_of_string isolation_name with
-  | Error (`Msg msg) ->
+  match Isolation.of_name isolation_name with
+  | Error msg ->
     prerr_endline msg;
     2
   | Ok (_, (All_si | Mixed)) ->
@@ -259,16 +214,7 @@ let repl path isolation_name =
        Strict 2PL";
     2
   | Ok (isolation, All_2pl) ->
-    let input =
-      match path with
-      | Some p ->
-        let ic = open_in p in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      | None -> In_channel.input_all stdin
-    in
+    let input = read_input path in
     let catalog = Ent_storage.Catalog.create () in
     let engine = Ent_txn.Engine.create ~wal:true catalog in
     let hub = Interactive.create_hub ~isolation engine in
@@ -345,7 +291,7 @@ let repl path isolation_name =
           with
           | Ent_sql.Eval.Rows rows -> Printf.printf "boot     %d row(s)\n%!" (List.length rows)
           | Ent_sql.Eval.Affected _ | Ent_sql.Eval.Created -> Printf.printf "boot     ok\n%!"
-          | exception Ent_sql.Parser.Parse_error msg ->
+          | exception (Ent_sql.Parser.Parse_error msg | Ent_sql.Lexer.Lex_error msg) ->
             Printf.printf "boot     parse error: %s\n%!" msg
           | exception Ent_sql.Eval.Eval_error msg ->
             Printf.printf "boot     error: %s\n%!" msg)
@@ -363,21 +309,12 @@ let repl path isolation_name =
 
 let top_script path connections frequency parallel isolation_name window delay
     =
-  match isolation_of_string isolation_name with
-  | Error (`Msg msg) ->
+  match Isolation.of_name isolation_name with
+  | Error msg ->
     prerr_endline msg;
     2
   | Ok (isolation, levels) when window > 0.0 -> (
-    let input =
-      match path with
-      | Some p ->
-        let ic = open_in p in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      | None -> In_channel.input_all stdin
-    in
+    let input = read_input path in
     match Ent_sql.Parser.parse_script input with
     | exception Ent_sql.Parser.Parse_error msg ->
       Printf.eprintf "parse error: %s\n" msg;
@@ -491,20 +428,7 @@ let top_script path connections frequency parallel isolation_name window delay
         }
       in
       let m = Manager.create ~config () in
-      let access = Ent_sql.Eval.direct_access (Manager.catalog m) in
-      let env = Ent_sql.Eval.fresh_env () in
-      let count = ref 0 in
-      List.iter
-        (fun item ->
-          match item with
-          | Ent_sql.Parser.Stmt (stmt, _) ->
-            ignore (Ent_sql.Eval.exec_stmt access env stmt)
-          | Ent_sql.Parser.Program ast ->
-            incr count;
-            let label = Printf.sprintf "txn-%d" !count in
-            let level = level_of_count levels !count in
-            ignore (Manager.submit m (Program.make ~isolation:level ~label ast)))
-        items;
+      ignore (Manager.load_script m ~levels items);
       Manager.drain m;
       (* Last partial window becomes the final frame. *)
       Ent_obs.Timeseries.flush ();

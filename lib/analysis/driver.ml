@@ -112,30 +112,12 @@ let history_of_text text =
   | h -> Ok h
   | exception Histparse.Parse_error msg -> Error msg
 
-let isolation_of_name = function
-  | "full" -> Ok Ent_core.Isolation.full
-  | "no-group-commit" -> Ok Ent_core.Isolation.no_group_commit
-  | "no-grounding-locks" -> Ok Ent_core.Isolation.no_grounding_locks
-  | "read-uncommitted" -> Ok Ent_core.Isolation.read_uncommitted
-  | s -> Error (Printf.sprintf "unknown isolation level %S" s)
-
-let txn_isolation_of_name = function
-  | "2pl" -> Ok `All_2pl
-  | "si" | "snapshot" -> Ok `All_si
-  | "mixed" -> Ok `Mixed
-  | s ->
-    Error (Printf.sprintf "unknown transaction isolation %S (2pl|si|mixed)" s)
-
 (* Execute a script under a recorder and a certifier and return the
    schedule of the terminated transactions with the certifier that
-   watched it — the bridge from the simulator to the formal checkers.
-   [txn_isolation] tags the submitted programs: [si] runs them all
-   under snapshot isolation, [mixed] alternates per submission. *)
-let record_script ?(isolation = "full") ?(txn_isolation = "2pl")
-    ?(frequency = 1) text =
+   watched it — the bridge from the simulator to the formal checkers. *)
+let record_script ?(isolation = "full") ?(frequency = 1) text =
   let open Ent_core in
-  let* isolation = isolation_of_name isolation in
-  let* txn_isolation = txn_isolation_of_name txn_isolation in
+  let* isolation, levels = Isolation.of_name isolation in
   let* items =
     match Parser.parse_script text with
     | items -> Ok items
@@ -159,27 +141,8 @@ let record_script ?(isolation = "full") ?(txn_isolation = "2pl")
     ~on_entangle:(fun ~event participants ->
       Ent_schedule.Recorder.on_entangle recorder ~event participants;
       Ent_schedule.Certify.on_entangle certifier ~event participants);
-  let access = Ent_sql.Eval.direct_access (Manager.catalog m) in
-  let env = Ent_sql.Eval.fresh_env () in
-  let count = ref 0 in
   match
-    List.iter
-      (fun item ->
-        match item with
-        | Parser.Stmt (stmt, _) -> ignore (Ent_sql.Eval.exec_stmt access env stmt)
-        | Parser.Program ast ->
-          incr count;
-          let label = Printf.sprintf "txn-%d" !count in
-          let level =
-            match txn_isolation with
-            | `All_2pl -> Ent_txn.Engine.Serializable_2pl
-            | `All_si -> Ent_txn.Engine.Snapshot
-            | `Mixed ->
-              if !count land 1 = 1 then Ent_txn.Engine.Snapshot
-              else Ent_txn.Engine.Serializable_2pl
-          in
-          ignore (Manager.submit m (Program.make ~isolation:level ~label ast)))
-      items;
+    ignore (Manager.load_script m ~levels items);
     Manager.drain m
   with
   | () -> Ok (Ent_schedule.Recorder.completed_history recorder, certifier)

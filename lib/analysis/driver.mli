@@ -22,16 +22,15 @@ val workload_inputs : ?n:int -> string -> (Lint.input list, string) result
 (** Parse the textual schedule notation ({!Histparse}). *)
 val history_of_text : string -> (Ent_schedule.History.t, string) result
 
-val isolation_of_name : string -> (Ent_core.Isolation.t, string) result
-
 (** Execute a script under a {!Ent_schedule.Recorder} and a
     {!Ent_schedule.Certify} certifier; return the schedule of the
     transactions that terminated and the certifier that watched the
-    run (for {!Histcheck.check}). [txn_isolation] ([2pl], the default;
-    [si]; [mixed]) tags the submitted programs' per-transaction level. *)
+    run (for {!Histcheck.check}). [isolation] is an
+    {!Ent_core.Isolation.of_name} name ([full] by default): [si] runs
+    every submitted program under snapshot isolation, [mixed]
+    alternates per submission. *)
 val record_script :
   ?isolation:string ->
-  ?txn_isolation:string ->
   ?frequency:int ->
   string ->
   (Ent_schedule.History.t * Ent_schedule.Certify.t, string) result

@@ -117,60 +117,62 @@ let autocommit_boundary engine (costs : Ent_sim.Cost.t) task =
     end
   end
 
-let rec step engine (isolation : Isolation.t) (costs : Ent_sim.Cost.t) task =
+(* Abort the task's transaction: the statement ended it. *)
+let fail engine (costs : Ent_sim.Cost.t) task failure =
+  Ent_txn.Engine.abort engine task.txn;
+  task.work <- task.work +. costs.c_abort;
+  task.status <- Failed failure;
+  None
+
+(* One statement. A classical statement that completes returns its
+   result; every other outcome lands in [task.status]. *)
+let exec engine (isolation : Isolation.t) (costs : Ent_sim.Cost.t) task stmt =
+  match stmt with
+  | Ent_sql.Ast.Entangled e -> (
+    try
+      task.pending <- Some (Translate.of_ast ~env:task.env e);
+      task.work <- task.work +. costs.c_stmt;
+      task.status <- Waiting_entangled;
+      Event.emit ~txn:task.txn ~task:task.task_id Event.Entangle_block;
+      None
+    with Translate.Translate_error msg | Ir.Unsafe msg ->
+      fail engine costs task (Program_error msg))
+  | Ent_sql.Ast.Rollback -> fail engine costs task Explicit_rollback
+  | stmt -> (
+    let sp = Ent_txn.Engine.savepoint engine task.txn in
+    let access =
+      counting_access costs task
+        (Ent_txn.Engine.access engine task.txn ~grounding:false
+           ~lock_reads:isolation.lock_classical_reads ())
+    in
+    task.work <- task.work +. costs.c_stmt;
+    match Ent_sql.Eval.exec_stmt access task.env stmt with
+    | result ->
+      task.pc <- task.pc + 1;
+      autocommit_boundary engine costs task;
+      Some result
+    | exception Ent_txn.Engine.Blocked _ ->
+      Ent_txn.Engine.rollback_to engine task.txn sp;
+      task.status <- Waiting_lock;
+      None
+    | exception Ent_txn.Engine.Deadlock_victim _ -> fail engine costs task Deadlock
+    | exception Ent_txn.Engine.Si_conflict _ ->
+      (* snapshot write lost first-committer-wins mid-statement;
+         abort and retry on a fresh snapshot (row id unknown here) *)
+      fail engine costs task (Si_conflict ("", -1))
+    | exception Ent_sql.Eval.Eval_error msg ->
+      fail engine costs task (Program_error msg))
+
+let rec step engine isolation costs task =
   let body = statements task in
   if task.pc >= List.length body then begin
     task.status <- Ready;
     Event.emit ~txn:task.txn ~task:task.task_id Event.Ready
   end
   else
-    let stmt = List.nth body task.pc in
-    match stmt with
-    | Ent_sql.Ast.Entangled e -> (
-      try
-        task.pending <- Some (Translate.of_ast ~env:task.env e);
-        task.work <- task.work +. costs.c_stmt;
-        task.status <- Waiting_entangled;
-        Event.emit ~txn:task.txn ~task:task.task_id Event.Entangle_block
-      with
-      | Translate.Translate_error msg | Ir.Unsafe msg ->
-        Ent_txn.Engine.abort engine task.txn;
-        task.work <- task.work +. costs.c_abort;
-        task.status <- Failed (Program_error msg))
-    | Ent_sql.Ast.Rollback ->
-      Ent_txn.Engine.abort engine task.txn;
-      task.work <- task.work +. costs.c_abort;
-      task.status <- Failed Explicit_rollback
-    | stmt -> (
-      let sp = Ent_txn.Engine.savepoint engine task.txn in
-      let access =
-        counting_access costs task
-          (Ent_txn.Engine.access engine task.txn ~grounding:false
-             ~lock_reads:isolation.lock_classical_reads ())
-      in
-      task.work <- task.work +. costs.c_stmt;
-      match Ent_sql.Eval.exec_stmt access task.env stmt with
-      | _ ->
-        task.pc <- task.pc + 1;
-        autocommit_boundary engine costs task;
-        step engine isolation costs task
-      | exception Ent_txn.Engine.Blocked _ ->
-        Ent_txn.Engine.rollback_to engine task.txn sp;
-        task.status <- Waiting_lock
-      | exception Ent_txn.Engine.Deadlock_victim _ ->
-        Ent_txn.Engine.abort engine task.txn;
-        task.work <- task.work +. costs.c_abort;
-        task.status <- Failed Deadlock
-      | exception Ent_txn.Engine.Si_conflict _ ->
-        (* snapshot write lost first-committer-wins mid-statement;
-           abort and retry on a fresh snapshot (row id unknown here) *)
-        Ent_txn.Engine.abort engine task.txn;
-        task.work <- task.work +. costs.c_abort;
-        task.status <- Failed (Si_conflict ("", -1))
-      | exception Ent_sql.Eval.Eval_error msg ->
-        Ent_txn.Engine.abort engine task.txn;
-        task.work <- task.work +. costs.c_abort;
-        task.status <- Failed (Program_error msg))
+    match exec engine isolation costs task (List.nth body task.pc) with
+    | Some _ -> step engine isolation costs task
+    | None -> ()
 
 (* Bind the query's [AS @var] positions in [env]. The first head atom
    of the chosen grounding is the query's own contribution; its values

@@ -50,9 +50,26 @@ val make_task :
     task and marks it runnable. *)
 val start : Ent_txn.Engine.t -> Ent_sim.Cost.t -> task -> unit
 
-(** [step engine isolation costs task] executes statements until the
-    task blocks (lock or entangled query), finishes ([Ready]), or
-    fails. Simulated cost is accumulated into [task.work]. *)
+(** [exec engine isolation costs task stmt] executes one statement of
+    the task's transaction. A classical statement that completes
+    advances [task.pc] and returns its result. Otherwise the outcome is
+    in [task.status] and the result is [None]: an entangled query
+    leaves the task [Waiting_entangled] with its translation in
+    [task.pending]; a lock wait undoes the statement's writes and
+    leaves it [Waiting_lock]; ROLLBACK, a deadlock or an error aborts
+    the transaction ([Failed]). Simulated cost is accumulated into
+    [task.work]. *)
+val exec :
+  Ent_txn.Engine.t ->
+  Isolation.t ->
+  Ent_sim.Cost.t ->
+  task ->
+  Ent_sql.Ast.stmt ->
+  Ent_sql.Eval.outcome option
+
+(** [step engine isolation costs task] runs {!exec} on the program's
+    statements from [task.pc] until the task blocks (lock or entangled
+    query), finishes ([Ready]), or fails. *)
 val step :
   Ent_txn.Engine.t -> Isolation.t -> Ent_sim.Cost.t -> task -> unit
 

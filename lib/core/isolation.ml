@@ -16,3 +16,23 @@ let read_uncommitted =
 let pp ppf t =
   Format.fprintf ppf "{classical-read-locks=%b; grounding-locks=%b; group-commit=%b}"
     t.lock_classical_reads t.lock_grounding_reads t.group_commit
+
+type levels =
+  | All_2pl
+  | All_si
+  | Mixed
+
+let of_name = function
+  | "full" -> Ok (full, All_2pl)
+  | "no-group-commit" -> Ok (no_group_commit, All_2pl)
+  | "no-grounding-locks" -> Ok (no_grounding_locks, All_2pl)
+  | "read-uncommitted" -> Ok (read_uncommitted, All_2pl)
+  | "si" | "snapshot" -> Ok (full, All_si)
+  | "mixed" -> Ok (full, Mixed)
+  | s -> Error (Printf.sprintf "unknown isolation level %S" s)
+
+let level levels n : Ent_txn.Engine.level =
+  match levels with
+  | All_2pl -> Serializable_2pl
+  | All_si -> Snapshot
+  | Mixed -> if n land 1 = 1 then Snapshot else Serializable_2pl

@@ -29,3 +29,18 @@ val no_grounding_locks : t
 val read_uncommitted : t
 
 val pp : Format.formatter -> t -> unit
+
+(** Per-transaction levels of a script's submissions. *)
+type levels =
+  | All_2pl
+  | All_si
+  | Mixed  (** odd submissions under snapshot isolation, even under 2PL *)
+
+(** The isolation names the command-line tools accept: [full],
+    [no-group-commit], [no-grounding-locks] and [read-uncommitted] (the
+    2PL presets, [All_2pl]); [si] or [snapshot] ([full], [All_si]);
+    [mixed] ([full], [Mixed]). *)
+val of_name : string -> (t * levels, string) result
+
+(** [level levels n] is the level of the [n]-th submission, from 1. *)
+val level : levels -> int -> Ent_txn.Engine.level

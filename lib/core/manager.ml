@@ -35,12 +35,26 @@ let add_index t name columns =
 let add_constraint t name predicate =
   Ent_txn.Engine.add_constraint t.engine ~name predicate
 
-let observe t ~on_event ~on_entangle =
-  Ent_txn.Engine.add_on_event t.engine on_event;
-  Scheduler.add_on_entangle t.scheduler on_entangle
+let observe t = Scheduler.observe t.scheduler
 
 let submit t program = Scheduler.submit t.scheduler program
 let submit_string t ?label input = submit t (Program.of_string ?label input)
+let load_script t ?(levels = Isolation.All_2pl) items =
+  let access = Ent_sql.Eval.direct_access (catalog t) in
+  let env = Ent_sql.Eval.fresh_env () in
+  let count = ref 0 in
+  List.filter_map
+    (function
+      | Ent_sql.Parser.Stmt (stmt, _) ->
+        ignore (Ent_sql.Eval.exec_stmt access env stmt);
+        None
+      | Ent_sql.Parser.Program ast ->
+        incr count;
+        let label = Printf.sprintf "txn-%d" !count in
+        let isolation = Isolation.level levels !count in
+        Some (submit t (Program.make ~isolation ~label ast), label))
+    items
+
 let drain t = Scheduler.drain t.scheduler
 let run_once t = Scheduler.run_once t.scheduler
 let outcome t id = Scheduler.outcome t.scheduler id

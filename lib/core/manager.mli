@@ -55,6 +55,16 @@ val observe :
 val submit : t -> Program.t -> int
 val submit_string : t -> ?label:string -> string -> int
 
+(** [load_script t ?levels items] runs a parsed script: bootstrap
+    statements execute directly against the catalog, and the [n]-th
+    transaction block is submitted as program [txn-n] at level
+    [Isolation.level levels n] (default {!Isolation.All_2pl}).
+    Submissions may start runs, per the configured trigger. Returns the
+    submitted (task id, label) pairs in script order.
+    @raise Ent_sql.Eval.Eval_error when a bootstrap statement fails. *)
+val load_script :
+  t -> ?levels:Isolation.levels -> Ent_sql.Parser.item list -> (int * string) list
+
 (** Run until the pool drains or stops making progress. *)
 val drain : t -> unit
 

@@ -131,17 +131,18 @@ let create ?(config = default_config) engine =
 let engine t = t.engine
 let config t = t.config
 
-let add_on_entangle t f =
+let observe t ~on_event ~on_entangle =
+  Ent_txn.Engine.add_on_event t.engine on_event;
   match t.on_entangle with
-  | None -> t.on_entangle <- Some f
+  | None -> t.on_entangle <- Some on_entangle
   | Some g ->
     t.on_entangle <-
       Some
         (fun ~event participants ->
           g ~event participants;
-          f ~event participants)
+          on_entangle ~event participants)
+
 let now t = Ent_sim.Pool.now t.pool
-let connection_loads t = Ent_sim.Pool.loads t.pool
 let advance_time t seconds = Ent_sim.Pool.advance_to t.pool (now t +. seconds)
 let stats t = t.stats
 
@@ -206,6 +207,16 @@ type run = {
   rank : (int, int) Hashtbl.t;  (* task id -> position in [tasks] *)
   mutable progress : bool;  (* some phase moved a task this round *)
 }
+
+let run_of tasks =
+  let n = List.length tasks in
+  let r = { tasks; alive = Hashtbl.create n; rank = Hashtbl.create n; progress = false } in
+  List.iteri
+    (fun i (task : Executor.task) ->
+      Hashtbl.replace r.alive task.task_id task;
+      Hashtbl.replace r.rank task.task_id i)
+    tasks;
+  r
 
 let iter_live r f =
   List.iter
@@ -314,11 +325,19 @@ let for_each_task t tasks body =
     Array.iter (settle t) arr;
     Array.to_list (Array.map Option.get out)
 
+(* Begin a transaction for a task. Connections are assigned
+   round-robin, one transaction per connection at a time; a greedy
+   least-loaded pick would dump a whole run onto a connection that
+   lagged after the previous run, because only the tiny BEGIN cost is
+   visible at assignment time. *)
+let begin_task t (task : Executor.task) =
+  task.conn <- t.next_conn mod t.config.connections;
+  t.next_conn <- t.next_conn + 1;
+  Executor.start t.engine t.config.costs task;
+  drain_work t task
+
 (* Start: take the whole dormant pool and begin a transaction for every
-   task. Connections are assigned round-robin, one transaction per
-   connection at a time; a greedy least-loaded pick would dump a whole
-   run onto a connection that lagged after the previous run, because
-   only the tiny BEGIN cost is visible at assignment time. *)
+   task. *)
 let start_phase t =
   t.stats.runs <- t.stats.runs + 1;
   Obs.incr m_runs;
@@ -330,16 +349,12 @@ let start_phase t =
   Obs.observe m_run_length (float_of_int n);
   ignore (Event.new_run ());
   Event.emit (Event.Run_start { pool = n });
-  let r = { tasks; alive = Hashtbl.create n; rank = Hashtbl.create n; progress = true } in
-  List.iteri
-    (fun i (task : Executor.task) ->
-      Hashtbl.replace r.alive task.task_id task;
-      Hashtbl.replace r.rank task.task_id i;
-      task.conn <- t.next_conn mod t.config.connections;
-      t.next_conn <- t.next_conn + 1;
+  let r = run_of tasks in
+  r.progress <- true;
+  List.iter
+    (fun (task : Executor.task) ->
       Event.emit ~task:task.task_id Event.Pool_exit;
-      Executor.start t.engine t.config.costs task;
-      drain_work t task)
+      begin_task t task)
     tasks;
   r
 
@@ -640,10 +655,10 @@ let run_once t =
     end_phase t r
   end
 
-let submit t (program : Program.t) =
+(* A task under the next id, indexed for outcome and answer queries. *)
+let new_task t (program : Program.t) =
   let task_id = t.next_task in
   t.next_task <- task_id + 1;
-  Obs.incr m_submitted;
   (* First snapshot-isolation program: turn on this engine's version
      chains from here on. Never turned back off — earlier 2PL writers
      left no chain entries, which reads exactly like "visible to all".
@@ -654,6 +669,36 @@ let submit t (program : Program.t) =
     Ent_storage.Catalog.enable_versioning (Ent_txn.Engine.catalog t.engine);
   let task = Executor.make_task ~task_id ~arrival:(now t) program in
   Hashtbl.replace t.task_index task_id task;
+  task
+
+let open_task t program =
+  let task = new_task t program in
+  begin_task t task;
+  task
+
+let abort_group t (task : Executor.task) outcome =
+  let ids =
+    if t.config.isolation.group_commit then Group.members t.groups task.task_id
+    else [ task.task_id ]
+  in
+  let victims =
+    List.filter_map
+      (fun id ->
+        if Hashtbl.mem t.outcomes id then None else Hashtbl.find_opt t.task_index id)
+      ids
+  in
+  let active =
+    List.filter
+      (fun (o : Executor.task) -> Ent_txn.Engine.is_active t.engine o.txn)
+      victims
+  in
+  abort_members t (run_of active) active ignore;
+  List.iter (fun o -> finalize t o outcome) victims
+
+let submit t (program : Program.t) =
+  Obs.incr m_submitted;
+  let task = new_task t program in
+  let task_id = task.task_id in
   Event.emit ~task:task_id Event.Pool_enter;
   Queue.add task t.dormant;
   Obs.set m_dormant (float_of_int (Queue.length t.dormant));

@@ -75,12 +75,19 @@ val create : ?config:config -> Ent_txn.Engine.t -> t
 val engine : t -> Ent_txn.Engine.t
 val config : t -> config
 
-(** Add a hook called at each entanglement operation with the event id
-    and, per participant, its transaction id and the tables its
-    grounding read — the information a schedule recorder needs to emit
-    [E] operations and quasi-reads. Every hook runs, in installation
-    order; {!Manager.observe} attaches through this. *)
-val add_on_entangle : t -> (event:int -> (int * string list) list -> unit) -> unit
+(** Attach an observer pair without displacing observers already
+    installed: [on_event] receives the engine's data events
+    ({!Ent_txn.Engine.add_on_event}); [on_entangle] is called at each
+    entanglement operation with the event id and, per participant, its
+    transaction id and the tables its grounding read — the information
+    a schedule recorder needs to emit [E] operations and quasi-reads.
+    Every hook runs, in installation order. {!Manager.observe} and
+    {!Interactive.observe} attach through this. *)
+val observe :
+  t ->
+  on_event:(Ent_txn.Engine.event -> unit) ->
+  on_entangle:(event:int -> (int * string list) list -> unit) ->
+  unit
 
 (** [submit t program] adds a transaction to the dormant pool and
     returns its task id. May trigger a run, per the configured
@@ -123,12 +130,50 @@ val stats : t -> stats
     ({!Ent_entangle.Gcache.stats} of the scheduler's own cache). *)
 val gcache_stats : t -> int * int * int
 
-(** Per-connection simulated load (diagnostics / benchmarks). *)
-val connection_loads : t -> float array
-
 (** Snapshot of who is blocked on whom and why: every unfinished task,
     with lock-wait edges (contested resource and holder mode) and
     entanglement-group edges from the most recent run. Meaningful both
     at quiescence (dormant tasks awaiting partners) and after a crash
     (stranded lock holders). *)
 val wait_graph : t -> Waitgraph.t
+
+(** {2 Driving tasks outside runs}
+
+    The interactive hub ({!Interactive}) keeps its sessions as tasks
+    that never enter the dormant pool: it opens each one, feeds it
+    statements through {!Executor.exec}, and advances them with the
+    same commit and coordination phases a run uses. *)
+
+(** A set of live tasks that the phases below iterate in list order. *)
+type run
+
+val run_of : Executor.task list -> run
+
+(** [open_task t program] allocates a task id (shared with {!submit}),
+    indexes the task for {!outcome}, {!answers_of} and {!wait_graph},
+    and begins its transaction. The task never enters the dormant
+    pool, so no run starts, repools or ends it. *)
+val open_task : t -> Program.t -> Executor.task
+
+(** Commit every [Ready] task whose live entanglement group is all
+    [Ready] (group commit), after first-committer-wins validation and
+    the integrity constraints; a group that fails either is aborted
+    and finalized. Emits [Group_commit] and hits the
+    [core.scheduler.group_commit] fault site per member commit. *)
+val commit_phase : t -> run -> unit
+
+(** Ground every [Waiting_entangled] task through the grounding cache,
+    evaluate them together, perform one entanglement operation per
+    answered component (calling the {!observe} hooks) and deliver the
+    answers. A grounding that waits on a lock leaves its task
+    [Waiting_lock] with no pending query; one that fails aborts the
+    task's transaction and leaves it [Failed]. *)
+val coordinate_phase : t -> run -> unit
+
+(** [abort_group t task outcome] aborts the transaction of [task] and,
+    under group commit, of every unfinished member of its entanglement
+    group, in one reverse undo pass, and finalizes each with
+    [outcome]. Tasks already finalized are left alone. For tasks opened
+    with {!open_task}: entanglement groups of runs are reset at each
+    run start. *)
+val abort_group : t -> Executor.task -> outcome -> unit

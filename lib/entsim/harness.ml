@@ -165,6 +165,7 @@ let model_store records (analysis : Recovery.analysis) =
     (fun (r : Wal.record) ->
       match r with
       | Create { table = name; _ } -> ignore (table name)
+      | Drop { table = name } -> Hashtbl.remove tables name
       | Checkpoint { tables = images } ->
         Hashtbl.reset tables;
         List.iter

@@ -108,13 +108,42 @@ type t = {
   obs_mu : Mutex.t;
   deferred : bool Atomic.t;
   pending : event Stamped.t;
+  ddl : Ent_sql.Eval.access;
+      (* schema reads and DDL, shared by every access record *)
 }
 
+let log_to wal record =
+  match wal with
+  | Some wal -> ignore (Wal.append wal record)
+  | None -> ()
+
+let schema_columns schema =
+  List.map (fun (c : Schema.column) -> (c.name, c.ty)) (Schema.columns schema)
+
+let create_table_in catalog wal name schema =
+  let table = Catalog.create_table catalog name schema in
+  log_to wal (Create { table = name; columns = schema_columns schema });
+  table
+
+(* The catalog's direct access with CREATE TABLE and DROP TABLE logged.
+   DDL inside transactions is not part of the paper's model: execute it
+   immediately and log it. *)
+let ddl_access catalog wal : Ent_sql.Eval.access =
+  {
+    (Ent_sql.Eval.direct_access catalog) with
+    create = (fun name schema -> ignore (create_table_in catalog wal name schema));
+    drop =
+      (fun name ->
+        Catalog.drop catalog name;
+        log_to wal (Drop { table = name }));
+  }
+
 let create ?(wal = false) catalog =
+  let wal = if wal then Some (Wal.create ()) else None in
   {
     catalog;
     locks = Lock.create ();
-    wal = (if wal then Some (Wal.create ()) else None);
+    wal;
     txns = Hashtbl.create 32;
     next_txn = 1;
     wakeups = [];
@@ -129,6 +158,7 @@ let create ?(wal = false) catalog =
     obs_mu = Mutex.create ();
     deferred = Atomic.make false;
     pending = Stamped.create ();
+    ddl = ddl_access catalog wal;
   }
 
 let with_mu mu f =
@@ -165,18 +195,8 @@ let flush_events t =
   | [], _ | _, None -> ()
   | evs, Some f -> with_mu t.obs_mu (fun () -> List.iter f evs)
 
-let log_record t record =
-  match t.wal with
-  | Some wal -> ignore (Wal.append wal record)
-  | None -> ()
-
-let schema_columns schema =
-  List.map (fun (c : Schema.column) -> (c.name, c.ty)) (Schema.columns schema)
-
-let create_table t name schema =
-  let table = Catalog.create_table t.catalog name schema in
-  log_record t (Create { table = name; columns = schema_columns schema });
-  table
+let log_record t record = log_to t.wal record
+let create_table t name schema = create_table_in t.catalog t.wal name schema
 
 let load t name row =
   let table = Catalog.find_exn t.catalog name in
@@ -312,7 +332,7 @@ let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
     acquire t txn_id (Lock.Row (name, row)) Lock.X
   in
   {
-    schema_of = (fun name -> Table.schema (table_of t name));
+    t.ddl with
     scan =
       (fun name ->
         (* the table-level lock is taken up front; rows then stream
@@ -353,36 +373,6 @@ let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
         match Table.delete ~writer:txn_id (table_of t name) id with
         | Some before -> record_write t txn name id (Some before) None
         | None -> raise (Ent_sql.Eval.Eval_error "delete of missing row"));
-    create =
-      (fun name schema ->
-        (* DDL inside transactions is not part of the paper's model;
-           execute it immediately and log it. *)
-        ignore (create_table t name schema));
-    create_index =
-      (fun name columns ->
-        let table = table_of t name in
-        let schema = Table.schema table in
-        let positions =
-          List.map
-            (fun c ->
-              if Schema.mem schema c then Schema.index_of schema c
-              else
-                raise
-                  (Ent_sql.Eval.Eval_error
-                     (Printf.sprintf "CREATE INDEX: unknown column %s on %s" c name)))
-            columns
-        in
-        Table.add_index table ~positions);
-    create_ordered_index =
-      (fun name column ->
-        let table = table_of t name in
-        let schema = Table.schema table in
-        if not (Schema.mem schema column) then
-          raise
-            (Ent_sql.Eval.Eval_error
-               (Printf.sprintf "CREATE ORDERED INDEX: unknown column %s on %s"
-                  column name));
-        Table.add_ordered_index table ~position:(Schema.index_of schema column));
     range =
       (fun name ~position ~lo ~hi ->
         (* like an indexed lookup: intention lock plus row locks *)
@@ -392,9 +382,6 @@ let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
             lock_row name id;
             (id, row))
           (Table.range_lookup_seq (table_of t name) ~position ~lo ~hi));
-    has_range =
-      (fun name position -> Table.has_ordered_index (table_of t name) ~position);
-    drop = (fun name -> Catalog.drop t.catalog name);
   }
 
 (* Snapshot data access: every read reconstructs the row state as of
@@ -430,7 +417,7 @@ let access_snapshot t txn_id ~grounding () : Ent_sql.Eval.access =
     acquire t txn_id (Lock.Row (name, row)) Lock.X
   in
   {
-    schema_of = (fun name -> Table.schema (table_of t name));
+    t.ddl with
     scan =
       (fun name ->
         if grounding then register_grounding name
@@ -465,41 +452,11 @@ let access_snapshot t txn_id ~grounding () : Ent_sql.Eval.access =
         match Table.delete ~writer:txn_id (table_of t name) id with
         | Some before -> record_write t txn name id (Some before) None
         | None -> raise (Si_conflict txn_id));
-    create =
-      (fun name schema -> ignore (create_table t name schema));
-    create_index =
-      (fun name columns ->
-        let table = table_of t name in
-        let schema = Table.schema table in
-        let positions =
-          List.map
-            (fun c ->
-              if Schema.mem schema c then Schema.index_of schema c
-              else
-                raise
-                  (Ent_sql.Eval.Eval_error
-                     (Printf.sprintf "CREATE INDEX: unknown column %s on %s" c name)))
-            columns
-        in
-        Table.add_index table ~positions);
-    create_ordered_index =
-      (fun name column ->
-        let table = table_of t name in
-        let schema = Table.schema table in
-        if not (Schema.mem schema column) then
-          raise
-            (Ent_sql.Eval.Eval_error
-               (Printf.sprintf "CREATE ORDERED INDEX: unknown column %s on %s"
-                  column name));
-        Table.add_ordered_index table ~position:(Schema.index_of schema column));
     range =
       (fun name ~position ~lo ~hi ->
         if grounding then register_grounding name;
         row_events name
           (Table.range_lookup_seq_at (table_of t name) ~position ~lo ~hi ~visible));
-    has_range =
-      (fun name position -> Table.has_ordered_index (table_of t name) ~position);
-    drop = (fun name -> Catalog.drop t.catalog name);
   }
 
 let access t txn_id ~grounding ?(lock_reads = true) () =
@@ -707,7 +664,7 @@ let recover records =
         | Begin txn | Commit txn | Abort txn -> max acc txn
         | Write { txn; _ } -> max acc txn
         | Entangle_group { members; _ } -> List.fold_left max acc members
-        | Create _ | Pool_snapshot _ | Checkpoint _ -> acc)
+        | Create _ | Pool_snapshot _ | Checkpoint _ | Drop _ -> acc)
       0 records
   in
   t.next_txn <- high_water + 1;

@@ -90,7 +90,7 @@ let analyze records =
         match members with
         | [] -> ()
         | first :: rest -> List.iter (fun m -> Uf.union uf first m) rest)
-      | Pool_snapshot _ | Write _ | Create _ | Checkpoint _ -> ())
+      | Pool_snapshot _ | Write _ | Create _ | Checkpoint _ | Drop _ -> ())
     records;
   let groups = Uf.groups uf in
   (* A committed transaction is a group victim when some member of its
@@ -166,6 +166,7 @@ let replay records =
           Schema.make (List.map (fun (name, ty) -> { Schema.name; ty }) columns)
         in
         ignore (Catalog.create_table catalog table schema)
+      | Drop { table } -> Catalog.drop catalog table
       | Write { txn; table; row; before; after }
         when Int_set.mem txn survivors -> (
         let t = Catalog.find_exn catalog table in

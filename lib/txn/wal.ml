@@ -35,6 +35,7 @@ type record =
       tables :
         (string * (string * Schema.col_type) list * (int * Tuple.t) list) list;
     }
+  | Drop of { table : string }
 
 type t = {
   mutable log : record list;
@@ -77,7 +78,7 @@ let append t record =
       match record with
       | Begin n | Commit n | Abort n -> n
       | Write { txn; _ } -> txn
-      | Create _ | Entangle_group _ | Pool_snapshot _ | Checkpoint _ -> -1
+      | Create _ | Entangle_group _ | Pool_snapshot _ | Checkpoint _ | Drop _ -> -1
     in
     Ent_obs.Event.emit ~txn (Ent_obs.Event.Wal_append { lsn })
   end;

@@ -40,6 +40,8 @@ type record =
           quiescent point (no active transactions). Recovery restarts
           from the last checkpoint and replays only the tail;
           {!compact} drops everything before it. *)
+  | Drop of { table : string }
+      (** DROP TABLE, logged when executed: DDL is not transactional *)
 
 type t
 

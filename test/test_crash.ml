@@ -108,6 +108,29 @@ let test_checkpoint_file_boot () =
       Alcotest.(check int) "the waiting transaction is back in the pool" 1
         (List.length (Scheduler.dormant (Manager.scheduler m2))))
 
+(* DROP TABLE executes immediately (DDL is not transactional) and is
+   logged: a committed drop stays dropped after a crash and after a
+   boot from a checkpoint file. *)
+let test_drop_survives_recovery () =
+  let m = Manager.create () in
+  Manager.define_table m "T" [ ("a", Ent_storage.Schema.T_int) ];
+  Manager.load_row m "T" [ Ent_storage.Value.Int 1 ];
+  let id = Manager.submit_string m "BEGIN TRANSACTION; DROP TABLE T; COMMIT;" in
+  Manager.drain m;
+  Alcotest.(check bool) "drop committed" true
+    (Manager.outcome m id = Some Scheduler.Committed);
+  let has_t m = Ent_storage.Catalog.find (Manager.catalog m) "T" <> None in
+  Alcotest.(check bool) "dropped live" false (has_t m);
+  let m2 = Manager.crash_and_recover m in
+  Alcotest.(check bool) "dropped after crash and recover" false (has_t m2);
+  let path = Filename.temp_file "entdrop" ".log" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Manager.checkpoint_to_file m2 path;
+      Alcotest.(check bool) "dropped after a checkpoint file boot" false
+        (has_t (Manager.recover_from_file path)))
+
 let prop_prefix_recovery_group_atomic =
   QCheck2.Test.make ~name:"every crash point recovers group-atomically"
     ~count:15
@@ -137,6 +160,7 @@ let () =
           Alcotest.test_case "full log matches live" `Quick test_full_log_matches_live;
           Alcotest.test_case "double crash" `Quick test_double_crash;
           Alcotest.test_case "wal file roundtrip" `Quick test_wal_file_roundtrip;
-          Alcotest.test_case "checkpoint file boot" `Quick test_checkpoint_file_boot ] );
+          Alcotest.test_case "checkpoint file boot" `Quick test_checkpoint_file_boot;
+          Alcotest.test_case "drop survives recovery" `Quick test_drop_survives_recovery ] );
       ( "properties",
         [ Tgen.to_alcotest prop_prefix_recovery_group_atomic ] ) ]

@@ -4,6 +4,19 @@
 
 open Ent_storage
 open Ent_core
+module Certify = Ent_schedule.Certify
+
+(* Every hub is watched by an online certifier, attached through the
+   shared observer path; [certified] checks them after a case. *)
+let certifiers = ref []
+
+let certified case () =
+  certifiers := [];
+  case ();
+  List.iter
+    (fun c ->
+      if not (Certify.ok c) then Alcotest.failf "certifier: %a" Certify.pp_report c)
+    !certifiers
 
 let fresh_hub () =
   let catalog = Catalog.create () in
@@ -17,7 +30,12 @@ let fresh_hub () =
   for i = 1 to 3 do
     ignore (Ent_txn.Engine.load engine "Flights" [| Value.Int i; Value.Str "LA" |])
   done;
-  (engine, Interactive.create_hub engine)
+  let hub = Interactive.create_hub engine in
+  let c = Certify.create () in
+  Interactive.observe hub ~on_event:(Certify.on_engine_event c)
+    ~on_entangle:(Certify.on_entangle c);
+  certifiers := c :: !certifiers;
+  (engine, hub)
 
 let entangled_query me partner =
   Printf.sprintf
@@ -204,6 +222,13 @@ let test_parse_error_aborts_session () =
   | Interactive.Aborted _ -> ()
   | _ -> Alcotest.fail "stays aborted"
 
+let test_lex_error_aborts_session () =
+  let _, hub = fresh_hub () in
+  let s = Interactive.start hub in
+  match Interactive.execute s "SELECT 'unterminated" with
+  | Interactive.Aborted _ -> ()
+  | _ -> Alcotest.fail "an unterminated string should abort the session"
+
 let test_constraint_in_interactive () =
   let engine, hub = fresh_hub () in
   Ent_txn.Engine.add_constraint engine ~name:"max-one-booking" (fun catalog ->
@@ -271,18 +296,176 @@ let test_unrelated_pairs_commit_apart () =
   | _ -> Alcotest.fail "d is aborted with its partner c");
   Alcotest.(check int) "a and b booked" 2 (List.length (bookings engine))
 
+(* The hub commits through the scheduler's commit phase, so a crash
+   between the member commits of a group commit hits the same fault
+   site as a batch run, and recovery rolls the half-committed group
+   back. *)
+let test_group_commit_crash () =
+  let engine, hub = fresh_hub () in
+  let mickey = Interactive.start hub in
+  let minnie = Interactive.start hub in
+  ignore (Interactive.execute mickey (entangled_query "Mickey" "Minnie"));
+  ignore (Interactive.execute minnie (entangled_query "Minnie" "Mickey"));
+  ignore (Interactive.execute mickey "INSERT INTO Bookings VALUES ('Mickey', @fno)");
+  ignore (Interactive.execute minnie "INSERT INTO Bookings VALUES ('Minnie', @fno)");
+  (match Interactive.commit mickey with
+  | Interactive.Commit_pending -> ()
+  | _ -> Alcotest.fail "mickey must wait for minnie");
+  let module Fault = Ent_fault.Injector in
+  Fault.install
+    [ { Ent_fault.Plan.site = "core.scheduler.group_commit"; hit = 2; action = Crash } ];
+  Fun.protect ~finally:Fault.deactivate (fun () ->
+      match Interactive.commit minnie with
+      | _ -> Alcotest.fail "the second member commit should crash"
+      | exception Fault.Crashed _ -> ());
+  let wal = Option.get (Ent_txn.Engine.log engine) in
+  let recovered, _ = Ent_txn.Engine.recover (Ent_txn.Wal.crash_records wal) in
+  Alcotest.(check int) "neither booking survives recovery" 0
+    (List.length (bookings recovered))
+
+(* Parked queries are grounded through the scheduler's grounding cache:
+   re-grounding an unanswered query on a later poll is a cache hit. *)
+let test_poll_hits_grounding_cache () =
+  let _, hub = fresh_hub () in
+  let mickey = Interactive.start hub in
+  ignore (Interactive.execute mickey (entangled_query "Mickey" "Minnie"));
+  let hits () =
+    let h, _, _ = Scheduler.gcache_stats (Interactive.scheduler hub) in
+    h
+  in
+  ignore (Interactive.poll mickey);
+  let before = hits () in
+  (match Interactive.poll mickey with
+  | Interactive.Parked -> ()
+  | _ -> Alcotest.fail "mickey is still waiting");
+  Alcotest.(check int) "the second poll hits the cache" (before + 1) (hits ())
+
+(* --- random sessions ---
+
+   2-4 users ask each other for a flight, book it, poll, commit and
+   cancel at random. A clerk session (which never cancels, so it never
+   aborts) rewrites a Flights row: groundings wait behind its lock and
+   re-run once it commits. Users write only Bookings, which nobody
+   reads, so no committed transaction reads an aborted write. *)
+
+type op =
+  | Ask of int * int  (** user i asks for user j *)
+  | Book of int
+  | Poll of int
+  | Commit of int
+  | Cancel of int
+  | Touch  (** the clerk rewrites a Flights row *)
+  | Clerk_poll
+  | Clerk_commit
+
+let user i = Printf.sprintf "u%d" i
+
+let pp_op = function
+  | Ask (i, j) -> Printf.sprintf "%s>ask %s" (user i) (user j)
+  | Book i -> user i ^ ">book"
+  | Poll i -> user i ^ ">poll"
+  | Commit i -> user i ^ ">commit"
+  | Cancel i -> user i ^ ">cancel"
+  | Touch -> "clerk>touch"
+  | Clerk_poll -> "clerk>poll"
+  | Clerk_commit -> "clerk>commit"
+
+let script_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 2 4 in
+  let op =
+    let* i = int_bound (n - 1) in
+    frequency
+      [ (3, map (fun d -> Ask (i, (i + 1 + d) mod n)) (int_bound (n - 2)));
+        (2, return (Book i));
+        (2, return (Poll i));
+        (2, return (Commit i));
+        (1, return (Cancel i));
+        (1, return Touch);
+        (1, return Clerk_poll);
+        (1, return Clerk_commit) ]
+  in
+  let* ops = list_size (int_range 1 30) op in
+  return (n, ops)
+
+(* Run a script, end every session, and check that the certifier stayed
+   clean and that the transactions of every entanglement operation all
+   committed or all aborted. *)
+let prop_random_sessions =
+  QCheck2.Test.make ~name:"random sessions: certified, groups all-or-nothing"
+    ~count:300
+    ~print:(fun (n, ops) ->
+      Printf.sprintf "%d users: %s" n (String.concat "; " (List.map pp_op ops)))
+    script_gen
+    (fun (n, ops) ->
+      let _, hub = fresh_hub () in
+      let certifier = List.hd !certifiers in
+      let committed = Hashtbl.create 8 in
+      let groups = ref [] in
+      Interactive.observe hub
+        ~on_event:(function
+          | Ent_txn.Engine.Ev_commit txn -> Hashtbl.replace committed txn ()
+          | _ -> ())
+        ~on_entangle:(fun ~event:_ members -> groups := List.map fst members :: !groups);
+      let users = Array.init n (fun _ -> Interactive.start hub) in
+      let clerk = ref (Interactive.start hub) in
+      let clerk_session () =
+        (match Interactive.poll !clerk with
+        | Interactive.Committed -> clerk := Interactive.start hub
+        | _ -> ());
+        !clerk
+      in
+      let misuse f = try ignore (f ()) with Invalid_argument _ -> () in
+      List.iter
+        (function
+          | Ask (i, j) ->
+            misuse (fun () -> Interactive.execute users.(i) (entangled_query (user i) (user j)))
+          | Book i ->
+            misuse (fun () ->
+                Interactive.execute users.(i)
+                  (Printf.sprintf "INSERT INTO Bookings VALUES ('%s', @fno)" (user i)))
+          | Poll i -> misuse (fun () -> Interactive.poll users.(i))
+          | Commit i -> misuse (fun () -> Interactive.commit users.(i))
+          | Cancel i -> Interactive.cancel users.(i)
+          | Touch ->
+            misuse (fun () ->
+                Interactive.execute (clerk_session ())
+                  "UPDATE Flights SET dest = 'LA' WHERE fno = 1")
+          | Clerk_poll -> misuse (fun () -> Interactive.poll !clerk)
+          | Clerk_commit -> misuse (fun () -> Interactive.commit !clerk))
+        ops;
+      Array.iter Interactive.cancel users;
+      misuse (fun () -> Interactive.poll !clerk);
+      let clerk_done =
+        match Interactive.commit !clerk with
+        | Interactive.Committed -> true
+        | _ -> false
+      in
+      let all_or_nothing group =
+        let c = List.filter (Hashtbl.mem committed) group in
+        c = [] || List.length c = List.length group
+      in
+      clerk_done && Certify.ok certifier && List.for_all all_or_nothing !groups)
+
 let () =
   Alcotest.run "interactive"
     [ ( "sessions",
-        [ Alcotest.test_case "classical" `Quick test_classical_session;
-          Alcotest.test_case "online coordination" `Quick test_online_coordination;
-          Alcotest.test_case "cancel while parked" `Quick test_cancel_while_parked;
-          Alcotest.test_case "widow prevention" `Quick test_widow_prevention_interactive;
-          Alcotest.test_case "blocked retry" `Quick test_blocked_statement_retry;
-          Alcotest.test_case "empty answer" `Quick test_empty_answer_interactive;
-          Alcotest.test_case "three-way cycle" `Quick test_three_way_cycle_interactive;
-          Alcotest.test_case "api misuse" `Quick test_api_misuse;
-          Alcotest.test_case "parse error aborts" `Quick test_parse_error_aborts_session;
-          Alcotest.test_case "constraints" `Quick test_constraint_in_interactive;
+        [ Alcotest.test_case "classical" `Quick (certified test_classical_session);
+          Alcotest.test_case "online coordination" `Quick (certified test_online_coordination);
+          Alcotest.test_case "cancel while parked" `Quick (certified test_cancel_while_parked);
+          Alcotest.test_case "widow prevention" `Quick (certified test_widow_prevention_interactive);
+          Alcotest.test_case "blocked retry" `Quick (certified test_blocked_statement_retry);
+          Alcotest.test_case "empty answer" `Quick (certified test_empty_answer_interactive);
+          Alcotest.test_case "three-way cycle" `Quick (certified test_three_way_cycle_interactive);
+          Alcotest.test_case "api misuse" `Quick (certified test_api_misuse);
+          Alcotest.test_case "parse error aborts" `Quick (certified test_parse_error_aborts_session);
+          Alcotest.test_case "constraints" `Quick (certified test_constraint_in_interactive);
           Alcotest.test_case "unrelated pairs commit apart" `Quick
-            test_unrelated_pairs_commit_apart ] ) ]
+            (certified test_unrelated_pairs_commit_apart) ] );
+      ( "shared scheduler code",
+        [ Alcotest.test_case "lex error aborts" `Quick
+            (certified test_lex_error_aborts_session);
+          Alcotest.test_case "group commit crash" `Quick test_group_commit_crash;
+          Alcotest.test_case "poll hits the grounding cache" `Quick
+            (certified test_poll_hits_grounding_cache);
+          Gen.to_alcotest prop_random_sessions ] ) ]
