@@ -36,10 +36,12 @@ let write_value txn observations = Hashtbl.hash (txn, observations)
 
 (* §C.1 defines the final database as "exactly the writes of all the
    committed transactions in σ, in the order in which these writes
-   occurred" — aborted writes simply never count; there is no undo
-   pass. During execution, reads observe the live store (which may
-   contain uncommitted writes — dirty reads are possible and are what
-   Requirement C.3 excludes for committed readers). *)
+   occurred" — aborted writes simply never count. During execution,
+   reads observe the live store, which may contain uncommitted writes
+   (dirty reads, which Requirement C.3 excludes for committed readers).
+   An abort takes the aborted transaction's writes out of the live
+   store, as the engine undoes them before it logs the abort: a read
+   after the abort sees the other writes, in their order. *)
 let execute schedule =
   let cells = Cells.create () in
   let obs : (int, int list) Hashtbl.t = Hashtbl.create 8 in
@@ -50,6 +52,11 @@ let execute schedule =
     Hashtbl.create 8
   in
   let write_log = ref [] in  (* (txn, obj, value), newest first *)
+  let undo i =
+    write_log := List.filter (fun (j, _, _) -> j <> i) !write_log;
+    Hashtbl.reset cells;
+    List.iter (fun (_, x, value) -> Cells.write cells x value) (List.rev !write_log)
+  in
   let event_grounds = ref [] in
   let event_answers = ref [] in
   List.iter
@@ -81,7 +88,8 @@ let execute schedule =
         event_grounds := (k, grounds) :: !event_grounds;
         event_answers := (k, answer) :: !event_answers;
         List.iter (fun i -> observe i answer) participants
-      | Commit _ | Abort _ -> ())
+      | Abort i -> undo i
+      | Commit _ -> ())
     schedule;
   let committed = History.committed schedule in
   let final_cells = Cells.create () in

@@ -105,10 +105,12 @@ type t = {
   (* mixed-isolation tracking: declared level per transaction (2PL
      when absent), the snapshot anchor position for SI transactions
      (explicit via Ev_begin, else the first data operation), and
-     commit positions for first-committer-wins auditing *)
+     terminal positions: commits for first-committer-wins auditing,
+     aborts for telling a retroactive read of an aborted write from
+     one after the abort *)
   levels : (int, Ent_txn.Engine.level) Hashtbl.t;
   begin_pos : (int, int) Hashtbl.t;
-  commit_pos : (int, int) Hashtbl.t;
+  end_pos : (int, int) Hashtbl.t;
   mutable violations : violation list;  (* newest first *)
   mutable violation_count : int;
   seen_violations : (string, unit) Hashtbl.t;
@@ -140,7 +142,7 @@ let create () =
     groups_of_txn = Hashtbl.create 64;
     levels = Hashtbl.create 16;
     begin_pos = Hashtbl.create 16;
-    commit_pos = Hashtbl.create 64;
+    end_pos = Hashtbl.create 64;
     violations = [];
     violation_count = 0;
     seen_violations = Hashtbl.create 8;
@@ -332,7 +334,12 @@ let is_read = function
    [other_is_write] says whether [spans] is a write-span table and
    [new_is_write] whether the new operation writes; a conflict is a
    pure read-write antidependency exactly when the earlier side reads
-   and the later writes. *)
+   and the later writes. A read that falls between an aborted
+   writer's write and its abort reads from it; the abort judges the
+   reads that arrived before it (see [terminal]), so only a read
+   placed retroactively before an abort that already happened (a
+   quasi-read, a snapshot read) is tainted here. A read after the
+   abort sees the value the engine restored. *)
 let scan_spans t ~txn ~p ~wit_new ~other_is_write ~new_is_write ~taint_reads
     spans =
   Hashtbl.iter
@@ -347,10 +354,13 @@ let scan_spans t ~txn ~p ~wit_new ~other_is_write ~new_is_write ~taint_reads
         if
           taint_reads && other_is_write && s.first < p
           && Hashtbl.find_opt t.status j = Some Aborted
+          && (match Hashtbl.find_opt t.end_pos j with
+             | Some aborted_at -> aborted_at > p
+             | None -> false)
           && not (Hashtbl.mem t.tainted txn)
         then
           Hashtbl.replace t.tainted txn
-            (Printf.sprintf "read after aborted T%d's write (%s)" j wit_new)
+            (Printf.sprintf "read before aborted T%d's abort (%s)" j wit_new)
       end)
     spans
 
@@ -520,7 +530,7 @@ let terminal t txn ~committed =
       (Printf.sprintf "T%d has several terminal operations" txn)
   | None -> ());
   Hashtbl.replace t.status txn (if committed then Committed else Aborted);
-  if committed then Hashtbl.replace t.commit_pos txn t.pos;
+  Hashtbl.replace t.end_pos txn t.pos;
   (* C.1: no commit with an unanswered grounding read *)
   (match Hashtbl.find_opt t.ground_buffer txn with
   | Some l when !l <> [] ->
@@ -563,7 +573,7 @@ let terminal t txn ~committed =
               j <> txn && (not same_group)
               && Hashtbl.find_opt t.status j = Some Committed
             then
-              match Hashtbl.find_opt t.commit_pos j with
+              match Hashtbl.find_opt t.end_pos j with
               | Some cp when cp > my_begin ->
                 violate t "si-lost-update"
                   (Printf.sprintf

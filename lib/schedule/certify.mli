@@ -9,7 +9,8 @@
     - [conflict-cycle]: the conflict graph over committed transactions
       (quasi-reads expanded, C.2) acquired a cycle;
     - [read-from-aborted]: a committed transaction read an object after
-      an aborted transaction wrote it (C.3);
+      an aborted transaction wrote it and before that transaction
+      aborted (C.3); a read after the abort sees the restored value;
     - [widowed]: an entanglement group with both an aborted and a
       committed member (C.4);
     - [unrepeatable-quasi-read]: a quasi-read was invalidated by a

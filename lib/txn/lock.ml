@@ -40,14 +40,16 @@ let lub a b =
     | IS, S | S, IS -> S
     | IS, IS | IX, IX | S, S | X, X -> a
 
-(* Holders keyed by txn id. Ids are small and dense, so the id is its
-   own hash. *)
-module Txns = Hashtbl.Make (struct
+(* Tables keyed by an int that is its own hash: txn ids, which are
+   small and dense, and lock keys, which are mixed when built (below). *)
+module Ints = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
   let hash x = x land max_int
 end)
+
+module Txns = Ints
 
 (* An entry's holders. Most row entries have one holder, kept inline
    as [Sole]. Two or more live in [Shared]: a map from txn to mode,
@@ -68,6 +70,7 @@ and shared = {
 }
 
 type entry = {
+  resource : resource;  (* the view the key was built from *)
   mutable holders : holders;
   mutable queue : (int * mode) list;  (* FIFO: head is the oldest waiter *)
 }
@@ -134,26 +137,56 @@ let holder_list entry =
   fold_holders (fun o m acc -> (o, m) :: acc) entry []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-(* The entry map is sharded by resource hash so that transactions
-   touching disjoint keys never contend on a lock-manager mutex — the
-   DB-level locks were already disjoint, this makes the manager's own
+(* Keys. Every entry is keyed by one immediate int built from its
+   resource view, so that past the entry to each call no string is
+   hashed or compared. Table names are interned into dense ids per
+   manager, [name_bits] of them; a key packs a tag bit (bit 0: 1 for a
+   row, so [Row (t, 0)] and [Table t] differ), the name id above it
+   and, for rows, the row id above that. The packing is injective on
+   every view in range, and a view out of range raises
+   [Invalid_argument] instead of sharing a key. The packed int is then
+   mixed by a bijection (an odd multiply and an xor-shift, both
+   invertible mod 2^63), so the key is still injective and is its own
+   hash: the shard map reads its top bits and the shard's [Ints] table
+   its low ones. Names are interned by name, not by catalog id, so a
+   dropped and re-created table is the same lock resource. *)
+
+let name_bits = 16
+let max_names = 1 lsl name_bits
+let row_shift = name_bits + 1
+let max_row = max_int lsr row_shift
+
+module Names = Map.Make (String)
+
+(* The intern table: immutable, swapped whole by compare-and-set, so
+   pool domains read it without a lock while another adds a name. *)
+type names = { ids : int Names.t; count : int }
+
+let mix k =
+  let h = k * 0x7fb5d329728ea185 in
+  h lxor (h lsr 32)
+
+(* The entry map is sharded by key so that transactions touching
+   disjoint keys never contend on a lock-manager mutex — the DB-level
+   locks were already disjoint, this makes the manager's own
    synchronization disjoint too. [owned] and [waiting] are striped by
    txn id (a txn's requests come from one domain at a time, so stripes
    only order request-vs-release). [waiting] is the waits-for index: the
-   resources whose queue holds the txn. It is written only under the
-   shard mutex of the resource whose queue changed, so a reader holding
-   every shard sees it equal to the queues. [owned] gains a resource
-   under its shard mutex too, and [deadlock_cycle] reads its in-edges
-   from it; [release_all] drops the whole list before it takes any
-   shard, so a search that meets a txn mid-release sees nothing waiting
-   on it. Such a txn is finishing, so no cycle through it can persist.
-   [groups] is a single small map behind its own mutex. Mutex order,
-   where nested: shard -> (stripe | groups). Stripe and group mutexes
-   are leaves. In the deterministic single-domain mode every mutex is
-   uncontended, and all observable outputs below are sorted, so
-   sharding is invisible to existing fixtures. *)
+   keys whose queue holds the txn. It is written only under the shard
+   mutex of the key whose queue changed, so a reader holding every
+   shard sees it equal to the queues. [owned] gains a key under its
+   shard mutex too, and [deadlock_cycle] reads its in-edges from it;
+   [release_all] drops the whole list before it takes any shard, so a
+   search that meets a txn mid-release sees nothing waiting on it. Such
+   a txn is finishing, so no cycle through it can persist. [groups] is
+   a single small map behind its own mutex. Mutex order, where nested:
+   shard -> (stripe | groups). Stripe and group mutexes are leaves. In
+   the deterministic single-domain mode every mutex is uncontended, and
+   all observable outputs below are sorted, so sharding is invisible to
+   existing fixtures. *)
 
-let n_shards = 16
+let shard_bits = 4
+let n_shards = 1 lsl shard_bits
 let n_stripes = 16
 
 (* per-shard wait depth *)
@@ -163,48 +196,74 @@ let m_shard_waiters =
 
 type shard = {
   sh_mu : Mutex.t;
-  sh_entries : (resource, entry) Hashtbl.t;
-  mutable sh_waiters : int;  (* queued (txn, resource) pairs in this shard *)
+  sh_entries : entry Ints.t;
+  mutable sh_waiters : int;  (* queued (txn, key) pairs in this shard *)
 }
 
 type stripe = {
   st_mu : Mutex.t;
-  st_owned : (int, resource list) Hashtbl.t;  (* resources held or waited on *)
-  st_waiting : (int, resource list) Hashtbl.t;  (* resources queued on *)
+  st_owned : int list Txns.t;  (* keys held or waited on, each once *)
+  st_waiting : int list Txns.t;  (* keys queued on *)
 }
 
 type t = {
+  names : names Atomic.t;
   shards : shard array;
   stripes : stripe array;
   groups_mu : Mutex.t;
-  groups : (int, int) Hashtbl.t;  (* txn -> entanglement group tag *)
+  groups : int Txns.t;  (* txn -> entanglement group tag *)
   total_entries : int Atomic.t;
+  mutable probe : (txn:int -> resource -> mode -> unit) option;
 }
-
-let shard_count = n_shards
-
-let shard_of resource = Hashtbl.hash resource mod n_shards
 
 let create () =
   {
+    names = Atomic.make { ids = Names.empty; count = 0 };
     shards =
       Array.init n_shards (fun _ ->
           {
             sh_mu = Mutex.create ();
-            sh_entries = Hashtbl.create 16;
+            sh_entries = Ints.create 16;
             sh_waiters = 0;
           });
     stripes =
       Array.init n_stripes (fun _ ->
           {
             st_mu = Mutex.create ();
-            st_owned = Hashtbl.create 8;
-            st_waiting = Hashtbl.create 8;
+            st_owned = Txns.create 8;
+            st_waiting = Txns.create 8;
           });
     groups_mu = Mutex.create ();
-    groups = Hashtbl.create 16;
+    groups = Txns.create 16;
     total_entries = Atomic.make 0;
+    probe = None;
   }
+
+let rec name_id t name =
+  let names = Atomic.get t.names in
+  match Names.find_opt name names.ids with
+  | Some id -> id
+  | None ->
+    if names.count >= max_names then
+      invalid_arg
+        (Printf.sprintf "Lock: more than %d table names" max_names);
+    let grown =
+      { ids = Names.add name names.count names.ids; count = names.count + 1 }
+    in
+    if Atomic.compare_and_set t.names names grown then names.count
+    else name_id t name
+
+let key t = function
+  | Table name -> mix (name_id t name lsl 1)
+  | Row (name, row) ->
+    if row < 0 || row > max_row then
+      invalid_arg (Printf.sprintf "Lock: row id %d out of range" row);
+    mix ((row lsl row_shift) lor (name_id t name lsl 1) lor 1)
+
+let shard_count = n_shards
+let shard_index key = key lsr (Sys.int_size - shard_bits)
+let shard_of t resource = shard_index (key t resource)
+let shard t key = t.shards.(shard_index key)
 
 let note_waiters i sh = Obs.set m_shard_waiters.(i) (float_of_int sh.sh_waiters)
 
@@ -229,53 +288,53 @@ let with_all_shards t f =
   | exception e -> unlock_all_shards t; raise e
 
 let set_group t ~txn ~group =
-  with_mu t.groups_mu (fun () -> Hashtbl.replace t.groups txn group)
+  with_mu t.groups_mu (fun () -> Txns.replace t.groups txn group)
 
 let same_owner t a b =
   a = b
   || with_mu t.groups_mu (fun () ->
-         match Hashtbl.find_opt t.groups a, Hashtbl.find_opt t.groups b with
+         match Txns.find_opt t.groups a, Txns.find_opt t.groups b with
          | Some ga, Some gb -> ga = gb
          | _ -> false)
 
 (* Callers hold [sh.sh_mu]. *)
-let entry_for t sh resource =
-  match Hashtbl.find_opt sh.sh_entries resource with
+let entry_for t sh key resource =
+  match Ints.find_opt sh.sh_entries key with
   | Some e -> e
   | None ->
-    let e = { holders = Free; queue = [] } in
-    Hashtbl.add sh.sh_entries resource e;
+    let e = { resource; holders = Free; queue = [] } in
+    Ints.add sh.sh_entries key e;
     Atomic.incr t.total_entries;
     e
 
-(* Rewrite [txn]'s resource list in one map of its stripe; an empty
-   list drops the key. *)
+(* Rewrite [txn]'s key list in one map of its stripe; an empty list
+   drops the txn. *)
 let update_stripe t txn map f =
   let st = stripe_for t txn in
   with_mu st.st_mu (fun () ->
       let map = map st in
-      match f (Option.value ~default:[] (Hashtbl.find_opt map txn)) with
-      | [] -> Hashtbl.remove map txn
-      | rs -> Hashtbl.replace map txn rs)
+      match f (Option.value ~default:[] (Txns.find_opt map txn)) with
+      | [] -> Txns.remove map txn
+      | ks -> Txns.replace map txn ks)
 
-let note_owned t txn resource =
-  update_stripe t txn
-    (fun st -> st.st_owned)
-    (fun rs -> if List.mem resource rs then rs else resource :: rs)
+(* Callers add [key] only when [txn] neither holds it nor is queued on
+   it, so each key appears once. *)
+let note_owned t txn key =
+  update_stripe t txn (fun st -> st.st_owned) (fun ks -> key :: ks)
 
-(* Waits-for index upkeep. Callers hold the shard mutex of [resource]. *)
-let note_waiting t txn resource =
-  update_stripe t txn (fun st -> st.st_waiting) (fun rs -> resource :: rs)
+(* Waits-for index upkeep. Callers hold the shard mutex of [key]. *)
+let note_waiting t txn key =
+  update_stripe t txn (fun st -> st.st_waiting) (fun ks -> key :: ks)
 
-let clear_waiting t txn resource =
+let clear_waiting t txn key =
   update_stripe t txn
     (fun st -> st.st_waiting)
-    (List.filter (fun r -> r <> resource))
+    (List.filter (fun k -> not (Int.equal k key)))
 
 let stripe_list t txn map =
   let st = stripe_for t txn in
   with_mu st.st_mu (fun () ->
-      Option.value ~default:[] (Hashtbl.find_opt (map st) txn))
+      Option.value ~default:[] (Txns.find_opt (map st) txn))
 
 let waiting_on t txn = stripe_list t txn (fun st -> st.st_waiting)
 let owned_by t txn = stripe_list t txn (fun st -> st.st_owned)
@@ -284,11 +343,7 @@ type outcome =
   | Granted
   | Waiting
 
-(* Test probe: observes every lock request before it is serviced.
-   The isolation test suite installs one to assert that snapshot
-   transactions acquire zero read locks. *)
-let probe : (txn:int -> resource -> mode -> unit) option ref = ref None
-let set_probe f = probe := f
+let set_probe t f = t.probe <- f
 
 (* Holder [o] in mode [m] blocks [txn] asking for [need] when the modes
    clash and [o] is not [txn] or its group. Compatibility is tested
@@ -297,7 +352,7 @@ let set_probe f = probe := f
 let conflicts t txn need o m =
   (not (compatible need m)) && not (same_owner t o txn)
 
-let in_group t txn = with_mu t.groups_mu (fun () -> Hashtbl.mem t.groups txn)
+let in_group t txn = with_mu t.groups_mu (fun () -> Txns.mem t.groups txn)
 
 (* O(1) unless a clashing mode is held by another txn. If none is, the
    request is grantable. If one is and [txn] has no group, no holder can
@@ -323,13 +378,14 @@ let grantable t entry txn need =
 let request t ~txn resource mode =
   Obs.incr m_requests;
   Obs.set m_entries (float_of_int (Atomic.get t.total_entries));
-  (match !probe with
+  (match t.probe with
   | Some f -> f ~txn resource mode
   | None -> ());
-  let i = shard_of resource in
+  let key = key t resource in
+  let i = shard_index key in
   let sh = t.shards.(i) in
   with_mu sh.sh_mu (fun () ->
-      let entry = entry_for t sh resource in
+      let entry = entry_for t sh key resource in
       let held = mode_of entry txn in
       let need =
         match held with
@@ -358,7 +414,7 @@ let request t ~txn resource mode =
           if grantable t entry txn need && (entry.queue = [] || is_upgrade)
           then begin
             add_holder entry txn need;
-            note_owned t txn resource;
+            if not is_upgrade then note_owned t txn key;
             Obs.incr m_granted;
             Granted
           end
@@ -366,15 +422,15 @@ let request t ~txn resource mode =
             entry.queue <- entry.queue @ [ (txn, need) ];
             sh.sh_waiters <- sh.sh_waiters + 1;
             note_waiters i sh;
-            note_owned t txn resource;
-            note_waiting t txn resource;
+            if not is_upgrade then note_owned t txn key;
+            note_waiting t txn key;
             Obs.incr m_waits;
             Waiting
           end
         end)
 
 (* Callers hold the entry's shard mutex. *)
-let promote_waiters t sh resource entry =
+let promote_waiters t sh key entry =
   (* Grant from the front of the queue while compatible. *)
   let granted = ref [] in
   let rec go () =
@@ -385,7 +441,7 @@ let promote_waiters t sh resource entry =
         add_holder entry txn need;
         entry.queue <- rest;
         sh.sh_waiters <- sh.sh_waiters - 1;
-        clear_waiting t txn resource;
+        clear_waiting t txn key;
         granted := txn :: !granted;
         go ()
       end
@@ -396,20 +452,20 @@ let promote_waiters t sh resource entry =
 let release_all t ~txn =
   Obs.incr m_releases;
   let st = stripe_for t txn in
-  let resources =
+  let keys =
     with_mu st.st_mu (fun () ->
-        let r = Option.value ~default:[] (Hashtbl.find_opt st.st_owned txn) in
-        Hashtbl.remove st.st_owned txn;
-        r)
+        let ks = Option.value ~default:[] (Txns.find_opt st.st_owned txn) in
+        Txns.remove st.st_owned txn;
+        ks)
   in
-  with_mu t.groups_mu (fun () -> Hashtbl.remove t.groups txn);
+  with_mu t.groups_mu (fun () -> Txns.remove t.groups txn);
   let woken = ref [] in
   List.iter
-    (fun resource ->
-      let i = shard_of resource in
+    (fun key ->
+      let i = shard_index key in
       let sh = t.shards.(i) in
       with_mu sh.sh_mu (fun () ->
-          match Hashtbl.find_opt sh.sh_entries resource with
+          match Ints.find_opt sh.sh_entries key with
           | None -> ()
           | Some entry -> (
             remove_holder entry txn;
@@ -419,34 +475,36 @@ let release_all t ~txn =
               let before = List.length entry.queue in
               entry.queue <- List.filter (fun (o, _) -> o <> txn) entry.queue;
               let dropped = before - List.length entry.queue in
-              if dropped > 0 then clear_waiting t txn resource;
+              if dropped > 0 then clear_waiting t txn key;
               sh.sh_waiters <- sh.sh_waiters - dropped;
-              woken := promote_waiters t sh resource entry @ !woken;
+              woken := promote_waiters t sh key entry @ !woken;
               note_waiters i sh
             end;
             match entry.holders, entry.queue with
             | Free, [] ->
-              Hashtbl.remove sh.sh_entries resource;
+              Ints.remove sh.sh_entries key;
               Atomic.decr t.total_entries
             | _ -> ())))
-    resources;
+    keys;
   Obs.set m_entries (float_of_int (Atomic.get t.total_entries));
   let woken = List.sort_uniq Int.compare !woken in
   Obs.incr ~n:(List.length woken) m_wakeups;
   woken
 
+(* The live entry of [key]. Callers hold its shard mutex. *)
+let find_entry t key = Ints.find_opt (shard t key).sh_entries key
+
 let holders t resource =
-  let sh = t.shards.(shard_of resource) in
-  with_mu sh.sh_mu (fun () ->
-      match Hashtbl.find_opt sh.sh_entries resource with
+  let key = key t resource in
+  with_mu (shard t key).sh_mu (fun () ->
+      match find_entry t key with
       | None -> []
       | Some e -> holder_list e)
 
 let held t ~txn resource =
-  let sh = t.shards.(shard_of resource) in
-  with_mu sh.sh_mu (fun () ->
-      Option.bind (Hashtbl.find_opt sh.sh_entries resource) (fun e ->
-          mode_of e txn))
+  let key = key t resource in
+  with_mu (shard t key).sh_mu (fun () ->
+      Option.bind (find_entry t key) (fun e -> mode_of e txn))
 
 (* A waiter waits for every incompatible holder and every earlier
    incompatible waiter on the same resource. *)
@@ -469,15 +527,11 @@ let blockers_of_entry t entry txn =
     in
     from_holders @ earlier [] entry.queue
 
-(* The live entry of [resource]. Callers hold its shard mutex. *)
-let find_entry t resource =
-  Hashtbl.find_opt t.shards.(shard_of resource).sh_entries resource
-
 (* Requires all shard mutexes (or single-domain quiescence). *)
 let blockers_unlocked t ~txn =
   List.concat_map
-    (fun resource ->
-      match find_entry t resource with
+    (fun key ->
+      match find_entry t key with
       | Some entry -> blockers_of_entry t entry txn
       | None -> [])
     (waiting_on t txn)
@@ -515,8 +569,8 @@ let waiters_of_entry t entry x =
    is queued on. Requires all shard mutexes. *)
 let waiters_unlocked t ~txn =
   List.concat_map
-    (fun resource ->
-      match find_entry t resource with
+    (fun key ->
+      match find_entry t key with
       | Some entry -> waiters_of_entry t entry txn
       | None -> [])
     (owned_by t txn)
@@ -525,13 +579,13 @@ let is_waiting t ~txn = waiting_on t txn <> []
 
 let waits t ~txn =
   List.filter_map
-    (fun resource ->
-      with_mu t.shards.(shard_of resource).sh_mu (fun () ->
-          match find_entry t resource with
+    (fun key ->
+      with_mu (shard t key).sh_mu (fun () ->
+          match find_entry t key with
           | None -> None
           | Some entry ->
             Option.map
-              (fun need -> (resource, need))
+              (fun need -> (entry.resource, need))
               (List.assoc_opt txn entry.queue)))
     (waiting_on t txn)
   |> List.sort compare
@@ -540,9 +594,9 @@ let dump t =
   with_all_shards t (fun () ->
       Array.fold_left
         (fun acc sh ->
-          Hashtbl.fold
-            (fun resource entry acc ->
-              (resource, holder_list entry, entry.queue) :: acc)
+          Ints.fold
+            (fun _ entry acc ->
+              (entry.resource, holder_list entry, entry.queue) :: acc)
             sh.sh_entries acc)
         [] t.shards)
   |> List.sort compare

@@ -10,7 +10,22 @@
     The manager is cooperative: a conflicting request is enqueued and
     reported as {!Waiting}; the owner is expected to suspend and retry
     after a wake-up. Deadlocks are detected on the waits-for graph at
-    enqueue time. *)
+    enqueue time.
+
+    Keys. A {!resource} is the view callers pass and read back. Each
+    call maps it to its key, one immediate int, and from there on no
+    string is hashed or compared: the entry map, the per-txn lists of
+    held and queued resources and the waits-for index all work on
+    keys, and each entry keeps its view for {!dump}, {!waits} and
+    {!holders}. Table names are interned into dense ids per manager,
+    by name, so a dropped and re-created table is the same resource.
+    The intern table is immutable and swapped by compare-and-set: pool
+    domains read it without a lock while another domain adds a name.
+    How a key is built is private to this module. Two views get the
+    same key exactly when they are equal; a view the format cannot
+    hold (a row id outside [0 .. max_row], or a table name beyond the
+    first {!max_names} one manager met) raises [Invalid_argument]
+    rather than share a key. *)
 
 type mode = IS | IX | S | X
 
@@ -22,13 +37,28 @@ type t
 
 val create : unit -> t
 
-(** The entry map is sharded by resource hash so that transactions
-    touching disjoint keys never contend on lock-manager-internal
-    synchronization. [shard_of] is the (pure) shard map; exposed so
-    tests can construct same-shard / cross-shard workloads. *)
+(** Capacity of the key format: row ids from 0 to [max_row] (2{^45} - 1
+    on 64-bit hosts) and [max_names] (65 536) distinct table names per
+    manager. *)
+val max_row : int
+
+val max_names : int
+
+(** [key t resource] is [resource]'s key in [t], interning its table
+    name if it is new. Equal keys mean equal views. Exposed for tests;
+    the bits are not an interface. Raises [Invalid_argument] when the
+    view is out of range. *)
+val key : t -> resource -> int
+
+(** The entry map is sharded by key so that transactions touching
+    disjoint keys never contend on lock-manager-internal
+    synchronization. [shard_of t] is [t]'s shard map: fixed for a view
+    once its table name is interned, but it depends on the order in
+    which [t] met the names. Exposed so tests can construct same-shard
+    / cross-shard workloads. *)
 val shard_count : int
 
-val shard_of : resource -> int
+val shard_of : t -> resource -> int
 
 (** Group-aware ownership: transactions tagged with the same group
     never conflict with each other. The scheduler tags the members of
@@ -49,26 +79,30 @@ type outcome =
     a no-op returning [Granted]. An already-queued request stays queued
     and returns [Waiting] again.
 
-    Cost: O(1) expected in the number of holders of [resource]: a
-    lookup of the requester's hold, per-mode holder counts for the
-    grant check and one insert on grant. Only a requester tagged with a
-    group (see {!set_group}) that meets a clashing mode scans the
-    holders. Queueing appends to the resource's wait queue. *)
+    Cost: mapping the view to its key (a lookup of the table name in
+    the intern table, a few string comparisons), then one int hash;
+    O(1) expected in the number of holders of [resource]: a lookup of
+    the requester's hold, per-mode holder counts for the grant check
+    and one insert on grant. Only a requester tagged with a group (see
+    {!set_group}) that meets a clashing mode scans the holders.
+    Queueing appends to the resource's wait queue. *)
 val request : t -> txn:int -> resource -> mode -> outcome
 
-(** Install (or clear) a probe observing every {!request} before it is
-    serviced, as (txn, resource, requested mode). Test instrumentation:
-    the isolation suite uses it to assert snapshot transactions acquire
-    zero read locks. Global; pass [None] to remove. *)
-val set_probe : (txn:int -> resource -> mode -> unit) option -> unit
+(** [set_probe t p] installs (or, with [None], clears) a probe that
+    observes every {!request} on [t] before it is serviced, as (txn,
+    resource, requested mode). Test instrumentation: the isolation
+    suite uses it to assert snapshot transactions acquire zero read
+    locks. *)
+val set_probe : t -> (txn:int -> resource -> mode -> unit) option -> unit
 
 (** [release_all t ~txn] releases every lock held by [txn], removes its
     queued requests, and returns the transactions whose queued requests
     became granted, sorted.
 
     Cost: one holder removal, O(1) expected, per resource [txn] held or
-    waited on. A resource with an empty wait queue costs nothing more;
-    one with waiters is filtered and its head promoted. *)
+    waited on, found by its key: no view is rebuilt or compared. A
+    resource with an empty wait queue costs nothing more; one with
+    waiters is filtered and its head promoted. *)
 val release_all : t -> txn:int -> int list
 
 (** Current holders of a resource, as (txn, mode), sorted by txn. *)

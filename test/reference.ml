@@ -62,14 +62,23 @@ let conflict_cycle ops committed =
   in
   List.exists reaches_self committed
 
-(* C.3: a committed transaction reads an object after an aborted
-   transaction wrote an overlapping one. *)
+(* C.3: a committed transaction reads from an aborted one: it reads an
+   object after the aborted transaction wrote an overlapping one and
+   before that transaction's abort. A read after the abort sees the
+   value the abort restored. *)
 let read_from_aborted ops committed aborted =
   let n = Array.length ops in
+  let abort_of i =
+    let rec go k =
+      if k >= n then n
+      else match ops.(k) with Abort j when j = i -> k | _ -> go (k + 1)
+    in
+    go 0
+  in
   exists_between 0 n (fun a ->
       match write_of ops.(a) with
       | Some (i, x) when List.mem i aborted ->
-        exists_between (a + 1) n (fun b ->
+        exists_between (a + 1) (abort_of i) (fun b ->
             match read_of ops.(b) with
             | Some (j, y) -> j <> i && List.mem j committed && overlaps x y
             | None -> false)

@@ -80,6 +80,32 @@ let test_read_from_aborted () =
   check_codes "aborted reader exempt" []
     [ Write (1, x); Read (2, x); Abort 1; Abort 2 ]
 
+(* A read after the writer's abort sees the value the abort restored:
+   it reads from nobody aborted. Rows and table scans alike. *)
+let test_read_after_abort () =
+  check_codes "W2(x) A2 R1(x) C1" [] [ Write (2, x); Abort 2; Read (1, x); Commit 1 ];
+  check_codes "row write, table scan after the abort" []
+    [ Write (2, Row ("T", 0)); Abort 2; Read (1, Table "T"); Commit 1 ];
+  check_codes "table write, row read after the abort" []
+    [ Write (2, Table "T"); Abort 2; Read (1, Row ("T", 3)); Commit 1 ];
+  check_codes "W2(x) R1(x) A2 C1" [ "read-from-aborted" ]
+    [ Write (2, x); Read (1, x); Abort 2; Commit 1 ];
+  check_codes "row write, table scan before the abort" [ "read-from-aborted" ]
+    [ Write (2, Row ("T", 0)); Read (1, Table "T"); Abort 2; Commit 1 ]
+
+(* A quasi-read lands at its grounding read's position, so it can fall
+   before an abort that the schedule shows first: T2's quasi-read of y
+   sits at T4's grounding read, between T1's write and abort. *)
+let test_quasi_read_before_abort () =
+  check_codes "retroactive quasi-read of an aborted write"
+    [ "read-from-aborted" ]
+    [ Write (1, y);
+      Ground_read (4, y);
+      Abort 1;
+      Entangle (1, [ 2; 4 ]);
+      Commit 2;
+      Commit 4 ]
+
 let test_widowed () =
   check_codes "figure 3a" [ "widowed" ] figure_3a
 
@@ -300,7 +326,7 @@ let mutate c kind =
   | 1 ->
     (* dirty_read: u reads t's write, then t aborts retroactively *)
     ( List.map (function Commit n when n = t -> Abort t | o -> o) c.sched
-      |> insert_before (fun o -> o = Commit u) (Read (u, obj_of t)),
+      |> insert_before (fun o -> o = Abort t) (Read (u, obj_of t)),
       [ "read-from-aborted" ] )
   | 2 ->
     (* cycle: u writes t's object before t does and reads it after *)
@@ -407,7 +433,7 @@ let mutate_si c kind =
     (* read_uncommitted: t aborts retroactively after SI txn u read its
        write — the snapshot should never have contained it *)
     ( List.map (function Commit n when n = t -> Abort t | o -> o) c.sched
-      |> insert_before (fun o -> o = Commit u) (Read (u, obj_of t)),
+      |> insert_before (fun o -> o = Abort t) (Read (u, obj_of t)),
       [ (u, si) ],
       [ "si-read-uncommitted" ],
       [] )
@@ -453,6 +479,9 @@ let () =
         [ Alcotest.test_case "clean schedules" `Quick test_clean;
           Alcotest.test_case "conflict cycle" `Quick test_conflict_cycle;
           Alcotest.test_case "read from aborted" `Quick test_read_from_aborted;
+          Alcotest.test_case "read after abort" `Quick test_read_after_abort;
+          Alcotest.test_case "quasi-read before abort" `Quick
+            test_quasi_read_before_abort;
           Alcotest.test_case "widowed" `Quick test_widowed;
           Alcotest.test_case "unrepeatable quasi-read" `Quick
             test_unrepeatable_quasi_read;

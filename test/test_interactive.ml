@@ -342,15 +342,23 @@ let test_poll_hits_grounding_cache () =
 
 (* --- random sessions ---
 
-   2-4 users ask each other for a flight, book it, poll, commit and
-   cancel at random. A clerk session (which never cancels, so it never
-   aborts) rewrites a Flights row: groundings wait behind its lock and
-   re-run once it commits. Users write only Bookings, which nobody
-   reads, so no committed transaction reads an aborted write. *)
+   2-4 users ask each other for a flight, book it, reroute a flight,
+   poll, commit and cancel at random. A clerk session (which never
+   cancels) rewrites a Flights row: groundings wait behind its lock and
+   re-run once it commits. Users that write Flights can close a
+   deadlock through the clerk; a clerk that is its victim is replaced
+   by a new one, and once every user has left the last clerk must
+   commit. A user's reroute moves a flight out of the
+   set every grounding reads, and a later cancel undoes it, so sessions
+   that ground on Flights after that abort read the restored row. A
+   user reroutes only before it first asks: once entangled, its partners
+   share its locks, and a partner's write to Flights would invalidate
+   the quasi-reads of Flights the group already made. *)
 
 type op =
   | Ask of int * int  (** user i asks for user j *)
   | Book of int
+  | Reroute of int  (** user i moves flight 2 away from LA *)
   | Poll of int
   | Commit of int
   | Cancel of int
@@ -363,6 +371,7 @@ let user i = Printf.sprintf "u%d" i
 let pp_op = function
   | Ask (i, j) -> Printf.sprintf "%s>ask %s" (user i) (user j)
   | Book i -> user i ^ ">book"
+  | Reroute i -> user i ^ ">reroute"
   | Poll i -> user i ^ ">poll"
   | Commit i -> user i ^ ">commit"
   | Cancel i -> user i ^ ">cancel"
@@ -378,6 +387,7 @@ let script_gen =
     frequency
       [ (3, map (fun d -> Ask (i, (i + 1 + d) mod n)) (int_bound (n - 2)));
         (2, return (Book i));
+        (1, return (Reroute i));
         (2, return (Poll i));
         (2, return (Commit i));
         (1, return (Cancel i));
@@ -408,29 +418,38 @@ let prop_random_sessions =
           | _ -> ())
         ~on_entangle:(fun ~event:_ members -> groups := List.map fst members :: !groups);
       let users = Array.init n (fun _ -> Interactive.start hub) in
+      let asked = Array.make n false in
       let clerk = ref (Interactive.start hub) in
       let clerk_session () =
         (match Interactive.poll !clerk with
-        | Interactive.Committed -> clerk := Interactive.start hub
+        | Interactive.Committed | Interactive.Aborted "deadlock" ->
+          clerk := Interactive.start hub
         | _ -> ());
         !clerk
+      in
+      let touch () =
+        Interactive.execute (clerk_session ())
+          "UPDATE Flights SET dest = 'LA' WHERE fno = 1"
       in
       let misuse f = try ignore (f ()) with Invalid_argument _ -> () in
       List.iter
         (function
           | Ask (i, j) ->
+            asked.(i) <- true;
             misuse (fun () -> Interactive.execute users.(i) (entangled_query (user i) (user j)))
           | Book i ->
             misuse (fun () ->
                 Interactive.execute users.(i)
                   (Printf.sprintf "INSERT INTO Bookings VALUES ('%s', @fno)" (user i)))
+          | Reroute i when not asked.(i) ->
+            misuse (fun () ->
+                Interactive.execute users.(i)
+                  "UPDATE Flights SET dest = 'SF' WHERE fno = 2")
+          | Reroute _ -> ()
           | Poll i -> misuse (fun () -> Interactive.poll users.(i))
           | Commit i -> misuse (fun () -> Interactive.commit users.(i))
           | Cancel i -> Interactive.cancel users.(i)
-          | Touch ->
-            misuse (fun () ->
-                Interactive.execute (clerk_session ())
-                  "UPDATE Flights SET dest = 'LA' WHERE fno = 1")
+          | Touch -> misuse touch
           | Clerk_poll -> misuse (fun () -> Interactive.poll !clerk)
           | Clerk_commit -> misuse (fun () -> Interactive.commit !clerk))
         ops;
@@ -439,6 +458,9 @@ let prop_random_sessions =
       let clerk_done =
         match Interactive.commit !clerk with
         | Interactive.Committed -> true
+        | Interactive.Aborted "deadlock" ->
+          ignore (touch ());
+          Interactive.commit !clerk = Interactive.Committed
         | _ -> false
       in
       let all_or_nothing group =

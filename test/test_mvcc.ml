@@ -256,9 +256,10 @@ let test_snapshot_zero_read_locks () =
      INSERT INTO Reserve VALUES ('solo', 'flight', 122);\n\
      COMMIT;"
   in
-  Lock.set_probe
+  let locks = Engine.locks (Manager.engine m) in
+  Lock.set_probe locks
     (Some (fun ~txn _resource mode -> requests := (txn, mode) :: !requests));
-  Fun.protect ~finally:(fun () -> Lock.set_probe None) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Lock.set_probe locks None) @@ fun () ->
   let si =
     Manager.submit m
       (Program.of_string ~label:"si" ~isolation:Engine.Snapshot body)

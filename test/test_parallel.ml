@@ -20,15 +20,15 @@ module Trace = Ent_obs.Trace
 
 (* --- shard boundaries --- *)
 
-(* A row of [table] on a different shard than [r], and one on the same
-   shard; both exist because the shard map is a hash of the whole
-   resource, and we probe as many keys as shards. *)
-let row_on ~table ~same r =
-  let target = Lock.shard_of r in
+(* A row of [table] on a different shard of [lm] than [r], and one on
+   the same shard; both exist because the shard map is a hash of the
+   whole key, and we probe as many keys as shards. *)
+let row_on lm ~table ~same r =
+  let target = Lock.shard_of lm r in
   let rec go i =
     if i > 100 * Lock.shard_count then
       Alcotest.failf "no row of %s with same-shard=%b found" table same
-    else if (Lock.shard_of (Lock.Row (table, i)) = target) = same
+    else if (Lock.shard_of lm (Lock.Row (table, i)) = target) = same
             && Lock.Row (table, i) <> r
     then Lock.Row (table, i)
     else go (i + 1)
@@ -37,17 +37,18 @@ let row_on ~table ~same r =
 
 let test_shard_map () =
   Alcotest.(check bool) "at least two shards" true (Lock.shard_count > 1);
+  let lm = Lock.create () in
   List.iter
     (fun r ->
-      let s = Lock.shard_of r in
+      let s = Lock.shard_of lm r in
       Alcotest.(check bool) "in range" true (s >= 0 && s < Lock.shard_count);
-      Alcotest.(check int) "pure" s (Lock.shard_of r))
+      Alcotest.(check int) "pure" s (Lock.shard_of lm r))
     [ Lock.Table "Flights"; Lock.Row ("Flights", 3); Lock.Row ("Reserve", 17) ]
 
 let test_cross_shard_no_contention () =
   let lm = Lock.create () in
   let a = Lock.Row ("Reserve", 0) in
-  let b = row_on ~table:"Reserve" ~same:false a in
+  let b = row_on lm ~table:"Reserve" ~same:false a in
   Alcotest.(check bool) "X on a granted" true
     (Lock.request lm ~txn:1 a X = Lock.Granted);
   Alcotest.(check bool) "X on b granted" true
@@ -64,7 +65,7 @@ let test_same_shard_disjoint_rows () =
      lock conflict *)
   let lm = Lock.create () in
   let a = Lock.Row ("Reserve", 0) in
-  let b = row_on ~table:"Reserve" ~same:true a in
+  let b = row_on lm ~table:"Reserve" ~same:true a in
   Alcotest.(check bool) "X on a granted" true
     (Lock.request lm ~txn:1 a X = Lock.Granted);
   Alcotest.(check bool) "X on b granted" true
@@ -83,6 +84,57 @@ let test_same_resource_still_conflicts () =
   let woken = Lock.release_all lm ~txn:1 in
   Alcotest.(check (list int)) "txn 2 woken" [ 2 ] woken
 
+(* Four domains of a pool lock the same fresh table names at once:
+   they meet at a barrier, then each walks all the names from its own
+   starting point, so two domains often add different names to the
+   intern table at the same moment. Every name gets one key whichever
+   domain asked (and keeps it), distinct names get distinct keys, and
+   each domain's [held] answers, read back on that domain and again
+   after the region, agree that all four hold every table. *)
+let test_concurrent_interning () =
+  let domains = 4 and n = 1000 in
+  let names = Array.init n (Printf.sprintf "fresh%d") in
+  let lm = Lock.create () in
+  let keys = Array.make_matrix domains n 0 in
+  let held_ok = Array.make domains false in
+  let arrived = Atomic.make 0 in
+  let pool = Pool.create ~domains in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+      Pool.run_indexed pool domains (fun d ->
+          Atomic.incr arrived;
+          while Atomic.get arrived < domains do
+            Domain.cpu_relax ()
+          done;
+          let txn = d + 1 in
+          for step = 0 to n - 1 do
+            let i = (step + (d * n / domains)) mod n in
+            let r = Lock.Table names.(i) in
+            keys.(d).(i) <- Lock.key lm r;
+            if Lock.request lm ~txn r Lock.S <> Lock.Granted then
+              failwith "S on a fresh table not granted"
+          done;
+          held_ok.(d) <-
+            Array.for_all
+              (fun name -> Lock.held lm ~txn (Lock.Table name) = Some Lock.S)
+              names));
+  Array.iteri
+    (fun d ok -> Alcotest.(check bool) (Printf.sprintf "domain %d held all" d) true ok)
+    held_ok;
+  for i = 0 to n - 1 do
+    for d = 1 to domains - 1 do
+      if keys.(d).(i) <> keys.(0).(i) then
+        Alcotest.failf "%s: domain %d got another key than domain 0" names.(i) d
+    done;
+    Alcotest.(check int) (names.(i) ^ " key is stable") keys.(0).(i)
+      (Lock.key lm (Lock.Table names.(i)));
+    Alcotest.(check (list int))
+      (names.(i) ^ " held by every domain's txn")
+      [ 1; 2; 3; 4 ]
+      (List.map fst (Lock.holders lm (Lock.Table names.(i))))
+  done;
+  let distinct = List.sort_uniq Int.compare (Array.to_list keys.(0)) in
+  Alcotest.(check int) "one key per name" n (List.length distinct)
+
 (* --- static lock order vs the sharded manager --- *)
 
 (* Replay entlint's statically-computed lock sequence (Summary, the
@@ -98,14 +150,15 @@ let test_static_lock_order_across_shards () =
   let seq = Ent_analysis.Summary.lock_sequence summary in
   Alcotest.(check bool) "sequence nonempty" true (seq <> []);
   let tables = List.map (fun (t, _, _, _) -> t) seq in
+  let lm = Lock.create () in
   let crosses_shards =
     List.exists2
-      (fun u v -> Lock.shard_of (Lock.Table u) <> Lock.shard_of (Lock.Table v))
+      (fun u v ->
+        Lock.shard_of lm (Lock.Table u) <> Lock.shard_of lm (Lock.Table v))
       (List.filteri (fun i _ -> i < List.length tables - 1) tables)
       (List.tl tables)
   in
   Alcotest.(check bool) "sequence crosses a shard boundary" true crosses_shards;
-  let lm = Lock.create () in
   let acquired = ref [] in
   List.iter
     (fun (table, mode, _, _) ->
@@ -456,6 +509,8 @@ let () =
             test_same_resource_still_conflicts;
           Alcotest.test_case "static lock order across shards" `Quick
             test_static_lock_order_across_shards;
+          Alcotest.test_case "concurrent interning on 4 domains" `Quick
+            test_concurrent_interning;
         ] );
       ("coordination", [ Tgen.to_alcotest prop_evaluate_coordinates ]);
       ( "equivalence",

@@ -243,6 +243,21 @@ let test_read_from_aborted_ok_when_reader_aborts () =
   let s = [ Write (1, x); Read (2, x); Abort 1; Abort 2 ] in
   Alcotest.(check (list string)) "no violation" [] (codes s)
 
+(* The abstract machine undoes an abort as the engine does: a read
+   after the writer's abort sees the restored store, so the schedule is
+   both isolated and oracle-serializable. A read before the abort is a
+   dirty read. *)
+let test_abstract_read_after_abort () =
+  let after = [ Write (2, x); Abort 2; Read (1, x); Write (1, y); Commit 1 ] in
+  Alcotest.(check (list string)) "after: no violation" [] (codes after);
+  Alcotest.(check bool) "after: oracle-serializable" true
+    (Abstract.oracle_serializable after);
+  let before = [ Write (2, x); Read (1, x); Abort 2; Write (1, y); Commit 1 ] in
+  Alcotest.(check (list string)) "before: dirty read" [ "read-from-aborted" ]
+    (codes before);
+  Alcotest.(check bool) "before: not oracle-serializable" false
+    (Abstract.oracle_serializable before)
+
 (* --- abstract machine sanity --- *)
 
 let test_abstract_execution_determinism () =
@@ -381,7 +396,8 @@ let () =
       ( "abstract",
         [ Alcotest.test_case "determinism" `Quick test_abstract_execution_determinism;
           Alcotest.test_case "serial replay" `Quick test_abstract_serial_schedule_replays_itself;
-          Alcotest.test_case "lost update" `Quick test_lost_update_not_serializable ] );
+          Alcotest.test_case "lost update" `Quick test_lost_update_not_serializable;
+          Alcotest.test_case "read after abort" `Quick test_abstract_read_after_abort ] );
       ( "recorded",
         [ Alcotest.test_case "real history valid" `Quick test_recorded_history_valid;
           Alcotest.test_case "real history isolated" `Quick test_recorded_history_isolated ] );

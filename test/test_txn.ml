@@ -119,6 +119,53 @@ let test_lock_waiter_removed_on_release () =
   ignore (Lock.release_all lm ~txn:1);
   Alcotest.(check int) "no holders" 0 (List.length (Lock.holders lm res_a))
 
+(* --- lock keys --- *)
+
+(* Row 0 of a table is a different resource from the table itself:
+   an X on row 0 beside other txns' IX on the table is granted, as it
+   is for an insert into an empty table while others write it. *)
+let test_lock_row_zero_not_table () =
+  let lm = Lock.create () in
+  let t = Lock.Table "Fresh" and row0 = Lock.Row ("Fresh", 0) in
+  Alcotest.(check bool) "t1 IX" true (Lock.request lm ~txn:1 t IX = Granted);
+  Alcotest.(check bool) "t2 IX" true (Lock.request lm ~txn:2 t IX = Granted);
+  Alcotest.(check bool) "t3 IX" true (Lock.request lm ~txn:3 t IX = Granted);
+  Alcotest.(check bool) "t3 X on row 0 granted" true
+    (Lock.request lm ~txn:3 row0 X = Granted);
+  Alcotest.(check (list (pair int string))) "table holders"
+    [ (1, "IX"); (2, "IX"); (3, "IX") ]
+    (List.map (fun (o, m) -> (o, Lock.mode_to_string m)) (Lock.holders lm t));
+  Alcotest.(check bool) "row 0 held X" true (Lock.held lm ~txn:3 row0 = Some X);
+  Alcotest.(check bool) "table not held X" true (Lock.held lm ~txn:3 t = Some IX)
+
+let test_lock_key_out_of_range () =
+  let lm = Lock.create () in
+  let raises lm what r =
+    match Lock.key lm r with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises lm "row -1" (Lock.Row ("A", -1));
+  raises lm "row min_int" (Lock.Row ("A", min_int));
+  raises lm "row max_row + 1" (Lock.Row ("A", Lock.max_row + 1));
+  raises lm "row max_int" (Lock.Row ("A", max_int));
+  (match Lock.request lm ~txn:1 (Lock.Row ("A", -1)) X with
+  | _ -> Alcotest.fail "request on row -1: no Invalid_argument"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "max_row fits" true
+    (Lock.request lm ~txn:1 (Lock.Row ("A", Lock.max_row)) X = Granted);
+  Alcotest.(check bool) "row 0 distinct from max_row" true
+    (Lock.request lm ~txn:2 (Lock.Row ("A", 0)) X = Granted);
+  (* names: [max_names] fit, one more does not *)
+  let lm = Lock.create () in
+  for i = 0 to Lock.max_names - 1 do
+    ignore (Lock.key lm (Lock.Table (string_of_int i)))
+  done;
+  raises lm "a name past max_names" (Lock.Table "one too many");
+  raises lm "a row of it" (Lock.Row ("one too many", 0));
+  Alcotest.(check bool) "known names still lock" true
+    (Lock.request lm ~txn:1 (Lock.Table "7") X = Granted)
+
 (* --- engine helpers --- *)
 
 let base_schema =
@@ -814,9 +861,54 @@ let test_lock_cost_flat_in_holders () =
     Alcotest.failf "words per cycle: %.1f with 10 holders, %.1f with 1000" few
       many
 
+(* Keys are injective on views: two views map to the same key exactly
+   when they are equal, over many names (interned in random order),
+   tables beside their row 0, and row ids up to the format's limit. *)
+let prop_lock_keys_injective =
+  let view =
+    QCheck2.Gen.(
+      let name = map (Printf.sprintf "t%d") (int_bound 299) in
+      let row =
+        frequency
+          [ (3, return 0);
+            (3, int_bound 20);
+            (2, map (fun d -> Lock.max_row - d) (int_bound 3));
+            (2, int_bound Lock.max_row) ]
+      in
+      frequency
+        [ (1, map (fun t -> Lock.Table t) name);
+          (2, map2 (fun t r -> Lock.Row (t, r)) name row) ])
+  in
+  let print = function
+    | Lock.Table t -> "Table " ^ t
+    | Lock.Row (t, r) -> Printf.sprintf "Row (%s, %d)" t r
+  in
+  QCheck2.Test.make ~name:"lock keys: equal exactly when views are equal"
+    ~count:200
+    ~print:QCheck2.Print.(list print)
+    QCheck2.Gen.(list_size (int_range 2 120) view)
+    (fun views ->
+      let lm = Lock.create () in
+      (* each table beside its row 0 *)
+      let views =
+        views
+        @ List.concat_map
+            (function
+              | Lock.Table t -> [ Lock.Row (t, 0) ]
+              | Lock.Row (t, _) -> [ Lock.Table t ])
+            views
+      in
+      let keyed = List.map (fun v -> (v, Lock.key lm v)) views in
+      List.for_all
+        (fun (v, k) ->
+          Lock.key lm v = k
+          && List.for_all (fun (w, l) -> (k = l) = (v = w)) keyed)
+        keyed)
+
 let properties =
   List.map Gen.to_alcotest
-    [ prop_lock_no_incompatible_holders;
+    [ prop_lock_keys_injective;
+      prop_lock_no_incompatible_holders;
       prop_lock_waits_for_differential;
       prop_lock_waits_for_long_queues;
       prop_lock_model_differential;
@@ -836,7 +928,9 @@ let () =
           Alcotest.test_case "queue-order deadlock" `Quick test_lock_queue_order_deadlock;
           Alcotest.test_case "group cuts holder edge" `Quick test_lock_group_cuts_holder_edge;
           Alcotest.test_case "waiter removal" `Quick test_lock_waiter_removed_on_release;
-          Alcotest.test_case "cost flat in holders" `Quick test_lock_cost_flat_in_holders ] );
+          Alcotest.test_case "cost flat in holders" `Quick test_lock_cost_flat_in_holders;
+          Alcotest.test_case "row 0 is not the table" `Quick test_lock_row_zero_not_table;
+          Alcotest.test_case "key out of range" `Quick test_lock_key_out_of_range ] );
       ( "engine",
         [ Alcotest.test_case "commit visible" `Quick test_engine_commit_visible;
           Alcotest.test_case "abort undoes" `Quick test_engine_abort_undoes;
