@@ -99,8 +99,6 @@ let counting_access (costs : Ent_sim.Cost.t) task (access : Ent_sql.Eval.access)
         access.delete name id);
   }
 
-let statements task = Ent_sql.Ast.statements task.program.ast
-
 (* -Q workloads: every statement is its own transaction. The commit
    costs a log flush only when the statement actually wrote (MySQL
    autocommit does not force the log for reads). *)
@@ -164,13 +162,13 @@ let exec engine (isolation : Isolation.t) (costs : Ent_sim.Cost.t) task stmt =
       fail engine costs task (Program_error msg))
 
 let rec step engine isolation costs task =
-  let body = statements task in
-  if task.pc >= List.length body then begin
+  let body = task.program.stmts in
+  if task.pc >= Array.length body then begin
     task.status <- Ready;
     Event.emit ~txn:task.txn ~task:task.task_id Event.Ready
   end
   else
-    match exec engine isolation costs task (List.nth body task.pc) with
+    match exec engine isolation costs task body.(task.pc) with
     | Some _ -> step engine isolation costs task
     | None -> ()
 

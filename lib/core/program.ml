@@ -1,17 +1,17 @@
 type t = {
   label : string;
   ast : Ent_sql.Ast.program;
+  stmts : Ent_sql.Ast.stmt array;
   transactional : bool;
   isolation : Ent_txn.Engine.level;
 }
 
 let make ?(label = "txn") ?(transactional = true)
-    ?(isolation = Ent_txn.Engine.Serializable_2pl) ast =
-  { label; ast; transactional; isolation }
+    ?(isolation = Ent_txn.Engine.Serializable_2pl) (ast : Ent_sql.Ast.program) =
+  { label; ast; stmts = Array.of_list (List.map fst ast.body); transactional; isolation }
 
-let of_string ?(label = "txn") ?(transactional = true)
-    ?(isolation = Ent_txn.Engine.Serializable_2pl) input =
-  { label; ast = Ent_sql.Parser.parse_program input; transactional; isolation }
+let of_string ?label ?transactional ?isolation input =
+  make ?label ?transactional ?isolation (Ent_sql.Parser.parse_program input)
 
 let to_string t =
   (* The isolation header appears only for non-default levels, keeping
@@ -50,13 +50,12 @@ let of_serialized input =
         (Ent_txn.Engine.level_of_string s)
     | None -> Ent_txn.Engine.Serializable_2pl
   in
-  { label; ast = Ent_sql.Parser.parse_program input; transactional; isolation }
+  make ~label ~transactional ~isolation (Ent_sql.Parser.parse_program input)
 
 let entangled_count t =
-  List.length
-    (List.filter
-       (fun (s : Ent_sql.Ast.stmt) ->
-         match s with
-         | Entangled _ -> true
-         | _ -> false)
-       (Ent_sql.Ast.statements t.ast))
+  Array.fold_left
+    (fun n (s : Ent_sql.Ast.stmt) ->
+      match s with
+      | Entangled _ -> n + 1
+      | _ -> n)
+    0 t.stmts

@@ -5,6 +5,8 @@
 type t = {
   label : string;
   ast : Ent_sql.Ast.program;
+  stmts : Ent_sql.Ast.stmt array;
+      (** [ast]'s statements, indexed by the executor's program counter *)
   transactional : bool;
       (** [false] models the paper's -Q workloads: the same code
           without a transaction block, i.e. every statement commits by

@@ -26,25 +26,34 @@ let rec conjuncts (c : Ent_sql.Ast.cond) =
 
 let lookup_of valuation name = Valuation.find_opt name valuation
 
+(* A binder's left-hand side: a free variable to bind, or an
+   expression prepared once per binder and evaluated per row. *)
+type binder_expr =
+  | Bind of string
+  | Match of Value.t Ent_sql.Eval.correlated
+
+let binder_expr ~access ~env (e : Ent_sql.Ast.expr) =
+  match e with
+  | Col (None, x) -> Bind x
+  | _ -> Match (Ent_sql.Eval.correlated_expr access env e)
+
 (* Extend [valuation] by unifying binding expressions with a row of
    subquery results. Returns None on mismatch. *)
-let unify_row ~access ~env valuation exprs row =
+let unify_row valuation exprs row =
   let exception Mismatch in
   try
     Some
       (List.fold_left2
-         (fun acc (e : Ent_sql.Ast.expr) value ->
+         (fun acc e value ->
            match e with
-           | Col (None, x) -> (
+           | Bind x -> (
              match Valuation.find_opt x acc with
              | Some bound ->
                if Value.equal bound value then acc else raise Mismatch
              | None -> Valuation.add x value acc)
-           | _ -> (
+           | Match eval -> (
              (* constant-ish expression: evaluate and compare *)
-             match
-               Ent_sql.Eval.eval_expr ~var:(lookup_of acc) access env [] e
-             with
+             match eval ~var:(lookup_of acc) with
              | v when Value.equal v value -> acc
              | _ -> raise Mismatch
              | exception Ent_sql.Eval.Eval_error _ -> raise Mismatch))
@@ -74,8 +83,11 @@ let valuations ?(limit = 10_000) ~access ~env (body : Ent_sql.Ast.cond) =
      rows: keep them instead of re-running it. *)
   let explored = ref 0 in
   let step valuations (c : Ent_sql.Ast.cond) =
-    match c with
-    | In_select (exprs, sub) ->
+    match c, valuations with
+    | In_select _, [] -> []
+    | In_select (exprs, sub), _ ->
+      let exprs = List.map (binder_expr ~access ~env) exprs in
+      let select = Ent_sql.Eval.correlated_select access env sub in
       let shared = ref None in
       List.concat_map
         (fun valuation ->
@@ -88,9 +100,7 @@ let valuations ?(limit = 10_000) ~access ~env (body : Ent_sql.Ast.cond) =
                 correlated := true;
                 lookup_of valuation x
               in
-              let rows =
-                Ent_sql.Eval.select_rows_correlated ~var access env sub
-              in
+              let rows = select ~var in
               if not !correlated then shared := Some rows;
               rows
           in
@@ -99,25 +109,47 @@ let valuations ?(limit = 10_000) ~access ~env (body : Ent_sql.Ast.cond) =
               incr explored;
               if !explored > limit then
                 fail "grounding exceeded %d valuations" limit;
-              unify_row ~access ~env valuation exprs (Array.to_list row))
+              unify_row valuation exprs (Array.to_list row))
             rows)
         valuations
     | _ -> assert false
   in
   let valuations = List.fold_left step [ Valuation.empty ] binders in
   (* Apply the remaining conjuncts as filters. *)
-  let keep valuation =
-    List.for_all
-      (fun c ->
-        try Ent_sql.Eval.eval_cond ~var:(lookup_of valuation) access env [] c
-        with Ent_sql.Eval.Eval_error msg ->
-          fail "body filter not evaluable: %s" msg)
-      filters
+  let valuations =
+    match valuations with
+    | [] -> []
+    | _ ->
+      let filters = List.map (Ent_sql.Eval.correlated_cond access env) filters in
+      let keep valuation =
+        List.for_all
+          (fun filter ->
+            try filter ~var:(lookup_of valuation)
+            with Ent_sql.Eval.Eval_error msg ->
+              fail "body filter not evaluable: %s" msg)
+          filters
+      in
+      List.filter keep valuations
   in
-  let valuations = List.filter keep valuations in
   Obs.incr m_computes;
   Obs.incr ~n:!explored m_valuations;
   valuations
+
+(* [Hashtbl.hash] stops after ten meaningful words, which every
+   grounding of one query shares (its relation names and leading
+   values), so a polymorphic table put them all in one bucket. This
+   hash reaches every value; relation names are left out, since one
+   query's groundings share them. *)
+let grounding_hash g =
+  let atoms h atoms =
+    List.fold_left
+      (fun h ((_, values) : Ir.ground_atom) ->
+        List.fold_left (fun h v -> (h * 31) + Value.hash v) h values)
+      h atoms
+  in
+  atoms (atoms 17 g.g_head) g.g_post land max_int
+
+module Seen = Hashtbl.Make (Int)
 
 (* Stage 2 — cheap and database-free: substitute each valuation into
    the query's head and post atoms and de-duplicate. *)
@@ -134,15 +166,18 @@ let groundings_of (query : Ir.t) valuations =
     { g_head = List.map subst query.head; g_post = List.map subst query.post }
   in
   let groundings = List.map to_grounding valuations in
-  (* De-duplicate while keeping first-seen order. *)
-  let seen = Hashtbl.create 16 in
+  (* De-duplicate while keeping first-seen order: one hash per
+     grounding, then structural equality ([Value.t] has no floats)
+     among those that share it. *)
+  let seen = Seen.create 16 in
   let groundings =
     List.filter
       (fun g ->
-        let key = (g.g_head, g.g_post) in
-        if Hashtbl.mem seen key then false
+        let h = grounding_hash g in
+        let same = Option.value ~default:[] (Seen.find_opt seen h) in
+        if List.mem g same then false
         else begin
-          Hashtbl.add seen key ();
+          Seen.replace seen h (g :: same);
           true
         end)
       groundings

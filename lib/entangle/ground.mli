@@ -41,6 +41,12 @@ val valuations :
     no data. *)
 val groundings_of : Ir.t -> valuation list -> grounding list
 
+(** A hash of a grounding that reaches every value of every atom, so
+    the groundings of one query (which share relation names and
+    leading values) spread over {!groundings_of}'s dedup table.
+    Relation names are not hashed. *)
+val grounding_hash : grounding -> int
+
 (** [compute ~access ~env query] enumerates all groundings of [query]
     on the current database, in deterministic order, de-duplicated.
     [limit] caps the number of valuations explored (default 10_000).

@@ -15,10 +15,6 @@ type env = (string, Value.t) Hashtbl.t
 
 val fresh_env : unit -> env
 
-(** Rows currently in scope during evaluation: [(alias, schema, row)]
-    for each FROM table, innermost last. *)
-type binding = (string * Schema.t * Tuple.t) list
-
 (** Read paths ([scan]/[lookup]/[range]) are lazy sequences: consumers
     that stop early (LIMIT, EXISTS-style checks) never pull — or pay
     for — the remaining rows. Interposed layers attach per-row effects
@@ -43,27 +39,13 @@ type access = {
   has_range : string -> int -> bool;
       (** is there an ordered index on this column? (guides the planner) *)
   drop : string -> unit;
+  catalog : Catalog.t;
+      (** the catalog whose schemas the access reads; its plan cache
+          serves every statement run through this access *)
 }
 
 (** Unprotected access to a catalog. *)
 val direct_access : Catalog.t -> access
-
-(** [eval_expr ?var access env binding e] evaluates an expression. An
-    unqualified identifier resolves against [binding] first and then
-    against [var] (used by the entangled-query engine to substitute
-    valuations for free variables).
-    @raise Eval_error on unknown columns or ambiguity. *)
-val eval_expr :
-  ?var:(string -> Value.t option) ->
-  access -> env -> binding -> Ast.expr -> Value.t
-
-(** Evaluate a condition to a boolean. [IN (SELECT ...)] subqueries are
-    evaluated with the outer binding in scope (correlation allowed).
-    @raise Eval_error when the condition contains [IN ANSWER] — answer
-    relations only exist inside entangled query evaluation. *)
-val eval_cond :
-  ?var:(string -> Value.t option) ->
-  access -> env -> binding -> Ast.cond -> bool
 
 (** [select_rows access env sel] evaluates a classical SELECT and
     returns the projected rows (in deterministic scan order). Host
@@ -72,16 +54,29 @@ val eval_cond :
     when the result is empty. *)
 val select_rows : access -> env -> Ast.select -> Value.t array list
 
-(** Like {!select_rows} but with a variable-lookup fallback and without
-    applying host bindings — used by the entangled-query grounding
-    engine, where subqueries are evaluated under partial valuations. *)
-val select_rows_correlated :
-  ?var:(string -> Value.t option) ->
-  access -> env -> Ast.select -> Value.t array list
+(** A statement fragment prepared for repeated runs under different
+    valuations of its free variables: an unqualified name that no FROM
+    scope binds is looked up in [var] (the entangled-query engine's
+    partial valuations). Host bindings are not applied. Preparing looks
+    the fragment's plan up by shape; running it evaluates that plan. *)
+type 'a correlated = var:(string -> Value.t option) -> 'a
 
-(** Describe the access plan the evaluator will use for a SELECT: one
-    line per FROM table, [SCAN t] or [PROBE t ON (cols)], plus notes
-    for grouping, sorting, deduplication and limits. *)
+(** A SELECT, evaluated with no outer row in scope. *)
+val correlated_select : access -> env -> Ast.select -> Value.t array list correlated
+
+(** An expression, evaluated with no FROM scope.
+    @raise Eval_error on unknown columns or unbound host variables. *)
+val correlated_expr : access -> env -> Ast.expr -> Value.t correlated
+
+(** A condition, evaluated with no FROM scope. [IN (SELECT ...)]
+    subqueries may read the valuation.
+    @raise Eval_error when the condition contains [IN ANSWER] — answer
+    relations only exist inside entangled query evaluation. *)
+val correlated_cond : access -> env -> Ast.cond -> bool correlated
+
+(** Describe the compiled plan of a SELECT: one line per FROM table,
+    [SCAN t], [PROBE t ON (cols)] or [RANGE t ON (col)], plus notes for
+    grouping, sorting, deduplication and limits. *)
 val explain : access -> Ast.select -> string
 
 type outcome =

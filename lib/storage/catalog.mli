@@ -26,3 +26,18 @@ val versioned : t -> bool
     created later. One-way and idempotent; a fresh catalog (including
     one rebuilt by recovery) starts unversioned. *)
 val enable_versioning : t -> unit
+
+(** State a higher layer derives from the catalog's shape and keeps
+    with it: the SQL layer's statement plans, which bake in column
+    positions and ordered-index choices. The layer adds its own
+    constructor. Every DDL on the catalog or its tables
+    ({!create_table}, {!drop}, {!Table.add_index},
+    {!Table.add_ordered_index}) resets the slot to [Stale], so nothing
+    derived outlives the shape it was derived from. The slot is an
+    atomic: any domain may read or set it. *)
+type derived = ..
+
+type derived += Stale
+
+val derived : t -> derived
+val set_derived : t -> derived -> unit

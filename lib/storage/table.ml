@@ -56,9 +56,10 @@ type t = {
   mutable changes_len : int;
   mutable change_floor : int;
   mu : Mutex.t;
+  on_index : unit -> unit;  (* the owning catalog's DDL hook *)
 }
 
-let create ?(name = "<anon>") schema =
+let create ?(name = "<anon>") ?(on_index = ignore) schema =
   {
     name;
     schema;
@@ -74,6 +75,7 @@ let create ?(name = "<anon>") schema =
     changes_len = 0;
     change_floor = 0;
     mu = Mutex.create ();
+    on_index;
   }
 
 let name t = t.name
@@ -293,7 +295,8 @@ let add_index t ~positions =
         Hashtbl.replace t.indexes positions ix;
         (* a new index changes which access paths serve which reads;
            cached readers must not mix results across the change *)
-        note_reshape t)
+        note_reshape t;
+        t.on_index ())
 
 let lookup_seq t ~positions key =
   let positions, key = canonical_probe positions key in
@@ -318,7 +321,8 @@ let add_ordered_index t ~position =
           (fun id row -> Ordered_index.insert ox (Tuple.get row position) id)
           t;
         Hashtbl.replace t.ordered position ox;
-        note_reshape t
+        note_reshape t;
+        t.on_index ()
       end)
 
 let has_ordered_index t ~position = Hashtbl.mem t.ordered position

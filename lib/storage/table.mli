@@ -32,7 +32,10 @@ type change = {
   c_after : Tuple.t option;
 }
 
-val create : ?name:string -> Schema.t -> t
+(** [on_index] runs after {!add_index} or {!add_ordered_index} creates
+    an index; the owning {!Catalog} uses it to drop state derived from
+    the table's access paths. *)
+val create : ?name:string -> ?on_index:(unit -> unit) -> Schema.t -> t
 val name : t -> string
 val schema : t -> Schema.t
 

@@ -124,6 +124,42 @@ let test_ground_dedup () =
   in
   Alcotest.(check int) "deduplicated" 2 (List.length gs)
 
+(* Entangled-T's [Meet(u, tag, city)] groundings share their relation
+   names and leading values, which is all [Hashtbl.hash] reads of
+   them; the dedup table must still tell them apart, and deduplicate
+   exactly as a first-seen list scan does. *)
+let test_ground_dedup_hash () =
+  let cities =
+    [ "ATL"; "BOS"; "CAT"; "DEN"; "FAT"; "ITH"; "JFK"; "LAX"; "MIA"; "ORD";
+      "PHF"; "SFO" ]
+  in
+  let atom me =
+    { Ir.rel = "Meet"; args = [ Ir.Const (Value.Int me); Ir.Const (Value.Int 3); Ir.Var "dst" ] }
+  in
+  let query =
+    { Ir.head = [ atom 36513 ]; post = [ atom 45747 ]; body = Ast.True; binds = []; choose = 1 }
+  in
+  let valuation city = Ground.Valuation.singleton "dst" (Value.Str city) in
+  (* every city twice, interleaved, so the dedup has work to do *)
+  let valuations = List.map valuation (cities @ List.rev cities) in
+  let gs = Ground.groundings_of query valuations in
+  let hashes = List.sort_uniq Int.compare (List.map Ground.grounding_hash gs) in
+  Alcotest.(check int) "12 groundings" 12 (List.length gs);
+  Alcotest.(check int) "12 distinct hashes" 12 (List.length hashes);
+  let first_seen =
+    List.fold_left
+      (fun acc (g : Ground.grounding) -> if List.mem g acc then acc else acc @ [ g ])
+      []
+      (List.map
+         (fun city ->
+           { Ground.g_head = [ ("Meet", [ Value.Int 36513; Value.Int 3; Value.Str city ]) ];
+             g_post = [ ("Meet", [ Value.Int 45747; Value.Int 3; Value.Str city ]) ] })
+         (cities @ List.rev cities))
+  in
+  Alcotest.(check bool) "first-seen order, byte for byte" true
+    (List.map (Format.asprintf "%a" Ground.pp_grounding) gs
+     = List.map (Format.asprintf "%a" Ground.pp_grounding) first_seen)
+
 let test_ground_empty () =
   let cat = figure1_catalog () in
   let gs =
@@ -173,7 +209,7 @@ let reference_valuations ~limit ~access ~env (body : Ast.cond) =
           | Some bound -> if Value.equal bound value then acc else None
           | None -> Some (Ground.Valuation.add x value v))
         | Some v, _ -> (
-          match Eval.eval_expr ~var:(var v) access env [] e with
+          match Reference.Sql.eval_expr ~var:(var v) access env [] e with
           | w when Value.equal w value -> acc
           | _ | (exception Eval.Eval_error _) -> None))
       (Some valuation) exprs row
@@ -184,7 +220,7 @@ let reference_valuations ~limit ~access ~env (body : Ast.cond) =
     | In_select (exprs, sub) ->
       List.concat_map
         (fun valuation ->
-          Eval.select_rows_correlated ~var:(var valuation) access env sub
+          Reference.Sql.select_rows_correlated ~var:(var valuation) access env sub
           |> List.filter_map (fun row ->
                  incr explored;
                  if !explored > limit then raise (Ground.Ground_error "limit");
@@ -195,7 +231,7 @@ let reference_valuations ~limit ~access ~env (body : Ast.cond) =
   let valuations = List.fold_left step [ Ground.Valuation.empty ] binders in
   ( List.filter
       (fun v ->
-        List.for_all (fun c -> Eval.eval_cond ~var:(var v) access env [] c) filters)
+        List.for_all (fun c -> Reference.Sql.eval_cond ~var:(var v) access env [] c) filters)
       valuations,
     !explored )
 
@@ -985,6 +1021,7 @@ let () =
           Alcotest.test_case "minnie join (Fig 7)" `Quick test_ground_minnie_join;
           Alcotest.test_case "filter" `Quick test_ground_filter_condition;
           Alcotest.test_case "dedup" `Quick test_ground_dedup;
+          Alcotest.test_case "dedup hash reaches every value" `Quick test_ground_dedup_hash;
           Alcotest.test_case "empty" `Quick test_ground_empty;
           Alcotest.test_case "limit" `Quick test_ground_limit ] );
       ( "coordinate",

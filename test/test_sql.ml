@@ -653,6 +653,606 @@ let prop_print_parse_roundtrip =
       let reparsed = Parser.parse_stmt printed in
       Pretty.stmt_to_string reparsed = printed)
 
+(* --- statement plans against the reference interpreter --- *)
+
+(* An access call as the plan differential records it; reads carry the
+   number of rows their sequence yielded, so laziness (LIMIT stops
+   pulling) is compared too. Simulated time is charged per yielded row
+   and per write, so equal traces mean equal simulated time. *)
+type call =
+  | Scan of string
+  | Lookup of string * int list * Value.t list
+  | Range of string * int * Ordered_index.bound * Ordered_index.bound
+  | Insert of string * Value.t list
+  | Update of string * int * Value.t list
+  | Delete of string * int
+
+let traced catalog =
+  let log = ref [] in
+  let base = Eval.direct_access catalog in
+  let read call seq =
+    let pulled = ref 0 in
+    log := (call, pulled) :: !log;
+    Seq.map
+      (fun r ->
+        incr pulled;
+        r)
+      seq
+  in
+  let write call = log := (call, ref 0) :: !log in
+  let access =
+    {
+      base with
+      scan = (fun t -> read (Scan t) (base.scan t));
+      lookup =
+        (fun t ~positions key ->
+          let seq = base.lookup t ~positions key in
+          read (Lookup (t, positions, key)) seq);
+      range =
+        (fun t ~position ~lo ~hi ->
+          let seq = base.range t ~position ~lo ~hi in
+          read (Range (t, position, lo, hi)) seq);
+      insert =
+        (fun t row ->
+          write (Insert (t, Array.to_list row));
+          base.insert t row);
+      update =
+        (fun t id row ->
+          write (Update (t, id, Array.to_list row));
+          base.update t id row);
+      delete =
+        (fun t id ->
+          write (Delete (t, id));
+          base.delete t id);
+    }
+  in
+  let drain () =
+    let calls = List.rev_map (fun (c, n) -> (c, !n)) !log in
+    log := [];
+    calls
+  in
+  (access, drain)
+
+let pp_call = function
+  | Scan t -> "scan " ^ t
+  | Lookup (t, ps, k) ->
+    Printf.sprintf "lookup %s [%s] (%s)" t
+      (String.concat "," (List.map string_of_int ps))
+      (String.concat "," (List.map Value.to_string k))
+  | Range (t, p, _, _) -> Printf.sprintf "range %s %d" t p
+  | Insert (t, row) -> Printf.sprintf "insert %s (%s)" t (String.concat "," (List.map Value.to_string row))
+  | Update (t, id, _) -> Printf.sprintf "update %s %d" t id
+  | Delete (t, id) -> Printf.sprintf "delete %s %d" t id
+
+let describe_outcome = function
+  | Ok (Eval.Rows rows) ->
+    "rows "
+    ^ String.concat "; "
+        (List.map
+           (fun r -> String.concat "," (List.map Value.to_string (Array.to_list r)))
+           rows)
+  | Ok (Eval.Affected n) -> Printf.sprintf "affected %d" n
+  | Ok Eval.Created -> "created"
+  | Error msg -> "error " ^ msg
+
+let env_bindings env =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, Value.to_string v) :: acc) env [])
+
+let attempt f = try Ok (f ()) with e -> Error (Printexc.to_string e)
+
+(* One side of the differential: a catalog, its traced access and a
+   host environment. *)
+type side = {
+  s_access : Eval.access;
+  s_drain : unit -> (call * int) list;
+  s_env : Eval.env;
+}
+
+let side catalog env =
+  let s_access, s_drain = traced catalog in
+  { s_access; s_drain; s_env = env }
+
+(* Run [f] on the plan side and [g] on the reference side; describe the
+   first difference in result, trace, host bindings or ?var lookups. *)
+let differ what ~plan ~reference describe f g =
+  let by_plan = attempt (fun () -> f plan) in
+  let by_reference = attempt (fun () -> g reference) in
+  let pt = plan.s_drain () and rt = reference.s_drain () in
+  let trace t = String.concat " | " (List.map (fun (c, n) -> Printf.sprintf "%s ->%d" (pp_call c) n) t) in
+  if describe by_plan <> describe by_reference then
+    Some
+      (Printf.sprintf "%s: plan %s, reference %s" what (describe by_plan)
+         (describe by_reference))
+  else if pt <> rt then
+    Some (Printf.sprintf "%s: trace\n  plan      %s\n  reference %s" what (trace pt) (trace rt))
+  else if env_bindings plan.s_env <> env_bindings reference.s_env then
+    Some (what ^ ": host bindings differ")
+  else None
+
+let describe_rows = function
+  | Ok rows -> describe_outcome (Ok (Eval.Rows rows))
+  | Error msg -> "error " ^ msg
+
+let describe_value = function
+  | Ok v -> Value.to_string v
+  | Error msg -> "error " ^ msg
+
+let describe_bool = function
+  | Ok b -> string_of_bool b
+  | Error msg -> "error " ^ msg
+
+(* A valuation that answers [x] and [zz] and records every name it is
+   asked for: the entangled engine's binder sharing keys on whether a
+   subquery consulted it at all. *)
+let recording_var () =
+  let asked = ref [] in
+  let var name =
+    asked := name :: !asked;
+    match name with
+    | "x" -> Some (Value.Int 1)
+    | "zz" -> Some (Value.Int 2)
+    | _ -> None
+  in
+  (var, asked)
+
+(* The checks for one statement: run as a statement, and (for SELECTs
+   and conditions) as the entangled engine's correlated fragments. *)
+let check_stmt ~plan ~reference (stmt : Ast.stmt) =
+  let text = Pretty.stmt_to_string stmt in
+  let first =
+    differ text ~plan ~reference describe_outcome
+      (fun s -> Eval.exec_stmt s.s_access s.s_env stmt)
+      (fun s -> Reference.Sql.exec_stmt s.s_access s.s_env stmt)
+  in
+  let correlated () =
+    let fragments =
+      match stmt with
+      | Select sel ->
+        [ (fun () ->
+            let pv, pasked = recording_var () and rv, rasked = recording_var () in
+            match
+              differ (text ^ " (correlated)") ~plan ~reference describe_rows
+                (fun s -> Eval.correlated_select s.s_access s.s_env sel ~var:pv)
+                (fun s -> Reference.Sql.select_rows_correlated ~var:rv s.s_access s.s_env sel)
+            with
+            | Some d -> Some d
+            | None ->
+              if !pasked <> !rasked then Some (text ^ ": ?var consulted differently") else None);
+          (fun () ->
+            let pv, _ = recording_var () and rv, _ = recording_var () in
+            differ (text ^ " (WHERE as a filter)") ~plan ~reference describe_bool
+              (fun s -> Eval.correlated_cond s.s_access s.s_env sel.where ~var:pv)
+              (fun s -> Reference.Sql.eval_cond ~var:rv s.s_access s.s_env [] sel.where)) ]
+        @ List.map
+            (fun (p : Ast.proj) () ->
+              let pv, _ = recording_var () and rv, _ = recording_var () in
+              differ (text ^ " (projection as an expression)") ~plan ~reference describe_value
+                (fun s -> Eval.correlated_expr s.s_access s.s_env p.pexpr ~var:pv)
+                (fun s -> Reference.Sql.eval_expr ~var:rv s.s_access s.s_env [] p.pexpr))
+            sel.projs
+      | _ -> []
+    in
+    List.find_map (fun f -> f ()) fragments
+  in
+  match first with
+  | Some d -> Some d
+  | None -> correlated ()
+
+(* The generated database: T and U share columns [a] and [c], so
+   unqualified names shadow across scopes. *)
+let diff_catalog (t_rows, u_rows) =
+  let cat = Catalog.create () in
+  let t =
+    Catalog.create_table cat "T"
+      (Schema.make
+         [ { name = "a"; ty = T_int }; { name = "b"; ty = T_int }; { name = "c"; ty = T_str } ])
+  in
+  let u =
+    Catalog.create_table cat "U"
+      (Schema.make
+         [ { name = "a"; ty = T_int }; { name = "d"; ty = T_int }; { name = "c"; ty = T_str } ])
+  in
+  List.iter (fun row -> ignore (Table.insert t row)) t_rows;
+  List.iter (fun row -> ignore (Table.insert u row)) u_rows;
+  cat
+
+let diff_env () =
+  let env = Eval.fresh_env () in
+  Hashtbl.replace env "h1" (Value.Int 1);
+  Hashtbl.replace env "c" (Value.Str "x");
+  env
+
+let gen_small_value =
+  QCheck2.Gen.(
+    frequency
+      [ (6, map (fun i -> Value.Int i) (int_range 0 3));
+        (1, return Value.Null) ])
+
+let gen_rows =
+  QCheck2.Gen.(
+    list_size (int_range 0 5)
+      (map3
+         (fun x y c -> [| x; y; Value.Str c |])
+         gen_small_value gen_small_value (oneofl [ "x"; "y" ])))
+
+let ddl_choices =
+  [ "CREATE INDEX ON T (a)";
+    "CREATE ORDERED INDEX ON T (b)";
+    "CREATE ORDERED INDEX ON U (d)";
+    "CREATE INDEX ON U (a, d)";
+    "CREATE ORDERED INDEX ON U (a)" ]
+
+let columns_of = function
+  | "T" -> [ "a"; "b"; "c" ]
+  | "U" -> [ "a"; "d"; "c" ]
+  | _ -> []
+
+(* Mostly columns of the tables in scope; now and then one of another
+   table, or [zz]/[x], which exist nowhere and fall through to [?var]
+   (or fail without one). *)
+let gen_column scope =
+  let in_scope = List.concat_map (fun (table, _) -> columns_of table) scope in
+  QCheck2.Gen.(
+    frequency
+      [ ((if in_scope = [] then 0 else 10), oneofl (if in_scope = [] then [ "a" ] else in_scope));
+        (2, oneofl [ "a"; "b"; "c"; "d" ]);
+        (1, oneofl [ "zz"; "x" ]) ])
+
+let diff_hosts = [ "h1"; "h2"; "a"; "c"; "b" ]
+
+(* Expressions over the FROM tables in scope, as (table, alias). *)
+let gen_diff_expr scope =
+  let open QCheck2.Gen in
+  let qualified =
+    let* table, alias =
+      if scope = [] then return ("", "q")
+      else frequency [ (8, oneofl scope); (1, return ("", "q")) ]
+    in
+    map (fun c -> Ast.Col (Some alias, c)) (gen_column [ (table, alias) ])
+  in
+  let leaf =
+    frequency
+      [ (4, map (fun c -> Ast.Col (None, c)) (gen_column scope));
+        ((if scope = [] then 0 else 2), qualified);
+        (3, map (fun i -> Ast.Lit (Value.Int i)) (int_range 0 3));
+        (1, map (fun s -> Ast.Lit (Value.Str s)) (oneofl [ "x"; "y" ]));
+        (1, return (Ast.Lit Value.Null));
+        (1, map (fun h -> Ast.Host h) (oneofl diff_hosts)) ]
+  in
+  frequency
+    [ (6, leaf);
+      (1, map3 (fun op a b -> Ast.Binop (op, a, b)) (oneofl [ Ast.Add; Ast.Sub ]) leaf leaf) ]
+
+let gen_cmp = QCheck2.Gen.oneofl [ Ast.Eq; Ast.Eq; Ast.Eq; Ast.Ne; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ]
+
+let gen_table_ref =
+  QCheck2.Gen.(
+    frequency
+      [ (12, oneofl [ ("T", "T"); ("U", "U"); ("T", "t2"); ("U", "u2") ]);
+        (1, return ("Nope", "Nope")) ])
+
+let gen_from =
+  let open QCheck2.Gen in
+  frequency
+    [ (1, return []);
+      (5, map (fun t -> [ t ]) gen_table_ref);
+      (3, map2 (fun a b -> [ a; b ]) gen_table_ref gen_table_ref) ]
+
+let rec gen_diff_cond depth scope =
+  let open QCheck2.Gen in
+  let expr = gen_diff_expr scope in
+  let base =
+    [ (5, map3 (fun op a b -> Ast.Cmp (op, a, b)) gen_cmp expr expr);
+      (1, return Ast.True);
+      (1, map2 (fun e vs -> Ast.In_list (e, vs)) expr (list_size (int_range 1 3) expr));
+      (1, map3 (fun e lo hi -> Ast.Between (e, lo, hi)) expr expr expr) ]
+  in
+  if depth <= 0 then frequency base
+  else
+    let sub = gen_diff_cond (depth - 1) scope in
+    frequency
+      (base
+      @ [ (4, map2 (fun a b -> Ast.And (a, b)) sub sub);
+          (1, map2 (fun a b -> Ast.Or (a, b)) sub sub);
+          (1, map (fun a -> Ast.Not a) sub);
+          (2,
+            (* a correlated subquery: its WHERE sees the outer aliases too *)
+            let* from = map (fun t -> [ t ]) gen_table_ref in
+            let inner = scope @ from in
+            let* proj = gen_diff_expr inner in
+            let* where = gen_diff_cond 0 inner in
+            let* needle = expr in
+            return
+              (Ast.In_select
+                 ( [ needle ],
+                   { Ast.distinct = false; projs = [ { pexpr = proj; pbind = None } ];
+                     from; where; group_by = []; order_by = []; limit = None } ))) ])
+
+let gen_diff_select =
+  let open QCheck2.Gen in
+  let* from = gen_from in
+  let expr = gen_diff_expr from in
+  let agg =
+    map2 (fun fn arg -> Ast.Agg (fn, arg))
+      (oneofl [ Ast.Count; Ast.Sum; Ast.Min; Ast.Max; Ast.Avg ])
+      (option expr)
+  in
+  let proj =
+    frequency
+      [ (5, map (fun e -> { Ast.pexpr = e; pbind = None }) expr);
+        (1, map2 (fun e v -> { Ast.pexpr = e; pbind = Some v }) expr (oneofl [ "h2"; "out" ]));
+        (* bare @v: the Appendix D shorthand when unbound *)
+        (1, map (fun h -> { Ast.pexpr = Ast.Host h; pbind = None }) (oneofl diff_hosts));
+        (1, map (fun e -> { Ast.pexpr = e; pbind = None }) agg) ]
+  in
+  let* projs = list_size (int_range 1 3) proj in
+  let* where = gen_diff_cond 2 from in
+  let* distinct = frequency [ (4, return false); (1, return true) ] in
+  let* group_by = frequency [ (4, return []); (1, map (fun e -> [ e ]) expr) ] in
+  let* order_by =
+    frequency
+      [ (3, return []);
+        (1, list_size (int_range 1 2) (pair expr (oneofl [ Ast.Asc; Ast.Desc ]))) ]
+  in
+  let* limit = frequency [ (3, return None); (1, map Option.some (int_range 0 3)) ] in
+  return { Ast.distinct; projs; from; where; group_by; order_by; limit }
+
+let gen_diff_stmt =
+  let open QCheck2.Gen in
+  let table = frequency [ (8, oneofl [ "T"; "U" ]); (1, return "Nope") ] in
+  frequency
+    [ (6, map (fun s -> Ast.Select s) gen_diff_select);
+      (1,
+        let* table = table in
+        let* columns =
+          oneofl [ None; Some [ "a"; "c" ]; Some [ "c"; "a"; "zz" ]; Some [ "a" ] ]
+        in
+        let* values = list_size (int_range 1 3) (gen_diff_expr []) in
+        return (Ast.Insert { table; columns; values }));
+      (1,
+        let* table = table in
+        let* set =
+          list_size (int_range 1 2)
+            (pair (gen_column [ (table, table) ]) (gen_diff_expr [ (table, table) ]))
+        in
+        let* where = gen_diff_cond 1 [ (table, table) ] in
+        return (Ast.Update { table; set; where }));
+      (1,
+        let* table = table in
+        let* where = gen_diff_cond 1 [ (table, table) ] in
+        return (Ast.Delete { table; where }));
+      (1, map (fun e -> Ast.Set_var ("h2", e)) (gen_diff_expr [])) ]
+
+(* The same statement with every integer literal moved: it has the
+   same shape, so it runs the cached plan with other parameters. *)
+let rec shift_expr (e : Ast.expr) : Ast.expr =
+  match e with
+  | Lit (Int i) -> Lit (Int ((i + 1) mod 4))
+  | Lit _ | Col _ | Host _ -> e
+  | Binop (op, a, b) -> Binop (op, shift_expr a, shift_expr b)
+  | Agg (fn, arg) -> Agg (fn, Option.map shift_expr arg)
+
+and shift_cond (c : Ast.cond) : Ast.cond =
+  match c with
+  | True -> c
+  | Cmp (op, a, b) -> Cmp (op, shift_expr a, shift_expr b)
+  | And (a, b) -> And (shift_cond a, shift_cond b)
+  | Or (a, b) -> Or (shift_cond a, shift_cond b)
+  | Not a -> Not (shift_cond a)
+  | In_select (es, sub) -> In_select (List.map shift_expr es, shift_select sub)
+  | In_list (e, vs) -> In_list (shift_expr e, List.map shift_expr vs)
+  | Between (e, lo, hi) -> Between (shift_expr e, shift_expr lo, shift_expr hi)
+  | In_answer (es, r) -> In_answer (List.map shift_expr es, r)
+
+and shift_select (s : Ast.select) =
+  { s with
+    projs = List.map (fun (p : Ast.proj) -> { p with pexpr = shift_expr p.pexpr }) s.projs;
+    where = shift_cond s.where;
+    group_by = List.map shift_expr s.group_by;
+    order_by = List.map (fun (e, d) -> (shift_expr e, d)) s.order_by }
+
+let shift_stmt (stmt : Ast.stmt) : Ast.stmt =
+  match stmt with
+  | Select s -> Select (shift_select s)
+  | Insert i -> Insert { i with values = List.map shift_expr i.values }
+  | Update u ->
+    Update { u with set = List.map (fun (c, e) -> (c, shift_expr e)) u.set; where = shift_cond u.where }
+  | Delete d -> Delete { d with where = shift_cond d.where }
+  | Set_var (v, e) -> Set_var (v, shift_expr e)
+  | stmt -> stmt
+
+let gen_diff_case =
+  QCheck2.Gen.(
+    quad (pair gen_rows gen_rows)
+      (list_size (int_range 0 3) (oneofl ddl_choices))
+      (list_size (int_range 1 5) gen_diff_stmt)
+      bool)
+
+let print_diff_case ((t_rows, u_rows), ddl, stmts, _) =
+  Printf.sprintf "T: %d rows, U: %d rows\n%s\n%s" (List.length t_rows) (List.length u_rows)
+    (String.concat ";\n" ddl)
+    (String.concat ";\n" (List.map Pretty.stmt_to_string stmts))
+
+(* Run a script on both sides, each statement once as generated and
+   once with its literals moved; fail on the first difference. *)
+let run_differential ~plan ~reference stmts =
+  List.iter
+    (fun stmt ->
+      List.iter
+        (fun stmt ->
+          match check_stmt ~plan ~reference stmt with
+          | Some d -> QCheck2.Test.fail_report d
+          | None -> ())
+        [ stmt; shift_stmt stmt ])
+    stmts
+
+let prop_plan_matches_reference =
+  QCheck2.Test.make ~name:"plans match the reference interpreter" ~count:500
+    ~print:print_diff_case gen_diff_case (fun (rows, ddl, stmts, bind_h2) ->
+      let make () =
+        let cat = diff_catalog rows in
+        let access = Eval.direct_access cat in
+        List.iter (fun d -> ignore (Eval.exec_stmt access (Eval.fresh_env ()) (Parser.parse_stmt d))) ddl;
+        let env = diff_env () in
+        if bind_h2 then Hashtbl.replace env "h2" (Value.Int 2);
+        side cat env
+      in
+      run_differential ~plan:(make ()) ~reference:(make ()) stmts;
+      true)
+
+(* Programs statement by statement over two identical catalogs. An
+   entangled query's binder subqueries run as the grounding engine runs
+   them, under an empty valuation; its host bindings are then set to
+   Null on both sides. *)
+let programs_match_reference (cat_a, cat_b) programs =
+  List.iter
+    (fun (program : Ast.program) ->
+      let plan = side cat_a (Eval.fresh_env ())
+      and reference = side cat_b (Eval.fresh_env ()) in
+      List.iter
+        (fun ((stmt : Ast.stmt), _) ->
+          let result =
+            match stmt with
+            | Entangled e ->
+              let rec binders (c : Ast.cond) =
+                match c with
+                | And (a, b) -> binders a @ binders b
+                | In_select (_, sub) -> [ sub ]
+                | _ -> []
+              in
+              let d =
+                List.find_map
+                  (fun sub ->
+                    differ (Pretty.stmt_to_string stmt) ~plan ~reference describe_rows
+                      (fun s -> Eval.correlated_select s.s_access s.s_env sub ~var:(fun _ -> None))
+                      (fun s ->
+                        Reference.Sql.select_rows_correlated ~var:(fun _ -> None) s.s_access
+                          s.s_env sub))
+                  (binders e.ewhere)
+              in
+              List.iter
+                (fun (p : Ast.proj) ->
+                  Option.iter
+                    (fun v ->
+                      Hashtbl.replace plan.s_env v Value.Null;
+                      Hashtbl.replace reference.s_env v Value.Null)
+                    p.pbind)
+                e.eprojs;
+              d
+            | stmt -> check_stmt ~plan ~reference stmt
+          in
+          Option.iter Alcotest.fail result)
+        program.body)
+    programs
+
+(* The generated workload programs (Appendix D's three transaction
+   kinds) with this file's NoSocial transaction, over two identical
+   Appendix D worlds; [Gen]'s travel programs with this file's Figure 2
+   transaction, over two copies of [Gen]'s travel fixture. *)
+let test_plan_matches_reference_on_workloads () =
+  let world () = Ent_workload.Travel.build ~seed:3 ~users:40 ~cities:5 () in
+  let wa = world () and wb = world () in
+  let catalog (w : Ent_workload.Travel.t) = Ent_core.Manager.catalog w.manager in
+  programs_match_reference
+    (catalog wa, catalog wb)
+    (List.concat_map
+       (fun kind ->
+         List.map
+           (fun (p : Ent_core.Program.t) -> p.ast)
+           (Ent_workload.Gen.batch wa ~transactional:true kind ~n:16 ~tag_base:0))
+       Ent_workload.Gen.[ No_social; Social; Entangled ]
+    @ [ Parser.parse_program nosocial_transaction ]);
+  let travel () = Ent_core.Manager.catalog (Gen.travel_manager ()) in
+  programs_match_reference
+    (travel (), travel ())
+    (List.map Parser.parse_program
+       [ Gen.flight_program "Mickey" "Minnie";
+         Gen.travel_program "Minnie" "Mickey";
+         Gen.minnie_aborts_program;
+         figure2_transaction ])
+
+(* DDL through the catalog drops the plans it owns: the same statement
+   switches from a scan to a range probe once an ordered index exists,
+   in the trace and in EXPLAIN, and a table re-created with its columns
+   reordered is read by position of the new schema. *)
+let test_plan_ddl_invalidation () =
+  let cat = figure1_catalog () in
+  let access, drain = traced cat in
+  let env = Eval.fresh_env () in
+  let exec input = Eval.exec_stmt access env (Parser.parse_stmt input) in
+  let q = "SELECT fno FROM Flights WHERE fno BETWEEN 123 AND 235" in
+  let explain () =
+    match Parser.parse_stmt q with
+    | Ast.Select sel -> Eval.explain access sel
+    | _ -> assert false
+  in
+  let fnos = function
+    | Eval.Rows rows -> List.map (fun r -> Value.to_string r.(0)) rows
+    | _ -> Alcotest.fail "rows"
+  in
+  Alcotest.(check string) "explain before" "SCAN Flights" (explain ());
+  let before = fnos (exec q) in
+  Alcotest.(check (list string)) "trace before" [ "scan Flights ->4" ]
+    (List.map (fun (c, n) -> Printf.sprintf "%s ->%d" (pp_call c) n) (drain ()));
+  ignore (exec "CREATE ORDERED INDEX ON Flights (fno)");
+  Alcotest.(check string) "explain after" "RANGE Flights ON (fno)" (explain ());
+  let after = fnos (exec q) in
+  (match drain () with
+  | [ (Range ("Flights", 0, Inclusive (Int 123), Inclusive (Int 235)), 3) ] -> ()
+  | calls ->
+    Alcotest.failf "trace after: %s"
+      (String.concat " | " (List.map (fun (c, _) -> pp_call c) calls)));
+  Alcotest.(check (list string)) "same rows" before after;
+  let xy () =
+    match exec "SELECT x, y FROM R" with
+    | Eval.Rows rows ->
+      List.map (fun r -> Value.to_string r.(0) ^ "/" ^ Value.to_string r.(1)) rows
+    | _ -> Alcotest.fail "rows"
+  in
+  ignore (exec "CREATE TABLE R (x INT, y STRING)");
+  ignore (exec "INSERT INTO R VALUES (1, 'a')");
+  Alcotest.(check (list string)) "x, y" [ "1/a" ] (xy ());
+  ignore (exec "DROP TABLE R");
+  ignore (exec "CREATE TABLE R (y STRING, x INT)");
+  ignore (exec "INSERT INTO R VALUES ('b', 2)");
+  Alcotest.(check (list string)) "x, y after reordering" [ "2/b" ] (xy ())
+
+(* Minor words allocated per row by a one-column full scan, measured
+   once the plan is cached. *)
+let scan_words_per_row run n =
+  let cat = Catalog.create () in
+  let t = Catalog.create_table cat "S" (Schema.make [ { name = "v"; ty = T_int } ]) in
+  for i = 1 to n do
+    ignore (Table.insert t [| Value.Int i |])
+  done;
+  let sel =
+    match Parser.parse_stmt "SELECT v FROM S" with
+    | Ast.Select sel -> sel
+    | _ -> assert false
+  in
+  let access = Eval.direct_access cat in
+  let go () = ignore (run access sel) in
+  go ();
+  let before = Gc.minor_words () in
+  go ();
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* Per-row allocation of a scan is flat in table size: nothing in the
+   plan's row loop grows with the table. On a 2-vCPU x86-64 VM with
+   OCaml 5.1 the plan measured 39.1 minor words a row at 2 000 rows and
+   39.0 at 32 000, 31 of them the table's own materialized row
+   sequence; the reference interpreter, which rebuilds the binding list
+   and resolves the column by name for every row, measured 74.0. *)
+let test_plan_scan_allocation () =
+  let plan access sel = Eval.select_rows access (Eval.fresh_env ()) sel in
+  let reference access sel = Reference.Sql.select_rows access (Eval.fresh_env ()) sel in
+  let small = scan_words_per_row plan 2_000 and large = scan_words_per_row plan 32_000 in
+  let interpreted = scan_words_per_row reference 32_000 in
+  if Float.abs (large -. small) > 1.0 then
+    Alcotest.failf "words per row grow with the table: %.2f at 2k rows, %.2f at 32k" small large;
+  if large >= interpreted then
+    Alcotest.failf "plan allocates %.2f words a row, the interpreter %.2f" large interpreted
+
 let () =
   Alcotest.run "sql"
     [ ( "lexer",
@@ -696,6 +1296,12 @@ let () =
           Alcotest.test_case "ordered index ranges" `Quick test_ordered_index_range_queries;
           Alcotest.test_case "explain" `Quick test_explain_shapes;
           Alcotest.test_case "round-trips" `Quick test_extended_roundtrips ] );
+      ( "plans",
+        [ Alcotest.test_case "workload programs match the reference" `Quick
+            test_plan_matches_reference_on_workloads;
+          Alcotest.test_case "DDL drops cached plans" `Quick test_plan_ddl_invalidation;
+          Alcotest.test_case "scan allocation is flat per row" `Quick test_plan_scan_allocation;
+          Gen.to_alcotest prop_plan_matches_reference ] );
       ( "properties",
         [ Gen.to_alcotest prop_print_parse_roundtrip;
           Gen.to_alcotest prop_parser_total ] ) ]
