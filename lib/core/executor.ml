@@ -15,6 +15,12 @@ type status =
   | Ready
   | Failed of failure
 
+type translation = {
+  t_stmt : Ent_sql.Ast.entangled_select;
+  t_reads : (string * Value.t) list;
+  t_query : Ir.t;
+}
+
 type task = {
   task_id : int;
   program : Program.t;
@@ -30,6 +36,8 @@ type task = {
   mutable conn : int;
   mutable answers : Ir.ground_atom list;
   mutable entangled_since : float option;
+  mutable translated : translation option;
+  mutable grounded : Gcache.memo option;
 }
 
 let make_task ~task_id ~arrival (program : Program.t) =
@@ -48,6 +56,8 @@ let make_task ~task_id ~arrival (program : Program.t) =
     conn = -1;
     answers = [];
     entangled_since = None;
+    translated = None;
+    grounded = None;
   }
 
 let start engine (costs : Ent_sim.Cost.t) task =
@@ -122,13 +132,32 @@ let fail engine (costs : Ent_sim.Cost.t) task failure =
   task.status <- Failed failure;
   None
 
+(* The task's last translation of [e] when the host values it read are
+   still bound in [task.env]; otherwise a fresh one, kept for the next
+   execution of [e]. *)
+let translate task e =
+  match task.translated with
+  | Some tr
+    when tr.t_stmt == e
+         && List.for_all
+              (fun (name, v) ->
+                match Hashtbl.find_opt task.env name with
+                | Some now -> Value.equal now v
+                | None -> false)
+              tr.t_reads ->
+    tr.t_query
+  | _ ->
+    let query, reads = Translate.of_ast_reads ~env:task.env e in
+    task.translated <- Some { t_stmt = e; t_reads = reads; t_query = query };
+    query
+
 (* One statement. A classical statement that completes returns its
    result; every other outcome lands in [task.status]. *)
 let exec engine (isolation : Isolation.t) (costs : Ent_sim.Cost.t) task stmt =
   match stmt with
   | Ent_sql.Ast.Entangled e -> (
     try
-      task.pending <- Some (Translate.of_ast ~env:task.env e);
+      task.pending <- Some (translate task e);
       task.work <- task.work +. costs.c_stmt;
       task.status <- Waiting_entangled;
       Event.emit ~txn:task.txn ~task:task.task_id Event.Entangle_block;

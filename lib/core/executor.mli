@@ -24,6 +24,14 @@ type status =
   | Ready  (** all statements done, waiting to (group-)commit *)
   | Failed of failure  (** engine transaction already aborted *)
 
+(** An entangled statement's translation and the host bindings it read
+    (see {!Ent_entangle.Translate.of_ast_reads}). *)
+type translation = {
+  t_stmt : Ent_sql.Ast.entangled_select;  (** compared physically *)
+  t_reads : (string * Ent_storage.Value.t) list;
+  t_query : Ir.t;
+}
+
 type task = {
   task_id : int;
   program : Program.t;
@@ -41,6 +49,18 @@ type task = {
   mutable entangled_since : float option;
       (** simulated time the task reached [Waiting_entangled], for the
           core.entangle.blocked_s metric; cleared on answer/reset *)
+  mutable translated : translation option;
+      (** the last entangled statement {!exec} translated. Executing
+          the same statement node again while [env] binds every name in
+          [t_reads] to an equal value reuses [t_query] instead of
+          translating again, so a dormant task re-entering its query
+          after a lock wait, a repool or in a later run hands the
+          scheduler the very same [Ir.t] *)
+  mutable grounded : Gcache.memo option;
+      (** the memo of the task's last cached grounding, set by the
+          scheduler and passed back with its next one
+          ({!Ent_entangle.Gcache.compute}). Snapshot tasks never set
+          it. *)
 }
 
 val make_task :
@@ -87,7 +107,8 @@ val deliver :
   Ent_txn.Engine.t -> Ent_sim.Cost.t -> task -> Coordinate.outcome -> unit
 
 (** Reset a task for re-execution in a later run (after its engine
-    transaction was aborted). *)
+    transaction was aborted). [translated] and [grounded] survive: they
+    are checked against the task's state when next used. *)
 val reset_for_retry : task -> unit
 
 (** True for failures that end the task rather than retrying it. *)

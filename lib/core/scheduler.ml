@@ -176,6 +176,9 @@ let outcome_name = function
 
 let finalize t (task : Executor.task) outcome =
   Hashtbl.replace t.outcomes task.task_id outcome;
+  (* [task_index] keeps finished tasks: let go of what they derived *)
+  task.translated <- None;
+  task.grounded <- None;
   t.result_order <- task.task_id :: t.result_order;
   (* Same endpoints as the attribution report (Pool_enter at submit,
      Finalize here), so the two are cross-checkable. *)
@@ -499,8 +502,12 @@ let ground t (task : Executor.task) =
        the cache — keyed to live table versions — cannot serve: bypass
        it entirely (no lookup, no insert). *)
     let bypass = task.program.isolation = Ent_txn.Engine.Snapshot in
-    match Gcache.compute ~bypass t.gcache ~access ~touch ~env:task.env ir with
-    | groundings, cached ->
+    match
+      Gcache.compute ~bypass ?memo:task.grounded t.gcache ~access ~touch
+        ~env:task.env ir
+    with
+    | groundings, cached, memo ->
+      task.grounded <- memo;
       task.work <-
         task.work
         +. (float_of_int (List.length groundings)

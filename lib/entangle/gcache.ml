@@ -28,8 +28,9 @@ type table_entry = {
 type entry = {
   e_valuations : Ground.valuation list;
   e_tables : table_entry list;  (* first-read order *)
-  mutable e_served : ((Ir.atom list * Ir.atom list) * Ground.grounding list) list;
-      (* the grounding lists already served, by the query's (head, post) *)
+  mutable e_live : bool;
+      (* filed under its key; cleared, under [mu], when it leaves the
+         table (invalidation, reset, replacement) *)
 }
 
 (* Two grounding computations coincide iff body, the host bindings the
@@ -39,8 +40,8 @@ type entry = {
    exact). [Hashtbl.hash] gives up long before the literals that tell
    two bodies apart, so [k_hash] mixes in every literal and host
    binding of the body. *)
-(* The other fields are only ever read by the polymorphic equality of
-   the entries table, hence the unused-field waiver. *)
+(* [k_body] is only ever read by the polymorphic equality of the
+   entries table, hence the unused-field waiver. *)
 type key = {
   k_body : Ent_sql.Ast.cond;
   k_env : (string * Value.t option) list;  (* sorted by host-var name *)
@@ -55,16 +56,25 @@ module Key_tbl = Hashtbl.Make (struct
   let hash k = k.k_hash
 end)
 
+(* What one caller kept from its last grounding through the cache: the
+   query (compared physically), its key, the entry that served it and
+   the grounding list substituted from that entry for this query. *)
+type memo = {
+  m_query : Ir.t;
+  m_key : key;
+  m_entry : entry;
+  m_served : Ground.grounding list;
+}
+
 type t = {
   catalog : Catalog.t;
   entries : entry Key_tbl.t;
   max_entries : int;  (* a miss that finds this many entries resets *)
-  mutable lists : int;
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
-  (* Guards [entries], [e_served], [lists] and the counters: groundings
-     for independent pending tasks run concurrently on worker domains.
+  (* Guards [entries], [e_live] and the counters: groundings for
+     independent pending tasks run concurrently on worker domains.
      Validation and insertion happen under [mu]; the expensive part
      (valuation enumeration, substitution, lock acquisition via
      [touch]) runs outside it. *)
@@ -76,7 +86,6 @@ let create ?(max_entries = 4096) catalog =
     catalog;
     entries = Key_tbl.create 64;
     max_entries;
-    lists = 0;
     hits = 0;
     misses = 0;
     invalidations = 0;
@@ -144,6 +153,13 @@ let key_of ~env ~limit body =
   }
 
 let key_hash ~env ~limit body = (key_of ~env ~limit body).k_hash
+
+(* [key_of ~env] would rebuild [key]: the host bindings the body reads
+   are unchanged in [env]. *)
+let env_unchanged key env =
+  List.for_all
+    (fun (name, v) -> Option.equal Value.equal (Hashtbl.find_opt env name) v)
+    key.k_env
 
 (* --- footprint recording --- *)
 
@@ -249,11 +265,21 @@ let refresh entry =
 
 (* --- the cache --- *)
 
+(* Take [entry] out of the table's view; the caller holds [mu]. *)
+let retire entry = entry.e_live <- false
+
 (* Soundness under parallelism: groundings only read (table-S locks),
    and the scheduler grounds pending tasks in a phase of its own where
    no transaction is stepping, so a validated entry cannot be
-   invalidated by a concurrent writer between validation and [touch]. *)
-let compute t ?(limit = 10_000) ?(bypass = false) ~access ~touch ~env
+   invalidated by a concurrent writer between validation and [touch].
+
+   A memo whose query is this very query and whose key's host bindings
+   still hold in [env] names the key [key_of] would rebuild, so it
+   skips the rebuild. While its entry is live, that entry is the one
+   filed under the key, so it also skips the table lookup. Either way
+   the entry found is validated, refreshed and counted exactly as a
+   lookup by key would: the memo changes no verdict. *)
+let compute t ?(limit = 10_000) ?(bypass = false) ?memo ~access ~touch ~env
     (query : Ir.t) =
   if bypass then
     (* Snapshot-isolation grounding: the footprint validation above is
@@ -262,23 +288,37 @@ let compute t ?(limit = 10_000) ?(bypass = false) ~access ~touch ~env
        Run the enumeration fresh; [touch] is unused (snapshot reads
        take no locks). *)
     let vals = Ground.valuations ~limit ~access ~env query.body in
-    (Ground.groundings_of query vals, false)
+    (Ground.groundings_of query vals, false, memo)
   else
-  let key = key_of ~env ~limit query.body in
-  let shape = (query.head, query.post) in
+  let memo, key =
+    match memo with
+    | Some m
+      when m.m_query == query && m.m_key.k_limit = limit
+           && env_unchanged m.m_key env ->
+      (memo, m.m_key)
+    | _ -> (None, key_of ~env ~limit query.body)
+  in
+  let kept entry served =
+    Some { m_query = query; m_key = key; m_entry = entry; m_served = served }
+  in
   let cached =
     with_mu t.mu (fun () ->
-        match Key_tbl.find_opt t.entries key with
+        let found =
+          match memo with
+          | Some m when m.m_entry.e_live -> Some m.m_entry
+          | _ -> Key_tbl.find_opt t.entries key
+        in
+        match found with
         | Some entry when entry_valid t entry ->
           refresh entry;
           t.hits <- t.hits + 1;
           Obs.incr m_hits;
-          Some (entry, List.assoc_opt shape entry.e_served)
+          Some entry
         | found ->
           (match found with
           | Some entry ->
             Key_tbl.remove t.entries key;
-            t.lists <- t.lists - List.length entry.e_served;
+            retire entry;
             t.invalidations <- t.invalidations + 1;
             Obs.incr m_invalidations
           | None -> ());
@@ -287,55 +327,36 @@ let compute t ?(limit = 10_000) ?(bypass = false) ~access ~touch ~env
           None)
   in
   match cached with
-  | Some (entry, served) -> (
+  | Some entry -> (
     (* reproduce the grounding-lock side effects before serving; may
        raise Blocked/Deadlock_victim exactly like a recomputation *)
     touch (List.map (fun te -> te.te_name) entry.e_tables);
-    match served with
-    | Some groundings ->
-      Obs.observe m_ground_size (float_of_int (List.length groundings));
-      (groundings, true)
-    | None ->
-      let groundings = Ground.groundings_of query entry.e_valuations in
-      (* keep the list while the entry is still live and the cache has
-         room (only a miss resets it); another domain may have kept
-         the same shape meanwhile *)
-      with_mu t.mu (fun () ->
-          match Key_tbl.find_opt t.entries key with
-          | Some e
-            when e == entry
-                 && t.lists < t.max_entries
-                 && not (List.mem_assoc shape entry.e_served) ->
-            entry.e_served <- (shape, groundings) :: entry.e_served;
-            t.lists <- t.lists + 1
-          | _ -> ());
-      (groundings, true))
+    match memo with
+    | Some m when m.m_entry == entry ->
+      Obs.observe m_ground_size (float_of_int (List.length m.m_served));
+      (m.m_served, true, Some m)
+    | _ ->
+      let served = Ground.groundings_of query entry.e_valuations in
+      (served, true, kept entry served))
   | None ->
     let raccess, finish = recording access in
     let vals = Ground.valuations ~limit ~access:raccess ~env query.body in
-    let groundings = Ground.groundings_of query vals in
-    (match finish t.catalog with
+    let served = Ground.groundings_of query vals in
+    match finish t.catalog with
     | tables ->
+      let entry = { e_valuations = vals; e_tables = tables; e_live = true } in
       with_mu t.mu (fun () ->
           if Key_tbl.length t.entries >= t.max_entries then begin
-            Key_tbl.reset t.entries;
-            t.lists <- 0
+            Key_tbl.iter (fun _ old -> retire old) t.entries;
+            Key_tbl.reset t.entries
           end;
           (* a concurrent miss on the same key may have got here first *)
-          Option.iter
-            (fun old -> t.lists <- t.lists - List.length old.e_served)
-            (Key_tbl.find_opt t.entries key);
-          Key_tbl.replace t.entries key
-            {
-              e_valuations = vals;
-              e_tables = tables;
-              e_served = [ (shape, groundings) ];
-            };
-          t.lists <- t.lists + 1;
+          Option.iter retire (Key_tbl.find_opt t.entries key);
+          Key_tbl.replace t.entries key entry;
           Obs.observe m_footprint
             (float_of_int
                (List.fold_left
                   (fun acc te -> acc + List.length te.te_reads)
-                  0 tables)))
-    | exception Exit -> ());
-    (groundings, false)
+                  0 tables)));
+      (served, false, kept entry served)
+    | exception Exit -> (served, false, None)

@@ -32,33 +32,57 @@ type t
 
 (** [create catalog] makes an empty cache over [catalog]'s live
     tables. [max_entries] (default 4096) bounds the entry count: the
-    cache resets wholesale when a miss finds that many entries. A hit
-    keeps a new grounding list only while fewer than [max_entries]
-    lists are held, so the lists stay under twice [max_entries]. *)
+    cache resets wholesale when a miss finds that many entries. The
+    cache holds valuations only; the grounding lists substituted from
+    them live in the callers' memos. *)
 val create : ?max_entries:int -> Ent_storage.Catalog.t -> t
 
-(** [compute t ~access ~touch ~env query] returns [query]'s groundings
-    and whether they were served from cache. On a miss the enumeration
-    runs through [access] (recording the footprint); on a hit [touch]
-    is called with the footprint's table names in first-read order so
-    the caller can re-acquire grounding locks — it must raise (like the
-    blocked/deadlocked access reads would) to veto the hit.
+(** What one caller kept from its last grounding through the cache:
+    the query, its key, the entry that served it, and the grounding
+    list substituted from that entry for the query. A task keeps its
+    memo across rounds, so a dormant query that nothing changed is
+    served without rebuilding its key or substituting again. *)
+type memo
+
+(** [compute t ?memo ~access ~touch ~env query] returns [query]'s
+    groundings, whether they were served from cache, and the memo to
+    pass with the caller's next request.
+
+    Hit or miss is decided by the key — the body, the host bindings in
+    [env] it mentions, and [limit] — and by validation: an entry filed
+    under the key is served when no write since its last validation
+    touched its read footprint. On a hit [touch] is called with the
+    footprint's table names in first-read order so the caller can
+    re-acquire grounding locks — it must raise (like the
+    blocked/deadlocked access reads would) to veto the hit. On a miss
+    the enumeration runs through [access], recording the footprint, and
+    its entry replaces whatever the key held.
+
+    [memo] changes only the cost of a request, never its verdict,
+    groundings, counters or [touch] calls. When [query] is physically
+    the memo's query and the memo's host bindings still hold in [env],
+    the memo's key is used as is; while the memo's entry is still filed
+    under that key (an entry stops being filed when it is invalidated,
+    when a reset drops it, or when a later miss on its key replaces
+    it), the table is not searched and a hit serves the memo's list.
+    Any other memo is ignored.
 
     [bypass] (default false) skips the cache entirely — no lookup, no
-    insertion, no hit/miss accounting — and runs the enumeration fresh
-    through [access]. Used for snapshot-isolation grounding, whose
-    reads see an older snapshot than the live table versions the
-    footprint validation is keyed to.
+    insertion, no hit/miss accounting, and [memo] is returned untouched
+    — and runs the enumeration fresh through [access]. Used for
+    snapshot-isolation grounding, whose reads see an older snapshot
+    than the live table versions the footprint validation is keyed to.
     @raise Ground.Ground_error and whatever [access]/[touch] raise. *)
 val compute :
   t ->
   ?limit:int ->
   ?bypass:bool ->
+  ?memo:memo ->
   access:Ent_sql.Eval.access ->
   touch:(string list -> unit) ->
   env:Ent_sql.Eval.env ->
   Ir.t ->
-  Ground.grounding list * bool
+  Ground.grounding list * bool * memo option
 
 (** (hits, misses, invalidations) since [create]. *)
 val stats : t -> int * int * int

@@ -6,12 +6,13 @@ let fail fmt = Format.kasprintf (fun s -> raise (Translate_error s)) fmt
 
 (* An expression in head/postcondition position becomes a term:
    literals and (resolved) host variables become constants; a bare
-   identifier is a variable; constant arithmetic is folded. *)
+   identifier is a variable; constant arithmetic is folded. [env] is
+   the host lookup; [of_ast_reads] records through it. *)
 let rec term_of_expr env (e : Ent_sql.Ast.expr) =
   match e with
   | Lit v -> Ir.Const v
   | Host name -> (
-    match Hashtbl.find_opt env name with
+    match env name with
     | Some v -> Ir.Const v
     | None -> fail "unbound host variable @%s in entangled query" name)
   | Col (None, name) -> Ir.Var name
@@ -59,7 +60,7 @@ and contains_in_answer (c : Ent_sql.Ast.cond) =
   | Not a -> contains_in_answer a
   | True | Cmp _ | In_select _ | In_list _ | Between _ -> false
 
-let of_ast ~env (e : Ent_sql.Ast.entangled_select) =
+let translate env (e : Ent_sql.Ast.entangled_select) =
   let head_args =
     List.map (fun (p : Ent_sql.Ast.proj) -> term_of_expr env p.pexpr) e.eprojs
   in
@@ -84,3 +85,15 @@ let of_ast ~env (e : Ent_sql.Ast.entangled_select) =
   in
   Ir.validate query;
   query
+
+let of_ast ~env e = translate (Hashtbl.find_opt env) e
+
+let of_ast_reads ~env e =
+  let reads = ref [] in
+  let lookup name =
+    let v = Hashtbl.find_opt env name in
+    Option.iter (fun v -> reads := (name, v) :: !reads) v;
+    v
+  in
+  let query = translate lookup e in
+  (query, List.rev !reads)

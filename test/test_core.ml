@@ -102,6 +102,57 @@ let test_donald_stays_dormant_without_timeout () =
   check_outcome m "donald" "committed" donald;
   check_outcome m "daffy" "committed" daffy
 
+(* A dormant -T straggler re-executes from the top every run. Its
+   postcondition names the partner it read into [@friend]; an UPDATE
+   commits while it is dormant, so its next run must translate the
+   entangled query again with the new value, and the partner keyed on
+   that value must find it. Reusing the last run's translation would
+   keep waiting for Goofy. The grounding body does not read [@friend],
+   so the grounding stays a cache hit under the new query. *)
+let test_straggler_rereads_host_value () =
+  let config = { Scheduler.default_config with trigger = Scheduler.Manual } in
+  let m = travel_manager ~config () in
+  Manager.define_table m "Pref" [ ("who", Schema.T_str); ("friend", Schema.T_str) ];
+  Manager.load_row m "Pref" [ Str "Mickey"; Str "Goofy" ];
+  let mickey =
+    Manager.submit_string m
+      "BEGIN TRANSACTION;\n\
+       SELECT friend AS @friend FROM Pref WHERE who = 'Mickey';\n\
+       SELECT 'Mickey', fno AS @fno, fdate INTO ANSWER FlightRes\n\
+       WHERE (fno, fdate) IN (SELECT fno, fdate FROM Flights WHERE dest='LA')\n\
+       AND (@friend, fno, fdate) IN ANSWER FlightRes CHOOSE 1;\n\
+       INSERT INTO Reserve VALUES ('Mickey', 'flight', @fno);\n\
+       COMMIT;"
+  in
+  (* two runs without a partner: the second reuses the first's work *)
+  Manager.run_once m;
+  Manager.run_once m;
+  Alcotest.(check (list int)) "mickey dormant" [ mickey ]
+    (Scheduler.dormant (Manager.scheduler m));
+  (* the UPDATE commits between runs: in a run, the dormant straggler
+     would hold the row's S lock until it aborts *)
+  let engine = Manager.engine m in
+  let txn = Ent_txn.Engine.begin_txn engine in
+  ignore
+    (Ent_sql.Eval.exec_stmt
+       (Ent_txn.Engine.access engine txn ~grounding:false ())
+       (Ent_sql.Eval.fresh_env ())
+       (Ent_sql.Parser.parse_stmt
+          "UPDATE Pref SET friend = 'Minnie' WHERE who = 'Mickey'"));
+  Ent_txn.Engine.commit engine txn;
+  let gstats () = Scheduler.gcache_stats (Manager.scheduler m) in
+  let hits, misses, _ = gstats () in
+  Manager.run_once m;
+  Alcotest.(check string) "mickey still pending" "pending"
+    (outcome_name (Manager.outcome m mickey));
+  let hits', misses', _ = gstats () in
+  Alcotest.(check (pair int int)) "the new query grounds from cache"
+    (hits + 1, misses) (hits', misses');
+  let minnie = Manager.submit_string m (flight_program "Minnie" "Mickey") in
+  Manager.run_once m;
+  check_outcome m "minnie" "committed" minnie;
+  check_outcome m "mickey" "committed" mickey
+
 let test_figure4_walkthrough () =
   (* Mickey and Minnie coordinate on flight then hotel; Donald waits
      for Daffy. One run: Mickey & Minnie commit, Donald aborts back to
@@ -549,6 +600,8 @@ let () =
           Alcotest.test_case "figure 2 multi-query" `Quick test_figure2_multi_query;
           Alcotest.test_case "timeout" `Quick test_donald_waits_and_times_out;
           Alcotest.test_case "late partner" `Quick test_donald_stays_dormant_without_timeout;
+          Alcotest.test_case "straggler re-reads a host value" `Quick
+            test_straggler_rereads_host_value;
           Alcotest.test_case "figure 4 walkthrough" `Quick test_figure4_walkthrough;
           Alcotest.test_case "empty success" `Quick test_empty_success_proceeds ] );
       ( "isolation",

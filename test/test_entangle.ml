@@ -734,7 +734,10 @@ let test_gcache_hit_and_invalidate () =
   let env = Eval.fresh_env () in
   let touched = ref [] in
   let compute () =
-    Gcache.compute cache ~access ~touch:(fun ts -> touched := ts) ~env q
+    let g, cached, _ =
+      Gcache.compute cache ~access ~touch:(fun ts -> touched := ts) ~env q
+    in
+    (g, cached)
   in
   let g1, c1 = compute () in
   Alcotest.(check bool) "first is a miss" false c1;
@@ -760,7 +763,10 @@ let test_gcache_unrelated_write_keeps_entry () =
   (* mickey reads Flights only *)
   let access = Eval.direct_access cat in
   let env = Eval.fresh_env () in
-  let compute () = Gcache.compute cache ~access ~touch:(fun _ -> ()) ~env q in
+  let compute () =
+    let g, cached, _ = Gcache.compute cache ~access ~touch:(fun _ -> ()) ~env q in
+    (g, cached)
+  in
   ignore (compute ());
   ignore
     (Table.insert (table_of cat "Airlines")
@@ -778,7 +784,10 @@ let test_gcache_point_footprint () =
   let q = translate mickey_src in
   let access = Eval.direct_access cat in
   let env = Eval.fresh_env () in
-  let compute () = Gcache.compute cache ~access ~touch:(fun _ -> ()) ~env q in
+  let compute () =
+    let g, cached, _ = Gcache.compute cache ~access ~touch:(fun _ -> ()) ~env q in
+    (g, cached)
+  in
   ignore (compute ());
   ignore (Table.insert flights [| Value.Int 600; may3; Value.Str "Tokyo" |]);
   let _, cached = compute () in
@@ -795,10 +804,9 @@ let test_gcache_point_footprint () =
        served)
 
 (* A miss resets the cache wholesale when it finds [max_entries]
-   entries, however many grounding lists they serve. At
-   [~max_entries:2], body 0 served under two heads is one entry with two
-   lists, so body 1's miss must keep it; body 2's miss finds two entries
-   and resets. *)
+   entries, however many queries they serve. At [~max_entries:2], body
+   0 served under two heads is one entry, so body 1's miss must keep
+   it; body 2's miss finds two entries and resets. *)
 let test_gcache_capacity_counts_entries () =
   let cat = Catalog.create () in
   let flights =
@@ -821,7 +829,8 @@ let test_gcache_capacity_counts_entries () =
             R CHOOSE 1"
            tag i i tag (i + 1))
     in
-    snd (Gcache.compute cache ~access ~touch:(fun _ -> ()) ~env q)
+    let _, cached, _ = Gcache.compute cache ~access ~touch:(fun _ -> ()) ~env q in
+    cached
   in
   Alcotest.(check bool) "body 0 under u misses" false (cached "u" 0);
   Alcotest.(check bool) "body 0 under v hits" true (cached "v" 0);
@@ -897,11 +906,16 @@ let test_gcache_key_spread () =
 
 let prop_gcache_transparent =
   (* The cache's defining property: under arbitrary interleavings of
-     writes, index creation and grounding rounds, a grounding request
-     served through the cache equals a fresh Ground.compute on the
-     current database — groundings, order and all. Each body is asked
-     for under two heads, so hits must also keep apart the grounding
-     lists they reuse. *)
+     writes, index creation, dropping and re-creating the table, host
+     rebinding and grounding rounds, a grounding request served through
+     the cache equals a fresh Ground.compute on the current database —
+     groundings, order and all. Each body is asked for under two heads,
+     so hits must also keep apart the grounding lists they serve. Every
+     query grounds through its own memo, as a task does across rounds;
+     a second cache, driven by the same requests without memos, must
+     give the same hit flag every time, so a memo changes no verdict.
+     At [~max_entries:3] the ten keys of five bodies and two [lo]
+     values keep resetting both caches. *)
   let op_gen =
     QCheck2.Gen.(
       oneof
@@ -909,63 +923,88 @@ let prop_gcache_transparent =
           map (fun n -> `Delete n) (int_range 0 40);
           map (fun n -> `Update n) (int_range 0 40);
           map (fun n -> `Ground n) (int_range 0 4);
-          return `Index ])
+          map (fun n -> `Host n) (int_range 0 1);
+          return `Index;
+          return `Recreate ])
   in
   QCheck2.Test.make ~name:"cache-served groundings equal fresh recomputation"
-    ~count:100
+    ~count:200
     QCheck2.Gen.(list_size (int_range 1 40) op_gen)
     (fun ops ->
       let cat = Catalog.create () in
-      let flights =
-        Catalog.create_table cat "Flights"
-          (Schema.make
-             [ { Schema.name = "fno"; ty = T_int }; { name = "dest"; ty = T_str } ])
+      let make_flights () =
+        let flights =
+          Catalog.create_table cat "Flights"
+            (Schema.make
+               [ { Schema.name = "fno"; ty = T_int }; { name = "dest"; ty = T_str } ])
+        in
+        for i = 1 to 3 do
+          ignore (Table.insert flights [| Value.Int i; Value.Str "LA" |])
+        done;
+        flights
       in
-      for i = 1 to 3 do
-        ignore (Table.insert flights [| Value.Int i; Value.Str "LA" |])
-      done;
-      let cache = Gcache.create cat in
+      let flights = ref (make_flights ()) in
+      let cache = Gcache.create ~max_entries:3 cat in
+      let plain = Gcache.create ~max_entries:3 cat in
       (* body [i] under tag [u] and under tag [v]: one cache entry,
-         two (head, post) shapes it must serve apart *)
+         two (head, post) shapes it must serve apart; odd bodies read
+         the host variable [lo] *)
       let queries =
         Array.init 5 (fun i ->
             List.map
               (fun tag ->
-                translate
-                  (Printf.sprintf
-                     "SELECT '%s%d', fno INTO ANSWER R WHERE (fno) IN (SELECT \
-                      fno FROM Flights WHERE dest='%s') AND fno > %d AND \
-                      ('%s%d', fno) IN ANSWER R CHOOSE 1"
-                     tag i
-                     (if i mod 2 = 0 then "LA" else "NY")
-                     (i / 2) tag ((i + 1) mod 5)))
+                ( translate
+                    (Printf.sprintf
+                       "SELECT '%s%d', fno INTO ANSWER R WHERE (fno) IN \
+                        (SELECT fno FROM Flights WHERE dest='%s') AND fno > %s \
+                        AND ('%s%d', fno) IN ANSWER R CHOOSE 1"
+                       tag i
+                       (if i mod 2 = 0 then "LA" else "NY")
+                       (if i mod 2 = 0 then string_of_int (i / 2) else "@lo")
+                       tag ((i + 1) mod 5)),
+                  ref None ))
               [ "u"; "v" ])
       in
       let access = Eval.direct_access cat in
       let env = Eval.fresh_env () in
+      Hashtbl.replace env "lo" (Value.Int 0);
       let dest n = Value.Str (if n mod 3 = 0 then "NY" else "LA") in
       List.for_all
         (fun op ->
           match op with
           | `Insert n ->
-            ignore (Table.insert flights [| Value.Int n; dest n |]);
+            ignore (Table.insert !flights [| Value.Int n; dest n |]);
             true
           | `Delete n ->
-            ignore (Table.delete flights n);
+            ignore (Table.delete !flights n);
             true
           | `Update n ->
-            ignore (Table.update flights n [| Value.Int (n mod 10); dest (n + 1) |]);
+            ignore
+              (Table.update !flights n [| Value.Int (n mod 10); dest (n + 1) |]);
             true
           | `Index ->
-            Table.add_index flights ~positions:[ 1 ];
+            Table.add_index !flights ~positions:[ 1 ];
+            true
+          | `Recreate ->
+            Catalog.drop cat "Flights";
+            flights := make_flights ();
+            true
+          | `Host n ->
+            Hashtbl.replace env "lo" (Value.Int n);
             true
           | `Ground qi ->
             List.for_all
-              (fun q ->
-                let served, _cached =
-                  Gcache.compute cache ~access ~touch:(fun _ -> ()) ~env q
+              (fun (q, memo) ->
+                let served, cached, m =
+                  Gcache.compute cache ?memo:!memo ~access
+                    ~touch:(fun _ -> ()) ~env q
                 in
-                served = Ground.compute ~access ~env q)
+                memo := m;
+                let plain_served, plain_cached, _ =
+                  Gcache.compute plain ~access ~touch:(fun _ -> ()) ~env q
+                in
+                served = Ground.compute ~access ~env q
+                && served = plain_served && cached = plain_cached)
               queries.(qi))
         ops)
 
