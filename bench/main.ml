@@ -52,33 +52,34 @@ let metrics_enabled = ref false
 let metrics_path = ref "metrics.json"
 
 (* --slo FILE: evaluate the specs online while each cell runs. Every
-   cell gets a fresh monitor (Obs.reset re-anchors the time-series ring
-   between cells) and its verdict lands in the cell's point under
-   "slo" — a member that is simply absent when --slo was not given, so
-   default bench documents stay byte-identical. *)
+   cell gets a fresh monitor watching a fresh series (a series never
+   spans an Obs.reset), which the cell's scheduler samples, and its
+   verdict lands in the cell's point under "slo" — a member that is
+   simply absent when --slo was not given, so default bench documents
+   stay byte-identical. *)
 let slo_specs : Ent_obs.Slo.spec list option ref = ref None
 let slo_failures = ref 0
 
 (* Run one benchmark cell against a clean registry (Obs.reset also
    clears the event log) so the attached snapshot and latency
-   attribution measure this cell only. *)
+   attribution measure this cell only. [f] puts the series it is given
+   in its scheduler's config. *)
 let cell_metrics f =
   Obs.reset ();
-  let monitor =
+  let monitored =
     Option.map
       (fun specs ->
-        let t = Ent_obs.Slo.create specs in
-        Ent_obs.Slo.attach t;
-        t)
+        let mon = Ent_obs.Slo.create specs in
+        let on_window = Ent_obs.Slo.observe mon in
+        (mon, Ent_obs.Timeseries.create ~on_window ()))
       !slo_specs
   in
-  let v = f () in
+  let v = f (Option.map snd monitored) in
   let slo =
-    match monitor with
+    match monitored with
     | None -> Json.Null
-    | Some mon ->
-      Ent_obs.Timeseries.flush ();
-      Ent_obs.Slo.detach ();
+    | Some (mon, series) ->
+      Ent_obs.Timeseries.flush series;
       if not (Ent_obs.Slo.ok mon) then incr slo_failures;
       Ent_obs.Slo.report_json mon
   in
@@ -167,12 +168,13 @@ let heading title =
 
 (* --- Figure 6(a): time vs concurrent connections, six workloads --- *)
 
-let run_workload ~connections ~frequency ~transactional kind ~n =
+let run_workload ~timeseries ~connections ~frequency ~transactional kind ~n =
   let config =
     {
       Scheduler.default_config with
       connections;
       trigger = Scheduler.Every_arrivals frequency;
+      timeseries;
     }
   in
   let world = Travel.build ~users:world_users ~cities:world_cities ~config () in
@@ -224,9 +226,9 @@ let fig6a () =
       List.iter
         (fun (name, (transactional, kind)) ->
           let cell =
-            cell_metrics (fun () ->
-                run_workload ~connections ~frequency:100 ~transactional kind
-                  ~n:txns_total)
+            cell_metrics (fun timeseries ->
+                run_workload ~timeseries ~connections ~frequency:100
+                  ~transactional kind ~n:txns_total)
           in
           let points = List.assoc name series in
           points := point ~x:connections cell :: !points;
@@ -350,12 +352,13 @@ let si_stream world ~frequency ~n =
   done;
   List.rev !programs
 
-let run_workload_si ~connections ~frequency ~level ~n =
+let run_workload_si ~timeseries ~connections ~frequency ~level ~n =
   let config =
     {
       Scheduler.default_config with
       connections;
       trigger = Scheduler.Every_arrivals frequency;
+      timeseries;
     }
   in
   let world = Travel.build ~users:world_users ~cities:world_cities ~config () in
@@ -401,8 +404,9 @@ let si_experiment () =
       List.iter
         (fun (name, level) ->
           let cell =
-            cell_metrics (fun () ->
-                run_workload_si ~connections ~frequency:100 ~level ~n:txns_total)
+            cell_metrics (fun timeseries ->
+                run_workload_si ~timeseries ~connections ~frequency:100 ~level
+                  ~n:txns_total)
           in
           si_aborts := !si_aborts + !last_si_aborts;
           let points = List.assoc name series in
@@ -415,12 +419,13 @@ let si_experiment () =
 
 (* --- Figure 6(b): time vs pending transactions, per run frequency --- *)
 
-let run_pending ~p ~frequency ~n =
+let run_pending ~timeseries ~p ~frequency ~n =
   let config =
     {
       Scheduler.default_config with
       connections = 100;
       trigger = Scheduler.Every_arrivals frequency;
+      timeseries;
     }
   in
   let world = Travel.build ~users:world_users ~cities:world_cities ~config () in
@@ -463,7 +468,10 @@ let fig6b () =
       Printf.printf "%8d" p;
       List.iter
         (fun frequency ->
-          let cell = cell_metrics (fun () -> run_pending ~p ~frequency ~n) in
+          let cell =
+            cell_metrics (fun timeseries ->
+                run_pending ~timeseries ~p ~frequency ~n)
+          in
           let points = List.assoc (Printf.sprintf "f=%d" frequency) series in
           points := point ~x:p cell :: !points;
           Printf.printf " %12.2f%!" (let t, _, _, _ = cell in t))
@@ -474,12 +482,13 @@ let fig6b () =
 
 (* --- Figure 6(c): time vs coordinating-set size, per structure --- *)
 
-let run_structured ~structure ~set_size ~frequency ~total_txns =
+let run_structured ~timeseries ~structure ~set_size ~frequency ~total_txns =
   let config =
     {
       Scheduler.default_config with
       connections = 100;
       trigger = Scheduler.Every_arrivals frequency;
+      timeseries;
     }
   in
   let world = Travel.build ~users:world_users ~cities:world_cities ~config () in
@@ -540,8 +549,9 @@ let fig6c () =
       List.iter
         (fun (name, (structure, frequency)) ->
           let cell =
-            cell_metrics (fun () ->
-                run_structured ~structure ~set_size ~frequency ~total_txns:total)
+            cell_metrics (fun timeseries ->
+                run_structured ~timeseries ~structure ~set_size ~frequency
+                  ~total_txns:total)
           in
           let points = List.assoc name series in
           points := point ~x:set_size cell :: !points;
@@ -576,7 +586,7 @@ let scaleup_domain_counts () =
   let rec up d = if d >= bound then [ bound ] else d :: up (2 * d) in
   up 1
 
-let run_scaleup ~domains ~transactional kind ~n =
+let run_scaleup ~timeseries ~domains ~transactional kind ~n =
   let runner = if domains > 1 then Some (Ent_par.Pool.create ~domains) else None in
   Fun.protect
     ~finally:(fun () -> Option.iter Ent_par.Pool.shutdown runner)
@@ -587,6 +597,7 @@ let run_scaleup ~domains ~transactional kind ~n =
           connections = 100;
           trigger = Scheduler.Every_arrivals 100;
           runner;
+          timeseries;
         }
       in
       let world = Travel.build ~users:world_users ~cities:world_cities ~config () in
@@ -648,7 +659,8 @@ let scaleup () =
       List.iter
         (fun (name, (transactional, kind)) ->
           let (t, share), snap, attrib, slo =
-            cell_metrics (fun () -> run_scaleup ~domains ~transactional kind ~n)
+            cell_metrics (fun timeseries ->
+                run_scaleup ~timeseries ~domains ~transactional kind ~n)
           in
           let points = List.assoc name series in
           points :=
@@ -936,7 +948,6 @@ let () =
         match Ent_obs.Slo.load path with
         | Ok specs ->
           slo_specs := Some specs;
-          Ent_obs.Timeseries.enable ();
           parse rest
         | Error msg ->
           Printf.eprintf "bad --slo file %s: %s\n" path msg;
@@ -977,8 +988,8 @@ let () =
         Event.set_logging true;
         Event.reset ();
         ignore
-          (run_workload ~connections:100 ~frequency:100 ~transactional:true
-             Gen.Entangled ~n:(min txns_total 200));
+          (run_workload ~timeseries:None ~connections:100 ~frequency:100
+             ~transactional:true Gen.Entangled ~n:(min txns_total 200));
         Ent_obs.Trace.write path (Event.events ());
         Printf.printf "wrote %s (Perfetto / chrome://tracing)\n%!" path;
         Event.reset ();

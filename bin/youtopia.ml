@@ -58,15 +58,14 @@ let run_script path connections frequency parallel isolation_name show_tables
         Ent_obs.Event.reset ()
       end;
       (* windowed sampling feeds the SLO monitor and the flight recorder *)
-      if slo_specs <> None || flight_out <> None then
-        Ent_obs.Timeseries.enable ();
-      let monitor =
-        Option.map
-          (fun specs ->
-            let t = Ent_obs.Slo.create specs in
-            Ent_obs.Slo.attach t;
-            t)
-          slo_specs
+      let monitor = Option.map Ent_obs.Slo.create slo_specs in
+      let timeseries =
+        if slo_specs = None && flight_out = None then None
+        else
+          Some
+            (Ent_obs.Timeseries.create
+               ?on_window:(Option.map Ent_obs.Slo.observe monitor)
+               ())
       in
       let runner =
         if parallel > 1 then Some (Ent_par.Pool.create ~domains:parallel)
@@ -82,6 +81,7 @@ let run_script path connections frequency parallel isolation_name show_tables
           trigger = Scheduler.Every_arrivals frequency;
           isolation;
           runner;
+          timeseries;
         }
       in
       let m = Manager.create ~config () in
@@ -168,32 +168,28 @@ let run_script path connections frequency parallel isolation_name show_tables
       in
       (* Close the partial window so even sub-window scripts evaluate
          their SLOs at least once, then print the structured verdict. *)
+      Option.iter Ent_obs.Timeseries.flush timeseries;
       let slo_failed =
         match monitor with
         | None -> false
         | Some mon ->
-          Ent_obs.Timeseries.flush ();
-          Ent_obs.Slo.detach ();
           Printf.printf "-- slo: %s\n"
             (Ent_obs.Json.to_string (Ent_obs.Slo.report_json mon));
           not (Ent_obs.Slo.ok mon)
       in
       (* Flight recorder: dumped on SLO breach, or unconditionally when
          no SLO file was given (on-demand capture). *)
-      (match flight_out with
-      | None -> ()
-      | Some out ->
-        if Option.is_none monitor then Ent_obs.Timeseries.flush ();
-        if slo_failed || Option.is_none monitor then begin
-          let doc =
-            Ent_obs.Flight.to_json
-              ~reason:(if slo_failed then "slo-breach" else "on-demand")
-              ?slo:(Option.map Ent_obs.Slo.report_json monitor)
-              ~sim_now:(Manager.now m) ()
-          in
-          Ent_obs.Flight.write out doc;
-          Printf.eprintf "wrote flight-recorder dump to %s\n%!" out
-        end);
+      (match (flight_out, timeseries) with
+      | Some out, Some timeseries when slo_failed || Option.is_none monitor ->
+        let doc =
+          Ent_obs.Flight.to_json
+            ~reason:(if slo_failed then "slo-breach" else "on-demand")
+            ?slo:(Option.map Ent_obs.Slo.report_json monitor)
+            ~timeseries ~sim_now:(Manager.now m) ()
+        in
+        Ent_obs.Flight.write out doc;
+        Printf.eprintf "wrote flight-recorder dump to %s\n%!" out
+      | _ -> ());
       if certify_failed || slo_failed then 1 else 0))
 
 (* --- interactive mode ---
@@ -326,7 +322,6 @@ let top_script path connections frequency parallel isolation_name window delay
       (* Events feed the per-phase attribution; windows feed the rest. *)
       Ent_obs.Event.set_logging true;
       Ent_obs.Event.reset ();
-      Ent_obs.Timeseries.enable ~width:window ();
       let frames = ref 0 in
       let heat_char v =
         let scale = " .:-=+*#%@" in
@@ -408,15 +403,14 @@ let top_script path connections frequency parallel isolation_name window delay
         flush stdout;
         if delay > 0.0 then Unix.sleepf delay
       in
-      Ent_obs.Timeseries.set_on_window (Some render);
+      let timeseries =
+        Ent_obs.Timeseries.create ~width:window ~on_window:render ()
+      in
       let runner =
         if parallel > 1 then Some (Ent_par.Pool.create ~domains:parallel)
         else None
       in
-      Fun.protect
-        ~finally:(fun () ->
-          Ent_obs.Timeseries.set_on_window None;
-          Option.iter Ent_par.Pool.shutdown runner)
+      Fun.protect ~finally:(fun () -> Option.iter Ent_par.Pool.shutdown runner)
       @@ fun () ->
       let config =
         {
@@ -425,13 +419,14 @@ let top_script path connections frequency parallel isolation_name window delay
           trigger = Scheduler.Every_arrivals frequency;
           isolation;
           runner;
+          timeseries = Some timeseries;
         }
       in
       let m = Manager.create ~config () in
       ignore (Manager.load_script m ~levels items);
       Manager.drain m;
       (* Last partial window becomes the final frame. *)
-      Ent_obs.Timeseries.flush ();
+      Ent_obs.Timeseries.flush timeseries;
       let s = Manager.stats m in
       Printf.printf
         "\n-- done: %d frame(s), runs: %d, commits: %d, entanglements: %d, \

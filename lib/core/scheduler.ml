@@ -41,6 +41,7 @@ type config = {
   trigger : trigger;
   snapshot_pool : bool;
   runner : Ent_par.Pool.t option;
+  timeseries : Timeseries.t option;
 }
 
 let default_config =
@@ -51,6 +52,7 @@ let default_config =
     trigger = Every_arrivals 1;
     snapshot_pool = false;
     runner = None;
+    timeseries = None;
   }
 
 type outcome =
@@ -143,6 +145,13 @@ let observe t ~on_event ~on_entangle =
           on_entangle ~event participants)
 
 let now t = Ent_sim.Pool.now t.pool
+
+(* Telemetry sample of the config's series: one branch when none. *)
+let sample t =
+  match t.config.timeseries with
+  | None -> ()
+  | Some series -> Timeseries.sample series (now t)
+
 let advance_time t seconds = Ent_sim.Pool.advance_to t.pool (now t +. seconds)
 let stats t = t.stats
 
@@ -642,7 +651,7 @@ let end_phase t r =
   Obs.set m_dormant (float_of_int (Queue.length t.dormant));
   Event.emit (Event.Run_end { dormant = Queue.length t.dormant });
   t.last_run_end <- now t;
-  Timeseries.sample (now t)
+  sample t
 
 let run_once t =
   if not (Queue.is_empty t.dormant) then begin
@@ -655,9 +664,8 @@ let run_once t =
       if not r.progress then coordinate_phase t r;
       (* Coordinator-side telemetry sample, once per round: the parallel
          phases are barriers, so no worker domain is running here and
-         the time-series state is touched from exactly one domain. A
-         single branch when sampling is off. *)
-      Timeseries.sample (now t)
+         the series is touched from exactly one domain. *)
+      sample t
     done;
     end_phase t r
   end

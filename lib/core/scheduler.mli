@@ -41,6 +41,10 @@ type config = {
           manager, per-table storage mutexes and the gcache mutex.
           Wake-ups, group commits, coordination rounds and all
           simulated-time accounting remain on the coordinator. *)
+  timeseries : Ent_obs.Timeseries.t option;
+      (** [Some series]: the coordinator samples it at the end of every
+          coordination round and every run (DESIGN.md §11). [None] (the
+          default) samples nothing. *)
 }
 
 val default_config : config

@@ -75,7 +75,7 @@ type outcome = {
          wait graph), captured only when violations exist *)
 }
 
-let scheduler_config cfg =
+let scheduler_config cfg timeseries =
   {
     Scheduler.default_config with
     isolation =
@@ -83,6 +83,7 @@ let scheduler_config cfg =
        else Isolation.full);
     trigger = Scheduler.Every_arrivals 4;
     snapshot_pool = true;
+    timeseries = Some timeseries;
   }
 
 (* The workload is a fixed deterministic mix; the seed varies the
@@ -238,9 +239,10 @@ let run (cfg : config) plan =
   Event.reset ();
   (* Continuous telemetry is always on under simulation: the flight
      recorder attached to a violation wants the last seconds of
-     time-series history, and sampling costs one branch per scheduler
-     iteration. Sub-second windows because entsim runs are short. *)
-  Timeseries.enable ~width:0.25 ~capacity:512 ();
+     time-series history. Every epoch's scheduler samples the same
+     series (recovery passes the config on), so its windows span
+     crashes. Sub-second windows because entsim runs are short. *)
+  let timeseries = Timeseries.create ~width:0.25 ~capacity:512 () in
   let violations = ref [] in
   let viol ids invariant detail =
     let timeline =
@@ -248,7 +250,7 @@ let run (cfg : config) plan =
     in
     violations := { invariant; detail; timeline } :: !violations
   in
-  let sched_config = scheduler_config cfg in
+  let sched_config = scheduler_config cfg timeseries in
   let world =
     Ent_workload.Travel.build ~seed:(cfg.seed + 1) ~users:cfg.users
       ~cities:cfg.cities ~config:sched_config ~wal:true ()
@@ -294,12 +296,7 @@ let run (cfg : config) plan =
   in
   let crash_budget = ref 12 in
   Fault.install plan;
-  Fun.protect
-    ~finally:(fun () ->
-      Fault.deactivate ();
-      (* so co-resident test code sees the default (gated-off) state *)
-      Timeseries.disable ())
-  @@ fun () ->
+  Fun.protect ~finally:Fault.deactivate @@ fun () ->
   let step = ref Run in
   let finished = ref false in
   while not !finished do
@@ -460,9 +457,9 @@ let run (cfg : config) plan =
     else begin
       (* Close the partial window so the dump covers up to the moment
          of failure, then snapshot everything in one artifact. *)
-      Timeseries.flush ();
+      Timeseries.flush timeseries;
       Some
-        (Flight.to_json ~reason:"invariant-violation" ?wait_graph
+        (Flight.to_json ~reason:"invariant-violation" ?wait_graph ~timeseries
            ~sim_now:(Manager.now !mgr) ())
     end
   in

@@ -83,8 +83,6 @@ let new_run () =
   incr run_id;
   !run_id
 
-let current_run () = !run_id
-
 (* Puts an event into the next ring slot, assigning its [seq]; [mu]
    must be held. Task resolution happens here so buffered events see the
    complete txn→task registry at flush time ([register_txn] always goes

@@ -101,8 +101,6 @@ val set_sim_clock : (unit -> float) -> unit
 val new_run : unit -> int
 (** Advance the run counter; subsequent events carry the new id. *)
 
-val current_run : unit -> int
-
 val events : unit -> t list
 (** Retained events, oldest first. *)
 

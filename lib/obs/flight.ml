@@ -12,7 +12,8 @@
 
 let version = 1
 
-let to_json ~reason ?wait_graph ?slo ?(events_last = 256) ~sim_now () =
+let to_json ~reason ?wait_graph ?slo ?(events_last = 256) ~timeseries ~sim_now
+    () =
   let fin v = Json.Float (if Float.is_finite v then v else 0.0) in
   Json.Obj
     ([
@@ -20,7 +21,7 @@ let to_json ~reason ?wait_graph ?slo ?(events_last = 256) ~sim_now () =
        ("reason", Json.Str reason);
        ("captured_sim_s", fin sim_now);
        ("metrics", Obs.snapshot_json ());
-       ("timeseries", Timeseries.to_json ());
+       ("timeseries", Timeseries.to_json timeseries);
        ( "events",
          Json.List (List.map Event.to_json (Event.recent ~last:events_last ()))
        );

@@ -18,14 +18,14 @@ let stripes = 16
 
 let stripe () = (Domain.self () :> int) land (stripes - 1)
 
-type counter = { c_name : string; cells : int Atomic.t array }
-type gauge = { g_name : string; value : float Atomic.t }
+type counter = int Atomic.t array
+type gauge = float Atomic.t
 
 (* Each histogram stripe has its own mutex: [Hist.observe] mutates a
    hashtable of buckets, which is not safe to share across domains
    (ground/gcache observe footprint histograms from worker domains).
    Stripe mutexes are uncontended except under real parallelism. *)
-type histogram = { h_name : string; h_stripes : (Mutex.t * Hist.t) array }
+type histogram = (Mutex.t * Hist.t) array
 
 type metric =
   | Counter of counter
@@ -60,36 +60,33 @@ let intern name make describe =
 let counter name =
   intern name
     (fun () ->
-      let c = { c_name = name; cells = Array.init stripes (fun _ -> Atomic.make 0) } in
+      let c = Array.init stripes (fun _ -> Atomic.make 0) in
       (c, Counter c))
     (function Counter c -> Some c | _ -> None)
 
-let incr ?(n = 1) c = ignore (Atomic.fetch_and_add c.cells.(stripe ()) n)
-let counter_value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.cells
+let incr ?(n = 1) c = ignore (Atomic.fetch_and_add c.(stripe ()) n)
+let counter_value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c
 
 let gauge name =
   intern name
     (fun () ->
-      let g = { g_name = name; value = Atomic.make 0.0 } in
+      let g = Atomic.make 0.0 in
       (g, Gauge g))
     (function Gauge g -> Some g | _ -> None)
 
-let set g v = Atomic.set g.value v
-let gauge_value g = Atomic.get g.value
+let set g v = Atomic.set g v
 
 let histogram ?alpha name =
   intern name
     (fun () ->
       let h =
-        { h_name = name;
-          h_stripes =
-            Array.init stripes (fun _ -> (Mutex.create (), Hist.create ?alpha ())) }
+        Array.init stripes (fun _ -> (Mutex.create (), Hist.create ?alpha ()))
       in
       (h, Histogram h))
     (function Histogram h -> Some h | _ -> None)
 
 let observe h v =
-  let mu, hs = h.h_stripes.(stripe ()) in
+  let mu, hs = h.(stripe ()) in
   Mutex.lock mu;
   Hist.observe hs v;
   Mutex.unlock mu
@@ -101,7 +98,7 @@ let observe h v =
    contents. *)
 let hist h =
   let parts =
-    Array.to_list h.h_stripes
+    Array.to_list h
     |> List.filter_map (fun (mu, hs) ->
            Mutex.lock mu;
            let c = if Hist.count hs > 0 then Some (Hist.copy hs) else None in
@@ -109,15 +106,12 @@ let hist h =
            c)
   in
   match parts with
-  | [] -> Hist.copy (snd h.h_stripes.(0))
+  | [] -> Hist.copy (snd h.(0))
   | [ one ] -> one
   | first :: rest ->
     List.iter (fun hs -> Hist.merge_into ~into:first hs) rest;
     first
 
-let counter_name c = c.c_name
-let gauge_name g = g.g_name
-let histogram_name h = h.h_name
 
 (* --- lookups (tests, CLI) --- *)
 
@@ -130,7 +124,7 @@ let find_counter name =
 
 let find_gauge name =
   match find name with
-  | Some (Gauge g) -> Some (gauge_value g)
+  | Some (Gauge g) -> Some (Atomic.get g)
   | _ -> None
 
 let find_histogram name =
@@ -153,7 +147,7 @@ let snapshot_json () =
       match m with
       | Counter c -> counters := (name, Json.Int (counter_value c)) :: !counters
       | Gauge g ->
-        let v = gauge_value g in
+        let v = Atomic.get g in
         gauges := (name, Json.Float (if Float.is_finite v then v else 0.0)) :: !gauges
       | Histogram h -> hists := (name, Hist.summary (hist h)) :: !hists)
     (sorted_registry ());
@@ -166,29 +160,22 @@ let snapshot_json () =
 
 let snapshot () = Json.to_string (snapshot_json ())
 
-(* Modules layered on top of the registry (Timeseries) must re-base
-   when every metric snaps back to zero; they hook in here rather than
-   obs depending on them. *)
-let reset_hooks : (unit -> unit) list ref = ref []
-let add_reset_hook f = reset_hooks := f :: !reset_hooks
-
 let reset () =
   locked (fun () ->
       Hashtbl.iter
         (fun _ m ->
           match m with
-          | Counter c -> Array.iter (fun cell -> Atomic.set cell 0) c.cells
-          | Gauge g -> Atomic.set g.value 0.0
+          | Counter c -> Array.iter (fun cell -> Atomic.set cell 0) c
+          | Gauge g -> Atomic.set g 0.0
           | Histogram h ->
             Array.iter
               (fun (mu, hs) ->
                 Mutex.lock mu;
                 Hist.reset hs;
                 Mutex.unlock mu)
-              h.h_stripes)
+              h)
         registry);
-  Event.reset ();
-  List.iter (fun f -> f ()) !reset_hooks
+  Event.reset ()
 
 let metric_names () = List.map fst (sorted_registry ())
 

@@ -22,7 +22,6 @@ val counter_value : counter -> int
 
 val gauge : string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : ?alpha:float -> string -> histogram
 val observe : histogram -> float -> unit
@@ -33,10 +32,6 @@ val observe : histogram -> float -> unit
     merge the stripes and are bitwise identical to an unstriped
     implementation when only one domain observed. *)
 val hist : histogram -> Hist.t
-
-val counter_name : counter -> string
-val gauge_name : gauge -> string
-val histogram_name : histogram -> string
 
 val find_counter : string -> int option
 val find_gauge : string -> float option
@@ -57,11 +52,7 @@ val write_snapshot : string -> unit
 (** Write [snapshot ()] (newline-terminated) to a file. *)
 
 val reset : unit -> unit
-(** Zero every metric, clear the {!Event} log, then
-    run the {!add_reset_hook} hooks. Registered handles stay valid
-    (benchmarks reset between cells). *)
-
-val add_reset_hook : (unit -> unit) -> unit
-(** Run [f] at the end of every {!reset}. Used by modules layered on
-    the registry (e.g. {!Timeseries} re-anchors its windows) without
-    obs depending on them. Hooks cannot be removed. *)
+(** Zero every metric and clear the {!Event} log. Registered handles
+    stay valid (benchmarks reset between cells). A {!Timeseries} must
+    not span a reset: its counter bases would be ahead of the zeroed
+    metrics, so create a fresh series after each one. *)

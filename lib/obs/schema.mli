@@ -8,10 +8,6 @@
 val version : int
 (** Current schema_version. *)
 
-val expected_series : string -> (string * string list) option
-(** [expected_series figure] is [Some (x_label, series_names)] for
-    "fig6a"/"fig6b"/"fig6c", [None] otherwise. *)
-
 val validate : Json.t -> (unit, string list) result
 (** Validate a benchmark document. Points may optionally carry a
     ["latency_attribution"] block ({!Attrib.to_json}); when they do,

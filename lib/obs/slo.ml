@@ -145,8 +145,6 @@ let observe t (w : Timeseries.window) =
       | _ -> ())
     t.states
 
-let attach t = Timeseries.set_on_window (Some (observe t))
-let detach () = Timeseries.set_on_window None
 let ok t = t.total_breaches = 0
 let alerts t = List.rev t.alerts
 

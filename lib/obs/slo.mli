@@ -52,13 +52,8 @@ type t
 val create : spec list -> t
 
 val observe : t -> Timeseries.window -> unit
-(** Feed one closed window to every spec. *)
-
-val attach : t -> unit
-(** [Timeseries.set_on_window (Some (observe t))]. *)
-
-val detach : unit -> unit
-(** Drop the window hook. *)
+(** Feed one closed window to every spec. A monitor watches one series:
+    give [~on_window:(observe t)] to {!Timeseries.create}. *)
 
 val ok : t -> bool
 (** No spec has breached so far. *)
@@ -73,7 +68,6 @@ val report_json : t -> Json.t
     [...]}] — the ["slo"] section embedded in bench cells and printed
     by [youtopia run --slo]. *)
 
-val spec_of_json : Json.t -> (spec, string) result
 val specs_of_json : Json.t -> (spec list, string) result
 
 val load : string -> (spec list, string) result

@@ -1,13 +1,16 @@
 (* Windowed time-series over the metrics registry.
 
-   [sample now] is called from the scheduler's coordinator between
-   parallel phases (so histogram reads never race worker observes) and
-   costs one branch when disabled. When a sample crosses a window
-   boundary, the window that just ended is "closed": every registered
-   counter contributes its delta since the window opened, every
-   histogram a bucket-wise delta histogram (Hist.diff of two cumulative
-   snapshots — exact counts, alpha-accurate quantiles), and every gauge
-   its value at close. Closed windows land in a fixed-size ring.
+   A series is a value: its ring, window clock and counter bases belong
+   to it, and the scheduler it is handed to (Scheduler.config's
+   [timeseries]) samples it from the coordinator between parallel
+   phases, so histogram reads never race worker observes and the
+   series is touched from one domain only. When a sample crosses a
+   window boundary, the window that just ended is "closed": every
+   registered counter contributes its delta since the window opened,
+   every histogram a bucket-wise delta histogram (Hist.diff of two
+   cumulative snapshots — exact counts, alpha-accurate quantiles), and
+   every gauge its value at close. Closed windows land in a fixed-size
+   ring and are passed to the series' [on_window] callback.
 
    Attribution semantics: a window's deltas are whatever accumulated
    between the sample that opened it and the sample that closed it.
@@ -23,10 +26,10 @@
    - time can go backwards (entsim crash/recovery restarts the pool
      clock): we re-anchor at the new epoch and keep the counter bases,
      so pre-crash deltas roll into the first post-crash window rather
-     than being lost or double-counted;
-   - [Obs.reset] (benchmarks, between cells) zeroes every metric: a
-     reset hook clears the ring and bases so the next sample re-anchors
-     from zero. *)
+     than being lost or double-counted.
+   A series never spans an [Obs.reset]: the bases would be ahead of the
+   zeroed metrics. Callers that reset between cells create a fresh
+   series per cell. *)
 
 type window = {
   w_start : float;
@@ -36,85 +39,64 @@ type window = {
   w_hists : (string * Hist.t) list;
 }
 
-let on = ref false
-let mu = Mutex.create ()
-let width_r = ref 1.0
-let capacity_r = ref 120
-let ring : window option array ref = ref [||]
-let total = ref 0 (* windows ever closed; ring slot = total mod capacity *)
-let anchored = ref false
-let cur_start = ref 0.0
-let last_now = ref 0.0
-let base_counters : (string, int) Hashtbl.t = Hashtbl.create 64
-let base_hists : (string, Hist.t) Hashtbl.t = Hashtbl.create 16
-let on_window : (window -> unit) option ref = ref None
-let reset_hook_installed = ref false
+type t = {
+  width : float;
+  ring : window option array;
+  on_window : window -> unit;
+  mutable total : int; (* windows ever closed; ring slot = total mod capacity *)
+  mutable anchored : bool;
+  mutable cur_start : float;
+  mutable last_now : float;
+  base_counters : (string, int) Hashtbl.t;
+  base_hists : (string, Hist.t) Hashtbl.t;
+}
 
-let locked f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
-let enabled () = !on
-let width () = !width_r
-let set_on_window f = on_window := f
-
-let clear_state () =
-  ring := Array.make !capacity_r None;
-  total := 0;
-  anchored := false;
-  Hashtbl.reset base_counters;
-  Hashtbl.reset base_hists
-
-let enable ?(width = 1.0) ?(capacity = 120) () =
+let create ?(width = 1.0) ?(capacity = 120) ?(on_window = ignore) () =
   if width <= 0.0 || not (Float.is_finite width) then
-    invalid_arg "Timeseries.enable: width must be positive";
+    invalid_arg "Timeseries.create: width must be positive";
   if capacity <= 0 then
-    invalid_arg "Timeseries.enable: capacity must be positive";
-  locked (fun () ->
-      if not !reset_hook_installed then begin
-        reset_hook_installed := true;
-        Obs.add_reset_hook (fun () ->
-            locked (fun () -> if !on then clear_state ()))
-      end;
-      width_r := width;
-      capacity_r := capacity;
-      clear_state ();
-      on := true)
+    invalid_arg "Timeseries.create: capacity must be positive";
+  {
+    width;
+    ring = Array.make capacity None;
+    on_window;
+    total = 0;
+    anchored = false;
+    cur_start = 0.0;
+    last_now = 0.0;
+    base_counters = Hashtbl.create 64;
+    base_hists = Hashtbl.create 16;
+  }
 
-let disable () =
-  locked (fun () ->
-      on := false;
-      on_window := None;
-      clear_state ())
+let align t now = Float.floor (now /. t.width) *. t.width
 
-let align now = Float.floor (now /. !width_r) *. !width_r
-
-(* Assumes [mu] held. Snapshot bases without producing a window (used
-   when anchoring: there is no previous window to attribute to). *)
-let rebase () =
-  Hashtbl.reset base_counters;
-  Hashtbl.reset base_hists;
+(* Snapshot bases without producing a window (used when anchoring:
+   there is no previous window to attribute to). *)
+let rebase t =
+  Hashtbl.reset t.base_counters;
+  Hashtbl.reset t.base_hists;
   List.iter
     (fun name ->
       match Obs.find_counter name with
-      | Some v -> Hashtbl.replace base_counters name v
+      | Some v -> Hashtbl.replace t.base_counters name v
       | None -> (
         match Obs.find_histogram name with
-        | Some h -> Hashtbl.replace base_hists name (Hist.copy h)
+        | Some h -> Hashtbl.replace t.base_hists name (Hist.copy h)
         | None -> ()))
     (Obs.metric_names ())
 
-(* Assumes [mu] held. Close the window [start, start+width) against the
-   current bases, advancing the bases to the new snapshot. *)
-let close_window ~start ~width =
+(* Close the window [cur_start, cur_start+width) against the current
+   bases, advancing the bases to the new snapshot; push it on the ring,
+   move the window clock to [next], then hand the window on. *)
+let close_window t ~width ~next =
   let counters = ref [] and gauges = ref [] and hists = ref [] in
   List.iter
     (fun name ->
       match Obs.find_counter name with
       | Some v ->
-        let b = Option.value ~default:0 (Hashtbl.find_opt base_counters name) in
+        let b = Option.value ~default:0 (Hashtbl.find_opt t.base_counters name) in
         if v <> b then counters := (name, v - b) :: !counters;
-        Hashtbl.replace base_counters name v
+        Hashtbl.replace t.base_counters name v
       | None -> (
         match Obs.find_gauge name with
         | Some v -> gauges := (name, v) :: !gauges
@@ -122,95 +104,56 @@ let close_window ~start ~width =
           match Obs.find_histogram name with
           | Some h ->
             let d =
-              match Hashtbl.find_opt base_hists name with
+              match Hashtbl.find_opt t.base_hists name with
               | Some b -> Hist.diff ~newer:h ~older:b
               | None -> Hist.copy h
             in
             if Hist.count d > 0 then hists := (name, d) :: !hists;
-            Hashtbl.replace base_hists name (Hist.copy h)
+            Hashtbl.replace t.base_hists name (Hist.copy h)
           | None -> ())))
     (Obs.metric_names ());
-  {
-    w_start = start;
-    w_width = width;
-    w_counters = List.rev !counters;
-    w_gauges = List.rev !gauges;
-    w_hists = List.rev !hists;
-  }
+  let w =
+    {
+      w_start = t.cur_start;
+      w_width = width;
+      w_counters = List.rev !counters;
+      w_gauges = List.rev !gauges;
+      w_hists = List.rev !hists;
+    }
+  in
+  t.ring.(t.total mod Array.length t.ring) <- Some w;
+  t.total <- t.total + 1;
+  t.cur_start <- next;
+  t.on_window w
 
-let push w =
-  let r = !ring in
-  r.(!total mod Array.length r) <- Some w;
-  incr total
-
-let run_hook closed =
-  match (!on_window, closed) with
-  | None, _ | _, [] -> ()
-  | Some f, ws -> List.iter f ws
-
-let sample_locked now =
-  let closed = ref [] in
-  locked (fun () ->
-      last_now := now;
-      if not !anchored then begin
-        anchored := true;
-        cur_start := align now;
-        rebase ()
-      end
-      else if now < !cur_start then
-        (* clock went backwards: new simulated epoch, keep the bases *)
-        cur_start := align now
-      else begin
-        let steps = int_of_float ((now -. !cur_start) /. !width_r) in
-        if steps > !capacity_r then begin
-          (* bank the pre-jump deltas, then skip the unrepresentable gap *)
-          let w = close_window ~start:!cur_start ~width:!width_r in
-          push w;
-          closed := [ w ];
-          cur_start := align now
-        end
-        else
-          while now >= !cur_start +. !width_r do
-            let w = close_window ~start:!cur_start ~width:!width_r in
-            push w;
-            closed := w :: !closed;
-            cur_start := !cur_start +. !width_r
-          done
-      end);
-  run_hook (List.rev !closed)
-
-let sample now = if !on then sample_locked now
-
-let flush () =
-  if !on then begin
-    let closed = ref [] in
-    locked (fun () ->
-        if !anchored && !last_now > !cur_start then begin
-          let w =
-            close_window ~start:!cur_start ~width:(!last_now -. !cur_start)
-          in
-          push w;
-          closed := [ w ];
-          cur_start := !last_now
-        end);
-    run_hook !closed
+let sample t now =
+  t.last_now <- now;
+  if not t.anchored then begin
+    t.anchored <- true;
+    t.cur_start <- align t now;
+    rebase t
   end
+  else if now < t.cur_start then
+    (* clock went backwards: new simulated epoch, keep the bases *)
+    t.cur_start <- align t now
+  else if int_of_float ((now -. t.cur_start) /. t.width) > Array.length t.ring
+  then
+    (* bank the pre-jump deltas, then skip the unrepresentable gap *)
+    close_window t ~width:t.width ~next:(align t now)
+  else
+    while now >= t.cur_start +. t.width do
+      close_window t ~width:t.width ~next:(t.cur_start +. t.width)
+    done
 
-let windows () =
-  locked (fun () ->
-      let r = !ring in
-      let cap = Array.length r in
-      if cap = 0 then []
-      else begin
-        let n = min !total cap in
-        let first = !total - n in
-        List.filter_map (fun i -> r.((first + i) mod cap)) (List.init n Fun.id)
-      end)
+let flush t =
+  if t.anchored && t.last_now > t.cur_start then
+    close_window t ~width:(t.last_now -. t.cur_start) ~next:t.last_now
 
-let last n =
-  let ws = windows () in
-  let len = List.length ws in
-  if len <= n then ws else List.filteri (fun i _ -> i >= len - n) ws
+let windows t =
+  let cap = Array.length t.ring in
+  let n = min t.total cap in
+  let first = t.total - n in
+  List.init n (fun i -> Option.get t.ring.((first + i) mod cap))
 
 let counter_delta w name =
   Option.value ~default:0 (List.assoc_opt name w.w_counters)
@@ -229,9 +172,9 @@ let window_json w =
         Json.Obj (List.map (fun (n, h) -> (n, Hist.summary h)) w.w_hists) );
     ]
 
-let to_json ?last:(n = max_int) () =
+let to_json t =
   Json.Obj
     [
-      ("window_s", Json.Float !width_r);
-      ("windows", Json.List (List.map window_json (last n)));
+      ("window_s", Json.Float t.width);
+      ("windows", Json.List (List.map window_json (windows t)));
     ]

@@ -355,6 +355,15 @@ let test_harness_shrinks_to_replayable_plan () =
   let outcome = Harness.run cfg [] in
   if outcome.violations = [] then
     Alcotest.fail "expected the widow detector to fire on seed 2";
+  (* the flight dump carries the windows this run's scheduler sampled *)
+  let windows =
+    Option.bind outcome.flight (fun doc ->
+        Option.bind (Ent_obs.Json.member "timeseries" doc)
+          (Ent_obs.Json.member "windows"))
+  in
+  (match Option.bind windows Ent_obs.Json.to_list_opt with
+  | Some (_ :: _) -> ()
+  | _ -> Alcotest.fail "flight dump has no time-series windows");
   let shrunk = Harness.shrink cfg [] in
   Alcotest.(check bool) "shrunken plan still violates" true
     (Harness.violates cfg shrunk)

@@ -1,19 +1,17 @@
 (* Tests for the continuous-telemetry engine (lib/obs): time-series
    window aggregation against a lockstep oracle, burn-rate alert edge
    cases (empty windows, short-only spikes, sim-time jumps, ring wrap,
-   backwards clocks), SLO spec parsing, and schema validation of the
-   flight-recorder and SLO-report documents. *)
+   backwards clocks), SLO spec parsing, schema validation of the
+   flight-recorder and SLO-report documents, and two schedulers each
+   sampling its own series in one process. *)
 
 open Ent_obs
 
-(* Every test drives the process-global registry/ring: reset both ends
-   so tests compose in any order. *)
-let fresh ?(width = 1.0) ?(capacity = 128) () =
-  Timeseries.disable ();
+(* Every test drives the process-global registry: reset it, then give
+   the test a fresh series of its own so tests compose in any order. *)
+let fresh ?(width = 1.0) ?(capacity = 128) ?on_window () =
   Obs.reset ();
-  Timeseries.enable ~width ~capacity ()
-
-let teardown () = Timeseries.disable ()
+  Timeseries.create ~width ~capacity ?on_window ()
 
 (* --- window aggregation vs a lockstep oracle ---
 
@@ -31,7 +29,7 @@ let prop_window_oracle =
         (triple (float_range 0.01 0.8) (int_range 0 5)
            (float_range 1e-3 1e3)))
     (fun events ->
-      fresh ();
+      let ts = fresh () in
       let c = Obs.counter "test.ts.counter" in
       let h = Obs.histogram "test.ts.hist" in
       (* oracle: window start |-> (counter delta, observations) *)
@@ -50,16 +48,15 @@ let prop_window_oracle =
       List.iter
         (fun (dt, n, v) ->
           now := !now +. dt;
-          Timeseries.sample !now;
+          Timeseries.sample ts !now;
           Obs.incr ~n c;
           Obs.observe h v;
           let delta, obs = slot (Float.floor !now) in
           delta := !delta + n;
           obs := v :: !obs)
         events;
-      Timeseries.flush ();
-      let ok =
-        List.for_all
+      Timeseries.flush ts;
+      List.for_all
           (fun (w : Timeseries.window) ->
             let delta, obs =
               match Hashtbl.find_opt oracle w.w_start with
@@ -88,109 +85,90 @@ let prop_window_oracle =
                      Float.abs (Hist.quantile wh q -. exact q)
                      <= (3. *. Hist.default_alpha *. exact q) +. 1e-9)
                    [ 0.5; 0.95; 0.99 ])
-          (Timeseries.windows ())
-      in
-      teardown ();
-      ok)
+        (Timeseries.windows ts))
 
 (* Every oracle window with data must appear among the closed windows
    once the clock passed it (no silently dropped windows). *)
 let test_windows_cover_time () =
-  fresh ();
+  let ts = fresh () in
   let c = Obs.counter "test.ts.cover" in
   List.iter
     (fun t ->
-      Timeseries.sample t;
+      Timeseries.sample ts t;
       Obs.incr c)
     [ 0.2; 0.7; 1.3; 2.9; 3.1 ];
-  Timeseries.flush ();
-  let ws = Timeseries.windows () in
+  Timeseries.flush ts;
+  let ws = Timeseries.windows ts in
   Alcotest.(check (list (float 1e-9)))
     "window starts" [ 0.0; 1.0; 2.0; 3.0 ]
     (List.map (fun (w : Timeseries.window) -> w.w_start) ws);
   Alcotest.(check (list int))
     "per-window deltas" [ 2; 1; 1; 1 ]
-    (List.map (fun w -> Timeseries.counter_delta w "test.ts.cover") ws);
-  teardown ()
+    (List.map (fun w -> Timeseries.counter_delta w "test.ts.cover") ws)
 
 (* A jump farther than the whole ring closes one window and re-anchors
    instead of materializing millions of empty windows. *)
 let test_giant_jump_reanchors () =
-  fresh ~width:1.0 ~capacity:8 ();
+  let ts = fresh ~width:1.0 ~capacity:8 () in
   let c = Obs.counter "test.ts.jump" in
-  Timeseries.sample 0.5;
+  Timeseries.sample ts 0.5;
   Obs.incr ~n:3 c;
-  Timeseries.sample 1e9;
-  Timeseries.flush ();
-  let ws = Timeseries.windows () in
+  Timeseries.sample ts 1e9;
+  Timeseries.flush ts;
+  let ws = Timeseries.windows ts in
   Alcotest.(check bool) "bounded window count" true (List.length ws <= 8);
   let total =
     List.fold_left
       (fun acc w -> acc + Timeseries.counter_delta w "test.ts.jump")
       0 ws
   in
-  Alcotest.(check int) "delta not lost" 3 total;
-  teardown ()
+  Alcotest.(check int) "delta not lost" 3 total
 
 let test_ring_wrap () =
-  fresh ~width:1.0 ~capacity:4 ();
+  let ts = fresh ~width:1.0 ~capacity:4 () in
   let c = Obs.counter "test.ts.wrap" in
   for t = 0 to 9 do
-    Timeseries.sample (float_of_int t +. 0.5);
+    Timeseries.sample ts (float_of_int t +. 0.5);
     Obs.incr c
   done;
-  Timeseries.flush ();
-  let ws = Timeseries.windows () in
+  Timeseries.flush ts;
+  let ws = Timeseries.windows ts in
   Alcotest.(check int) "ring keeps the last capacity windows" 4
     (List.length ws);
   Alcotest.(check (float 1e-9)) "oldest retained window" 6.0
-    (List.hd ws).Timeseries.w_start;
-  teardown ()
+    (List.hd ws).Timeseries.w_start
 
 (* Backwards clock (entsim crash/recovery): the ring re-anchors keeping
    counter bases, so pre-crash deltas roll into the first post-crash
    window — counted once, never dropped and never double-counted. *)
 let test_backwards_clock () =
-  fresh ();
+  let ts = fresh () in
   let c = Obs.counter "test.ts.back" in
-  Timeseries.sample 5.2;
+  Timeseries.sample ts 5.2;
   Obs.incr ~n:2 c;
-  Timeseries.sample 1.1;
+  Timeseries.sample ts 1.1;
   Obs.incr ~n:3 c;
-  Timeseries.flush ();
+  Timeseries.flush ts;
   let total =
     List.fold_left
       (fun acc w -> acc + Timeseries.counter_delta w "test.ts.back")
-      0
-      (Timeseries.windows ())
+      0 (Timeseries.windows ts)
   in
-  Alcotest.(check int) "counted exactly once" 5 total;
-  teardown ()
+  Alcotest.(check int) "counted exactly once" 5 total
 
 let test_flush_partial_width () =
-  fresh ();
+  let ts = fresh () in
   let c = Obs.counter "test.ts.partial" in
-  Timeseries.sample 0.25;
+  Timeseries.sample ts 0.25;
   Obs.incr c;
-  Timeseries.sample 0.65;
-  Timeseries.flush ();
-  match Timeseries.windows () with
+  Timeseries.sample ts 0.65;
+  Timeseries.flush ts;
+  match Timeseries.windows ts with
   | [ w ] ->
     Alcotest.(check (float 1e-9)) "partial width" 0.65 w.w_width;
     Alcotest.(check int) "partial delta" 1
-      (Timeseries.counter_delta w "test.ts.partial");
-    teardown ()
-  | ws ->
-    teardown ();
-    Alcotest.failf "expected one partial window, got %d" (List.length ws)
-
-let test_disabled_sample_is_noop () =
-  Timeseries.disable ();
-  Obs.reset ();
-  Timeseries.sample 1.0;
-  Timeseries.sample 2.0;
-  Alcotest.(check int) "no windows when disabled" 0
-    (List.length (Timeseries.windows ()))
+      (Timeseries.counter_delta w "test.ts.partial")
+  | ws -> Alcotest.failf "expected one partial window, got %d" (List.length ws)
 
 (* --- burn-rate alerting --- *)
 
@@ -215,22 +193,19 @@ let latency_spec ?(short = 1) ?(long = 5) max_s =
 (* Drive a monitor with hand-built windows: [deltas] is one counter
    delta (and that many 1.0s-latency observations) per 1s window. *)
 let drive spec deltas =
-  fresh ();
+  let mon = Slo.create [ spec ] in
+  let ts = fresh ~on_window:(Slo.observe mon) () in
   let c = Obs.counter "test.slo.events" in
   let h = Obs.histogram "test.slo.lat" in
-  let mon = Slo.create [ spec ] in
-  Slo.attach mon;
   List.iteri
     (fun i n ->
-      Timeseries.sample (float_of_int i +. 0.5);
+      Timeseries.sample ts (float_of_int i +. 0.5);
       Obs.incr ~n c;
       for _ = 1 to n do
         Obs.observe h 1.0
       done)
     deltas;
-  Timeseries.sample (float_of_int (List.length deltas) +. 0.5);
-  Slo.detach ();
-  teardown ();
+  Timeseries.sample ts (float_of_int (List.length deltas) +. 0.5);
   mon
 
 let test_empty_windows_no_alert () =
@@ -306,19 +281,79 @@ let test_spec_parsing () =
       {|{ "slos": [ { "name": "x", "kind": "rate", "metric": "m" } ] }|};
     ]
 
+(* --- two schedulers, two series ---
+
+   A deterministic scheduler and one on a 2-domain pool share the
+   process but not their telemetry: each samples only the series in its
+   own config, and each monitor sees only its own series' windows. *)
+
+let test_two_schedulers () =
+  Obs.reset ();
+  let monitored width =
+    let mon = Slo.create [ rate_spec 1e9 ] in
+    ( width,
+      mon,
+      Timeseries.create ~width ~capacity:4096 ~on_window:(Slo.observe mon) () )
+  in
+  let ((_, _, ts_a) as a) = monitored 0.002 in
+  let ((_, _, ts_b) as b) = monitored 0.005 in
+  let drain runner timeseries =
+    let config =
+      {
+        Ent_core.Scheduler.default_config with
+        connections = 20;
+        trigger = Ent_core.Scheduler.Every_arrivals 10;
+        runner;
+        timeseries = Some timeseries;
+      }
+    in
+    let world = Ent_workload.Travel.build ~users:60 ~cities:4 ~config () in
+    let manager = world.Ent_workload.Travel.manager in
+    List.iter
+      (fun p -> ignore (Ent_core.Manager.submit manager p))
+      (Ent_workload.Gen.batch world ~transactional:true
+         Ent_workload.Gen.Entangled ~n:40 ~tag_base:0);
+    Ent_core.Manager.drain manager;
+    Timeseries.flush timeseries
+  in
+  drain None ts_a;
+  let ring_a = Json.to_string (Timeseries.to_json ts_a) in
+  let pool = Ent_par.Pool.create ~domains:2 in
+  Fun.protect
+    ~finally:(fun () -> Ent_par.Pool.shutdown pool)
+    (fun () -> drain (Some pool) ts_b);
+  Alcotest.(check string) "second run leaves the first ring alone" ring_a
+    (Json.to_string (Timeseries.to_json ts_a));
+  List.iter
+    (fun (width, mon, ts) ->
+      let ws = Timeseries.windows ts in
+      Alcotest.(check bool) "several windows" true (List.length ws > 2);
+      List.iter
+        (fun (w : Timeseries.window) ->
+          let k = w.w_start /. width in
+          if Float.abs (k -. Float.round k) > 1e-6 then
+            Alcotest.failf "window at %g is not on a multiple of %g" w.w_start
+              width)
+        ws;
+      Alcotest.(check (option int)) "monitor saw its own series' windows"
+        (Some (List.length ws))
+        (Option.bind
+           (Json.member "windows_evaluated" (Slo.report_json mon))
+           Json.to_int_opt))
+    [ a; b ]
+
 (* --- flight recorder schema --- *)
 
 let test_flight_validates () =
-  fresh ();
+  let timeseries = fresh () in
   let c = Obs.counter "test.flight.counter" in
   Obs.incr ~n:7 c;
-  Timeseries.sample 0.5;
-  Timeseries.flush ();
+  Timeseries.sample timeseries 0.5;
+  Timeseries.flush timeseries;
   let doc =
-    Flight.to_json ~reason:"test" ~wait_graph:"0 waiting task(s)" ~sim_now:0.5
-      ()
+    Flight.to_json ~reason:"test" ~wait_graph:"0 waiting task(s)" ~timeseries
+      ~sim_now:0.5 ()
   in
-  teardown ();
   (match Schema.validate_flight doc with
   | Ok () -> ()
   | Error errs -> Alcotest.fail (String.concat "; " errs));
@@ -412,8 +447,8 @@ let () =
           Alcotest.test_case "backwards clock" `Quick test_backwards_clock;
           Alcotest.test_case "flush partial window" `Quick
             test_flush_partial_width;
-          Alcotest.test_case "disabled sample is a no-op" `Quick
-            test_disabled_sample_is_noop;
+          Alcotest.test_case "two schedulers, two series" `Quick
+            test_two_schedulers;
         ] );
       ( "slo",
         [
