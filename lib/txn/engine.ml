@@ -59,14 +59,13 @@ type txn = {
   mutable writes : write list;  (* newest first *)
   mutable write_count : int;
   mutable grounding_tables : string list;
-  mutable finished : bool;
 }
 
 type t = {
   catalog : Catalog.t;
   locks : Lock.t;
   wal : Wal.t option;
-  txns : (int, txn) Hashtbl.t;
+  txns : (int, txn) Hashtbl.t;  (* live transactions only *)
   mutable next_txn : int;
   mutable wakeups : int list;
   mutable on_event : (event -> unit) option;
@@ -212,7 +211,7 @@ let begin_txn ?(isolation = Serializable_2pl) t =
         let begin_ts = Atomic.get t.commit_stamp in
         Hashtbl.replace t.txns id
           { id; level = isolation; begin_ts; writes = []; write_count = 0;
-            grounding_tables = []; finished = false };
+            grounding_tables = [] };
         if isolation = Snapshot then Hashtbl.replace t.snapshots id begin_ts;
         id)
   in
@@ -221,39 +220,32 @@ let begin_txn ?(isolation = Serializable_2pl) t =
   Obs.incr m_begins;
   id
 
-let is_active t id =
-  with_mu t.mu (fun () ->
-      match Hashtbl.find_opt t.txns id with
-      | Some txn -> not txn.finished
-      | None -> false)
+let lookup t id = with_mu t.mu (fun () -> Hashtbl.find_opt t.txns id)
+let is_active t id = with_mu t.mu (fun () -> Hashtbl.mem t.txns id)
 
 let find_txn t id =
-  with_mu t.mu (fun () ->
-      match Hashtbl.find_opt t.txns id with
-      | Some txn when not txn.finished -> txn
-      | _ ->
-        invalid_arg (Printf.sprintf "Engine: transaction %d is not active" id))
+  match lookup t id with
+  | Some txn -> txn
+  | None -> invalid_arg (Printf.sprintf "Engine: transaction %d is not active" id)
 
-let level_of t id =
+(* Writer [w]'s effects are settled as of commit stamp [stamp] when it
+   committed at or before [stamp], or is no longer live: a writer with
+   no [committed_at] entry that is not live either committed before
+   the oldest live snapshot (its entry was pruned) or aborted — and an
+   aborted writer's chain carries its compensations too, so treating
+   the whole pair as settled lands on the original before-image. Live
+   uncommitted writers are unsettled. Snapshot visibility and
+   version-chain GC both ask this. *)
+let settled t stamp w =
   with_mu t.mu (fun () ->
-      match Hashtbl.find_opt t.txns id with
-      | Some txn -> txn.level
-      | None -> Serializable_2pl)
+      match Hashtbl.find_opt t.committed_at w with
+      | Some committed -> committed <= stamp
+      | None -> not (Hashtbl.mem t.txns w))
 
 (* Snapshot visibility: writer [w]'s effects belong to [self]'s
    snapshot when [w] is the bootstrap pseudo-transaction, [self]
-   itself, or committed at or before [self]'s begin stamp. A writer
-   with no [committed_at] entry that is no longer active either
-   committed before the oldest live snapshot (its entry was pruned) or
-   aborted — and an aborted writer's chain carries its compensations
-   too, so treating the whole pair as visible lands on the original
-   before-image. Active uncommitted writers are invisible. *)
-let visible_of t self begin_ts w =
-  w = 0 || w = self
-  ||
-  match with_mu t.mu (fun () -> Hashtbl.find_opt t.committed_at w) with
-  | Some stamp -> stamp <= begin_ts
-  | None -> not (is_active t w)
+   itself, or settled as of [self]'s begin stamp. *)
+let visible_of t self begin_ts w = w = 0 || w = self || settled t begin_ts w
 
 (* Acquire a lock or suspend/abort the requester. *)
 let acquire t txn_id resource mode =
@@ -296,43 +288,83 @@ let record_write t txn table_name row before after =
     (Write { txn = txn.id; table = table_name; row; before; after });
   emit t (Ev_write (txn.id, table_name, row))
 
-let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
-  let read_table name =
-    (* Full scans take a table-level shared lock whether grounding or
-       not: there is no finer lock that protects against phantoms. *)
-    if lock_reads then acquire t txn_id (Lock.Table name) Lock.S;
-    if grounding then begin
-      let txn = find_txn t txn_id in
-      if not (List.mem name txn.grounding_tables) then
-        txn.grounding_tables <- name :: txn.grounding_tables;
-      emit t (Ev_grounding_read (txn_id, name))
-    end
-    else emit t (Ev_read (txn_id, T_table name))
-  in
-  let read_rows name =
-    (* Indexed lookups take an intention lock here plus row locks on the
-       returned rows; grounding lookups escalate to a table lock. *)
-    if lock_reads then
-      if grounding then acquire t txn_id (Lock.Table name) Lock.S
-      else acquire t txn_id (Lock.Table name) Lock.IS;
-    if grounding then begin
-      let txn = find_txn t txn_id in
-      if not (List.mem name txn.grounding_tables) then
-        txn.grounding_tables <- name :: txn.grounding_tables;
-      emit t (Ev_grounding_read (txn_id, name))
-    end
-  in
-  let lock_row name row =
-    if lock_reads && not grounding then
-      acquire t txn_id (Lock.Row (name, row)) Lock.S;
-    if not grounding then emit t (Ev_read (txn_id, T_row (name, row)))
-  in
-  let write_locks name row =
+(* Register [name] as one of the transaction's quasi-read tables and
+   emit the grounding-read event. *)
+let register_grounding t txn_id name =
+  let txn = find_txn t txn_id in
+  if not (List.mem name txn.grounding_tables) then
+    txn.grounding_tables <- name :: txn.grounding_tables;
+  emit t (Ev_grounding_read (txn_id, name))
+
+(* The write half of an access record, the same under both levels:
+   writes take IX on the table and X on the row, tag the version chain
+   with the writer and log before/after images. The levels differ only
+   in what an update or delete of a vanished row raises: [vanished op]
+   with [op] "update" or "delete". *)
+let write_access t txn_id ~vanished : Ent_sql.Eval.access =
+  let change op name id after apply =
+    let txn = find_txn t txn_id in
     acquire t txn_id (Lock.Table name) Lock.IX;
-    acquire t txn_id (Lock.Row (name, row)) Lock.X
+    acquire t txn_id (Lock.Row (name, id)) Lock.X;
+    match apply (table_of t name) with
+    | Some before -> record_write t txn name id (Some before) after
+    | None -> raise (vanished op)
   in
   {
     t.ddl with
+    insert =
+      (fun name row ->
+        let txn = find_txn t txn_id in
+        acquire t txn_id (Lock.Table name) Lock.IX;
+        let id = Table.insert ~writer:txn_id (table_of t name) row in
+        (match Lock.request t.locks ~txn:txn_id (Lock.Row (name, id)) Lock.X with
+        | Lock.Granted -> ()
+        | Lock.Waiting -> assert false (* fresh row: no competitors *));
+        record_write t txn name id None (Some row);
+        id);
+    update =
+      (fun name id row ->
+        change "update" name id (Some row) (fun table ->
+            Table.update ~writer:txn_id table id row));
+    delete =
+      (fun name id ->
+        change "delete" name id None (fun table ->
+            Table.delete ~writer:txn_id table id));
+  }
+
+let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
+  let read_lock name mode =
+    if lock_reads then acquire t txn_id (Lock.Table name) mode
+  in
+  let read_table name =
+    (* Full scans take a table-level shared lock whether grounding or
+       not: there is no finer lock that protects against phantoms. *)
+    read_lock name Lock.S;
+    if grounding then register_grounding t txn_id name
+    else emit t (Ev_read (txn_id, T_table name))
+  in
+  (* Indexed lookups take an intention lock here plus row locks on the
+     returned rows; grounding lookups escalate to a table lock. Returns
+     the wrapper for the row stream: row S locks attach to it, so a
+     consumer that stops early (LIMIT) locks only the rows it saw. *)
+  let read_rows name =
+    if grounding then begin
+      read_lock name Lock.S;
+      register_grounding t txn_id name;
+      Fun.id
+    end
+    else begin
+      read_lock name Lock.IS;
+      Seq.map (fun (id, row) ->
+          if lock_reads then acquire t txn_id (Lock.Row (name, id)) Lock.S;
+          emit t (Ev_read (txn_id, T_row (name, id)));
+          (id, row))
+    end
+  in
+  {
+    (write_access t txn_id ~vanished:(fun op ->
+         Ent_sql.Eval.Eval_error (op ^ " of missing row")))
+    with
     scan =
       (fun name ->
         (* the table-level lock is taken up front; rows then stream
@@ -341,127 +373,58 @@ let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
         Table.to_seq (table_of t name));
     lookup =
       (fun name ~positions key ->
-        read_rows name;
-        (* row S locks attach to the stream: a consumer that stops
-           early (LIMIT) locks only the rows it actually saw *)
-        Seq.map
-          (fun (id, row) ->
-            lock_row name id;
-            (id, row))
-          (Table.lookup_seq (table_of t name) ~positions key));
-    insert =
-      (fun name row ->
-        let txn = find_txn t txn_id in
-        acquire t txn_id (Lock.Table name) Lock.IX;
-        let id = Table.insert ~writer:txn_id (table_of t name) row in
-        (match Lock.request t.locks ~txn:txn_id (Lock.Row (name, id)) Lock.X with
-        | Lock.Granted -> ()
-        | Lock.Waiting -> assert false (* fresh row: no competitors *));
-        record_write t txn name id None (Some row);
-        id);
-    update =
-      (fun name id row ->
-        let txn = find_txn t txn_id in
-        write_locks name id;
-        match Table.update ~writer:txn_id (table_of t name) id row with
-        | Some before -> record_write t txn name id (Some before) (Some row)
-        | None -> raise (Ent_sql.Eval.Eval_error "update of missing row"));
-    delete =
-      (fun name id ->
-        let txn = find_txn t txn_id in
-        write_locks name id;
-        match Table.delete ~writer:txn_id (table_of t name) id with
-        | Some before -> record_write t txn name id (Some before) None
-        | None -> raise (Ent_sql.Eval.Eval_error "delete of missing row"));
+        let rows = read_rows name in
+        rows (Table.lookup_seq (table_of t name) ~positions key));
     range =
       (fun name ~position ~lo ~hi ->
         (* like an indexed lookup: intention lock plus row locks *)
-        read_rows name;
-        Seq.map
-          (fun (id, row) ->
-            lock_row name id;
-            (id, row))
-          (Table.range_lookup_seq (table_of t name) ~position ~lo ~hi));
+        let rows = read_rows name in
+        rows (Table.range_lookup_seq (table_of t name) ~position ~lo ~hi));
   }
 
 (* Snapshot data access: every read reconstructs the row state as of
    the transaction's begin stamp from the version chains and takes NO
    lock — the central MVCC payoff; grounding reads still register
    their quasi-read tables and emit grounding events, they just cannot
-   block behind writers. Writes keep the 2PL write locks (IX + row X),
-   tag the version chain with the writer, and leave conflicts with
-   concurrently committed writers to commit-time first-committer-wins
-   validation ({!validate_snapshot}); an update/delete whose victim
-   row already vanished from the live table is doomed there anyway and
-   raises [Si_conflict] immediately. *)
-let access_snapshot t txn_id ~grounding () : Ent_sql.Eval.access =
-  let begin_ts = (find_txn t txn_id).begin_ts in
-  let visible = visible_of t txn_id begin_ts in
-  let register_grounding name =
-    let txn = find_txn t txn_id in
-    if not (List.mem name txn.grounding_tables) then
-      txn.grounding_tables <- name :: txn.grounding_tables;
-    emit t (Ev_grounding_read (txn_id, name))
-  in
-  let row_events name seq =
-    if grounding then seq
+   block behind writers. Writes are {!write_access}'s, leaving
+   conflicts with concurrently committed writers to commit-time
+   first-committer-wins validation ({!validate_snapshot}); an
+   update/delete whose victim row already vanished from the live table
+   is doomed there anyway and raises [Si_conflict] immediately. *)
+let access_snapshot t txn ~grounding : Ent_sql.Eval.access =
+  let txn_id = txn.id in
+  let visible = visible_of t txn_id txn.begin_ts in
+  let read_rows name =
+    if grounding then begin
+      register_grounding t txn_id name;
+      Fun.id
+    end
     else
-      Seq.map
-        (fun (id, row) ->
+      Seq.map (fun (id, row) ->
           emit t (Ev_read (txn_id, T_row (name, id)));
           (id, row))
-        seq
-  in
-  let write_locks name row =
-    acquire t txn_id (Lock.Table name) Lock.IX;
-    acquire t txn_id (Lock.Row (name, row)) Lock.X
   in
   {
-    t.ddl with
+    (write_access t txn_id ~vanished:(fun _ -> Si_conflict txn_id)) with
     scan =
       (fun name ->
-        if grounding then register_grounding name
+        if grounding then register_grounding t txn_id name
         else emit t (Ev_read (txn_id, T_table name));
         Table.to_seq_at (table_of t name) ~visible);
     lookup =
       (fun name ~positions key ->
-        if grounding then register_grounding name;
-        row_events name
-          (Table.lookup_seq_at (table_of t name) ~positions key ~visible));
-    insert =
-      (fun name row ->
-        let txn = find_txn t txn_id in
-        acquire t txn_id (Lock.Table name) Lock.IX;
-        let id = Table.insert ~writer:txn_id (table_of t name) row in
-        (match Lock.request t.locks ~txn:txn_id (Lock.Row (name, id)) Lock.X with
-        | Lock.Granted -> ()
-        | Lock.Waiting -> assert false (* fresh row: no competitors *));
-        record_write t txn name id None (Some row);
-        id);
-    update =
-      (fun name id row ->
-        let txn = find_txn t txn_id in
-        write_locks name id;
-        match Table.update ~writer:txn_id (table_of t name) id row with
-        | Some before -> record_write t txn name id (Some before) (Some row)
-        | None -> raise (Si_conflict txn_id));
-    delete =
-      (fun name id ->
-        let txn = find_txn t txn_id in
-        write_locks name id;
-        match Table.delete ~writer:txn_id (table_of t name) id with
-        | Some before -> record_write t txn name id (Some before) None
-        | None -> raise (Si_conflict txn_id));
+        let rows = read_rows name in
+        rows (Table.lookup_seq_at (table_of t name) ~positions key ~visible));
     range =
       (fun name ~position ~lo ~hi ->
-        if grounding then register_grounding name;
-        row_events name
-          (Table.range_lookup_seq_at (table_of t name) ~position ~lo ~hi ~visible));
+        let rows = read_rows name in
+        rows (Table.range_lookup_seq_at (table_of t name) ~position ~lo ~hi ~visible));
   }
 
 let access t txn_id ~grounding ?(lock_reads = true) () =
-  match level_of t txn_id with
-  | Snapshot -> access_snapshot t txn_id ~grounding ()
+  let txn = find_txn t txn_id in
+  match txn.level with
+  | Snapshot -> access_snapshot t txn ~grounding
   | Serializable_2pl -> access_2pl t txn_id ~grounding ~lock_reads ()
 
 (* Reproduce the locking side effects of a grounding computation
@@ -474,10 +437,7 @@ let touch_grounding_tables t txn_id ?(lock_reads = true) tables =
     (fun name ->
       ignore (table_of t name);
       if lock_reads then acquire t txn_id (Lock.Table name) Lock.S;
-      let txn = find_txn t txn_id in
-      if not (List.mem name txn.grounding_tables) then
-        txn.grounding_tables <- name :: txn.grounding_tables;
-      emit t (Ev_grounding_read (txn_id, name)))
+      register_grounding t txn_id name)
     tables
 
 let add_constraint t ~name predicate =
@@ -490,98 +450,63 @@ let violated_constraint t =
 
 let savepoint t txn_id = (find_txn t txn_id).write_count
 
-(* Undo writes down to a savepoint, logging compensations so that
-   redo-only recovery replays to the right state. *)
+(* Undo one write, logging the compensation so that redo-only recovery
+   replays to the right state: the write's image pair, swapped.
+   Compensations carry the aborting writer's tag too, so a snapshot
+   that deems the txn visible sees write+undo as a pair and lands back
+   on the pre-transaction image. *)
+let undo_write t txn_id w =
+  Obs.incr m_undone;
+  let before = w.w_after and after = w.w_before in
+  Recovery.apply_image ~writer:txn_id (table_of t w.w_table) w.w_row ~before
+    ~after;
+  log_record t
+    (Write { txn = txn_id; table = w.w_table; row = w.w_row; before; after })
+
+(* Undo writes down to a savepoint. *)
 let rollback_to t txn_id sp =
   let txn = find_txn t txn_id in
-  let rec undo () =
-    if txn.write_count > sp then begin
-      match txn.writes with
-      | [] -> assert false
-      | w :: rest ->
-        txn.writes <- rest;
-        txn.write_count <- txn.write_count - 1;
-        Obs.incr m_undone;
-        let table = table_of t w.w_table in
-        (* compensations carry the aborting writer's tag too, so a
-           snapshot that deems the txn visible sees write+undo as a
-           pair and lands back on the pre-transaction image *)
-        (match w.w_before, w.w_after with
-        | None, Some _ -> ignore (Table.delete ~writer:txn_id table w.w_row)
-        | Some before, Some _ ->
-          ignore (Table.update ~writer:txn_id table w.w_row before)
-        | Some before, None -> Table.restore ~writer:txn_id table w.w_row before
-        | None, None -> ());
-        log_record t
-          (Write
-             {
-               txn = txn_id;
-               table = w.w_table;
-               row = w.w_row;
-               before = w.w_after;
-               after = w.w_before;
-             });
-        undo ()
-    end
-  in
-  undo ()
+  while txn.write_count > sp do
+    match txn.writes with
+    | [] -> assert false
+    | w :: rest ->
+      txn.writes <- rest;
+      txn.write_count <- txn.write_count - 1;
+      undo_write t txn_id w
+  done
 
 let finish t txn =
-  txn.finished <- true;
   let woken = Lock.release_all t.locks ~txn:txn.id in
   with_mu t.mu (fun () ->
+      Hashtbl.remove t.txns txn.id;
       if txn.level = Snapshot then Hashtbl.remove t.snapshots txn.id;
       t.wakeups <- t.wakeups @ woken)
 
-(* Undo one write (compensation-logged, writer-tagged like
-   [rollback_to]). *)
-let undo_write t txn_id (w : write) =
-  Obs.incr m_undone;
-  let table = table_of t w.w_table in
-  (match w.w_before, w.w_after with
-  | None, Some _ -> ignore (Table.delete ~writer:txn_id table w.w_row)
-  | Some before, Some _ ->
-    ignore (Table.update ~writer:txn_id table w.w_row before)
-  | Some before, None -> Table.restore ~writer:txn_id table w.w_row before
-  | None, None -> ());
-  log_record t
-    (Write
-       {
-         txn = txn_id;
-         table = w.w_table;
-         row = w.w_row;
-         before = w.w_after;
-         after = w.w_before;
-       })
-
-(* Abort a whole entanglement group. Group members share lock
-   ownership, so their writes to the same row interleave; restoring
-   before-images per member would resurrect overwritten values. Undo
-   the MERGED write log of all members in reverse global order. *)
-let abort_group t txn_ids =
-  let members = List.filter (fun id -> is_active t id) txn_ids in
+(* Abort live transactions together. Entanglement-group members share
+   lock ownership, so their writes to the same row interleave;
+   restoring before-images per member would resurrect overwritten
+   values. Undo the MERGED write log of all members in reverse global
+   order; a lone abort is the one-member case. *)
+let abort_txns t ~reason txns =
   let tagged =
-    List.concat_map
-      (fun id ->
-        let txn = find_txn t id in
-        List.map (fun w -> (id, w)) txn.writes)
-      members
+    List.concat_map (fun txn -> List.map (fun w -> (txn.id, w)) txn.writes) txns
   in
-  let ordered =
-    List.sort (fun (_, a) (_, b) -> Int.compare b.w_seq a.w_seq) tagged
-  in
-  List.iter (fun (id, w) -> undo_write t id w) ordered;
   List.iter
-    (fun id ->
-      let txn = find_txn t id in
-      txn.writes <- [];
-      txn.write_count <- 0;
-      log_record t (Abort id);
-      emit t (Ev_abort id);
-      Event.emit ~txn:id (Event.Abort { reason = "group" });
+    (fun (id, w) -> undo_write t id w)
+    (List.sort (fun (_, a) (_, b) -> Int.compare b.w_seq a.w_seq) tagged);
+  List.iter
+    (fun txn ->
+      log_record t (Abort txn.id);
+      emit t (Ev_abort txn.id);
+      Event.emit ~txn:txn.id (Event.Abort { reason });
       Obs.incr m_aborts;
       finish t txn)
-    members
+    txns
+
+let abort t txn_id = abort_txns t ~reason:"rollback" [ find_txn t txn_id ]
+
+let abort_group t txn_ids =
+  abort_txns t ~reason:"group" (List.filter_map (lookup t) txn_ids)
 
 (* First-committer-wins validation: a snapshot transaction may commit
    only if no other transaction committed a write to any of its written
@@ -619,21 +544,9 @@ let commit t txn_id =
   Obs.incr m_commits;
   finish t txn
 
-let abort t txn_id =
-  let txn = find_txn t txn_id in
-  rollback_to t txn_id 0;
-  log_record t (Abort txn_id);
-  emit t (Ev_abort txn_id);
-  Event.emit ~txn:txn_id (Event.Abort { reason = "rollback" });
-  Obs.incr m_aborts;
-  finish t txn
-
 (* Sharp checkpoint: only legal at quiescence. *)
 let checkpoint t =
-  let active =
-    Hashtbl.fold (fun _ txn acc -> acc || not txn.finished) t.txns false
-  in
-  if active then
+  if with_mu t.mu (fun () -> Hashtbl.length t.txns > 0) then
     invalid_arg "Engine.checkpoint: active transactions (sharp checkpoints only)";
   let tables =
     List.map
@@ -692,13 +605,22 @@ let take_wakeups t =
 
 let grounding_reads t txn_id = (find_txn t txn_id).grounding_tables
 
+let sum_tables t f =
+  List.fold_left
+    (fun acc name -> acc + f (Catalog.find_exn t.catalog name))
+    0
+    (Catalog.table_names t.catalog)
+
+(* Total retained version-chain entries across the catalog (0 at
+   quiescence once {!gc_versions} ran — the entsim invariant). *)
+let chain_entries t = sum_tables t Table.chain_entries
+
 (* Version-chain garbage collection. A chain entry is unreachable when
    its writer's effects are visible to every snapshot that will ever be
-   taken: bootstrap writes, writes committed at or before the oldest
-   live snapshot, and finished (committed-long-ago or aborted) writers.
-   Also prunes the commit-stamp maps below the same horizon — safe
-   because the visibility closure treats a missing, inactive writer as
-   visible, which is exactly what pruning implies. *)
+   taken: bootstrap writes and writers settled as of the oldest live
+   snapshot. Also prunes the commit-stamp maps below the same horizon —
+   safe because a writer missing from [committed_at] that is no longer
+   live counts as settled, which is exactly what pruning implies. *)
 let gc_versions t =
   if Catalog.versioned t.catalog then begin
     let s_min =
@@ -708,20 +630,8 @@ let gc_versions t =
             t.snapshots
             (Atomic.get t.commit_stamp))
     in
-    let obsolete w =
-      w = 0
-      ||
-      match with_mu t.mu (fun () -> Hashtbl.find_opt t.committed_at w) with
-      | Some stamp -> stamp <= s_min
-      | None -> not (is_active t w)
-    in
-    let removed =
-      List.fold_left
-        (fun acc name ->
-          acc + Table.gc_versions (Catalog.find_exn t.catalog name) ~obsolete)
-        0
-        (Catalog.table_names t.catalog)
-    in
+    let obsolete w = w = 0 || settled t s_min w in
+    let removed = sum_tables t (Table.gc_versions ~obsolete) in
     if removed > 0 then Obs.incr ~n:removed m_mvcc_versions_gcd;
     with_mu t.mu (fun () ->
         let prune tbl =
@@ -734,19 +644,5 @@ let gc_versions t =
         in
         prune t.committed_at;
         prune t.last_write);
-    Obs.set m_mvcc_chain_entries
-      (float_of_int
-         (List.fold_left
-            (fun acc name ->
-              acc + Table.chain_entries (Catalog.find_exn t.catalog name))
-            0
-            (Catalog.table_names t.catalog)))
+    Obs.set m_mvcc_chain_entries (float_of_int (chain_entries t))
   end
-
-(* Total retained version-chain entries across the catalog (0 at
-   quiescence once {!gc_versions} ran — the entsim invariant). *)
-let chain_entries t =
-  List.fold_left
-    (fun acc name -> acc + Table.chain_entries (Catalog.find_exn t.catalog name))
-    0
-    (Catalog.table_names t.catalog)

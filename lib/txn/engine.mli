@@ -91,12 +91,11 @@ val load : t -> string -> Value.t array -> int
     catalog. *)
 val begin_txn : ?isolation:level -> t -> int
 
-(** True when the id denotes a live (begun, not yet finished) txn. *)
+(** True when the id denotes a live (begun, not yet finished) txn.
+    The engine keeps live transactions only: commit and abort drop the
+    transaction's entry, write log included, so a finished id is
+    unknown to every other operation (they raise [Invalid_argument]). *)
 val is_active : t -> int -> bool
-
-(** The isolation level of a transaction ([Serializable_2pl] for
-    unknown/finished ids). *)
-val level_of : t -> int -> level
 
 (** [access t txn] is the locked {!Ent_sql.Eval.access} view for a
     transaction. [grounding] selects table-level shared locks on reads
@@ -142,14 +141,17 @@ val validate_snapshot : t -> int -> (string * int) option
     write set for first-committer-wins validation of others. *)
 val commit : t -> int -> unit
 
-(** Abort: undoes all writes, logs, releases locks, queues wake-ups. *)
+(** Abort: undoes all writes (compensation-logged), logs, releases
+    locks, queues wake-ups — the one-member case of {!abort_group},
+    traced with reason ["rollback"].
+    @raise Invalid_argument when the id is not live. *)
 val abort : t -> int -> unit
 
 (** Abort several transactions of one entanglement group together.
     Group members share lock ownership and may have interleaved writes
     to the same rows; this undoes their merged write log in reverse
-    order, which per-member {!abort} cannot do safely. Inactive ids are
-    skipped. *)
+    global order, which aborting them one at a time cannot do safely.
+    Ids that are not live are skipped; traced with reason ["group"]. *)
 val abort_group : t -> int list -> unit
 
 (** Record that the listed transactions entangled (event id is
@@ -166,7 +168,8 @@ val log_pool_snapshot : t -> string list -> unit
 
 (** Write a sharp checkpoint (full table images) into the WAL, so
     recovery restarts from it and the log can be compacted
-    ([Wal.compact]).
+    ([Wal.compact]). Checks under the registry mutex that no
+    transaction is live.
     @raise Invalid_argument while any transaction is active. *)
 val checkpoint : t -> unit
 

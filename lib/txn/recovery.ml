@@ -51,19 +51,6 @@ module Uf = struct
       by_root []
 end
 
-(* Records from the last sharp checkpoint onward (checkpoint included);
-   everything earlier is superseded by its table images. *)
-let tail_from_checkpoint records =
-  let last_cp = ref (-1) in
-  List.iteri
-    (fun i (r : Wal.record) ->
-      match r with
-      | Checkpoint _ -> last_cp := i
-      | _ -> ())
-    records;
-  if !last_cp < 0 then records
-  else List.filteri (fun i _ -> i >= !last_cp) records
-
 let analyze records =
   (* The dormant pool is middleware state orthogonal to checkpoints: a
      pool snapshot taken before the last checkpoint is still the
@@ -75,7 +62,9 @@ let analyze records =
       | Pool_snapshot programs -> pool := programs
       | _ -> ())
     records;
-  let records = tail_from_checkpoint records in
+  (* everything before the last checkpoint is superseded by its table
+     images *)
+  let records = Wal.since_checkpoint records in
   let committed = ref (Int_set.singleton 0) in
   let aborted = ref Int_set.empty in
   let begun = ref (Int_set.singleton 0) in
@@ -139,12 +128,22 @@ let analyze records =
     pool = !pool;
   }
 
+let apply_image ?writer table row ~before ~after =
+  match before, after with
+  | None, Some image -> Table.restore ?writer table row image
+  | Some _, Some image -> ignore (Table.update ?writer table row image)
+  | Some _, None -> ignore (Table.delete ?writer table row)
+  | None, None -> ()
+
+let schema_of columns =
+  Schema.make (List.map (fun (name, ty) -> { Schema.name; ty }) columns)
+
 let replay records =
   let analysis = analyze records in
   Obs.incr m_replays;
   Obs.incr ~n:(List.length analysis.survivors) m_survivors;
   Obs.incr ~n:(List.length analysis.group_victims) m_group_victims;
-  let records = tail_from_checkpoint records in
+  let records = Wal.since_checkpoint records in
   Obs.incr ~n:(List.length records) m_records;
   let survivors = Int_set.of_list analysis.survivors in
   let catalog = Catalog.create () in
@@ -154,27 +153,15 @@ let replay records =
       | Checkpoint { tables } ->
         List.iter
           (fun (name, columns, rows) ->
-            let schema =
-              Schema.make
-                (List.map (fun (cname, ty) -> { Schema.name = cname; ty }) columns)
-            in
-            let table = Catalog.create_table catalog name schema in
+            let table = Catalog.create_table catalog name (schema_of columns) in
             List.iter (fun (id, row) -> Table.restore table id row) rows)
           tables
       | Create { table; columns } ->
-        let schema =
-          Schema.make (List.map (fun (name, ty) -> { Schema.name; ty }) columns)
-        in
-        ignore (Catalog.create_table catalog table schema)
+        ignore (Catalog.create_table catalog table (schema_of columns))
       | Drop { table } -> Catalog.drop catalog table
       | Write { txn; table; row; before; after }
-        when Int_set.mem txn survivors -> (
-        let t = Catalog.find_exn catalog table in
-        match before, after with
-        | None, Some image -> Table.restore t row image
-        | Some _, Some image -> ignore (Table.update t row image)
-        | Some _, None -> ignore (Table.delete t row)
-        | None, None -> ())
+        when Int_set.mem txn survivors ->
+        apply_image (Catalog.find_exn catalog table) row ~before ~after
       | Write _ | Begin _ | Commit _ | Abort _ | Entangle_group _
       | Pool_snapshot _ -> ())
     records;

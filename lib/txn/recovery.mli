@@ -26,6 +26,15 @@ type analysis = {
     (id 0) is always considered committed. *)
 val analyze : Wal.record list -> analysis
 
+(** [apply_image ?writer table row ~before ~after] applies one logged
+    write's image pair to [row]: an insert ([None], [Some]) restores
+    the row under its id, an update replaces it, a delete removes it.
+    Redo applies a [Write] record's pair; undo applies it swapped.
+    [writer] tags the version-chain entry as in {!Ent_storage.Table}. *)
+val apply_image :
+  ?writer:int -> Table.t -> int -> before:Tuple.t option ->
+  after:Tuple.t option -> unit
+
 (** [replay records] rebuilds the database: creates tables from
     [Create] records and applies the writes of [survivors] in log
     order. Returns the catalog and the analysis. *)

@@ -104,23 +104,24 @@ let prefix t n =
   let all = records t in
   List.filteri (fun i _ -> i < n) all
 
+(* Records from the last sharp checkpoint onward (checkpoint included);
+   all of them without one. *)
+let since_checkpoint records =
+  let rec last tail = function
+    | [] -> tail
+    | Checkpoint _ :: rest as from -> last from rest
+    | _ :: rest -> last tail rest
+  in
+  last records records
+
 let compact t =
-  let all = records t in
-  let last_cp = ref (-1) in
-  List.iteri
-    (fun i r ->
-      match r with
-      | Checkpoint _ -> last_cp := i
-      | _ -> ())
-    all;
-  if !last_cp >= 0 then begin
-    let kept = List.filteri (fun i _ -> i >= !last_cp) all in
+  match since_checkpoint (records t) with
+  | Checkpoint _ :: _ as kept ->
     t.log <- List.rev kept;
     t.len <- List.length kept;
     Obs.incr m_compactions;
     Obs.set m_records (float_of_int t.len)
-  end
-
+  | _ -> ()
 
 (* On-disk format: magic, then one length-prefixed marshalled frame
    per record. Framing makes torn writes a first-class case: a crash

@@ -71,6 +71,10 @@ val length : t -> int
     at append, so only in-flight records can be lost. *)
 val prefix : t -> int -> record list
 
+(** The records from the last [Checkpoint] onward, checkpoint included
+    (all of them without one): what recovery replays. *)
+val since_checkpoint : record list -> record list
+
 (** Drop all records before the last [Checkpoint] (no-op without one). *)
 val compact : t -> unit
 

@@ -587,6 +587,31 @@ let test_group_abort_interleaved_writes () =
   | _ -> Alcotest.fail "row missing");
   Engine.commit engine t3
 
+(* A finished transaction leaves nothing behind in the engine: after
+   committed and aborted insert cycles, with the table emptied, the
+   engine retains at most a few words per transaction. *)
+let test_engine_finished_txns_released () =
+  let engine = make_engine ~wal:false () in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  let cycles = 10_000 in
+  let before = live_words () in
+  for i = 1 to 2 * cycles do
+    let txn = Engine.begin_txn engine in
+    let access = Engine.access engine txn ~grounding:false () in
+    ignore (access.insert "T" [| Value.Int (i + 2); Value.Str "x" |]);
+    if i <= cycles then Engine.commit engine txn else Engine.abort engine txn
+  done;
+  Table.clear (Catalog.find_exn (Engine.catalog engine) "T");
+  let per_txn =
+    float_of_int (live_words () - before) /. float_of_int (2 * cycles)
+  in
+  ignore (Sys.opaque_identity engine);
+  if per_txn > 4.0 then
+    Alcotest.failf "%.1f live words retained per finished transaction" per_txn
+
 (* --- properties --- *)
 
 let prop_lock_no_incompatible_holders =
@@ -942,7 +967,8 @@ let () =
           Alcotest.test_case "grounding read lock (Fig 3b)" `Quick test_engine_grounding_read_lock;
           Alcotest.test_case "relaxed reads" `Quick test_engine_unlocked_reads_relaxed;
           Alcotest.test_case "api misuse" `Quick test_engine_api_misuse;
-          Alcotest.test_case "group abort interleaved" `Quick test_group_abort_interleaved_writes ] );
+          Alcotest.test_case "group abort interleaved" `Quick test_group_abort_interleaved_writes;
+          Alcotest.test_case "finished txns released" `Quick test_engine_finished_txns_released ] );
       ( "recovery",
         [ Alcotest.test_case "replay committed" `Quick test_recovery_replay_committed;
           Alcotest.test_case "widowed group rollback" `Quick test_recovery_entangled_group_rollback;
