@@ -10,8 +10,8 @@ let make ?(label = "txn") ?(transactional = true)
     ?(isolation = Ent_txn.Engine.Serializable_2pl) (ast : Ent_sql.Ast.program) =
   { label; ast; stmts = Array.of_list (List.map fst ast.body); transactional; isolation }
 
-let of_string ?label ?transactional ?isolation input =
-  make ?label ?transactional ?isolation (Ent_sql.Parser.parse_program input)
+let of_string ?label ?transactional ?isolation ?shapes input =
+  make ?label ?transactional ?isolation (Ent_sql.Parser.parse_program ?shapes input)
 
 let to_string t =
   (* The isolation header appears only for non-default levels, keeping

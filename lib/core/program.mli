@@ -27,11 +27,13 @@ val make :
   Ent_sql.Ast.program ->
   t
 
-(** Parse a [BEGIN TRANSACTION ... COMMIT] block. *)
+(** Parse a [BEGIN TRANSACTION ... COMMIT] block; with [shapes],
+    through that table (see {!Ent_sql.Parser.parse_program}). *)
 val of_string :
   ?label:string ->
   ?transactional:bool ->
   ?isolation:Ent_txn.Engine.level ->
+  ?shapes:Ent_sql.Parser.Shapes.t ->
   string ->
   t
 

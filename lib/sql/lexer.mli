@@ -32,4 +32,17 @@ exception Lex_error of string
     character. *)
 val tokenize : string -> (token * Ast.pos) array
 
+(** A text reduced to its shape by the same scan as {!tokenize}. Texts
+    whose tokens differ only in literal values have equal keys. *)
+type shape = {
+  key : string;
+      (** every token in order, names spelled verbatim and each literal
+          replaced by a tag for its type *)
+  lits : token array;  (** the literals ([Int_lit], [Str_lit]) in text order *)
+  starts : Ast.pos array;  (** the position of every token that follows a [;], in order *)
+}
+
+(** [shape s] scans [s] as {!tokenize} does and raises what it raises. *)
+val shape : string -> shape
+
 val pp_token : Format.formatter -> token -> unit

@@ -9,6 +9,9 @@ type item =
 type state = {
   tokens : (Lexer.token * Ast.pos) array;
   mutable pos : int;
+  mutable lifted : (Ast.expr * int * bool) list;
+      (* every literal token that became an [Ast.Lit] leaf: the leaf,
+         the token's index, and whether a '-' negated it *)
 }
 
 (* Errors carry the position of the token the parser is looking at
@@ -56,6 +59,17 @@ let parse_ident st =
 
 (* --- expressions --- *)
 
+(* Date literals are written as strings, as in the paper. *)
+let str_lit s =
+  match Value.parse_date s with
+  | Some d -> Ast.Lit d
+  | None -> Ast.Lit (Value.Str s)
+
+(* [node] is the literal leaf of the token just consumed. *)
+let lift st ~negated node =
+  st.lifted <- (node, st.pos - 1, negated) :: st.lifted;
+  node
+
 let rec parse_expr st = parse_additive st
 
 and parse_additive st =
@@ -82,16 +96,12 @@ and parse_multiplicative st =
 
 and parse_primary_expr st =
   match next st with
-  | Lexer.Int_lit i -> Ast.Lit (Value.Int i)
+  | Lexer.Int_lit i -> lift st ~negated:false (Ast.Lit (Value.Int i))
   | Lexer.Minus -> (
     match next st with
-    | Lexer.Int_lit i -> Ast.Lit (Value.Int (-i))
+    | Lexer.Int_lit i -> lift st ~negated:true (Ast.Lit (Value.Int (-i)))
     | tok -> fail st "expected integer after '-', got %a" Lexer.pp_token tok)
-  | Lexer.Str_lit s -> (
-    (* Date literals are written as strings, as in the paper. *)
-    match Value.parse_date s with
-    | Some d -> Ast.Lit d
-    | None -> Ast.Lit (Value.Str s))
+  | Lexer.Str_lit s -> lift st ~negated:false (str_lit s)
   | Lexer.Host_var v -> Ast.Host v
   | Lexer.Ident id when String.uppercase_ascii id = "NULL" -> Ast.Lit Value.Null
   | Lexer.Ident id when String.uppercase_ascii id = "TRUE" ->
@@ -555,7 +565,7 @@ let parse_program_after_begin st =
   in
   { Ast.timeout; body = stmts () }
 
-let make_state input = { tokens = Lexer.tokenize input; pos = 0 }
+let make_state input = { tokens = Lexer.tokenize input; pos = 0; lifted = [] }
 
 let expect_eof st =
   if peek st = Lexer.Semi then advance st;
@@ -569,14 +579,206 @@ let parse_stmt input =
   expect_eof st;
   s
 
-let parse_program input =
-  let st = make_state input in
+let program st =
   eat_keyword st "BEGIN";
   let p = parse_program_after_begin st in
   (match peek st with
   | Lexer.Eof -> ()
   | tok -> fail st "trailing input after COMMIT: %a" Lexer.pp_token tok);
   p
+
+(* --- statement shapes ---
+
+   A template is a parsed program with its literal leaves turned into
+   holes. An instance rebuilds only the nodes on the paths from the
+   root to its holes and shares every other subtree with the template.
+   A literal the parser consumed as syntax (LIMIT, CHOOSE, TIMEOUT) is
+   no hole: its value is part of the shape, checked on every hit. *)
+
+type 'a part =
+  | Same of 'a  (* no hole below: shared as is *)
+  | Built of (Lexer.token array -> 'a)  (* rebuilt from the instance's literals *)
+
+let get part lits =
+  match part with
+  | Same x -> x
+  | Built f -> f lits
+
+let same = function Same _ -> true | Built _ -> false
+let map1 x a k = if same a then Same x else Built (fun l -> k (get a l))
+
+let map2 x a b k =
+  if same a && same b then Same x else Built (fun l -> k (get a l) (get b l))
+
+let map3 x a b c k =
+  if same a && same b && same c then Same x
+  else Built (fun l -> k (get a l) (get b l) (get c l))
+
+let map_list x parts =
+  if List.for_all same parts then Same x
+  else Built (fun l -> List.map (fun p -> get p l) parts)
+
+(* [holes]: each lifted leaf with its literal's index in the text's
+   literals and whether it was negated. *)
+let rec p_expr holes (e : Ast.expr) =
+  match e with
+  | Lit _ -> (
+    match List.find_opt (fun (leaf, _, _) -> leaf == e) holes with
+    | None -> Same e
+    | Some (_, k, negated) ->
+      Built
+        (fun lits ->
+          match lits.(k) with
+          | Lexer.Int_lit i -> Ast.Lit (Value.Int (if negated then -i else i))
+          | Lexer.Str_lit s -> str_lit s
+          | _ -> assert false))
+  | Col _ | Host _ | Agg (_, None) -> Same e
+  | Binop (op, a, b) ->
+    map2 e (p_expr holes a) (p_expr holes b) (fun a b -> Ast.Binop (op, a, b))
+  | Agg (fn, Some a) -> map1 e (p_expr holes a) (fun a -> Ast.Agg (fn, Some a))
+
+and p_exprs holes es = map_list es (List.map (p_expr holes) es)
+
+let rec p_cond holes (c : Ast.cond) =
+  match c with
+  | True -> Same c
+  | Cmp (op, a, b) ->
+    map2 c (p_expr holes a) (p_expr holes b) (fun a b -> Ast.Cmp (op, a, b))
+  | And (a, b) -> map2 c (p_cond holes a) (p_cond holes b) (fun a b -> Ast.And (a, b))
+  | Or (a, b) -> map2 c (p_cond holes a) (p_cond holes b) (fun a b -> Ast.Or (a, b))
+  | Not a -> map1 c (p_cond holes a) (fun a -> Ast.Not a)
+  | In_select (es, sub) ->
+    map2 c (p_exprs holes es) (p_select holes sub) (fun es sub -> Ast.In_select (es, sub))
+  | In_list (e, vs) ->
+    map2 c (p_expr holes e) (p_exprs holes vs) (fun e vs -> Ast.In_list (e, vs))
+  | Between (e, lo, hi) ->
+    map3 c (p_expr holes e) (p_expr holes lo) (p_expr holes hi) (fun e lo hi ->
+        Ast.Between (e, lo, hi))
+  | In_answer (es, rel) -> map1 c (p_exprs holes es) (fun es -> Ast.In_answer (es, rel))
+
+and p_projs holes projs =
+  map_list projs
+    (List.map
+       (fun (p : Ast.proj) -> map1 p (p_expr holes p.pexpr) (fun pexpr -> { p with pexpr }))
+       projs)
+
+and p_select holes (s : Ast.select) =
+  let projs = p_projs holes s.projs in
+  let where = p_cond holes s.where in
+  let group_by = p_exprs holes s.group_by in
+  let order_by =
+    map_list s.order_by
+      (List.map (fun ((e, dir) as o) -> map1 o (p_expr holes e) (fun e -> (e, dir))) s.order_by)
+  in
+  if same projs && same where && same group_by && same order_by then Same s
+  else
+    Built
+      (fun l ->
+        { s with
+          projs = get projs l;
+          where = get where l;
+          group_by = get group_by l;
+          order_by = get order_by l })
+
+let p_stmt holes (stmt : Ast.stmt) =
+  match stmt with
+  | Select sel -> map1 stmt (p_select holes sel) (fun sel -> Ast.Select sel)
+  | Insert ins ->
+    map1 stmt (p_exprs holes ins.values) (fun values -> Ast.Insert { ins with values })
+  | Update { table; set; where } ->
+    let set' =
+      map_list set
+        (List.map (fun ((col, e) as a) -> map1 a (p_expr holes e) (fun e -> (col, e))) set)
+    in
+    map2 stmt set' (p_cond holes where) (fun set where -> Ast.Update { table; set; where })
+  | Delete { table; where } ->
+    map1 stmt (p_cond holes where) (fun where -> Ast.Delete { table; where })
+  | Set_var (v, e) -> map1 stmt (p_expr holes e) (fun e -> Ast.Set_var (v, e))
+  | Entangled en ->
+    map2 stmt (p_projs holes en.eprojs) (p_cond holes en.ewhere) (fun eprojs ewhere ->
+        Ast.Entangled { en with eprojs; ewhere })
+  | Create_table _ | Create_index _ | Drop_table _ | Rollback -> Same stmt
+
+type template = {
+  keyed : (int * Lexer.token) list;  (* literals consumed as syntax, by index *)
+  timeout : float option;
+  body : (Ast.stmt part * Ast.pos) list;  (* positions in the template's text *)
+}
+
+(* The template of [p], parsed from [st] whose text has shape [sh].
+   Statement [i] of a program starts right after its [i]th [;] (the
+   header's is the first), so its position is [sh.starts.(i)];
+   [None] if that ever fails to hold. *)
+let template (sh : Lexer.shape) st (p : Ast.program) =
+  let index = Array.make (Array.length st.tokens) (-1) in
+  let n = ref 0 in
+  Array.iteri
+    (fun i (tok, _) ->
+      match tok with
+      | Lexer.Int_lit _ | Lexer.Str_lit _ ->
+        index.(i) <- !n;
+        incr n
+      | _ -> ())
+    st.tokens;
+  let holes = List.map (fun (leaf, i, negated) -> (leaf, index.(i), negated)) st.lifted in
+  let keyed =
+    List.filter
+      (fun (k, _) -> not (List.exists (fun (_, h, _) -> h = k) holes))
+      (List.mapi (fun k lit -> (k, lit)) (Array.to_list sh.lits))
+  in
+  let starts_fit =
+    List.length p.body <= Array.length sh.starts
+    && List.for_all Fun.id (List.mapi (fun i (_, at) -> sh.starts.(i) = at) p.body)
+  in
+  if not starts_fit then None
+  else
+    Some
+      { keyed;
+        timeout = p.timeout;
+        body = List.map (fun (stmt, at) -> (p_stmt holes stmt, at)) p.body }
+
+(* Positions come from the instance's text: a longer literal, or a
+   string literal holding a newline, moves the statements after it.
+   Where they did not move, the template's are shared. *)
+let instantiate t (sh : Lexer.shape) =
+  let body =
+    List.mapi
+      (fun i (part, (at : Ast.pos)) ->
+        let here = sh.starts.(i) in
+        (get part sh.lits, if here.line = at.line && here.col = at.col then at else here))
+      t.body
+  in
+  { Ast.timeout = t.timeout; body }
+
+module Shapes = struct
+  type t = (string, template) Hashtbl.t
+
+  (* A table that reaches this many templates starts over; a workload
+     has a handful. *)
+  let max_templates = 1024
+
+  let create () : t = Hashtbl.create 16
+end
+
+let parse_program ?shapes input =
+  match shapes with
+  | None -> program (make_state input)
+  | Some tbl -> (
+    (* [Lexer.shape] runs the scan [tokenize] would, so a text it
+       rejects raises here exactly what the full parse raises. *)
+    let sh = Lexer.shape input in
+    let fits t = List.for_all (fun (k, v) -> sh.lits.(k) = v) t.keyed in
+    match List.find_opt fits (Hashtbl.find_all tbl sh.key) with
+    | Some t -> instantiate t sh
+    | None ->
+      let st = make_state input in
+      let p = program st in
+      (match template sh st p with
+      | Some t ->
+        if Hashtbl.length tbl >= Shapes.max_templates then Hashtbl.reset tbl;
+        Hashtbl.add tbl sh.key t
+      | None -> ());
+      p)
 
 let parse_script input =
   let st = make_state input in

@@ -14,8 +14,22 @@ type item =
     optional [;]). *)
 val parse_stmt : string -> Ast.stmt
 
-(** Parse one [BEGIN TRANSACTION ... COMMIT] block. *)
-val parse_program : string -> Ast.program
+(** A table of statement shapes: parsed program templates keyed by
+    their text with every literal masked. It belongs to the caller that
+    generates the programs; it is not safe to share between domains
+    that parse at the same time. *)
+module Shapes : sig
+  type t
+
+  val create : unit -> t
+end
+
+(** Parse one [BEGIN TRANSACTION ... COMMIT] block. With [shapes], a
+    text whose shape the table holds is built from that template: only
+    the nodes above its literals are new, every other subtree is shared
+    with the template, and statement positions come from the text. The
+    result equals the plain parse's, and so does every exception. *)
+val parse_program : ?shapes:Shapes.t -> string -> Ast.program
 
 (** Parse a whole script: a sequence of transaction blocks and bare
     statements. *)

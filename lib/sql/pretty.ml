@@ -152,4 +152,3 @@ let pp_program ppf (p : Ast.program) =
   Format.fprintf ppf "COMMIT;"
 
 let stmt_to_string s = Format.asprintf "%a" pp_stmt s
-let program_to_string p = Format.asprintf "%a" pp_program p

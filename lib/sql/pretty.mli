@@ -1,9 +1,5 @@
 (** Printers for the SQL AST; output re-parses to an equal AST. *)
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
 val pp_cond : Format.formatter -> Ast.cond -> unit
-val pp_select : Format.formatter -> Ast.select -> unit
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 val stmt_to_string : Ast.stmt -> string
-val program_to_string : Ast.program -> string

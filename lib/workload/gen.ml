@@ -55,17 +55,17 @@ let entangled_body world ~uid ~partner ~tag =
      INSERT INTO Reserve (uid, fid) VALUES (@uid, @fid);"
     uid uid tag friendship_check partner tag
 
-let wrap ~label ~transactional ?(timeout = "") body =
-  Ent_core.Program.of_string ~label ~transactional
+let wrap world ~label ~transactional ?(timeout = "") body =
+  Ent_core.Program.of_string ~label ~transactional ?shapes:world.Travel.shapes
     (Printf.sprintf "BEGIN TRANSACTION%s;\n%s\nCOMMIT;" timeout body)
 
 let program world ~transactional kind ~uid ~partner ~tag =
   let label = Printf.sprintf "%s-%d-%d" (kind_name kind) uid tag in
   match kind with
-  | No_social -> wrap ~label ~transactional (no_social_body world ~uid ~tag)
-  | Social -> wrap ~label ~transactional (social_body world ~uid ~tag)
+  | No_social -> wrap world ~label ~transactional (no_social_body world ~uid ~tag)
+  | Social -> wrap world ~label ~transactional (social_body world ~uid ~tag)
   | Entangled ->
-    wrap ~label ~transactional ~timeout:" WITH TIMEOUT 2 DAYS"
+    wrap world ~label ~transactional ~timeout:" WITH TIMEOUT 2 DAYS"
       (entangled_body world ~uid ~partner ~tag)
 
 (* Friend pairs, cycling over the graph deterministically. *)
@@ -121,7 +121,7 @@ let structured_program world ~label ~uid queries =
          LIMIT 1;\nINSERT INTO Reserve (uid, fid) VALUES (%d, @fid);"
         home uid
   in
-  wrap ~label ~transactional:true ~timeout:" WITH TIMEOUT 2 DAYS" body
+  wrap world ~label ~transactional:true ~timeout:" WITH TIMEOUT 2 DAYS" body
 
 let spoke_hub world ~set_size ~tag_base =
   if set_size < 2 then invalid_arg "Gen.spoke_hub: set_size must be >= 2";

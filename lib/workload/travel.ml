@@ -4,6 +4,7 @@ type t = {
   manager : Ent_core.Manager.t;
   graph : Social_graph.t;
   cities : string array;
+  shapes : Ent_sql.Parser.Shapes.t option;
 }
 
 let hometown_index ~cities uid = uid mod cities
@@ -46,7 +47,7 @@ let build ?(seed = 1) ?(users = 500) ?(cities = 12) ?(edges_per_node = 4)
   add_index manager "Friends" [ "uid1"; "uid2" ];
   add_index manager "Flight" [ "source" ];
   add_index manager "Flight" [ "source"; "destination" ];
-  { manager; graph; cities = city_names }
+  { manager; graph; cities = city_names; shapes = Some (Ent_sql.Parser.Shapes.create ()) }
 
 let hometown t uid = t.cities.(hometown_index ~cities:(Array.length t.cities) uid)
 

@@ -6,6 +6,9 @@ type t = {
   manager : Ent_core.Manager.t;
   graph : Social_graph.t;
   cities : string array;
+  shapes : Ent_sql.Parser.Shapes.t option;
+      (** the statement-shape table every program {!Gen} builds for
+          this world is parsed through; [None] parses each text in full *)
 }
 
 (** [build ()] creates a fresh world.

@@ -653,6 +653,188 @@ let prop_print_parse_roundtrip =
       let reparsed = Parser.parse_stmt printed in
       Pretty.stmt_to_string reparsed = printed)
 
+(* --- statement shapes: parsing through a shared table --- *)
+
+(* The outcome of a parse: the program, or the exception's text. *)
+let parse_outcome parse text =
+  match parse text with
+  | p -> Ok p
+  | exception e -> Error (Printexc.to_string e)
+
+(* A program skeleton is its text with a marker where each literal
+   goes: [\001] an expression literal, [\002] a LIMIT, [\003] a CHOOSE,
+   [\004] a TIMEOUT amount. Filling the markers in different ways gives
+   texts of one shape, or of shapes that differ only in a keyed
+   literal. *)
+let rec mark_expr (e : Ast.expr) : Ast.expr =
+  match e with
+  | Lit _ -> Col (None, "\001")
+  | Binop (op, a, b) -> Binop (op, mark_expr a, mark_expr b)
+  | Agg (fn, a) -> Agg (fn, Option.map mark_expr a)
+  | Col _ | Host _ -> e
+
+let mark_stmt (stmt : Ast.stmt) : Ast.stmt =
+  match stmt with
+  | Insert i -> Insert { i with values = List.map mark_expr i.values }
+  | Set_var (v, e) -> Set_var (v, mark_expr e)
+  | Update u -> Update { u with set = List.map (fun (c, e) -> (c, mark_expr e)) u.set }
+  | _ -> stmt
+
+let skeleton_stmts =
+  [ "SELECT @a, b FROM T WHERE c = \001 AND d <> \001 LIMIT \002";
+    "SELECT \001, x AS @y INTO ANSWER R\n\
+     WHERE (x) IN (SELECT x FROM T WHERE k = \001)\n\
+     AND (\001, x) IN ANSWER R CHOOSE \003";
+    "SELECT x FROM T WHERE x BETWEEN \001 AND \001 ORDER BY x DESC";
+    "DELETE FROM T WHERE x IN (\001, \001, \001)";
+    "UPDATE T SET a = \001 -- it's a 'comment\nWHERE b = \001 OR NOT b < \001" ]
+
+let gen_skeleton =
+  let open QCheck2.Gen in
+  let stmt =
+    oneof
+      [ map (fun s -> Pretty.stmt_to_string (mark_stmt s)) gen_stmt;
+        oneofl skeleton_stmts ]
+  in
+  map3
+    (fun timeout stmts sep ->
+      Printf.sprintf "BEGIN TRANSACTION%s;%s%sCOMMIT;"
+        (if timeout then " WITH TIMEOUT \004 DAYS" else "")
+        sep
+        (String.concat "" (List.map (fun s -> s ^ ";" ^ sep) stmts)))
+    bool (list_size (int_range 1 4) stmt) (oneofl [ "\n"; " "; "\n  " ])
+
+(* Expression literals by class. Literals of one class keep a text's
+   shape (a negative int adds a '-' token, NULL is a name); strings of
+   every class share one shape. *)
+let gen_expr_literal =
+  let open QCheck2.Gen in
+  let quoted body = "'" ^ body ^ "'" in
+  [| map string_of_int (int_range 0 99999);
+     map (fun i -> "-" ^ string_of_int i) (int_range 0 999);
+     map quoted (string_size ~gen:(oneofl [ 'a'; 'z'; ' '; '-' ]) (int_range 0 8));
+     map quoted (oneofl [ "it''s"; "''"; "a\nb"; "\n\n"; "x''\ny" ]);
+     map3 (fun y m d -> Printf.sprintf "'%04d-%02d-%02d'" y m d)
+       (int_range 1990 2030) (int_range 1 12) (int_range 1 28);
+     oneofl [ "99999999999999999999"; "'unterminated"; "NULL" ] |]
+
+let fill skeleton lits =
+  let lits = ref lits in
+  String.concat ""
+    (List.map
+       (fun c ->
+         match c, !lits with
+         | ('\001' .. '\004'), l :: rest ->
+           lits := rest;
+           l
+         | c, _ -> String.make 1 c)
+       (List.init (String.length skeleton) (String.get skeleton)))
+
+(* Fillings of one skeleton: each expression slot keeps one literal
+   class in most fillings, so most texts share a shape; LIMIT, CHOOSE
+   and TIMEOUT draw from a few values, so keyed literals repeat and
+   differ. *)
+let gen_fillings skeleton =
+  let open QCheck2.Gen in
+  let markers =
+    List.filter (fun c -> c >= '\001' && c <= '\004')
+      (List.init (String.length skeleton) (String.get skeleton))
+  in
+  let n_classes = Array.length gen_expr_literal in
+  let klass = frequency [ (12, int_range 0 (n_classes - 2)); (1, return (n_classes - 1)) ] in
+  list_repeat (List.length markers) klass >>= fun classes ->
+  let slot c k =
+    match c with
+    | '\001' ->
+      frequency
+        [ (20, gen_expr_literal.(k)); (1, int_range 0 (n_classes - 1) >>= Array.get gen_expr_literal) ]
+    | '\002' -> frequencyl [ (6, "1"); (1, "0"); (1, "2") ]
+    | '\003' -> frequencyl [ (8, "1"); (1, "0"); (1, "2") ]
+    | _ -> frequencyl [ (6, "2"); (1, "1") ]
+  in
+  list_size (int_range 2 8) (flatten_l (List.map2 slot markers classes))
+
+let prop_shapes_match_parser =
+  let gen =
+    QCheck2.Gen.(
+      gen_skeleton >>= fun skeleton ->
+      map (fun fills -> List.map (fill skeleton) fills) (gen_fillings skeleton))
+  in
+  QCheck2.Test.make ~name:"shared shapes parse as the parser does" ~count:300
+    ~print:(fun texts -> String.concat "\n----\n" texts)
+    gen
+    (fun texts ->
+      let shapes = Parser.Shapes.create () in
+      List.for_all
+        (fun text ->
+          parse_outcome (Parser.parse_program ~shapes) text
+          = parse_outcome Parser.parse_program text)
+        texts)
+
+(* Parse [texts] in order through one table; each result must equal
+   the plain parse, and the last one is returned. *)
+let parse_through texts =
+  let shapes = Parser.Shapes.create () in
+  List.fold_left
+    (fun _ text ->
+      let got = parse_outcome (Parser.parse_program ~shapes) text in
+      if got <> parse_outcome Parser.parse_program text then
+        Alcotest.failf "shared-shape parse differs on %S" text;
+      got)
+    (Error "no text") texts
+
+let stmt_positions = function
+  | Ok (p : Ast.program) -> List.map (fun (_, (at : Ast.pos)) -> (at.line, at.col)) p.body
+  | Error e -> Alcotest.failf "parse failed: %s" e
+
+let test_shapes_literal_shifts_column () =
+  let got =
+    parse_through
+      [ "BEGIN TRANSACTION;\nSET @a = 1; SET @b = 2;\nCOMMIT;";
+        "BEGIN TRANSACTION;\nSET @a = 12345; SET @b = 2;\nCOMMIT;" ]
+  in
+  Alcotest.(check (list (pair int int))) "second statement moved" [ (2, 1); (2, 17) ]
+    (stmt_positions got)
+
+let test_shapes_newline_in_string () =
+  let got =
+    parse_through
+      [ "BEGIN TRANSACTION;\nSET @a = 'x'; SET @b = 2;\nCOMMIT;";
+        "BEGIN TRANSACTION;\nSET @a = 'x\ny'; SET @b = 2;\nCOMMIT;" ]
+  in
+  Alcotest.(check (list (pair int int))) "second statement on the next line"
+    [ (2, 1); (3, 5) ] (stmt_positions got)
+
+let test_shapes_comment_with_quote () =
+  let got =
+    parse_through
+      [ "BEGIN TRANSACTION;\nSET @a = 1; -- it's 'quoted\nSET @b = 'q';\nCOMMIT;";
+        "BEGIN TRANSACTION;\nSET @a = 22; -- it's 'quoted\nSET @b = 'r''s';\nCOMMIT;" ]
+  in
+  match got with
+  | Ok { body = [ (Set_var ("a", Lit (Int 22)), _); (Set_var ("b", Lit (Str "r's")), _) ]; _ } -> ()
+  | _ -> Alcotest.fail "comment or literals misread"
+
+let test_shapes_int_overflow () =
+  match
+    parse_through
+      [ "BEGIN TRANSACTION;\nSET @a = 1;\nCOMMIT;";
+        "BEGIN TRANSACTION;\nSET @a = 99999999999999999999;\nCOMMIT;" ]
+  with
+  | Error e -> Alcotest.(check string) "int_of_string raised" (Printexc.to_string (Failure "int_of_string")) e
+  | Ok _ -> Alcotest.fail "overflowing literal accepted"
+
+let test_shapes_unterminated_string () =
+  match
+    parse_through
+      [ "BEGIN TRANSACTION;\nSET @a = 'x';\nCOMMIT;";
+        "BEGIN TRANSACTION;\nSET @a = 'x;\nCOMMIT;" ]
+  with
+  | Error e ->
+    Alcotest.(check string) "lexer error"
+      (Printexc.to_string (Lexer.Lex_error "2:10: unterminated string literal")) e
+  | Ok _ -> Alcotest.fail "unterminated string accepted"
+
 (* --- statement plans against the reference interpreter --- *)
 
 (* An access call as the plan differential records it; reads carry the
@@ -1268,7 +1450,15 @@ let () =
           Alcotest.test_case "precedence" `Quick test_parse_operators_precedence;
           Alcotest.test_case "arith precedence" `Quick test_parse_arith;
           Alcotest.test_case "errors" `Quick test_parse_errors;
-          Alcotest.test_case "round-trips" `Quick test_roundtrip_fixed ] );
+          Alcotest.test_case "round-trips" `Quick test_roundtrip_fixed;
+          Gen.to_alcotest prop_shapes_match_parser;
+          Alcotest.test_case "shapes: literal shifts a column" `Quick
+            test_shapes_literal_shifts_column;
+          Alcotest.test_case "shapes: newline in a string" `Quick test_shapes_newline_in_string;
+          Alcotest.test_case "shapes: comment with a quote" `Quick test_shapes_comment_with_quote;
+          Alcotest.test_case "shapes: int overflow" `Quick test_shapes_int_overflow;
+          Alcotest.test_case "shapes: unterminated string" `Quick
+            test_shapes_unterminated_string ] );
       ( "eval",
         [ Alcotest.test_case "simple select" `Quick test_eval_simple_select;
           Alcotest.test_case "join" `Quick test_eval_join;

@@ -248,6 +248,55 @@ let prop_graph_reciprocal =
             (Social_graph.friends g u))
         (List.init users Fun.id))
 
+(* --- statement shapes --- *)
+
+(* Every generator parses through its world's shape table; the same
+   world without a table parses each text in full. Two worlds give
+   literals of different lengths. *)
+let test_shapes_match_full_parse () =
+  let generate world =
+    let batch kind transactional n =
+      Gen.batch world ~transactional kind ~n ~tag_base:7
+    in
+    [ batch Gen.No_social true 40;
+      batch Gen.Social true 40;
+      batch Gen.Entangled true 40;
+      batch Gen.No_social false 12;
+      batch Gen.Entangled false 12;
+      Gen.lonely world ~n:12 ~tag_base:1_000_000;
+      Gen.spoke_hub world ~set_size:2 ~tag_base:3;
+      Gen.spoke_hub world ~set_size:5 ~tag_base:11;
+      Gen.cycle world ~set_size:4 ~tag_base:5;
+      Gen.cycle world ~set_size:6 ~tag_base:123 ]
+    |> List.concat
+  in
+  List.iter
+    (fun world ->
+      let shared = generate world in
+      let full = generate { world with Travel.shapes = None } in
+      List.iter2
+        (fun (a : Program.t) (b : Program.t) ->
+          if a.label <> b.label || a.ast <> b.ast then
+            Alcotest.failf "%s differs from the full parse of its text" a.label)
+        shared full)
+    [ Travel.build ~seed:2 ~users:40 ~cities:4 ();
+      Travel.build ~seed:9 ~users:3000 ~cities:11 () ]
+
+(* Programs of one shape share every subtree without a literal in it. *)
+let test_shapes_retained_words () =
+  let world = Travel.build () in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  let n = 10_000 in
+  let before = live_words () in
+  let programs = Gen.batch world ~transactional:true Gen.No_social ~n ~tag_base:0 in
+  let per_program = float_of_int (live_words () - before) /. float_of_int n in
+  ignore (Sys.opaque_identity programs);
+  if per_program > 100.0 then
+    Alcotest.failf "%.1f live words retained per generated program" per_program
+
 let () =
   Alcotest.run "workload"
     [ ( "graph",
@@ -271,4 +320,8 @@ let () =
           Alcotest.test_case "cycle" `Quick test_cycle_commits ] );
       ( "properties",
         List.map Tgen.to_alcotest
-          [ prop_entangled_batches_always_commit; prop_graph_reciprocal ] ) ]
+          [ prop_entangled_batches_always_commit; prop_graph_reciprocal ] );
+      ( "shapes",
+        [ Alcotest.test_case "generated programs equal the full parse" `Quick
+            test_shapes_match_full_parse;
+          Alcotest.test_case "retained words per program" `Quick test_shapes_retained_words ] ) ]
