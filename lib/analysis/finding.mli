@@ -27,7 +27,6 @@ val make :
   t
 
 val is_error : t -> bool
-val severity_name : severity -> string
 
 (** Source file, then position, then program and code. *)
 val compare : t -> t -> int

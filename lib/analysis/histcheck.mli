@@ -48,4 +48,3 @@ val check :
 val ok : report -> bool
 
 val pp : Format.formatter -> report -> unit
-val pp_level : Format.formatter -> [ `Full | `No_widow | `Loose ] -> unit

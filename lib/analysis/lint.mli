@@ -28,9 +28,3 @@ type input = Matrix.input = {
 
 (** All passes over all programs, findings sorted by source position. *)
 val run : input list -> Finding.t list
-
-(** The per-program passes only (no cross-program deadlock analysis). *)
-val check_program : input -> Finding.t list
-
-(** The cross-program lock-order analysis only. *)
-val check_deadlocks : input list -> Finding.t list

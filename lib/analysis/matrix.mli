@@ -84,10 +84,8 @@ type t = {
 val analyze : input list -> t
 
 (** The deadlock cycles as [potential-deadlock] findings — the same
-    diagnostics {!Lint.check_deadlocks} reports. *)
+    diagnostics {!Lint.run} reports for lock-order cycles. *)
 val deadlock_findings : t -> Finding.t list
-
-val verdict_name : verdict -> string
 
 (** Text rendering: index legend, the matrix ([.] commutes, [r] row
     conflict, [T] table conflict), then the lock-order summary. *)
@@ -100,20 +98,3 @@ val to_json : t -> Ent_obs.Json.t
 (** The lock-order graph in Graphviz DOT; edges on a potential
     deadlock cycle are highlighted. *)
 val lock_graph_dot : t -> string
-
-(** {2 Machinery shared with {!Lint}} *)
-
-val lock_ge : [ `S | `X ] -> [ `S | `X ] -> bool
-val modes_conflict : [ `S | `X ] -> [ `S | `X ] -> bool
-
-(** [edges_of_sequence prog locks]: the holds-while-requesting pairs of
-    one program's {!Summary.lock_sequence} (re-acquisitions of an
-    already-sufficient lock request nothing). *)
-val edges_of_sequence :
-  int -> (string * [ `S | `X ] * Pred.t * Ent_sql.Ast.pos) list -> edge list
-
-(** Cycles (up to length {!max_cycle_len}) whose consecutive edges are
-    mode-conflicting, predicate-overlapping, and cross-program. *)
-val find_lock_cycles : edge list -> edge list list
-
-val max_cycle_len : int

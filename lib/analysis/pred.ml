@@ -22,8 +22,6 @@ let empty_cstr = { eqs = []; nes = []; los = []; his = []; sets = [] }
 let top = { cols = []; falsum = false; exact = false }
 let exact_top = { cols = []; falsum = false; exact = true }
 
-let is_top t = t.cols = [] && not t.falsum
-
 (* The finite candidate list for a constraint, when one is implied:
    [Some vs] means exactly the values in [vs] can satisfy it ([Some []]
    = unsatisfiable); [None] means the candidate space is unbounded (or

@@ -32,8 +32,6 @@ val top : t
 (** No constraints, [exact = true]: a genuinely unconditional access. *)
 val exact_top : t
 
-val is_top : t -> bool
-
 (** Provably no row satisfies the predicate. *)
 val unsat : t -> bool
 
@@ -58,4 +56,3 @@ val of_cond : owns:(string option -> bool) -> Ent_sql.Ast.cond -> t
 val unsat_witness : t -> string option
 
 val pp : Format.formatter -> t -> unit
-val pp_cstr : Format.formatter -> cstr -> unit

@@ -26,13 +26,6 @@ let lock_of_mode = function
   | Read | Ground_read -> `S
   | Write -> `X
 
-let pp_mode ppf m =
-  Format.pp_print_string ppf
-    (match m with
-    | Read -> "read"
-    | Ground_read -> "ground-read"
-    | Write -> "write")
-
 let pp_lock ppf l =
   Format.pp_print_string ppf
     (match l with

@@ -28,7 +28,6 @@ type t = {
 }
 
 val of_program : Ent_core.Program.t -> t
-val accesses_of_stmt : Ast.stmt -> access list
 
 (** Lock acquisitions in program order under Strict 2PL: shared for
     reads and grounding reads, exclusive for writes, all held to end
@@ -38,6 +37,4 @@ val lock_sequence : t -> (string * [ `S | `X ] * Pred.t * Ast.pos) list
 (** All tables the program touches, sorted. *)
 val tables : t -> string list
 
-val lock_of_mode : mode -> [ `S | `X ]
-val pp_mode : Format.formatter -> mode -> unit
 val pp_lock : Format.formatter -> [ `S | `X ] -> unit

@@ -25,8 +25,8 @@ type task = {
   task_id : int;
   program : Program.t;
   arrival : float;
-  deadline : float option;
   mutable txn : int;
+  mutable handle : Ent_txn.Engine.txn option;
   mutable pc : int;
   mutable env : Ent_sql.Eval.env;
   mutable status : status;
@@ -45,8 +45,8 @@ let make_task ~task_id ~arrival (program : Program.t) =
     task_id;
     program;
     arrival;
-    deadline = Option.map (fun s -> arrival +. s) program.ast.timeout;
     txn = -1;
+    handle = None;
     pc = 0;
     env = Ent_sql.Eval.fresh_env ();
     status = Runnable;
@@ -60,16 +60,33 @@ let make_task ~task_id ~arrival (program : Program.t) =
     grounded = None;
   }
 
-let start engine (costs : Ent_sim.Cost.t) task =
-  task.txn <-
-    Ent_txn.Engine.begin_txn ~isolation:task.program.isolation engine;
+let deadline task =
+  Option.map (fun s -> task.arrival +. s) task.program.ast.timeout
+
+let handle task =
+  match task.handle with
+  | Some txn -> txn
+  | None -> invalid_arg (Printf.sprintf "Executor: task %d has no transaction" task.task_id)
+
+let txn_live task =
+  match task.handle with
+  | Some txn -> Ent_txn.Engine.is_live txn
+  | None -> false
+
+let begin_txn engine task =
+  let txn = Ent_txn.Engine.begin_txn ~isolation:task.program.isolation engine in
+  task.txn <- Ent_txn.Engine.id txn;
+  task.handle <- Some txn;
   (* The engine allocates the txn id, so the txn→task registration (and
      hence the Begin event, which needs both ids) must happen here, the
      first place both are known. *)
   if Event.logging () then begin
     Event.register_txn ~txn:task.txn ~task:task.task_id;
     Event.emit ~txn:task.txn ~task:task.task_id Event.Begin
-  end;
+  end
+
+let start engine (costs : Ent_sim.Cost.t) task =
+  begin_txn engine task;
   task.status <- Runnable;
   task.attempts <- task.attempts + 1;
   task.work <- task.work +. costs.c_begin;
@@ -114,20 +131,38 @@ let counting_access (costs : Ent_sim.Cost.t) task (access : Ent_sql.Eval.access)
    autocommit does not force the log for reads). *)
 let autocommit_boundary engine (costs : Ent_sim.Cost.t) task =
   if not task.program.transactional then begin
-    let wrote = Ent_txn.Engine.savepoint engine task.txn > 0 in
-    Ent_txn.Engine.commit engine task.txn;
+    let txn = handle task in
+    let wrote = Ent_txn.Engine.savepoint txn > 0 in
+    Ent_txn.Engine.commit engine txn;
     if wrote then task.work <- task.work +. costs.c_commit;
-    task.txn <-
-      Ent_txn.Engine.begin_txn ~isolation:task.program.isolation engine;
-    if Event.logging () then begin
-      Event.register_txn ~txn:task.txn ~task:task.task_id;
-      Event.emit ~txn:task.txn ~task:task.task_id Event.Begin
-    end
+    begin_txn engine task
   end
+
+(* The classical access of the task's transaction, with the
+   cost-counting wrapper, for the statements of one [step] or [exec]:
+   built at the first classical statement, and again only when an
+   autocommit began another transaction. It is not kept on the task
+   while the task waits: a record that lives across a minor collection
+   is promoted, and waiting is what pending and entangled tasks do
+   most. *)
+let access_builder engine (isolation : Isolation.t) costs task =
+  let built = ref None in
+  fun () ->
+    let txn = handle task in
+    match !built with
+    | Some (owner, access) when owner == txn -> access
+    | _ ->
+      let access =
+        counting_access costs task
+          (Ent_txn.Engine.access engine txn ~grounding:false
+             ~lock_reads:isolation.lock_classical_reads ())
+      in
+      built := Some (txn, access);
+      access
 
 (* Abort the task's transaction: the statement ended it. *)
 let fail engine (costs : Ent_sim.Cost.t) task failure =
-  Ent_txn.Engine.abort engine task.txn;
+  Ent_txn.Engine.abort engine (handle task);
   task.work <- task.work +. costs.c_abort;
   task.status <- Failed failure;
   None
@@ -151,9 +186,20 @@ let translate task e =
     task.translated <- Some { t_stmt = e; t_reads = reads; t_query = query };
     query
 
-(* One statement. A classical statement that completes returns its
-   result; every other outcome lands in [task.status]. *)
-let exec engine (isolation : Isolation.t) (costs : Ent_sim.Cost.t) task stmt =
+(* Run a classical statement. Statement [i] of a program built from a
+   shape template runs through the template's plan; a statement from
+   outside the program ([i] = -1) or of a program built without a
+   template runs through the shape walk. *)
+let eval access task i stmt =
+  let p = task.program in
+  if i >= 0 && i < Array.length p.templates then
+    Ent_sql.Eval.exec_template access task.env p.templates.(i) p.params stmt
+  else Ent_sql.Eval.exec_stmt access task.env stmt
+
+(* Statement [i] of the program, or a statement from outside it when
+   [i] is -1. A classical statement that completes returns its result;
+   every other outcome lands in [task.status]. *)
+let exec_at engine (costs : Ent_sim.Cost.t) ~access task i stmt =
   match stmt with
   | Ent_sql.Ast.Entangled e -> (
     try
@@ -166,20 +212,17 @@ let exec engine (isolation : Isolation.t) (costs : Ent_sim.Cost.t) task stmt =
       fail engine costs task (Program_error msg))
   | Ent_sql.Ast.Rollback -> fail engine costs task Explicit_rollback
   | stmt -> (
-    let sp = Ent_txn.Engine.savepoint engine task.txn in
-    let access =
-      counting_access costs task
-        (Ent_txn.Engine.access engine task.txn ~grounding:false
-           ~lock_reads:isolation.lock_classical_reads ())
-    in
+    let txn = handle task in
+    let sp = Ent_txn.Engine.savepoint txn in
+    let access = access () in
     task.work <- task.work +. costs.c_stmt;
-    match Ent_sql.Eval.exec_stmt access task.env stmt with
+    match eval access task i stmt with
     | result ->
       task.pc <- task.pc + 1;
       autocommit_boundary engine costs task;
       Some result
     | exception Ent_txn.Engine.Blocked _ ->
-      Ent_txn.Engine.rollback_to engine task.txn sp;
+      Ent_txn.Engine.rollback_to engine txn sp;
       task.status <- Waiting_lock;
       None
     | exception Ent_txn.Engine.Deadlock_victim _ -> fail engine costs task Deadlock
@@ -190,16 +233,23 @@ let exec engine (isolation : Isolation.t) (costs : Ent_sim.Cost.t) task stmt =
     | exception Ent_sql.Eval.Eval_error msg ->
       fail engine costs task (Program_error msg))
 
-let rec step engine isolation costs task =
+let exec engine isolation costs task stmt =
+  exec_at engine costs ~access:(access_builder engine isolation costs task) task (-1) stmt
+
+let step engine isolation costs task =
   let body = task.program.stmts in
-  if task.pc >= Array.length body then begin
-    task.status <- Ready;
-    Event.emit ~txn:task.txn ~task:task.task_id Event.Ready
-  end
-  else
-    match exec engine isolation costs task body.(task.pc) with
-    | Some _ -> step engine isolation costs task
-    | None -> ()
+  let access = access_builder engine isolation costs task in
+  let rec go () =
+    if task.pc >= Array.length body then begin
+      task.status <- Ready;
+      Event.emit ~txn:task.txn ~task:task.task_id Event.Ready
+    end
+    else
+      match exec_at engine costs ~access task task.pc body.(task.pc) with
+      | Some _ -> go ()
+      | None -> ()
+  in
+  go ()
 
 (* Bind the query's [AS @var] positions in [env]. The first head atom
    of the chosen grounding is the query's own contribution; its values
@@ -245,6 +295,7 @@ let deliver engine (costs : Ent_sim.Cost.t) task outcome =
 
 let reset_for_retry task =
   task.txn <- -1;
+  task.handle <- None;
   task.status <- Runnable;
   task.pending <- None;
   task.entangled_since <- None;

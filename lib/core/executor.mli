@@ -36,8 +36,12 @@ type task = {
   task_id : int;
   program : Program.t;
   arrival : float;
-  deadline : float option;
-  mutable txn : int;  (** current engine transaction id; -1 when none *)
+  mutable txn : int;
+      (** id of the current or last engine transaction, for events and
+          lock queries; -1 before the first one and after a reset *)
+  mutable handle : Ent_txn.Engine.txn option;
+      (** the current transaction's handle; [None] before it begins,
+          after a reset and once the scheduler finalized the task *)
   mutable pc : int;
   mutable env : Ent_sql.Eval.env;
   mutable status : status;
@@ -66,14 +70,25 @@ type task = {
 val make_task :
   task_id:int -> arrival:float -> Program.t -> task
 
+(** Arrival plus the program's [WITH TIMEOUT], if it has one. *)
+val deadline : task -> float option
+
+(** The handle of the task's transaction.
+    @raise Invalid_argument when the task has none. *)
+val handle : task -> Ent_txn.Engine.txn
+
+(** The task has a transaction and it has not finished. *)
+val txn_live : task -> bool
+
 (** [start engine costs task] begins a fresh engine transaction for the
     task and marks it runnable. *)
 val start : Ent_txn.Engine.t -> Ent_sim.Cost.t -> task -> unit
 
-(** [exec engine isolation costs task stmt] executes one statement of
-    the task's transaction. A classical statement that completes
-    advances [task.pc] and returns its result. Otherwise the outcome is
-    in [task.status] and the result is [None]: an entangled query
+(** [exec engine isolation costs task stmt] executes one statement,
+    not necessarily one of the program's, in the task's transaction. A
+    classical statement that completes advances [task.pc] and returns
+    its result. Otherwise the outcome is in [task.status] and the
+    result is [None]: an entangled query
     leaves the task [Waiting_entangled] with its translation in
     [task.pending]; a lock wait undoes the statement's writes and
     leaves it [Waiting_lock]; ROLLBACK, a deadlock or an error aborts
@@ -89,15 +104,11 @@ val exec :
 
 (** [step engine isolation costs task] runs {!exec} on the program's
     statements from [task.pc] until the task blocks (lock or entangled
-    query), finishes ([Ready]), or fails. *)
+    query), finishes ([Ready]), or fails. The statements it runs in one
+    transaction share one access record, and each finds its plan by
+    its template's key when the program has templates. *)
 val step :
   Ent_txn.Engine.t -> Isolation.t -> Ent_sim.Cost.t -> task -> unit
-
-(** [bind_answer env query answer] binds [query]'s [AS @var]
-    positions in [env] from the query's own answer tuple (the first
-    head atom of [answer]), or to [Null] when there is none. *)
-val bind_answer :
-  Ent_sql.Eval.env -> Ir.t -> Ground.grounding option -> unit
 
 (** Deliver the result of entangled-query evaluation.
     [Answered g] binds the [AS @var] positions from the task's own
@@ -107,8 +118,9 @@ val deliver :
   Ent_txn.Engine.t -> Ent_sim.Cost.t -> task -> Coordinate.outcome -> unit
 
 (** Reset a task for re-execution in a later run (after its engine
-    transaction was aborted). [translated] and [grounded] survive: they
-    are checked against the task's state when next used. *)
+    transaction was aborted): the finished transaction's handle and
+    access records go. [translated] and [grounded] survive: they are
+    checked against the task's state when next used. *)
 val reset_for_retry : task -> unit
 
 (** True for failures that end the task rather than retrying it. *)

@@ -128,8 +128,9 @@ let entangle t engine ~next_event ~txn_of ?on_entangle answered =
       List.iter
         (fun id ->
           match txn_of id with
-          | Some txn when Ent_txn.Engine.is_active engine txn ->
-            Ent_txn.Engine.set_lock_group engine ~txn ~group:(List.hd group)
+          | Some txn when Ent_txn.Engine.is_live txn ->
+            Ent_txn.Engine.set_lock_group engine ~txn:(Ent_txn.Engine.id txn)
+              ~group:(List.hd group)
           | _ -> ())
         group;
       let txns = List.map (fun (_, txn, _) -> txn) component in
@@ -137,6 +138,9 @@ let entangle t engine ~next_event ~txn_of ?on_entangle answered =
       match on_entangle with
       | Some hook ->
         hook ~event
-          (List.map (fun txn -> (txn, Ent_txn.Engine.grounding_reads engine txn)) txns)
+          (List.filter_map
+             (fun (id, txn, _) ->
+               Option.map (fun h -> (txn, Ent_txn.Engine.grounding_reads h)) (txn_of id))
+             component)
       | None -> ())
     (components answered)

@@ -46,8 +46,9 @@ val by_group : t -> ('a -> int) -> 'a list -> 'a list list
     - with the event log on, each member emits a [Partner_match]
       naming its peers;
     - its ids join one group in [t];
-    - every member of the merged group whose transaction ([txn_of id])
-      is still active takes the group's smallest id as its lock group;
+    - every member of the merged group whose transaction handle
+      ([txn_of id]) is still live takes the group's smallest id as its
+      lock group;
     - the engine logs an [Entangle_group] record;
     - [on_entangle] receives the event id and, per member, its
       transaction and grounding-read tables. *)
@@ -55,7 +56,7 @@ val entangle :
   t ->
   Ent_txn.Engine.t ->
   next_event:(unit -> int) ->
-  txn_of:(int -> int option) ->
+  txn_of:(int -> Ent_txn.Engine.txn option) ->
   ?on_entangle:(event:int -> (int * string list) list -> unit) ->
   (int * int * Ent_entangle.Ground.grounding) list ->
   unit

@@ -83,10 +83,6 @@ val stats : t -> Scheduler.stats
     for tests and examples. *)
 val query : t -> string -> Value.t array list
 
-(** Build a fresh system from a list of log records (a crash image):
-    replays committed work, re-submits the persisted dormant pool. *)
-val recover_records : ?config:Scheduler.config -> Ent_txn.Wal.record list -> t
-
 (** Simulate a crash and recover a fresh system from the WAL: the
     database is rebuilt from effectively-committed transactions (a torn
     final record does not survive) and the dormant pool is repopulated

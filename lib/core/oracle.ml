@@ -42,7 +42,9 @@ let run_solo engine (program : Program.t) oracle =
       | Some query -> (
         (* Validity check (Def 3.3): the answer must correspond to a
            grounding of the query on the current database. *)
-        let access = Ent_txn.Engine.access engine task.txn ~grounding:true () in
+        let access =
+          Ent_txn.Engine.access engine (Executor.handle task) ~grounding:true ()
+        in
         let groundings = Ground.compute ~access ~env:task.env query in
         match oracle.answer query with
         | Some atoms ->
@@ -76,12 +78,12 @@ let run_solo engine (program : Program.t) oracle =
     | Executor.Ready -> (
       match Ent_txn.Engine.violated_constraint engine with
       | Some name ->
-        Ent_txn.Engine.abort engine task.txn;
+        Ent_txn.Engine.abort engine (Executor.handle task);
         { outcome = Solo_error ("constraint violated: " ^ name);
           valid = !valid;
           answers_given = List.rev !answers_given }
       | None ->
-        Ent_txn.Engine.commit engine task.txn;
+        Ent_txn.Engine.commit engine (Executor.handle task);
         { outcome = Solo_committed; valid = !valid; answers_given = List.rev !answers_given })
     | Executor.Failed Executor.Explicit_rollback ->
       { outcome = Solo_rolled_back; valid = !valid; answers_given = List.rev !answers_given }

@@ -15,9 +15,6 @@ type t
     answer). Running out of script raises [Failure]. *)
 val scripted : Ir.ground_atom list option list -> t
 
-(** An oracle computed from a callback. *)
-val of_fn : (Ir.t -> Ir.ground_atom list option) -> t
-
 type solo_outcome =
   | Solo_committed
   | Solo_rolled_back

@@ -4,14 +4,25 @@ type t = {
   stmts : Ent_sql.Ast.stmt array;
   transactional : bool;
   isolation : Ent_txn.Engine.level;
+  templates : Ent_sql.Eval.template array;
+  params : Ent_storage.Value.t array;
 }
 
-let make ?(label = "txn") ?(transactional = true)
-    ?(isolation = Ent_txn.Engine.Serializable_2pl) (ast : Ent_sql.Ast.program) =
-  { label; ast; stmts = Array.of_list (List.map fst ast.body); transactional; isolation }
+let with_plans ?(label = "txn") ?(transactional = true)
+    ?(isolation = Ent_txn.Engine.Serializable_2pl) (ast : Ent_sql.Ast.program) templates
+    params =
+  { label; ast; stmts = Array.of_list (List.map fst ast.body); transactional; isolation;
+    templates; params }
+
+let make ?label ?transactional ?isolation ast =
+  with_plans ?label ?transactional ?isolation ast [||] [||]
 
 let of_string ?label ?transactional ?isolation ?shapes input =
-  make ?label ?transactional ?isolation (Ent_sql.Parser.parse_program ?shapes input)
+  match shapes with
+  | None -> make ?label ?transactional ?isolation (Ent_sql.Parser.parse_program input)
+  | Some shapes ->
+    let { Ent_sql.Parser.program; plans; params } = Ent_sql.Parser.parse_shaped shapes input in
+    with_plans ?label ?transactional ?isolation program plans params
 
 let to_string t =
   (* The isolation header appears only for non-default levels, keeping

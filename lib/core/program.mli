@@ -18,6 +18,13 @@ type t = {
           ([Serializable_2pl] by default). [Snapshot] programs read a
           begin-stamp snapshot without read locks and validate their
           write set at commit. *)
+  templates : Ent_sql.Eval.template array;
+      (** each statement's plan key, when the program was built from a
+          shape template ({!of_string} with [shapes]); empty otherwise,
+          and then every statement finds its plan by the shape walk *)
+  params : Ent_storage.Value.t array;
+      (** the statements' literal values in plan order, statement after
+          statement (see {!Ent_sql.Eval.exec_template}) *)
 }
 
 val make :

@@ -185,7 +185,9 @@ let outcome_name = function
 
 let finalize t (task : Executor.task) outcome =
   Hashtbl.replace t.outcomes task.task_id outcome;
-  (* [task_index] keeps finished tasks: let go of what they derived *)
+  (* [task_index] keeps finished tasks: let go of their transaction's
+     handle and of what they derived *)
+  task.handle <- None;
   task.translated <- None;
   task.grounded <- None;
   t.result_order <- task.task_id :: t.result_order;
@@ -267,7 +269,7 @@ let fail_or_repool t (task : Executor.task) =
     let expired =
       Fault.drops s_timeout
       ||
-      match task.deadline with
+      match Executor.deadline task with
       | Some deadline -> now t >= deadline
       | None -> false
     in
@@ -420,8 +422,9 @@ let commit_group t r (members : Executor.task list) =
          half-committed Entangle_group that recovery must roll back as
          group victims *)
       Fault.hit s_group_commit;
-      let wrote = Ent_txn.Engine.savepoint t.engine task.txn > 0 in
-      Ent_txn.Engine.commit t.engine task.txn;
+      let txn = Executor.handle task in
+      let wrote = Ent_txn.Engine.savepoint txn > 0 in
+      Ent_txn.Engine.commit t.engine txn;
       (* explicit COMMIT is a round trip; the flush is paid only when
          this transaction wrote (always, for -T programs that made it
          here; usually never, for -Q whose statements committed
@@ -439,7 +442,7 @@ let commit_group t r (members : Executor.task list) =
    is undone in one reverse pass. Then, member by member, charge and
    drain the abort, drop the member from the run and hand it to [k]. *)
 let abort_members t r (members : Executor.task list) k =
-  Ent_txn.Engine.abort_group t.engine (List.map (fun (o : Executor.task) -> o.txn) members);
+  Ent_txn.Engine.abort_group t.engine (List.map Executor.handle members);
   List.iter
     (fun (o : Executor.task) ->
       o.work <- o.work +. t.config.costs.c_abort;
@@ -466,7 +469,7 @@ let commit_phase t r =
              on a fresh snapshot. *)
           match
             List.find_map
-              (fun (o : Executor.task) -> Ent_txn.Engine.validate_snapshot t.engine o.txn)
+              (fun o -> Ent_txn.Engine.validate_snapshot t.engine (Executor.handle o))
               to_commit
           with
           | Some (table, row) ->
@@ -498,15 +501,12 @@ let ground t (task : Executor.task) =
   | None -> None
   | Some ir -> (
     let lock_reads = t.config.isolation.lock_grounding_reads in
-    let access =
-      Ent_txn.Engine.access t.engine task.txn ~grounding:true ~lock_reads ()
-    in
+    let txn = Executor.handle task in
+    let access = Ent_txn.Engine.access t.engine txn ~grounding:true ~lock_reads () in
     (* A cache hit re-acquires the footprint's grounding locks through
        [touch]; blocking/deadlock there is handled exactly like a
        blocked recomputation. *)
-    let touch tables =
-      Ent_txn.Engine.touch_grounding_tables t.engine task.txn ~lock_reads tables
-    in
+    let touch tables = Ent_txn.Engine.touch_grounding_tables t.engine txn ~lock_reads tables in
     (* Snapshot tasks ground against their begin-stamp snapshot, which
        the cache — keyed to live table versions — cannot serve: bypass
        it entirely (no lookup, no insert). *)
@@ -529,11 +529,11 @@ let ground t (task : Executor.task) =
       task.status <- Waiting_lock;
       None
     | exception Ent_txn.Engine.Deadlock_victim _ ->
-      Ent_txn.Engine.abort t.engine task.txn;
+      Ent_txn.Engine.abort t.engine txn;
       task.status <- Failed Deadlock;
       None
     | exception Ground.Ground_error msg ->
-      Ent_txn.Engine.abort t.engine task.txn;
+      Ent_txn.Engine.abort t.engine txn;
       task.status <- Failed (Program_error msg);
       None)
 
@@ -582,7 +582,7 @@ let coordinate_phase t r =
         t.stats.entangle_events <- t.stats.entangle_events + 1;
         event)
       ~txn_of:(fun id ->
-        Option.map (fun (task : Executor.task) -> task.txn) (Hashtbl.find_opt r.alive id))
+        Option.bind (Hashtbl.find_opt r.alive id) (fun (task : Executor.task) -> task.handle))
       ?on_entangle:t.on_entangle
       (List.filter_map
          (fun ((task : Executor.task), _, _) ->
@@ -630,9 +630,7 @@ let end_phase t r =
   List.iter
     (fun members ->
       abort_members t r
-        (List.filter
-           (fun (o : Executor.task) -> Ent_txn.Engine.is_active t.engine o.txn)
-           members)
+        (List.filter Executor.txn_live members)
         ignore)
     (Group.by_group t.groups (fun (o : Executor.task) -> o.task_id) leftovers);
   List.iter (fail_or_repool t) leftovers;
@@ -702,11 +700,7 @@ let abort_group t (task : Executor.task) outcome =
         if Hashtbl.mem t.outcomes id then None else Hashtbl.find_opt t.task_index id)
       ids
   in
-  let active =
-    List.filter
-      (fun (o : Executor.task) -> Ent_txn.Engine.is_active t.engine o.txn)
-      victims
-  in
+  let active = List.filter Executor.txn_live victims in
   abort_members t (run_of active) active ignore;
   List.iter (fun o -> finalize t o outcome) victims
 

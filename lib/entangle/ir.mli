@@ -29,15 +29,8 @@ type t = {
   choose : int;
 }
 
-val atom_vars : atom -> string list
-
 (** All variables of the head and postcondition. *)
 val answer_vars : t -> string list
-
-(** Variables bound by the body: variables appearing in the binding
-    positions of [IN (SELECT ...)] conjuncts or equated to a constant
-    or host variable at the top level. *)
-val body_bound_vars : t -> string list
 
 exception Unsafe of string
 
@@ -54,5 +47,4 @@ val unifiable : atom -> atom -> bool
     @raise Not_found if a variable is unassigned. *)
 val substitute : (string -> Value.t) -> atom -> ground_atom
 
-val pp_atom : Format.formatter -> atom -> unit
 val pp : Format.formatter -> t -> unit

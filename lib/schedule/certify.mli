@@ -83,10 +83,6 @@ val on_engine_event : t -> Ent_txn.Engine.event -> unit
     {!Recorder.on_entangle}. *)
 val on_entangle : t -> event:int -> (int * string list) list -> unit
 
-(** Declare a transaction's isolation level (normally learned from
-    [Ev_begin]; explicit declaration serves offline histories). *)
-val set_level : t -> int -> Ent_txn.Engine.level -> unit
-
 (** Was the transaction declared {!Ent_txn.Engine.Snapshot}? *)
 val is_si : t -> int -> bool
 
@@ -110,8 +106,6 @@ val stats : t -> stats
     snapshot reads where the snapshot was taken rather than at the
     transaction's first operation. *)
 val replay : ?levels:(int * Ent_txn.Engine.level) list -> History.t -> t
-
-val pp_violation : Format.formatter -> violation -> unit
 
 (** One-paragraph certification report: ok/violation count, stats,
     then each violation on its own line. *)

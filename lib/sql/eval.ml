@@ -97,14 +97,16 @@ type outcome =
 
 type walk = {
   mutable hash : int;
-  mutable lits : Value.t list;  (* newest first *)
+  mutable lits : Ast.expr list;  (* the [Lit] leaves, newest first *)
   mutable n_lits : int;
   mutable bare : int;  (* bare [@v] projections seen *)
+  mutable bares : string list;  (* their names, newest first *)
   mutable bound : int;  (* bit [i]: the [i]th bare projection's [@v] is bound *)
   number : bool;
 }
 
-let walk ~number = { hash = 0; lits = []; n_lits = 0; bare = 0; bound = 0; number }
+let walk ~number =
+  { hash = 0; lits = []; n_lits = 0; bare = 0; bares = []; bound = 0; number }
 
 let mix w x = w.hash <- (w.hash * 31) + x
 let tag w c = mix w (Char.code c)
@@ -135,11 +137,11 @@ let w_list w f l =
 
 let rec w_expr w (e : Ast.expr) : Ast.expr =
   match e with
-  | Lit v ->
+  | Lit _ ->
     tag w 'l';
     let i = w.n_lits in
     w.n_lits <- i + 1;
-    w.lits <- v :: w.lits;
+    w.lits <- e :: w.lits;
     if w.number then Lit (Value.Int i) else e
   | Col (q, n) ->
     (match q with
@@ -256,6 +258,7 @@ and w_proj bare w (p : Ast.proj) : Ast.proj =
   | Host v, None, Some env ->
     let i = w.bare in
     w.bare <- i + 1;
+    w.bares <- v :: w.bares;
     if Hashtbl.mem env v then begin
       if i < max_bare then w.bound <- w.bound lor (1 lsl i);
       tag w 'b';
@@ -1018,6 +1021,8 @@ type ('n, 'a) shapes = ('n, 'a) cached list Shapes.t Atomic.t
 
 type cache = {
   mu : Mutex.t;
+  templates : (int * (ctx -> frame -> outcome) compiled) list Shapes.t Atomic.t;
+      (* by template key: one plan per bound-bits value *)
   stmts : (Ast.stmt, ctx -> frame -> outcome) shapes;
   selects : (Ast.select, select_plan) shapes;
   exprs : (Ast.expr, ctx -> frame -> Value.t) shapes;
@@ -1036,6 +1041,7 @@ let cache_of catalog =
   | _ ->
     let cache =
       { mu = Mutex.create ();
+        templates = Atomic.make Shapes.empty;
         stmts = Atomic.make Shapes.empty;
         selects = Atomic.make Shapes.empty;
         exprs = Atomic.make Shapes.empty;
@@ -1044,18 +1050,33 @@ let cache_of catalog =
     Catalog.set_derived catalog (Plans cache);
     cache
 
+let frame_for compiled = Array.make compiled.slots [||]
+
+(* Add [entry] under [key] to one of the cache's maps. *)
+let insert cache tbl key entry =
+  Mutex.lock cache.mu;
+  let m = Atomic.get tbl in
+  let m = if Shapes.cardinal m >= max_shapes then Shapes.empty else m in
+  let entries = Option.value ~default:[] (Shapes.find_opt key m) in
+  Atomic.set tbl (Shapes.add key (entry :: entries) m);
+  Mutex.unlock cache.mu
+
 let rec find_shape w same node = function
   | [] -> None
   | e :: rest ->
     if e.rep_bound = w.bound && same e.rep node then Some e.compiled
     else find_shape w same node rest
 
+let value_of_leaf : Ast.expr -> Value.t = function
+  | Lit v -> v
+  | _ -> assert false
+
 (* One shape walk and one map probe (confirmed by a shape comparison);
    on a miss, a numbering walk and a compile. *)
 let plan access shapes walk_node same compile node =
   let w = walk ~number:false in
   ignore (walk_node w node);
-  let params = Array.of_list (List.rev w.lits) in
+  let params = Array.of_list (List.rev_map value_of_leaf w.lits) in
   let cache = cache_of access.catalog in
   let tbl = shapes cache in
   let hit =
@@ -1069,18 +1090,9 @@ let plan access shapes walk_node same compile node =
     let cc = { c_access = access; slots = 0 } in
     let code = compile cc (walk_node (walk ~number:true) node) in
     let compiled = { slots = cc.slots; code } in
-    if w.bare <= max_bare then begin
-      Mutex.lock cache.mu;
-      let m = Atomic.get tbl in
-      let m = if Shapes.cardinal m >= max_shapes then Shapes.empty else m in
-      let entries = Option.value ~default:[] (Shapes.find_opt w.hash m) in
-      Atomic.set tbl
-        (Shapes.add w.hash ({ rep = node; rep_bound = w.bound; compiled } :: entries) m);
-      Mutex.unlock cache.mu
-    end;
+    if w.bare <= max_bare then
+      insert cache tbl w.hash { rep = node; rep_bound = w.bound; compiled };
     (compiled, params)
-
-let frame_for compiled = Array.make compiled.slots [||]
 
 let exec_stmt access env (stmt : Ast.stmt) =
   match stmt with
@@ -1107,6 +1119,66 @@ let exec_stmt access env (stmt : Ast.stmt) =
       plan access (fun c -> c.stmts) (w_stmt env) same_stmt compile_stmt stmt
     in
     compiled.code { access; env; var = None; params } (frame_for compiled)
+
+(* --- statements built from a parse template ---
+
+   A template's statements differ only in the values of their literal
+   leaves, so a statement's plan is found by the template's key and
+   the bound bits of its bare projections, without a walk. The parser
+   hands over each statement's literals in the order the walk numbers
+   them, which is the order the compiled plan reads its parameters. *)
+
+type template = {
+  key : int;  (* -1: run through the walk *)
+  bare : string array;  (* the bare [@v] projections, in walk order *)
+  base : int;  (* where the statement's parameters start in the program's *)
+}
+
+let untemplated = { key = -1; bare = [||]; base = 0 }
+let next_key = Atomic.make 0
+
+let template ~base (stmt : Ast.stmt) =
+  match stmt with
+  | Select _ | Insert _ | Update _ | Delete _ | Set_var _ ->
+    let w = walk ~number:false in
+    ignore (w_stmt (fresh_env ()) w stmt);
+    if w.bare > max_bare then (untemplated, [])
+    else
+      ( { key = Atomic.fetch_and_add next_key 1; bare = Array.of_list (List.rev w.bares); base },
+        List.rev w.lits )
+  | Create_table _ | Create_index _ | Drop_table _ | Entangled _ | Rollback ->
+    (untemplated, [])
+
+let bound_bits env bare =
+  let rec go i bits =
+    if i = Array.length bare then bits
+    else go (i + 1) (if Hashtbl.mem env bare.(i) then bits lor (1 lsl i) else bits)
+  in
+  go 0 0
+
+let rec find_bound bound = function
+  | [] -> raise_notrace Not_found
+  | (b, compiled) :: rest -> if b = bound then compiled else find_bound bound rest
+
+let exec_template access env tpl params stmt =
+  if tpl.key < 0 then exec_stmt access env stmt
+  else begin
+    let bound = bound_bits env tpl.bare in
+    let cache = cache_of access.catalog in
+    let compiled =
+      match find_bound bound (Shapes.find tpl.key (Atomic.get cache.templates)) with
+      | compiled -> compiled
+      | exception Not_found ->
+        let cc = { c_access = access; slots = 0 } in
+        let w = walk ~number:true in
+        w.n_lits <- tpl.base;
+        let code = compile_stmt cc (w_stmt env w stmt) in
+        let compiled = { slots = cc.slots; code } in
+        insert cache cache.templates tpl.key (bound, compiled);
+        compiled
+    in
+    compiled.code { access; env; var = None; params } (frame_for compiled)
+  end
 
 let select_rows access env sel =
   match exec_stmt access env (Select sel) with

@@ -88,3 +88,23 @@ type outcome =
     statements are the transaction manager's business.
     @raise Eval_error if given one. *)
 val exec_stmt : access -> env -> Ast.stmt -> outcome
+
+(** The plan key of a statement template: statements built from one
+    parse template share it, whatever their literal values. *)
+type template
+
+(** [template ~base stmt] gives [stmt] a fresh key and lists its
+    literal leaves ([Ast.Lit] nodes, physically those of [stmt]) in the
+    order the compiled plan reads them: leaf [i] is parameter
+    [base + i] of the program. DDL, the transaction manager's
+    statements and statements with too many bare projections get a key
+    that {!exec_template} runs through {!exec_stmt}, and no leaves. *)
+val template : base:int -> Ast.stmt -> template * Ast.expr list
+
+(** [exec_template access env tpl params stmt] is [exec_stmt access env
+    stmt] for a statement of template [tpl] whose literal values, in
+    {!template}'s leaf order, start at [params.(base)]. The plan is
+    found by the key and the bound bits of the template's bare [@v]
+    projections in [env]; [stmt] is read only to compile a plan on a
+    miss. *)
+val exec_template : access -> env -> template -> Value.t array -> Ast.stmt -> outcome

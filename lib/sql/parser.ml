@@ -60,10 +60,12 @@ let parse_ident st =
 (* --- expressions --- *)
 
 (* Date literals are written as strings, as in the paper. *)
-let str_lit s =
+let str_value s =
   match Value.parse_date s with
-  | Some d -> Ast.Lit d
-  | None -> Ast.Lit (Value.Str s)
+  | Some d -> d
+  | None -> Value.Str s
+
+let str_lit s = Ast.Lit (str_value s)
 
 (* [node] is the literal leaf of the token just consumed. *)
 let lift st ~negated node =
@@ -593,11 +595,16 @@ let program st =
    holes. An instance rebuilds only the nodes on the paths from the
    root to its holes and shares every other subtree with the template.
    A literal the parser consumed as syntax (LIMIT, CHOOSE, TIMEOUT) is
-   no hole: its value is part of the shape, checked on every hit. *)
+   no hole: its value is part of the shape, checked on every hit.
+
+   Each statement that runs through a plan also gets its plan key from
+   {!Eval.template}, which lists its literal leaves in the order the
+   plan reads them; an instance's parameters are its hole values in
+   that order. The values are those of the instance's own [Lit] nodes. *)
 
 type 'a part =
   | Same of 'a  (* no hole below: shared as is *)
-  | Built of (Lexer.token array -> 'a)  (* rebuilt from the instance's literals *)
+  | Built of (Value.t array -> 'a)  (* rebuilt from the instance's hole values *)
 
 let get part lits =
   match part with
@@ -625,13 +632,7 @@ let rec p_expr holes (e : Ast.expr) =
   | Lit _ -> (
     match List.find_opt (fun (leaf, _, _) -> leaf == e) holes with
     | None -> Same e
-    | Some (_, k, negated) ->
-      Built
-        (fun lits ->
-          match lits.(k) with
-          | Lexer.Int_lit i -> Ast.Lit (Value.Int (if negated then -i else i))
-          | Lexer.Str_lit s -> str_lit s
-          | _ -> assert false))
+    | Some (_, k, _) -> Built (fun values -> Ast.Lit values.(k)))
   | Col _ | Host _ | Agg (_, None) -> Same e
   | Binop (op, a, b) ->
     map2 e (p_expr holes a) (p_expr holes b) (fun a b -> Ast.Binop (op, a, b))
@@ -699,10 +700,24 @@ let p_stmt holes (stmt : Ast.stmt) =
         Ast.Entangled { en with eprojs; ewhere })
   | Create_table _ | Create_index _ | Drop_table _ | Rollback -> Same stmt
 
+(* What literal [k] of a text is: syntax, or a hole (negated or not). *)
+type lit_kind =
+  | Syntax
+  | Hole
+  | Negated_hole
+
+(* Where parameter [i] of a statement's plan comes from. *)
+type param =
+  | Lit_of of int  (* the value of hole [k] *)
+  | Fixed of Value.t  (* a keyword literal (NULL, TRUE, FALSE) *)
+
 type template = {
   keyed : (int * Lexer.token) list;  (* literals consumed as syntax, by index *)
+  kinds : lit_kind array;  (* by literal index *)
   timeout : float option;
   body : (Ast.stmt part * Ast.pos) list;  (* positions in the template's text *)
+  plans : Eval.template array;  (* by statement *)
+  params : param array;  (* the statements' parameters, in plan order *)
 }
 
 (* The template of [p], parsed from [st] whose text has shape [sh].
@@ -721,10 +736,24 @@ let template (sh : Lexer.shape) st (p : Ast.program) =
       | _ -> ())
     st.tokens;
   let holes = List.map (fun (leaf, i, negated) -> (leaf, index.(i), negated)) st.lifted in
+  let kinds = Array.make (Array.length sh.lits) Syntax in
+  List.iter (fun (_, k, negated) -> kinds.(k) <- (if negated then Negated_hole else Hole)) holes;
   let keyed =
-    List.filter
-      (fun (k, _) -> not (List.exists (fun (_, h, _) -> h = k) holes))
+    List.filter (fun (k, _) -> kinds.(k) = Syntax)
       (List.mapi (fun k lit -> (k, lit)) (Array.to_list sh.lits))
+  in
+  let param leaf =
+    match List.find_opt (fun (hole, _, _) -> hole == leaf) holes, leaf with
+    | Some (_, k, _), _ -> Lit_of k
+    | None, Ast.Lit v -> Fixed v
+    | None, _ -> assert false
+  in
+  let plans, params =
+    List.fold_left
+      (fun (plans, params) (stmt, _) ->
+        let plan, leaves = Eval.template ~base:(List.length params) stmt in
+        (plan :: plans, List.rev_append (List.map param leaves) params))
+      ([], []) p.body
   in
   let starts_fit =
     List.length p.body <= Array.length sh.starts
@@ -734,51 +763,104 @@ let template (sh : Lexer.shape) st (p : Ast.program) =
   else
     Some
       { keyed;
+        kinds;
         timeout = p.timeout;
-        body = List.map (fun (stmt, at) -> (p_stmt holes stmt, at)) p.body }
+        body = List.map (fun (stmt, at) -> (p_stmt holes stmt, at)) p.body;
+        plans = Array.of_list (List.rev plans);
+        params = Array.of_list (List.rev params) }
+
+module Shapes = struct
+  type t = {
+    templates : (string, template) Hashtbl.t;
+    values : (Lexer.token, Value.t) Hashtbl.t;
+        (* literal values, shared by the programs that hold them *)
+  }
+
+  (* A table that reaches this many templates, or literal values,
+     starts over; a workload has a handful of templates, and its
+     literals repeat (user ids, cities). *)
+  let max_templates = 1024
+  let max_values = 65_536
+
+  let create () = { templates = Hashtbl.create 16; values = Hashtbl.create 64 }
+
+  let value t lit =
+    match Hashtbl.find_opt t.values lit with
+    | Some v -> v
+    | None ->
+      if Hashtbl.length t.values >= max_values then Hashtbl.reset t.values;
+      let v =
+        match lit with
+        | Lexer.Int_lit i -> Value.Int i
+        | Lexer.Str_lit s -> str_value s
+        | _ -> assert false
+      in
+      Hashtbl.add t.values lit v;
+      v
+end
+
+(* The value of every hole of a text of [t]'s shape, by literal index. *)
+let hole_values tbl t (sh : Lexer.shape) =
+  Array.mapi
+    (fun k lit ->
+      match t.kinds.(k), lit with
+      | Syntax, _ -> Value.Null
+      | Hole, _ -> Shapes.value tbl lit
+      | Negated_hole, Lexer.Int_lit i -> Value.Int (-i)
+      | Negated_hole, _ -> assert false)
+    sh.lits
+
+(* The program's plan parameters. *)
+let plan_params t values =
+  Array.map
+    (function
+      | Lit_of k -> values.(k)
+      | Fixed v -> v)
+    t.params
 
 (* Positions come from the instance's text: a longer literal, or a
    string literal holding a newline, moves the statements after it.
    Where they did not move, the template's are shared. *)
-let instantiate t (sh : Lexer.shape) =
+let instantiate t (sh : Lexer.shape) values =
   let body =
     List.mapi
       (fun i (part, (at : Ast.pos)) ->
         let here = sh.starts.(i) in
-        (get part sh.lits, if here.line = at.line && here.col = at.col then at else here))
+        (get part values, if here.line = at.line && here.col = at.col then at else here))
       t.body
   in
   { Ast.timeout = t.timeout; body }
 
-module Shapes = struct
-  type t = (string, template) Hashtbl.t
+type shaped = {
+  program : Ast.program;
+  plans : Eval.template array;
+  params : Value.t array;
+}
 
-  (* A table that reaches this many templates starts over; a workload
-     has a handful. *)
-  let max_templates = 1024
-
-  let create () : t = Hashtbl.create 16
-end
+let parse_shaped tbl input =
+  (* [Lexer.shape] runs the scan [tokenize] would, so a text it rejects
+     raises here exactly what the full parse raises. *)
+  let sh = Lexer.shape input in
+  let fits t = List.for_all (fun (k, v) -> sh.lits.(k) = v) t.keyed in
+  match List.find_opt fits (Hashtbl.find_all tbl.Shapes.templates sh.key) with
+  | Some t ->
+    let values = hole_values tbl t sh in
+    { program = instantiate t sh values; plans = t.plans; params = plan_params t values }
+  | None -> (
+    let st = make_state input in
+    let p = program st in
+    match template sh st p with
+    | Some t ->
+      if Hashtbl.length tbl.templates >= Shapes.max_templates then
+        Hashtbl.reset tbl.templates;
+      Hashtbl.add tbl.templates sh.key t;
+      { program = p; plans = t.plans; params = plan_params t (hole_values tbl t sh) }
+    | None -> { program = p; plans = [||]; params = [||] })
 
 let parse_program ?shapes input =
   match shapes with
   | None -> program (make_state input)
-  | Some tbl -> (
-    (* [Lexer.shape] runs the scan [tokenize] would, so a text it
-       rejects raises here exactly what the full parse raises. *)
-    let sh = Lexer.shape input in
-    let fits t = List.for_all (fun (k, v) -> sh.lits.(k) = v) t.keyed in
-    match List.find_opt fits (Hashtbl.find_all tbl sh.key) with
-    | Some t -> instantiate t sh
-    | None ->
-      let st = make_state input in
-      let p = program st in
-      (match template sh st p with
-      | Some t ->
-        if Hashtbl.length tbl >= Shapes.max_templates then Hashtbl.reset tbl;
-        Hashtbl.add tbl sh.key t
-      | None -> ());
-      p)
+  | Some tbl -> (parse_shaped tbl input).program
 
 let parse_script input =
   let st = make_state input in

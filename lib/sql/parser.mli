@@ -31,6 +31,19 @@ end
     result equals the plain parse's, and so does every exception. *)
 val parse_program : ?shapes:Shapes.t -> string -> Ast.program
 
+(** A program parsed through a shape table, with each statement's plan
+    key and parameters (see {!Eval.exec_template}). Both arrays are
+    empty when the text's shape could not become a template. *)
+type shaped = {
+  program : Ast.program;  (** what [parse_program ~shapes] returns *)
+  plans : Eval.template array;  (** by statement; shared by the template's programs *)
+  params : Ent_storage.Value.t array;
+      (** the statements' literal values in plan order, statement after
+          statement; equal values are shared through the table *)
+}
+
+val parse_shaped : Shapes.t -> string -> shaped
+
 (** Parse a whole script: a sequence of transaction blocks and bare
     statements. *)
 val parse_script : string -> item list

@@ -26,7 +26,6 @@ let columns t = Array.to_list t.cols
 let arity t = Array.length t.cols
 let index_of t name = Hashtbl.find t.positions name
 let mem t name = Hashtbl.mem t.positions name
-let column_names t = List.map (fun c -> c.name) (columns t)
 
 let check_value ty (v : Value.t) =
   match ty, v with

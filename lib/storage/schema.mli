@@ -25,7 +25,6 @@ val arity : t -> int
 val index_of : t -> string -> int
 
 val mem : t -> string -> bool
-val column_names : t -> string list
 
 (** [check_value ty v] is true when value [v] inhabits column type [ty]
     ([Null] inhabits every type; every value inhabits [T_any]). *)

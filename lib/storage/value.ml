@@ -110,11 +110,6 @@ let div a b =
   | Int x, Int y -> Int (x / y)
   | _ -> arith_error "divide" a b
 
-let is_truthy = function
-  | Bool b -> b
-  | Null -> false
-  | v -> raise (Type_error ("condition evaluated to " ^ type_name v))
-
 let to_string = function
   | Null -> "NULL"
   | Bool b -> string_of_bool b

@@ -44,10 +44,6 @@ val div : t -> t -> t
 
 exception Type_error of string
 
-(** [is_truthy v] interprets a value as a condition result: [Bool b] is
-    [b]; every other non-null value is an error; [Null] is false. *)
-val is_truthy : t -> bool
-
 (** Type name used in error messages ("int", "date", ...). *)
 val type_name : t -> string
 

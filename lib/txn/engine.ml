@@ -52,10 +52,15 @@ type write = {
   w_after : Tuple.t option;
 }
 
+(* A transaction's handle: its caller keeps it from [begin_txn] to
+   [commit] or [abort], so no operation in between looks the
+   transaction up. [live] turns false at [finish], and every operation
+   refuses a finished handle. *)
 type txn = {
   id : int;
   level : level;
   begin_ts : int;  (* commit-stamp counter at begin: the snapshot *)
+  mutable live : bool;
   mutable writes : write list;  (* newest first *)
   mutable write_count : int;
   mutable grounding_tables : string list;
@@ -65,7 +70,9 @@ type t = {
   catalog : Catalog.t;
   locks : Lock.t;
   wal : Wal.t option;
-  txns : (int, txn) Hashtbl.t;  (* live transactions only *)
+  txns : (int, txn) Hashtbl.t;
+      (* live transactions only, by id: written at begin and finish,
+         read by [settled], [take_wakeups] and [checkpoint] *)
   mutable next_txn : int;
   mutable wakeups : int list;
   mutable on_event : (event -> unit) option;
@@ -86,7 +93,9 @@ type t = {
   committed_at : (int, int) Hashtbl.t;
   last_write : (string * int, int) Hashtbl.t;
   snapshots : (int, int) Hashtbl.t;
-  (* [mu] guards the txn table, id allocation and the wakeup list;
+  (* [mu] guards the live table, id allocation, the wakeup list and
+     the MVCC maps above; no statement takes it, since data access and
+     savepoints go through the caller's handle;
      [obs_mu] serializes [on_event] dispatch so downstream observers
      (the online certifier above all) see one linear event stream.
      That stream respects the conflict order: every Ev_read/Ev_write is
@@ -204,29 +213,30 @@ let load t name row =
   id
 
 let begin_txn ?(isolation = Serializable_2pl) t =
-  let id =
+  let txn =
     with_mu t.mu (fun () ->
         let id = t.next_txn in
         t.next_txn <- id + 1;
         let begin_ts = Atomic.get t.commit_stamp in
-        Hashtbl.replace t.txns id
-          { id; level = isolation; begin_ts; writes = []; write_count = 0;
-            grounding_tables = [] };
+        let txn =
+          { id; level = isolation; begin_ts; live = true; writes = [];
+            write_count = 0; grounding_tables = [] }
+        in
+        Hashtbl.replace t.txns id txn;
         if isolation = Snapshot then Hashtbl.replace t.snapshots id begin_ts;
-        id)
+        txn)
   in
-  log_record t (Begin id);
-  emit t (Ev_begin (id, isolation));
+  log_record t (Begin txn.id);
+  emit t (Ev_begin (txn.id, isolation));
   Obs.incr m_begins;
-  id
+  txn
 
-let lookup t id = with_mu t.mu (fun () -> Hashtbl.find_opt t.txns id)
-let is_active t id = with_mu t.mu (fun () -> Hashtbl.mem t.txns id)
+let id txn = txn.id
+let is_live txn = txn.live
 
-let find_txn t id =
-  match lookup t id with
-  | Some txn -> txn
-  | None -> invalid_arg (Printf.sprintf "Engine: transaction %d is not active" id)
+let live_exn txn =
+  if not txn.live then
+    invalid_arg (Printf.sprintf "Engine: transaction %d is not active" txn.id)
 
 (* Writer [w]'s effects are settled as of commit stamp [stamp] when it
    committed at or before [stamp], or is no longer live: a writer with
@@ -290,20 +300,21 @@ let record_write t txn table_name row before after =
 
 (* Register [name] as one of the transaction's quasi-read tables and
    emit the grounding-read event. *)
-let register_grounding t txn_id name =
-  let txn = find_txn t txn_id in
+let register_grounding t txn name =
+  live_exn txn;
   if not (List.mem name txn.grounding_tables) then
     txn.grounding_tables <- name :: txn.grounding_tables;
-  emit t (Ev_grounding_read (txn_id, name))
+  emit t (Ev_grounding_read (txn.id, name))
 
 (* The write half of an access record, the same under both levels:
    writes take IX on the table and X on the row, tag the version chain
    with the writer and log before/after images. The levels differ only
    in what an update or delete of a vanished row raises: [vanished op]
    with [op] "update" or "delete". *)
-let write_access t txn_id ~vanished : Ent_sql.Eval.access =
+let write_access t txn ~vanished : Ent_sql.Eval.access =
+  let txn_id = txn.id in
   let change op name id after apply =
-    let txn = find_txn t txn_id in
+    live_exn txn;
     acquire t txn_id (Lock.Table name) Lock.IX;
     acquire t txn_id (Lock.Row (name, id)) Lock.X;
     match apply (table_of t name) with
@@ -314,7 +325,7 @@ let write_access t txn_id ~vanished : Ent_sql.Eval.access =
     t.ddl with
     insert =
       (fun name row ->
-        let txn = find_txn t txn_id in
+        live_exn txn;
         acquire t txn_id (Lock.Table name) Lock.IX;
         let id = Table.insert ~writer:txn_id (table_of t name) row in
         (match Lock.request t.locks ~txn:txn_id (Lock.Row (name, id)) Lock.X with
@@ -332,7 +343,8 @@ let write_access t txn_id ~vanished : Ent_sql.Eval.access =
             Table.delete ~writer:txn_id table id));
   }
 
-let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
+let access_2pl t txn ~grounding ~lock_reads : Ent_sql.Eval.access =
+  let txn_id = txn.id in
   let read_lock name mode =
     if lock_reads then acquire t txn_id (Lock.Table name) mode
   in
@@ -340,7 +352,7 @@ let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
     (* Full scans take a table-level shared lock whether grounding or
        not: there is no finer lock that protects against phantoms. *)
     read_lock name Lock.S;
-    if grounding then register_grounding t txn_id name
+    if grounding then register_grounding t txn name
     else emit t (Ev_read (txn_id, T_table name))
   in
   (* Indexed lookups take an intention lock here plus row locks on the
@@ -350,7 +362,7 @@ let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
   let read_rows name =
     if grounding then begin
       read_lock name Lock.S;
-      register_grounding t txn_id name;
+      register_grounding t txn name;
       Fun.id
     end
     else begin
@@ -362,7 +374,7 @@ let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
     end
   in
   {
-    (write_access t txn_id ~vanished:(fun op ->
+    (write_access t txn ~vanished:(fun op ->
          Ent_sql.Eval.Eval_error (op ^ " of missing row")))
     with
     scan =
@@ -396,7 +408,7 @@ let access_snapshot t txn ~grounding : Ent_sql.Eval.access =
   let visible = visible_of t txn_id txn.begin_ts in
   let read_rows name =
     if grounding then begin
-      register_grounding t txn_id name;
+      register_grounding t txn name;
       Fun.id
     end
     else
@@ -405,10 +417,10 @@ let access_snapshot t txn ~grounding : Ent_sql.Eval.access =
           (id, row))
   in
   {
-    (write_access t txn_id ~vanished:(fun _ -> Si_conflict txn_id)) with
+    (write_access t txn ~vanished:(fun _ -> Si_conflict txn_id)) with
     scan =
       (fun name ->
-        if grounding then register_grounding t txn_id name
+        if grounding then register_grounding t txn name
         else emit t (Ev_read (txn_id, T_table name));
         Table.to_seq_at (table_of t name) ~visible);
     lookup =
@@ -421,23 +433,23 @@ let access_snapshot t txn ~grounding : Ent_sql.Eval.access =
         rows (Table.range_lookup_seq_at (table_of t name) ~position ~lo ~hi ~visible));
   }
 
-let access t txn_id ~grounding ?(lock_reads = true) () =
-  let txn = find_txn t txn_id in
+let access t txn ~grounding ?(lock_reads = true) () =
+  live_exn txn;
   match txn.level with
   | Snapshot -> access_snapshot t txn ~grounding
-  | Serializable_2pl -> access_2pl t txn_id ~grounding ~lock_reads ()
+  | Serializable_2pl -> access_2pl t txn ~grounding ~lock_reads
 
 (* Reproduce the locking side effects of a grounding computation
    without re-reading the data: used when a cached grounding is served,
    so a hit acquires exactly the table-S locks (and registers exactly
    the quasi-read tables) the recomputation would have. Raises
    [Blocked]/[Deadlock_victim] like any grounding read. *)
-let touch_grounding_tables t txn_id ?(lock_reads = true) tables =
+let touch_grounding_tables t txn ?(lock_reads = true) tables =
   List.iter
     (fun name ->
       ignore (table_of t name);
-      if lock_reads then acquire t txn_id (Lock.Table name) Lock.S;
-      register_grounding t txn_id name)
+      if lock_reads then acquire t txn.id (Lock.Table name) Lock.S;
+      register_grounding t txn name)
     tables
 
 let add_constraint t ~name predicate =
@@ -448,7 +460,9 @@ let violated_constraint t =
     (fun (name, predicate) -> if predicate t.catalog then None else Some name)
     t.constraints
 
-let savepoint t txn_id = (find_txn t txn_id).write_count
+let savepoint txn =
+  live_exn txn;
+  txn.write_count
 
 (* Undo one write, logging the compensation so that redo-only recovery
    replays to the right state: the write's image pair, swapped.
@@ -464,18 +478,19 @@ let undo_write t txn_id w =
     (Write { txn = txn_id; table = w.w_table; row = w.w_row; before; after })
 
 (* Undo writes down to a savepoint. *)
-let rollback_to t txn_id sp =
-  let txn = find_txn t txn_id in
+let rollback_to t txn sp =
+  live_exn txn;
   while txn.write_count > sp do
     match txn.writes with
     | [] -> assert false
     | w :: rest ->
       txn.writes <- rest;
       txn.write_count <- txn.write_count - 1;
-      undo_write t txn_id w
+      undo_write t txn.id w
   done
 
 let finish t txn =
+  txn.live <- false;
   let woken = Lock.release_all t.locks ~txn:txn.id in
   with_mu t.mu (fun () ->
       Hashtbl.remove t.txns txn.id;
@@ -503,18 +518,19 @@ let abort_txns t ~reason txns =
       finish t txn)
     txns
 
-let abort t txn_id = abort_txns t ~reason:"rollback" [ find_txn t txn_id ]
+let abort t txn =
+  live_exn txn;
+  abort_txns t ~reason:"rollback" [ txn ]
 
-let abort_group t txn_ids =
-  abort_txns t ~reason:"group" (List.filter_map (lookup t) txn_ids)
+let abort_group t txns = abort_txns t ~reason:"group" (List.filter is_live txns)
 
 (* First-committer-wins validation: a snapshot transaction may commit
    only if no other transaction committed a write to any of its written
    rows after its snapshot was taken. Returns the first conflicting
    (table, row), or [None] when the transaction may commit (always for
    2PL transactions — their row X locks already serialize writes). *)
-let validate_snapshot t txn_id =
-  let txn = find_txn t txn_id in
+let validate_snapshot t txn =
+  live_exn txn;
   if txn.level <> Snapshot then None
   else begin
     Obs.incr m_si_validations;
@@ -528,8 +544,9 @@ let validate_snapshot t txn_id =
           txn.writes)
   end
 
-let commit t txn_id =
-  let txn = find_txn t txn_id in
+let commit t txn =
+  live_exn txn;
+  let txn_id = txn.id in
   if Catalog.versioned t.catalog then begin
     let stamp = Atomic.fetch_and_add t.commit_stamp 1 + 1 in
     with_mu t.mu (fun () ->
@@ -601,9 +618,10 @@ let take_wakeups t =
   let woken = List.sort_uniq Int.compare woken in
   (* Only report transactions that are still alive and no longer
      waiting on anything. *)
-  List.filter (fun id -> is_active t id && not (Lock.is_waiting t.locks ~txn:id)) woken
+  let live id = with_mu t.mu (fun () -> Hashtbl.mem t.txns id) in
+  List.filter (fun id -> live id && not (Lock.is_waiting t.locks ~txn:id)) woken
 
-let grounding_reads t txn_id = (find_txn t txn_id).grounding_tables
+let grounding_reads txn = txn.grounding_tables
 
 let sum_tables t f =
   List.fold_left

@@ -83,41 +83,53 @@ val create_table : t -> string -> Schema.t -> Table.t
     logged, never locked. *)
 val load : t -> string -> Value.t array -> int
 
+(** A transaction's handle, from {!begin_txn} to {!commit} or
+    {!abort}. Every per-transaction operation takes the handle, so none
+    looks the transaction up. Once the transaction finished, the handle
+    is refused: those operations raise [Invalid_argument]. *)
+type txn
+
 (** [begin_txn ?isolation t] starts a transaction. A [Snapshot]
     transaction additionally records the current commit stamp as its
     snapshot and registers itself for version-chain GC purposes; the
     version chains themselves are only populated once
     {!Ent_storage.Catalog.enable_versioning} has run on this engine's
     catalog. *)
-val begin_txn : ?isolation:level -> t -> int
+val begin_txn : ?isolation:level -> t -> txn
 
-(** True when the id denotes a live (begun, not yet finished) txn.
-    The engine keeps live transactions only: commit and abort drop the
-    transaction's entry, write log included, so a finished id is
-    unknown to every other operation (they raise [Invalid_argument]). *)
-val is_active : t -> int -> bool
+(** The transaction's id: what the WAL, events and the lock manager
+    name it by. *)
+val id : txn -> int
+
+(** True until the transaction commits or aborts. The engine keeps
+    live transactions only: commit and abort drop the transaction's
+    entry, write log included. *)
+val is_live : txn -> bool
 
 (** [access t txn] is the locked {!Ent_sql.Eval.access} view for a
     transaction. [grounding] selects table-level shared locks on reads
     (used while grounding entangled queries, §3.3.3); classical reads
     take intention locks plus row locks on lookups and table locks on
     full scans. The [lock_reads] flag (default true) exists so relaxed
-    isolation levels can skip read locks entirely. *)
-val access : t -> int -> grounding:bool -> ?lock_reads:bool -> unit -> Ent_sql.Eval.access
+    isolation levels can skip read locks entirely. The record stays
+    valid for the transaction's life, so a caller builds it once per
+    transaction and flag; its writes raise [Invalid_argument] after
+    the transaction finished. *)
+val access : t -> txn -> grounding:bool -> ?lock_reads:bool -> unit -> Ent_sql.Eval.access
 
 (** [touch_grounding_tables t txn tables] acquires the table-S
     grounding locks and registers the quasi-read tables exactly as a
     grounding computation over [tables] would, without reading any
     rows — the lock-side-effect half of serving a cached grounding.
     @raise Blocked / Deadlock_victim as {!access} reads do. *)
-val touch_grounding_tables : t -> int -> ?lock_reads:bool -> string list -> unit
+val touch_grounding_tables : t -> txn -> ?lock_reads:bool -> string list -> unit
 
 (** Number of writes performed so far; pass back to {!rollback_to} for
     statement-level atomicity. *)
-val savepoint : t -> int -> int
+val savepoint : txn -> int
 
 (** Undo (with compensation logging) all writes after a savepoint. *)
-val rollback_to : t -> int -> int -> unit
+val rollback_to : t -> txn -> int -> unit
 
 (** Register a named integrity constraint — a predicate over the whole
     database that consistent states satisfy (the "consistency" of
@@ -134,25 +146,25 @@ val violated_constraint : t -> string option
     write to after this transaction's snapshot was taken, or [None]
     when the commit is admissible. Always [None] for 2PL transactions.
     Call before {!commit}; a conflict means the caller must abort. *)
-val validate_snapshot : t -> int -> (string * int) option
+val validate_snapshot : t -> txn -> (string * int) option
 
 (** Commit: logs, releases locks, queues wake-ups. In versioned mode
     also stamps the transaction on the commit clock and records its
     write set for first-committer-wins validation of others. *)
-val commit : t -> int -> unit
+val commit : t -> txn -> unit
 
 (** Abort: undoes all writes (compensation-logged), logs, releases
     locks, queues wake-ups — the one-member case of {!abort_group},
     traced with reason ["rollback"].
-    @raise Invalid_argument when the id is not live. *)
-val abort : t -> int -> unit
+    @raise Invalid_argument when the transaction already finished. *)
+val abort : t -> txn -> unit
 
 (** Abort several transactions of one entanglement group together.
     Group members share lock ownership and may have interleaved writes
     to the same rows; this undoes their merged write log in reverse
     global order, which aborting them one at a time cannot do safely.
-    Ids that are not live are skipped; traced with reason ["group"]. *)
-val abort_group : t -> int list -> unit
+    Finished transactions are skipped; traced with reason ["group"]. *)
+val abort_group : t -> txn list -> unit
 
 (** Record that the listed transactions entangled (event id is
     system-wide unique); logged for entanglement-aware recovery. *)
@@ -188,7 +200,7 @@ val take_wakeups : t -> int list
 
 (** Tables this transaction grounding-read so far (for quasi-read
     bookkeeping). *)
-val grounding_reads : t -> int -> string list
+val grounding_reads : txn -> string list
 
 (** Truncate every table's version chains below the oldest live
     snapshot and prune the commit-stamp maps accordingly. No-op unless

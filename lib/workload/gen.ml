@@ -8,65 +8,75 @@ let kind_name = function
   | Social -> "social"
   | Entangled -> "entangled"
 
+(* Each program text is one [String.concat] of its pieces: the label,
+   the header, the statements with their literals, and the COMMIT. *)
+
 (* Appendix D, first workload: look up the hometown, find a flight to
    the destination, reserve it. *)
 let no_social_body world ~uid ~tag =
   let dest = Travel.destination_for world uid ~salt:tag in
-  Printf.sprintf
-    "SELECT @uid, @hometown FROM User WHERE uid=%d;\n\
-     SELECT @fid FROM Flight WHERE source=@hometown AND destination='%s' LIMIT 1;\n\
-     INSERT INTO Reserve (uid, fid) VALUES (@uid, @fid);"
-    uid dest
+  [ "SELECT @uid, @hometown FROM User WHERE uid="; string_of_int uid;
+    ";\nSELECT @fid FROM Flight WHERE source=@hometown AND destination='"; dest;
+    "' LIMIT 1;\nINSERT INTO Reserve (uid, fid) VALUES (@uid, @fid);" ]
 
 (* Appendix D, second workload: additionally look up a friend from the
    same hometown who might be flying. *)
 let social_body world ~uid ~tag =
   let dest = Travel.destination_for world uid ~salt:tag in
-  Printf.sprintf
-    "SELECT @uid, @hometown FROM User WHERE uid=%d;\n\
-     SELECT uid2 FROM Friends, User AS u1, User AS u2\n\
+  [ "SELECT @uid, @hometown FROM User WHERE uid="; string_of_int uid;
+    ";\nSELECT uid2 FROM Friends, User AS u1, User AS u2\n\
      WHERE Friends.uid1=@uid AND Friends.uid2=u2.uid AND u1.uid=@uid\n\
      AND u1.hometown=u2.hometown LIMIT 1;\n\
-     SELECT @fid FROM Flight WHERE source=@hometown AND destination='%s' LIMIT 1;\n\
-     INSERT INTO Reserve (uid, fid) VALUES (@uid, @fid);"
-    uid dest
+     SELECT @fid FROM Flight WHERE source=@hometown AND destination='";
+    dest; "' LIMIT 1;\nINSERT INTO Reserve (uid, fid) VALUES (@uid, @fid);" ]
 
 (* Appendix D, third workload: coordinate the destination with a
    specific friend through an entangled query, then book a flight
    there. The friendship is verified in the grounding (as in the
    paper's example); the pair tag keeps concurrent coordinations with
    the same user apart. *)
-let entangled_body world ~uid ~partner ~tag =
-  let friendship_check =
+let entangled_body ~uid ~partner ~tag =
+  let friendship_check rest =
     if partner >= 0 then
-      Printf.sprintf
-        "AND (%d) IN (SELECT uid2 FROM Friends WHERE uid1=%d AND uid2=%d)\n"
-        partner uid partner
-    else ""
+      let partner = string_of_int partner in
+      "AND (" :: partner :: ") IN (SELECT uid2 FROM Friends WHERE uid1="
+      :: string_of_int uid :: " AND uid2=" :: partner :: ")\n" :: rest
+    else rest
   in
-  ignore world;
-  Printf.sprintf
-    "SELECT @uid, @hometown FROM User WHERE uid=%d;\n\
-     SELECT %d, %d, dst AS @destination INTO ANSWER Meet\n\
-     WHERE (dst) IN (SELECT destination FROM Flight WHERE source=@hometown)\n\
-     %sAND (%d, %d, dst) IN ANSWER Meet\n\
-     CHOOSE 1;\n\
-     SELECT @fid FROM Flight WHERE source=@hometown AND destination=@destination LIMIT 1;\n\
-     INSERT INTO Reserve (uid, fid) VALUES (@uid, @fid);"
-    uid uid tag friendship_check partner tag
+  let uid = string_of_int uid and partner = string_of_int partner
+  and tag = string_of_int tag in
+  "SELECT @uid, @hometown FROM User WHERE uid=" :: uid :: ";\nSELECT " :: uid :: ", "
+  :: tag
+  :: ", dst AS @destination INTO ANSWER Meet\n\
+      WHERE (dst) IN (SELECT destination FROM Flight WHERE source=@hometown)\n"
+  :: friendship_check
+       [ "AND ("; partner; ", "; tag;
+         ", dst) IN ANSWER Meet\n\
+          CHOOSE 1;\n\
+          SELECT @fid FROM Flight WHERE source=@hometown AND destination=@destination \
+          LIMIT 1;\n\
+          INSERT INTO Reserve (uid, fid) VALUES (@uid, @fid);" ]
 
-let wrap world ~label ~transactional ?(timeout = "") body =
-  Ent_core.Program.of_string ~label ~transactional ?shapes:world.Travel.shapes
-    (Printf.sprintf "BEGIN TRANSACTION%s;\n%s\nCOMMIT;" timeout body)
+let block ?(timeout = "") body =
+  String.concat "" (("BEGIN TRANSACTION" :: timeout :: ";\n" :: body) @ [ "\nCOMMIT;" ])
+
+let wrap world ~label ~transactional text =
+  Ent_core.Program.of_string ~label ~transactional ?shapes:world.Travel.shapes text
+
+let text world kind ~uid ~partner ~tag =
+  let label =
+    String.concat "" [ kind_name kind; "-"; string_of_int uid; "-"; string_of_int tag ]
+  in
+  ( label,
+    match kind with
+    | No_social -> block (no_social_body world ~uid ~tag)
+    | Social -> block (social_body world ~uid ~tag)
+    | Entangled ->
+      block ~timeout:" WITH TIMEOUT 2 DAYS" (entangled_body ~uid ~partner ~tag) )
 
 let program world ~transactional kind ~uid ~partner ~tag =
-  let label = Printf.sprintf "%s-%d-%d" (kind_name kind) uid tag in
-  match kind with
-  | No_social -> wrap world ~label ~transactional (no_social_body world ~uid ~tag)
-  | Social -> wrap world ~label ~transactional (social_body world ~uid ~tag)
-  | Entangled ->
-    wrap world ~label ~transactional ~timeout:" WITH TIMEOUT 2 DAYS"
-      (entangled_body world ~uid ~partner ~tag)
+  let label, text = text world kind ~uid ~partner ~tag in
+  wrap world ~label ~transactional text
 
 (* Friend pairs, cycling over the graph deterministically. *)
 let friend_pair world k =
@@ -121,7 +131,7 @@ let structured_program world ~label ~uid queries =
          LIMIT 1;\nINSERT INTO Reserve (uid, fid) VALUES (%d, @fid);"
         home uid
   in
-  wrap world ~label ~transactional:true ~timeout:" WITH TIMEOUT 2 DAYS" body
+  wrap world ~label ~transactional:true (block ~timeout:" WITH TIMEOUT 2 DAYS" [ body ])
 
 let spoke_hub world ~set_size ~tag_base =
   if set_size < 2 then invalid_arg "Gen.spoke_hub: set_size must be >= 2";

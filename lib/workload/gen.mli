@@ -13,6 +13,10 @@ type kind =
   | Social  (** booking + friend lookup *)
   | Entangled  (** booking coordinated with a friend via an entangled query *)
 
+(** [text world kind ~uid ~partner ~tag] is the label and the SQL text
+    of the transaction {!program} builds. *)
+val text : Travel.t -> kind -> uid:int -> partner:int -> tag:int -> string * string
+
 (** [program world ~transactional kind ~uid ~partner ~tag] builds one
     transaction. [partner] is used by [Entangled] only. A negative
     partner produces a permanently partnerless query (used for the

@@ -42,6 +42,40 @@ let test_classical_rollback () =
   check_outcome m "rolled back" "rolled-back" id;
   Alcotest.(check int) "no booking" 0 (List.length (reserve_rows m))
 
+(* The scheduler keeps every finished task for outcome and answer
+   queries, so what a finished task holds stays in the heap: its
+   transaction's handle and access records must not. 73.48 live words
+   per task is what 10 000 finished NoSocial tasks retained (Reserve
+   rows included) when each statement still built its own access
+   record. *)
+let test_finished_tasks_retained_words () =
+  let world = Ent_workload.Travel.build () in
+  let n = 10_000 in
+  let programs =
+    Ent_workload.Gen.batch world ~transactional:true Ent_workload.Gen.No_social ~n
+      ~tag_base:0
+  in
+  let m = world.manager in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  let before = live_words () in
+  let ids =
+    List.mapi
+      (fun i p ->
+        let id = Manager.submit m p in
+        if (i + 1) mod 100 = 0 then Manager.run_once m;
+        id)
+      programs
+  in
+  Manager.drain m;
+  let per_task = float_of_int (live_words () - before) /. float_of_int n in
+  ignore (Sys.opaque_identity programs);
+  List.iter (check_outcome m "nosocial" "committed") ids;
+  if per_task > 73.5 then
+    Alcotest.failf "%.2f live words retained per finished task" per_task
+
 (* --- entangled coordination --- *)
 
 let test_mickey_minnie_commit () =
@@ -594,7 +628,9 @@ let () =
   Alcotest.run "core"
     [ ( "classical",
         [ Alcotest.test_case "commit" `Quick test_classical_transaction;
-          Alcotest.test_case "rollback" `Quick test_classical_rollback ] );
+          Alcotest.test_case "rollback" `Quick test_classical_rollback;
+          Alcotest.test_case "finished tasks retain no transaction" `Quick
+            test_finished_tasks_retained_words ] );
       ( "entangled",
         [ Alcotest.test_case "mickey-minnie commit" `Quick test_mickey_minnie_commit;
           Alcotest.test_case "figure 2 multi-query" `Quick test_figure2_multi_query;

@@ -1268,6 +1268,30 @@ let run_differential ~plan ~reference stmts =
         [ stmt; shift_stmt stmt ])
     stmts
 
+(* A script as one transaction block. *)
+let program_text stmts =
+  String.concat ""
+    (("BEGIN TRANSACTION;\n" :: List.map (fun s -> Pretty.stmt_to_string s ^ ";\n") stmts)
+    @ [ "COMMIT;" ])
+
+(* Parse [text] through [shapes] and run its statements in order: on
+   the plan side each through its template's plan, with the parameters
+   the shaped parse produced, on the reference side by the reference
+   interpreter. The first difference, if any. *)
+let template_differs ~plan ~reference shapes text =
+  let { Parser.program; plans; params } = Parser.parse_shaped shapes text in
+  if Array.length plans = 0 then Some (text ^ ": no template")
+  else
+    List.find_map Fun.id
+      (List.mapi
+         (fun i ((stmt : Ast.stmt), _) ->
+           differ
+             (Pretty.stmt_to_string stmt ^ " (template)")
+             ~plan ~reference describe_outcome
+             (fun s -> Eval.exec_template s.s_access s.s_env plans.(i) params stmt)
+             (fun s -> Reference.Sql.exec_stmt s.s_access s.s_env stmt))
+         program.body)
+
 let prop_plan_matches_reference =
   QCheck2.Test.make ~name:"plans match the reference interpreter" ~count:500
     ~print:print_diff_case gen_diff_case (fun (rows, ddl, stmts, bind_h2) ->
@@ -1280,7 +1304,118 @@ let prop_plan_matches_reference =
         side cat env
       in
       run_differential ~plan:(make ()) ~reference:(make ()) stmts;
+      (* the script parsed through a shape table, then again with its
+         literals moved: the second parse is built from the template.
+         A statement whose printed text the parser reads otherwise
+         (a parenthesized comparison operand) stays out of the text. *)
+      let stmts =
+        List.filter
+          (fun stmt ->
+            match Parser.parse_stmt (Pretty.stmt_to_string stmt) with
+            | _ -> true
+            | exception Parser.Parse_error _ -> false)
+          stmts
+      in
+      let shapes = Parser.Shapes.create () in
+      let plan = make () and reference = make () in
+      if stmts <> [] then
+        List.iter
+          (fun stmts ->
+            match template_differs ~plan ~reference shapes (program_text stmts) with
+            | Some d -> QCheck2.Test.fail_report d
+            | None -> ())
+          [ stmts; List.map shift_stmt stmts ];
       true)
+
+let expect_same = Option.iter Alcotest.fail
+
+let template_sides () =
+  let rows =
+    ( [ [| Value.Int 1; Value.Int 2; Value.Str "x" |];
+        [| Value.Int 3; Value.Int 2; Value.Str "y" |];
+        [| Value.Int 2; Value.Int 7; Value.Str "x" |] ],
+      [ [| Value.Int 1; Value.Int 4; Value.Str "y" |] ] )
+  in
+  let make () = side (diff_catalog rows) (Eval.fresh_env ()) in
+  (make (), make ())
+
+(* One template, three bound-bit patterns of its bare projections: both
+   unbound (they read columns and bind), both bound (they read the host
+   values), one of each. *)
+let test_template_bare_bound () =
+  let shapes = Parser.Shapes.create () in
+  let plan, reference = template_sides () in
+  let text b =
+    Printf.sprintf "BEGIN TRANSACTION;\nSELECT @a, @c FROM T WHERE b = %d;\nCOMMIT;" b
+  in
+  expect_same (template_differs ~plan ~reference shapes (text 2));
+  Alcotest.(check (option string)) "@c bound from the first row" (Some "x")
+    (Option.map Value.to_string (Hashtbl.find_opt plan.s_env "c"));
+  expect_same (template_differs ~plan ~reference shapes (text 7));
+  List.iter (fun s -> Hashtbl.remove s.s_env "a") [ plan; reference ];
+  expect_same (template_differs ~plan ~reference shapes (text 7));
+  expect_same (template_differs ~plan ~reference shapes (text 2))
+
+(* Keyword literals (NULL) take parameter slots that no text literal
+   fills, LIMIT's literal fills none of the plan's, and every statement
+   after the first reads from its own offset: the same template run
+   with two sets of values. *)
+let test_template_literal_order () =
+  let shapes = Parser.Shapes.create () in
+  let plan, reference = template_sides () in
+  let text (a, b, c, d, e) =
+    Printf.sprintf
+      "BEGIN TRANSACTION;\n\
+       SELECT a, 'z', NULL FROM T WHERE c = '%s' LIMIT 2;\n\
+       UPDATE T SET b = %d, c = NULL WHERE a IN (%d, NULL, %d) AND b <> %d;\n\
+       SELECT a, b FROM T WHERE b = %d AND a IN (0, 1, 2, 3);\n\
+       SET @h2 = %d;\n\
+       INSERT INTO U VALUES (%d, NULL, 'w');\n\
+       COMMIT;"
+      (if a = 1 then "x" else "y") b c d e b (a + b) (c * d)
+  in
+  expect_same (template_differs ~plan ~reference shapes (text (1, 5, 1, 3, 9)));
+  expect_same (template_differs ~plan ~reference shapes (text (2, 8, 2, 1, 5)))
+
+(* DDL between two runs of one template: an ordered index turns the
+   scan into a range probe, and a table re-created with its columns
+   reordered is read by the new positions. *)
+let test_template_ddl () =
+  let shapes = Parser.Shapes.create () in
+  let plan, reference = template_sides () in
+  let text lo =
+    Printf.sprintf
+      "BEGIN TRANSACTION;\nSELECT a, c FROM T WHERE b BETWEEN %d AND %d;\nCOMMIT;" lo
+      (lo + 5)
+  in
+  let ddl stmts =
+    List.iter
+      (fun s ->
+        List.iter
+          (fun d -> ignore (Eval.exec_stmt s.s_access (Eval.fresh_env ()) (Parser.parse_stmt d)))
+          stmts;
+        ignore (s.s_drain ()))
+      [ plan; reference ]
+  in
+  let ranges () =
+    List.length (List.filter (function Range _, _ -> true | _ -> false) (plan.s_drain ()))
+  in
+  expect_same (template_differs ~plan ~reference shapes (text 1));
+  ddl [ "CREATE ORDERED INDEX ON T (b)" ];
+  expect_same (template_differs ~plan ~reference shapes (text 2));
+  ddl [ "CREATE ORDERED INDEX ON T (b)" ];
+  (match Parser.parse_shaped shapes (text 0) with
+  | { program = { body = [ (stmt, _) ]; _ }; plans; params } ->
+    ignore (Eval.exec_template plan.s_access plan.s_env plans.(0) params stmt);
+    Alcotest.(check int) "range probe after the index" 1 (ranges ())
+  | _ -> Alcotest.fail "one statement");
+  ddl
+    [ "DROP TABLE T";
+      "CREATE TABLE T (c STRING, b INT, a INT)";
+      "INSERT INTO T VALUES ('y', 3, 10)";
+      "INSERT INTO T VALUES ('x', 9, 11)" ];
+  expect_same (template_differs ~plan ~reference shapes (text 1));
+  expect_same (template_differs ~plan ~reference shapes (text 4))
 
 (* Programs statement by statement over two identical catalogs. An
    entangled query's binder subqueries run as the grounding engine runs
@@ -1491,7 +1626,11 @@ let () =
             test_plan_matches_reference_on_workloads;
           Alcotest.test_case "DDL drops cached plans" `Quick test_plan_ddl_invalidation;
           Alcotest.test_case "scan allocation is flat per row" `Quick test_plan_scan_allocation;
-          Gen.to_alcotest prop_plan_matches_reference ] );
+          Gen.to_alcotest prop_plan_matches_reference;
+          Alcotest.test_case "template: bare @v bound and unbound" `Quick
+            test_template_bare_bound;
+          Alcotest.test_case "template: literal order" `Quick test_template_literal_order;
+          Alcotest.test_case "template: DDL between runs" `Quick test_template_ddl ] );
       ( "properties",
         [ Gen.to_alcotest prop_print_parse_roundtrip;
           Gen.to_alcotest prop_parser_total ] ) ]

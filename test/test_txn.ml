@@ -222,10 +222,10 @@ let test_engine_write_blocks_reader () =
   (try
      ignore (count_rows engine reader);
      Alcotest.fail "reader not blocked by writer's IX lock"
-   with Engine.Blocked b -> Alcotest.(check int) "blocked txn" reader b);
+   with Engine.Blocked b -> Alcotest.(check int) "blocked txn" (Engine.id reader) b);
   Engine.commit engine writer;
   let woken = Engine.take_wakeups engine in
-  Alcotest.(check (list int)) "reader woken" [ reader ] woken;
+  Alcotest.(check (list int)) "reader woken" [ Engine.id reader ] woken;
   Alcotest.(check int) "reader proceeds" 2 (count_rows engine reader);
   Engine.commit engine reader
 
@@ -268,11 +268,11 @@ let test_engine_deadlock_victim () =
      ignore (exec engine t2 "SELECT k FROM T");
      Alcotest.fail "t2 should be a deadlock victim"
    with
-  | Engine.Deadlock_victim v -> Alcotest.(check int) "victim is t2" t2 v
+  | Engine.Deadlock_victim v -> Alcotest.(check int) "victim is t2" (Engine.id t2) v
   | Engine.Blocked _ -> Alcotest.fail "deadlock undetected");
   Engine.abort engine t2;
   let woken = Engine.take_wakeups engine in
-  Alcotest.(check (list int)) "t1 woken after victim abort" [ t1 ] woken;
+  Alcotest.(check (list int)) "t1 woken after victim abort" [ Engine.id t1 ] woken;
   (match exec engine t1 "SELECT k FROM U" with
   | Ent_sql.Eval.Rows rows -> Alcotest.(check int) "t1 proceeds" 1 (List.length rows)
   | _ -> Alcotest.fail "expected rows");
@@ -282,7 +282,7 @@ let test_engine_savepoint_rollback () =
   let engine = make_engine () in
   let t1 = Engine.begin_txn engine in
   ignore (exec engine t1 "INSERT INTO T VALUES (3, 'three')");
-  let sp = Engine.savepoint engine t1 in
+  let sp = Engine.savepoint t1 in
   ignore (exec engine t1 "INSERT INTO T VALUES (4, 'four')");
   ignore (exec engine t1 "UPDATE T SET v = 'THREE' WHERE k = 3");
   Engine.rollback_to engine t1 sp;
@@ -304,7 +304,7 @@ let test_engine_grounding_read_lock () =
        | Ent_sql.Ast.Select s -> s
        | _ -> assert false));
   Alcotest.(check (list string)) "grounding recorded" [ "T" ]
-    (Engine.grounding_reads engine minnie);
+    (Engine.grounding_reads minnie);
   let donald = Engine.begin_txn engine in
   (try
      ignore (exec engine donald "INSERT INTO T VALUES (99, 'new')");
@@ -351,9 +351,9 @@ let test_recovery_replay_committed () =
   (* t3 incomplete at crash *)
   let wal = Option.get (Engine.log engine) in
   let catalog, analysis = Recovery.replay (Wal.records wal) in
-  Alcotest.(check (list int)) "committed" [ 0; t1 ] analysis.committed;
-  Alcotest.(check (list int)) "aborted" [ t2 ] analysis.aborted;
-  Alcotest.(check (list int)) "incomplete" [ t3 ] analysis.incomplete;
+  Alcotest.(check (list int)) "committed" [ 0; Engine.id t1 ] analysis.committed;
+  Alcotest.(check (list int)) "aborted" [ Engine.id t2 ] analysis.aborted;
+  Alcotest.(check (list int)) "incomplete" [ Engine.id t3 ] analysis.incomplete;
   let table = Catalog.find_exn catalog "T" in
   Alcotest.(check int) "rows after recovery" 3 (Table.cardinal table);
   (* t3's update must not survive *)
@@ -368,16 +368,16 @@ let test_recovery_entangled_group_rollback () =
   let engine = make_engine () in
   let mickey = Engine.begin_txn engine in
   let minnie = Engine.begin_txn engine in
-  Engine.log_entangle_group engine ~event:1 ~members:[ mickey; minnie ];
+  Engine.log_entangle_group engine ~event:1 ~members:(List.map Engine.id [ mickey; minnie ]);
   ignore (exec engine mickey "INSERT INTO T VALUES (100, 'mickey-booking')");
   ignore (exec engine minnie "INSERT INTO T VALUES (200, 'minnie-booking')");
   Engine.commit engine mickey;
   (* crash before minnie commits *)
   let wal = Option.get (Engine.log engine) in
   let catalog, analysis = Recovery.replay (Wal.records wal) in
-  Alcotest.(check (list int)) "victims" [ mickey ] analysis.group_victims;
+  Alcotest.(check (list int)) "victims" [ Engine.id mickey ] analysis.group_victims;
   Alcotest.(check bool) "mickey not survivor" false
-    (List.mem mickey analysis.survivors);
+    (List.mem (Engine.id mickey) analysis.survivors);
   let table = Catalog.find_exn catalog "T" in
   Alcotest.(check int) "neither booking survives" 2 (Table.cardinal table)
 
@@ -385,7 +385,7 @@ let test_recovery_entangled_group_both_commit () =
   let engine = make_engine () in
   let mickey = Engine.begin_txn engine in
   let minnie = Engine.begin_txn engine in
-  Engine.log_entangle_group engine ~event:1 ~members:[ mickey; minnie ];
+  Engine.log_entangle_group engine ~event:1 ~members:(List.map Engine.id [ mickey; minnie ]);
   ignore (exec engine mickey "INSERT INTO T VALUES (100, 'm')");
   ignore (exec engine minnie "INSERT INTO T VALUES (200, 'n')");
   Engine.commit engine mickey;
@@ -402,8 +402,8 @@ let test_recovery_transitive_groups () =
   let a = Engine.begin_txn engine in
   let b = Engine.begin_txn engine in
   let c = Engine.begin_txn engine in
-  Engine.log_entangle_group engine ~event:1 ~members:[ a; b ];
-  Engine.log_entangle_group engine ~event:2 ~members:[ b; c ];
+  Engine.log_entangle_group engine ~event:1 ~members:(List.map Engine.id [ a; b ]);
+  Engine.log_entangle_group engine ~event:2 ~members:(List.map Engine.id [ b; c ]);
   ignore (exec engine a "INSERT INTO T VALUES (100, 'a')");
   ignore (exec engine b "INSERT INTO T VALUES (200, 'b')");
   ignore (exec engine c "INSERT INTO T VALUES (300, 'c')");
@@ -412,8 +412,10 @@ let test_recovery_transitive_groups () =
   (* crash before c *)
   let wal = Option.get (Engine.log engine) in
   let _, analysis = Recovery.replay (Wal.records wal) in
-  Alcotest.(check (list (list int))) "one group of three" [ [ a; b; c ] ] analysis.groups;
-  Alcotest.(check (list int)) "a and b rolled back" [ a; b ] analysis.group_victims
+  Alcotest.(check (list (list int))) "one group of three"
+    [ List.map Engine.id [ a; b; c ] ] analysis.groups;
+  Alcotest.(check (list int)) "a and b rolled back" (List.map Engine.id [ a; b ])
+    analysis.group_victims
 
 let test_recovery_cascading_victims () =
   (* t_after updates a row inserted by a group victim; it must be rolled
@@ -421,7 +423,7 @@ let test_recovery_cascading_victims () =
   let engine = make_engine ~wal:true () in
   let victim = Engine.begin_txn engine in
   let partner = Engine.begin_txn engine in
-  Engine.log_entangle_group engine ~event:1 ~members:[ victim; partner ];
+  Engine.log_entangle_group engine ~event:1 ~members:(List.map Engine.id [ victim; partner ]);
   ignore (exec engine victim "INSERT INTO T VALUES (100, 'v')");
   Engine.commit engine victim;
   let after = Engine.begin_txn engine in
@@ -430,7 +432,8 @@ let test_recovery_cascading_victims () =
   (* crash: partner never commits *)
   let wal = Option.get (Engine.log engine) in
   let catalog, analysis = Recovery.replay (Wal.records wal) in
-  Alcotest.(check (list int)) "cascade" [ victim; after ] analysis.group_victims;
+  Alcotest.(check (list int)) "cascade" (List.map Engine.id [ victim; after ])
+    analysis.group_victims;
   Alcotest.(check int) "row gone entirely" 2
     (Table.cardinal (Catalog.find_exn catalog "T"))
 
@@ -448,7 +451,7 @@ let test_recovery_statement_rollback_compensated () =
   let engine = make_engine () in
   let t1 = Engine.begin_txn engine in
   ignore (exec engine t1 "INSERT INTO T VALUES (3, 'three')");
-  let sp = Engine.savepoint engine t1 in
+  let sp = Engine.savepoint t1 in
   ignore (exec engine t1 "INSERT INTO T VALUES (4, 'four')");
   Engine.rollback_to engine t1 sp;
   Engine.commit engine t1;
@@ -494,13 +497,13 @@ let test_checkpoint_preserves_groups_after () =
   Engine.checkpoint engine;
   let a = Engine.begin_txn engine in
   let b = Engine.begin_txn engine in
-  Engine.log_entangle_group engine ~event:9 ~members:[ a; b ];
+  Engine.log_entangle_group engine ~event:9 ~members:(List.map Engine.id [ a; b ]);
   ignore (exec engine a "INSERT INTO T VALUES (100, 'a')");
   Engine.commit engine a;
   (* crash before b *)
   let wal = Option.get (Engine.log engine) in
   let catalog, analysis = Recovery.replay (Wal.records wal) in
-  Alcotest.(check (list int)) "a rolled back" [ a ] analysis.group_victims;
+  Alcotest.(check (list int)) "a rolled back" [ Engine.id a ] analysis.group_victims;
   Alcotest.(check int) "snapshot rows only" 2
     (Table.cardinal (Catalog.find_exn catalog "T"))
 
@@ -546,8 +549,9 @@ let test_program_transactional_roundtrip () =
 let test_engine_api_misuse () =
   let engine = make_engine () in
   let t1 = Engine.begin_txn engine in
+  let kept = Engine.access engine t1 ~grounding:false () in
   Engine.commit engine t1;
-  (* operations on a finished transaction are rejected *)
+  (* operations on a finished transaction's handle are rejected *)
   (try
      Engine.commit engine t1;
      Alcotest.fail "double commit accepted"
@@ -557,14 +561,22 @@ let test_engine_api_misuse () =
      Alcotest.fail "abort after commit accepted"
    with Invalid_argument _ -> ());
   (try
-     ignore (Engine.savepoint engine t1);
+     ignore (Engine.savepoint t1);
      Alcotest.fail "savepoint on finished txn accepted"
    with Invalid_argument _ -> ());
-  Alcotest.(check bool) "not active" false (Engine.is_active engine t1);
-  (* abort_group skips inactive members instead of failing *)
+  (try
+     ignore (Engine.access engine t1 ~grounding:false ());
+     Alcotest.fail "access on finished txn accepted"
+   with Invalid_argument _ -> ());
+  (try
+     ignore (kept.insert "T" [| Value.Int 9; Value.Str "late" |]);
+     Alcotest.fail "write through a finished txn's access accepted"
+   with Invalid_argument _ -> ());
+  Alcotest.(check bool) "not live" false (Engine.is_live t1);
+  (* abort_group skips finished members instead of failing *)
   let t2 = Engine.begin_txn engine in
   Engine.abort_group engine [ t1; t2 ];
-  Alcotest.(check bool) "t2 aborted" false (Engine.is_active engine t2)
+  Alcotest.(check bool) "t2 aborted" false (Engine.is_live t2)
 
 let test_group_abort_interleaved_writes () =
   (* Two group members interleave writes on the same row (group lock
@@ -573,8 +585,8 @@ let test_group_abort_interleaved_writes () =
   let engine = make_engine () in
   let a = Engine.begin_txn engine in
   let b = Engine.begin_txn engine in
-  Engine.set_lock_group engine ~txn:a ~group:1;
-  Engine.set_lock_group engine ~txn:b ~group:1;
+  Engine.set_lock_group engine ~txn:(Engine.id a) ~group:1;
+  Engine.set_lock_group engine ~txn:(Engine.id b) ~group:1;
   ignore (exec engine a "UPDATE T SET v = 'a1' WHERE k = 1");
   ignore (exec engine b "UPDATE T SET v = 'b1' WHERE k = 1");
   ignore (exec engine a "UPDATE T SET v = 'a2' WHERE k = 1");
@@ -676,11 +688,12 @@ let prop_recovery_idempotent =
                (fun k ->
                  ignore
                    (exec engine txn
-                      (Printf.sprintf "UPDATE T SET v = 'x%d' WHERE k = %d" txn k)))
+                      (Printf.sprintf "UPDATE T SET v = 'x%d' WHERE k = %d"
+                         (Engine.id txn) k)))
                keys
            with Engine.Blocked _ | Engine.Deadlock_victim _ ->
              Engine.abort engine txn);
-          if Engine.is_active engine txn then
+          if Engine.is_live txn then
             if commit then Engine.commit engine txn else Engine.abort engine txn)
         txns;
       let wal = Option.get (Engine.log engine) in

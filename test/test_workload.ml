@@ -297,6 +297,71 @@ let test_shapes_retained_words () =
   if per_program > 100.0 then
     Alcotest.failf "%.1f live words retained per generated program" per_program
 
+(* The texts [Gen] builds, as [Printf] formats spelled them: label,
+   body and transaction block. *)
+let printf_text world (kind : Gen.kind) ~uid ~partner ~tag =
+  let dest = Travel.destination_for world uid ~salt:tag in
+  let body, timeout =
+    match kind with
+    | No_social ->
+      ( Printf.sprintf
+          "SELECT @uid, @hometown FROM User WHERE uid=%d;\n\
+           SELECT @fid FROM Flight WHERE source=@hometown AND destination='%s' LIMIT 1;\n\
+           INSERT INTO Reserve (uid, fid) VALUES (@uid, @fid);"
+          uid dest,
+        "" )
+    | Social ->
+      ( Printf.sprintf
+          "SELECT @uid, @hometown FROM User WHERE uid=%d;\n\
+           SELECT uid2 FROM Friends, User AS u1, User AS u2\n\
+           WHERE Friends.uid1=@uid AND Friends.uid2=u2.uid AND u1.uid=@uid\n\
+           AND u1.hometown=u2.hometown LIMIT 1;\n\
+           SELECT @fid FROM Flight WHERE source=@hometown AND destination='%s' LIMIT 1;\n\
+           INSERT INTO Reserve (uid, fid) VALUES (@uid, @fid);"
+          uid dest,
+        "" )
+    | Entangled ->
+      let friendship_check =
+        if partner >= 0 then
+          Printf.sprintf
+            "AND (%d) IN (SELECT uid2 FROM Friends WHERE uid1=%d AND uid2=%d)\n"
+            partner uid partner
+        else ""
+      in
+      ( Printf.sprintf
+          "SELECT @uid, @hometown FROM User WHERE uid=%d;\n\
+           SELECT %d, %d, dst AS @destination INTO ANSWER Meet\n\
+           WHERE (dst) IN (SELECT destination FROM Flight WHERE source=@hometown)\n\
+           %sAND (%d, %d, dst) IN ANSWER Meet\n\
+           CHOOSE 1;\n\
+           SELECT @fid FROM Flight WHERE source=@hometown AND destination=@destination LIMIT 1;\n\
+           INSERT INTO Reserve (uid, fid) VALUES (@uid, @fid);"
+          uid uid tag friendship_check partner tag,
+        " WITH TIMEOUT 2 DAYS" )
+  in
+  ( Printf.sprintf "%s-%d-%d"
+      (match kind with No_social -> "nosocial" | Social -> "social" | Entangled -> "entangled")
+      uid tag,
+    Printf.sprintf "BEGIN TRANSACTION%s;\n%s\nCOMMIT;" timeout body )
+
+let test_texts_match_printf () =
+  List.iter
+    (fun seed ->
+      let world = Travel.build ~seed () in
+      List.iter
+        (fun kind ->
+          for i = 0 to 199 do
+            let uid = i * 13 mod 500 and tag = (i * 7919) - 300 in
+            let partner = if i mod 5 = 0 then -1 else (uid + i) mod 500 in
+            let expected = printf_text world kind ~uid ~partner ~tag in
+            let got = Gen.text world kind ~uid ~partner ~tag in
+            if got <> expected then
+              Alcotest.failf "%s text differs from the Printf one:\n%s\n%s"
+                (fst expected) (snd got) (snd expected)
+          done)
+        [ Gen.No_social; Gen.Social; Gen.Entangled ])
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "workload"
     [ ( "graph",
@@ -324,4 +389,6 @@ let () =
       ( "shapes",
         [ Alcotest.test_case "generated programs equal the full parse" `Quick
             test_shapes_match_full_parse;
-          Alcotest.test_case "retained words per program" `Quick test_shapes_retained_words ] ) ]
+          Alcotest.test_case "retained words per program" `Quick test_shapes_retained_words;
+          Alcotest.test_case "texts equal the Printf-built ones" `Quick
+            test_texts_match_printf ] ) ]
