@@ -268,10 +268,7 @@ let si_workloads =
 let last_si_aborts = ref 0
 
 let retag_isolation level (programs : Program.t list) =
-  let snap (p : Program.t) =
-    Program.make ~label:p.label ~transactional:p.transactional
-      ~isolation:Ent_txn.Engine.Snapshot p.ast
-  in
+  let snap (p : Program.t) = { p with isolation = Ent_txn.Engine.Snapshot } in
   match level with
   | `All_2pl -> programs
   | `All_si -> List.map snap programs
@@ -283,7 +280,8 @@ let retag_isolation level (programs : Program.t list) =
    with [partner]. It writes nothing, so the pair never self-conflicts
    on its own read lock. *)
 let si_reader world ~uid ~partner ~tag =
-  Program.of_string ~label:(Printf.sprintf "si-reader-%d-%d" uid tag)
+  Program.of_string ?shapes:world.Travel.shapes
+    ~label:(Printf.sprintf "si-reader-%d-%d" uid tag)
     (Printf.sprintf
        "BEGIN TRANSACTION;\n\
         SELECT fid FROM Reserve;\n\
@@ -299,7 +297,8 @@ let si_reader world ~uid ~partner ~tag =
    blocked writers' IX requests and never be granted — the opener
    would stay unanswered and the whole 2PL pool would livelock. *)
 let si_closer world ~uid ~partner ~tag =
-  Program.of_string ~label:(Printf.sprintf "si-closer-%d-%d" uid tag)
+  Program.of_string ?shapes:world.Travel.shapes
+    ~label:(Printf.sprintf "si-closer-%d-%d" uid tag)
     (Printf.sprintf
        "BEGIN TRANSACTION;\n\
         SELECT %d, %d, dst AS @destination INTO ANSWER Meet\n\

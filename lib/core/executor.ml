@@ -186,15 +186,14 @@ let translate task e =
     task.translated <- Some { t_stmt = e; t_reads = reads; t_query = query };
     query
 
-(* Run a classical statement. Statement [i] of a program built from a
-   shape template runs through the template's plan; a statement from
-   outside the program ([i] = -1) or of a program built without a
-   template runs through the shape walk. *)
+(* Run a classical statement: statement [i] of the program through its
+   plan key, a statement from outside the program ([i] = -1) through
+   [exec_stmt], which compiles it for this run. *)
 let eval access task i stmt =
-  let p = task.program in
-  if i >= 0 && i < Array.length p.templates then
+  if i < 0 then Ent_sql.Eval.exec_stmt access task.env stmt
+  else
+    let p = task.program in
     Ent_sql.Eval.exec_template access task.env p.templates.(i) p.params stmt
-  else Ent_sql.Eval.exec_stmt access task.env stmt
 
 (* Statement [i] of the program, or a statement from outside it when
    [i] is -1. A classical statement that completes returns its result;

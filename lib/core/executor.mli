@@ -84,8 +84,9 @@ val txn_live : task -> bool
     task and marks it runnable. *)
 val start : Ent_txn.Engine.t -> Ent_sim.Cost.t -> task -> unit
 
-(** [exec engine isolation costs task stmt] executes one statement,
-    not necessarily one of the program's, in the task's transaction. A
+(** [exec engine isolation costs task stmt] executes one statement
+    from outside the program (hub input) in the task's transaction,
+    compiling its plan for this run ({!Ent_sql.Eval.exec_stmt}). A
     classical statement that completes advances [task.pc] and returns
     its result. Otherwise the outcome is in [task.status] and the
     result is [None]: an entangled query
@@ -106,7 +107,7 @@ val exec :
     statements from [task.pc] until the task blocks (lock or entangled
     query), finishes ([Ready]), or fails. The statements it runs in one
     transaction share one access record, and each finds its plan by
-    its template's key when the program has templates. *)
+    its key ({!Program.t.templates}). *)
 val step :
   Ent_txn.Engine.t -> Isolation.t -> Ent_sim.Cost.t -> task -> unit
 

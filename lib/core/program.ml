@@ -8,21 +8,26 @@ type t = {
   params : Ent_storage.Value.t array;
 }
 
-let with_plans ?(label = "txn") ?(transactional = true)
-    ?(isolation = Ent_txn.Engine.Serializable_2pl) (ast : Ent_sql.Ast.program) templates
-    params =
+let of_parts ?(label = "txn") ?(transactional = true)
+    ?(isolation = Ent_txn.Engine.Serializable_2pl)
+    { Ent_sql.Parser.program = ast; plans; params } =
   { label; ast; stmts = Array.of_list (List.map fst ast.body); transactional; isolation;
-    templates; params }
+    templates = plans; params }
 
-let make ?label ?transactional ?isolation ast =
-  with_plans ?label ?transactional ?isolation ast [||] [||]
+let make ?label ?transactional ?isolation (ast : Ent_sql.Ast.program) =
+  let plans, leaves = Ent_sql.Eval.plans (List.map fst ast.body) in
+  let value : Ent_sql.Ast.expr -> Ent_storage.Value.t = function
+    | Lit v -> v
+    | _ -> assert false
+  in
+  of_parts ?label ?transactional ?isolation
+    { program = ast; plans; params = Array.of_list (List.map value leaves) }
 
 let of_string ?label ?transactional ?isolation ?shapes input =
   match shapes with
   | None -> make ?label ?transactional ?isolation (Ent_sql.Parser.parse_program input)
   | Some shapes ->
-    let { Ent_sql.Parser.program; plans; params } = Ent_sql.Parser.parse_shaped shapes input in
-    with_plans ?label ?transactional ?isolation program plans params
+    of_parts ?label ?transactional ?isolation (Ent_sql.Parser.parse_shaped shapes input)
 
 let to_string t =
   (* The isolation header appears only for non-default levels, keeping

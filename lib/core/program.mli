@@ -19,14 +19,19 @@ type t = {
           begin-stamp snapshot without read locks and validate their
           write set at commit. *)
   templates : Ent_sql.Eval.template array;
-      (** each statement's plan key, when the program was built from a
-          shape template ({!of_string} with [shapes]); empty otherwise,
-          and then every statement finds its plan by the shape walk *)
+      (** each statement's plan key, by statement: every constructor
+          keys every statement, so a program statement always finds its
+          plan by key ({!Ent_sql.Eval.exec_template}). A copy that
+          keeps [ast] ([{ p with isolation = ... }]) keeps the keys. *)
   params : Ent_storage.Value.t array;
       (** the statements' literal values in plan order, statement after
-          statement (see {!Ent_sql.Eval.exec_template}) *)
+          statement *)
 }
 
+(** A program of [ast] whose statements get plan keys of their own,
+    one walk each ({!Ent_sql.Eval.plans}): their plans are compiled
+    for this program alone. Programs that share a shape should be
+    parsed through one table instead ({!of_string} with [shapes]). *)
 val make :
   ?label:string ->
   ?transactional:bool ->
@@ -34,8 +39,9 @@ val make :
   Ent_sql.Ast.program ->
   t
 
-(** Parse a [BEGIN TRANSACTION ... COMMIT] block; with [shapes],
-    through that table (see {!Ent_sql.Parser.parse_program}). *)
+(** Parse a [BEGIN TRANSACTION ... COMMIT] block and {!make} it; with
+    [shapes], through that table, so that programs of one shape share
+    their plan keys (see {!Ent_sql.Parser.parse_shaped}). *)
 val of_string :
   ?label:string ->
   ?transactional:bool ->
@@ -48,7 +54,8 @@ val of_string :
     levels, the isolation) is carried in leading comments. *)
 val to_string : t -> string
 
-(** Inverse of {!to_string} (label recovered from the comment). *)
+(** Inverse of {!to_string} (label recovered from the comment), built
+    by {!make}. *)
 val of_serialized : string -> t
 
 (** Number of entangled queries in the program. *)

@@ -119,10 +119,7 @@ let build_programs cfg world =
   let programs = entangled @ rollback @ plain @ lonely in
   (* Per-transaction isolation: snapshot programs survive pool
      snapshots too — the level travels in the serialized header. *)
-  let snap (p : Program.t) =
-    Program.make ~label:p.label ~transactional:p.transactional
-      ~isolation:Ent_txn.Engine.Snapshot p.ast
-  in
+  let snap (p : Program.t) = { p with isolation = Ent_txn.Engine.Snapshot } in
   match cfg.isolation with
   | "si" -> List.map snap programs
   | "mixed" ->

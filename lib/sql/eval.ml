@@ -83,17 +83,18 @@ type outcome =
 
 (* --- shapes and literal lifting ---
 
-   One walk over a statement hashes its shape — every constructor,
-   name and LIMIT, with each literal reduced to a slot — and collects
-   the literal values in walk order. Statements that differ only in
-   their literals have the same shape and so share a plan; the
-   collected values are the plan's parameters. A cached plan keeps the
-   statement it was compiled from, and a hash hit is confirmed by
-   comparing shapes ({!same_stmt} and friends below). With [number] set
-   (only when a plan is about to be compiled) the walk also rebuilds
-   the tree with literal [i] replaced by [Lit (Int i)], the form the
-   compiler reads: both modes run this code, so parameter slots and
-   lifted literals agree by construction. *)
+   One walk over a statement or fragment collects its literal values in
+   walk order: they are the plan's parameters. A program statement is
+   walked once, when its program is built ({!plans}), and then finds
+   its plan by key. A grounding fragment's walk also hashes its shape —
+   every constructor, name and LIMIT, with each literal reduced to a
+   slot — so fragments that differ only in their literals share a plan;
+   a cached fragment plan keeps the fragment it was compiled from, and
+   a hash hit is confirmed by comparing shapes ({!same_select} and
+   friends below). With [number] set (only when a plan is about to be
+   compiled) the walk also rebuilds the tree with literal [i] replaced
+   by [Lit (Int i)], the form the compiler reads: both modes run this
+   code, so parameter slots and lifted literals agree by construction. *)
 
 type walk = {
   mutable hash : int;
@@ -101,19 +102,17 @@ type walk = {
   mutable n_lits : int;
   mutable bare : int;  (* bare [@v] projections seen *)
   mutable bares : string list;  (* their names, newest first *)
-  mutable bound : int;  (* bit [i]: the [i]th bare projection's [@v] is bound *)
   number : bool;
 }
 
-let walk ~number =
-  { hash = 0; lits = []; n_lits = 0; bare = 0; bares = []; bound = 0; number }
+let walk ~number = { hash = 0; lits = []; n_lits = 0; bare = 0; bares = []; number }
 
 let mix w x = w.hash <- (w.hash * 31) + x
 let tag w c = mix w (Char.code c)
 let name w s = mix w (Hashtbl.hash s)
 
-(* [bound] holds one bit per bare projection; a statement with more
-   than this many is compiled afresh every time. *)
+(* A plan key holds one bound bit per bare projection; a statement
+   with more than this many is compiled afresh every time. *)
 let max_bare = Sys.int_size - 2
 
 (* Lists walk in order; only numbering rebuilds them. *)
@@ -223,7 +222,8 @@ let rec w_cond w (c : Ast.cond) : Ast.cond =
 (* [bare] is the environment of a top-level classical SELECT with a
    FROM clause, whose bare [@v] projections follow the Appendix D
    shorthand: unbound, [@v] means [v AS @v]. Which of them are bound
-   is part of the key, and the numbered tree carries the rewrite. *)
+   is part of the plan key ({!bound_bits}), and the numbered tree
+   carries the rewrite. *)
 and w_select ?bare w (s : Ast.select) : Ast.select =
   tag w (if s.distinct then 'D' else 's');
   let bare = match s.from with [] -> None | _ :: _ -> bare in
@@ -256,20 +256,10 @@ and w_select ?bare w (s : Ast.select) : Ast.select =
 and w_proj bare w (p : Ast.proj) : Ast.proj =
   match p.pexpr, p.pbind, bare with
   | Host v, None, Some env ->
-    let i = w.bare in
-    w.bare <- i + 1;
+    w.bare <- w.bare + 1;
     w.bares <- v :: w.bares;
-    if Hashtbl.mem env v then begin
-      if i < max_bare then w.bound <- w.bound lor (1 lsl i);
-      tag w 'b';
-      name w v;
-      p
-    end
-    else begin
-      tag w 'u';
-      name w v;
-      if w.number then { pexpr = Col (None, v); pbind = Some v } else p
-    end
+    if w.number && not (Hashtbl.mem env v) then { pexpr = Col (None, v); pbind = Some v }
+    else p
   | _ ->
     tag w 'p';
     let pexpr = w_expr w p.pexpr in
@@ -281,28 +271,20 @@ and w_proj bare w (p : Ast.proj) : Ast.proj =
     if w.number then { p with pexpr } else p
 
 (* The statements that run through plans; DDL and the transaction
-   manager's statements never reach this walk. *)
+   manager's statements never reach this walk. A statement's plan is
+   found by its key, so its own nodes add nothing to the hash. *)
 let w_stmt env w (stmt : Ast.stmt) : Ast.stmt =
   match stmt with
   | Select sel ->
-    tag w 'Q';
     let sel' = w_select ~bare:env w sel in
     if w.number then Select sel' else stmt
-  | Insert { table; columns; values } ->
-    tag w 'C';
-    name w table;
-    (match columns with
-    | None -> tag w '.'
-    | Some cols -> ignore (w_list w (fun w c -> name w c; c) cols));
+  | Insert ({ values; _ } as ins) ->
     let values' = w_list w w_expr values in
-    if w.number then Insert { table; columns; values = values' } else stmt
+    if w.number then Insert { ins with values = values' } else stmt
   | Update { table; set; where } ->
-    tag w 'U';
-    name w table;
     let set' =
       w_list w
         (fun w ((col, e) as s) ->
-          name w col;
           let e' = w_expr w e in
           if w.number then (col, e') else s)
         set
@@ -310,20 +292,15 @@ let w_stmt env w (stmt : Ast.stmt) : Ast.stmt =
     let where' = w_cond w where in
     if w.number then Update { table; set = set'; where = where' } else stmt
   | Delete { table; where } ->
-    tag w 'X';
-    name w table;
     let where' = w_cond w where in
     if w.number then Delete { table; where = where' } else stmt
   | Set_var (v, e) ->
-    tag w 'V';
-    name w v;
     let e' = w_expr w e in
     if w.number then Set_var (v, e') else stmt
   | Create_table _ | Create_index _ | Drop_table _ | Entangled _ | Rollback ->
     invalid_arg "Eval: statement has no plan"
 
-(* Same shape: equal up to literal values. Whether bare projections are
-   bound is compared separately, through [walk.bound]. *)
+(* Same shape: equal up to literal values. *)
 let rec same_expr (a : Ast.expr) (b : Ast.expr) =
   a == b
   ||
@@ -365,25 +342,6 @@ and same_select (a : Ast.select) (b : Ast.select) =
      && List.equal same_expr a.group_by b.group_by
      && List.equal (fun (ea, da) (eb, db) -> da = db && same_expr ea eb) a.order_by b.order_by
      && a.limit = b.limit
-
-let same_stmt (a : Ast.stmt) (b : Ast.stmt) =
-  a == b
-  ||
-  match a, b with
-  | Select sa, Select sb -> same_select sa sb
-  | Insert ia, Insert ib ->
-    String.equal ia.table ib.table
-    && Option.equal (List.equal String.equal) ia.columns ib.columns
-    && List.equal same_expr ia.values ib.values
-  | Update ua, Update ub ->
-    String.equal ua.table ub.table
-    && List.equal (fun (ca, ea) (cb, eb) -> String.equal ca cb && same_expr ea eb) ua.set ub.set
-    && same_cond ua.where ub.where
-  | Delete da, Delete db -> String.equal da.table db.table && same_cond da.where db.where
-  | Set_var (va, ea), Set_var (vb, eb) -> String.equal va vb && same_expr ea eb
-  | ( ( Select _ | Insert _ | Update _ | Delete _ | Set_var _ | Create_table _
-      | Create_index _ | Drop_table _ | Entangled _ | Rollback ),
-      _ ) -> false
 
 (* --- plans ---
 
@@ -998,8 +956,9 @@ let compile_stmt cc (stmt : Ast.stmt) : ctx -> frame -> outcome =
 (* --- the plan cache ---
 
    Plans live with the catalog whose schemas and ordered indexes they
-   bake in, one map per entry point, bucketed by shape hash. Any DDL
-   resets the catalog's slot, so a plan never outlives its schemas.
+   bake in: program statements' by plan key, fragments' in one map per
+   kind, bucketed by shape hash. Any DDL resets the catalog's slot, so
+   a plan never outlives its schemas.
    Groundings run on worker domains, so the maps are immutable values
    behind atomics: a lookup takes no lock, and the rare insert (a new
    shape) is serialized by [mu]. *)
@@ -1010,8 +969,7 @@ type 'a compiled = {
 }
 
 type ('n, 'a) cached = {
-  rep : 'n;  (* the statement the plan was compiled from *)
-  rep_bound : int;
+  rep : 'n;  (* the fragment the plan was compiled from *)
   compiled : 'a compiled;
 }
 
@@ -1022,8 +980,7 @@ type ('n, 'a) shapes = ('n, 'a) cached list Shapes.t Atomic.t
 type cache = {
   mu : Mutex.t;
   templates : (int * (ctx -> frame -> outcome) compiled) list Shapes.t Atomic.t;
-      (* by template key: one plan per bound-bits value *)
-  stmts : (Ast.stmt, ctx -> frame -> outcome) shapes;
+      (* by plan key: one plan per bound-bits value *)
   selects : (Ast.select, select_plan) shapes;
   exprs : (Ast.expr, ctx -> frame -> Value.t) shapes;
   conds : (Ast.cond, ctx -> frame -> bool) shapes;
@@ -1042,7 +999,6 @@ let cache_of catalog =
     let cache =
       { mu = Mutex.create ();
         templates = Atomic.make Shapes.empty;
-        stmts = Atomic.make Shapes.empty;
         selects = Atomic.make Shapes.empty;
         exprs = Atomic.make Shapes.empty;
         conds = Atomic.make Shapes.empty }
@@ -1061,11 +1017,9 @@ let insert cache tbl key entry =
   Atomic.set tbl (Shapes.add key (entry :: entries) m);
   Mutex.unlock cache.mu
 
-let rec find_shape w same node = function
+let rec find_shape same node = function
   | [] -> None
-  | e :: rest ->
-    if e.rep_bound = w.bound && same e.rep node then Some e.compiled
-    else find_shape w same node rest
+  | e :: rest -> if same e.rep node then Some e.compiled else find_shape same node rest
 
 let value_of_leaf : Ast.expr -> Value.t = function
   | Lit v -> v
@@ -1082,7 +1036,7 @@ let plan access shapes walk_node same compile node =
   let hit =
     match Shapes.find_opt w.hash (Atomic.get tbl) with
     | None -> None
-    | Some entries -> find_shape w same node entries
+    | Some entries -> find_shape same node entries
   in
   match hit with
   | Some compiled -> (compiled, params)
@@ -1090,8 +1044,7 @@ let plan access shapes walk_node same compile node =
     let cc = { c_access = access; slots = 0 } in
     let code = compile cc (walk_node (walk ~number:true) node) in
     let compiled = { slots = cc.slots; code } in
-    if w.bare <= max_bare then
-      insert cache tbl w.hash { rep = node; rep_bound = w.bound; compiled };
+    insert cache tbl w.hash { rep = node; compiled };
     (compiled, params)
 
 let exec_stmt access env (stmt : Ast.stmt) =
@@ -1115,21 +1068,24 @@ let exec_stmt access env (stmt : Ast.stmt) =
   | Entangled _ -> fail "entangled query reached the classical evaluator"
   | Rollback -> fail "ROLLBACK reached the classical evaluator"
   | Select _ | Insert _ | Update _ | Delete _ | Set_var _ ->
-    let compiled, params =
-      plan access (fun c -> c.stmts) (w_stmt env) same_stmt compile_stmt stmt
-    in
-    compiled.code { access; env; var = None; params } (frame_for compiled)
+    (* from outside a program: compiled for this run only *)
+    let w = walk ~number:true in
+    let cc = { c_access = access; slots = 0 } in
+    let code = compile_stmt cc (w_stmt env w stmt) in
+    let params = Array.of_list (List.rev_map value_of_leaf w.lits) in
+    code { access; env; var = None; params } (Array.make cc.slots [||])
 
-(* --- statements built from a parse template ---
+(* --- program statements ---
 
-   A template's statements differ only in the values of their literal
-   leaves, so a statement's plan is found by the template's key and
-   the bound bits of its bare projections, without a walk. The parser
-   hands over each statement's literals in the order the walk numbers
-   them, which is the order the compiled plan reads its parameters. *)
+   Every program statement gets a plan key when its program is built:
+   the statements of one parse template share theirs, so a statement's
+   plan is found by the key and the bound bits of its bare projections,
+   without a walk. Each statement's literals are listed in the order
+   the walk numbers them, which is the order the compiled plan reads
+   its parameters. *)
 
 type template = {
-  key : int;  (* -1: run through the walk *)
+  key : int;  (* -1: run through {!exec_stmt} *)
   bare : string array;  (* the bare [@v] projections, in walk order *)
   base : int;  (* where the statement's parameters start in the program's *)
 }
@@ -1137,17 +1093,26 @@ type template = {
 let untemplated = { key = -1; bare = [||]; base = 0 }
 let next_key = Atomic.make 0
 
-let template ~base (stmt : Ast.stmt) =
-  match stmt with
-  | Select _ | Insert _ | Update _ | Delete _ | Set_var _ ->
-    let w = walk ~number:false in
-    ignore (w_stmt (fresh_env ()) w stmt);
-    if w.bare > max_bare then (untemplated, [])
-    else
-      ( { key = Atomic.fetch_and_add next_key 1; bare = Array.of_list (List.rev w.bares); base },
-        List.rev w.lits )
-  | Create_table _ | Create_index _ | Drop_table _ | Entangled _ | Rollback ->
-    (untemplated, [])
+let plans stmts =
+  let env = fresh_env () in
+  let templates, leaves, _ =
+    List.fold_left
+      (fun (templates, leaves, base) (stmt : Ast.stmt) ->
+        match stmt with
+        | Select _ | Insert _ | Update _ | Delete _ | Set_var _ ->
+          let w = walk ~number:false in
+          ignore (w_stmt env w stmt);
+          if w.bare > max_bare then (untemplated :: templates, leaves, base)
+          else
+            let key = Atomic.fetch_and_add next_key 1 in
+            ( { key; bare = Array.of_list (List.rev w.bares); base } :: templates,
+              w.lits @ leaves,
+              base + w.n_lits )
+        | Create_table _ | Create_index _ | Drop_table _ | Entangled _ | Rollback ->
+          (untemplated :: templates, leaves, base))
+      ([], [], 0) stmts
+  in
+  (Array.of_list (List.rev templates), List.rev leaves)
 
 let bound_bits env bare =
   let rec go i bits =

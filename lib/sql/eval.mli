@@ -84,27 +84,29 @@ type outcome =
   | Affected of int
   | Created
 
-(** Execute a classical statement. [Entangled] and [Rollback]
+(** Execute a statement from outside a program (hub input, script
+    setup, {!select_rows}): DDL runs directly, and any other classical
+    statement is compiled for this run only. [Entangled] and [Rollback]
     statements are the transaction manager's business.
     @raise Eval_error if given one. *)
 val exec_stmt : access -> env -> Ast.stmt -> outcome
 
-(** The plan key of a statement template: statements built from one
+(** The plan key of a program statement: statements built from one
     parse template share it, whatever their literal values. *)
 type template
 
-(** [template ~base stmt] gives [stmt] a fresh key and lists its
-    literal leaves ([Ast.Lit] nodes, physically those of [stmt]) in the
-    order the compiled plan reads them: leaf [i] is parameter
-    [base + i] of the program. DDL, the transaction manager's
-    statements and statements with too many bare projections get a key
-    that {!exec_template} runs through {!exec_stmt}, and no leaves. *)
-val template : base:int -> Ast.stmt -> template * Ast.expr list
+(** [plans stmts] gives each statement of a program a fresh key, with
+    one walk each, and lists the statements' literal leaves ([Ast.Lit]
+    nodes, physically those of [stmts]) in the order the compiled
+    plans read them, statement after statement: the program's
+    parameters. DDL, the transaction manager's statements and
+    statements with too many bare projections get a key that
+    {!exec_template} runs through {!exec_stmt}, and no leaves. *)
+val plans : Ast.stmt list -> template array * Ast.expr list
 
-(** [exec_template access env tpl params stmt] is [exec_stmt access env
-    stmt] for a statement of template [tpl] whose literal values, in
-    {!template}'s leaf order, start at [params.(base)]. The plan is
-    found by the key and the bound bits of the template's bare [@v]
-    projections in [env]; [stmt] is read only to compile a plan on a
-    miss. *)
+(** [exec_template access env tpl params stmt] runs program statement
+    [stmt] of key [tpl], whose parameters, in {!plans}' leaf order,
+    are in [params]. The plan is found by the key and the bound bits of
+    the statement's bare [@v] projections in [env]; [stmt] is read only
+    to compile a plan on a miss. Its result is {!exec_stmt}'s. *)
 val exec_template : access -> env -> template -> Value.t array -> Ast.stmt -> outcome

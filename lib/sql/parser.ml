@@ -162,6 +162,17 @@ let index_after_paren_group st =
   in
   go st.pos 0
 
+(* Is the parenthesized group at [st.pos] an expression operand, such
+   as "(a + b)" in "(a + b) = c": does an operator or BETWEEN follow
+   it? *)
+let operand_group st =
+  match index_after_paren_group st with
+  | None -> false
+  | Some after -> (
+    match fst st.tokens.(after) with
+    | Lexer.Eq | Ne | Lt | Le | Gt | Ge | Plus | Minus | Star | Slash -> true
+    | tok -> keyword_eq "BETWEEN" tok)
+
 let rec parse_cond_or st =
   let lhs = parse_cond_and st in
   if opt_keyword st "OR" then Ast.Or (lhs, parse_cond_or st) else lhs
@@ -176,7 +187,7 @@ and parse_cond_not st =
 
 and parse_cond_atom st =
   match peek st with
-  | Lexer.Lparen -> (
+  | Lexer.Lparen when not (operand_group st) -> (
     match index_after_paren_group st with
     | Some after when keyword_eq "IN" (fst st.tokens.(after)) ->
       (* "(e1, ..., ek) IN ..." *)
@@ -597,10 +608,10 @@ let program st =
    A literal the parser consumed as syntax (LIMIT, CHOOSE, TIMEOUT) is
    no hole: its value is part of the shape, checked on every hit.
 
-   Each statement that runs through a plan also gets its plan key from
-   {!Eval.template}, which lists its literal leaves in the order the
-   plan reads them; an instance's parameters are its hole values in
-   that order. The values are those of the instance's own [Lit] nodes. *)
+   The template's statements get their plan keys from {!Eval.plans},
+   which lists their literal leaves in the order the plans read them;
+   an instance's parameters are its hole values in that order. The
+   values are those of the instance's own [Lit] nodes. *)
 
 type 'a part =
   | Same of 'a  (* no hole below: shared as is *)
@@ -722,8 +733,8 @@ type template = {
 
 (* The template of [p], parsed from [st] whose text has shape [sh].
    Statement [i] of a program starts right after its [i]th [;] (the
-   header's is the first), so its position is [sh.starts.(i)];
-   [None] if that ever fails to hold. *)
+   header's is the first): the parser consumes no other [;] before
+   [COMMIT], so its position is [sh.starts.(i)]. *)
 let template (sh : Lexer.shape) st (p : Ast.program) =
   let index = Array.make (Array.length st.tokens) (-1) in
   let n = ref 0 in
@@ -748,26 +759,13 @@ let template (sh : Lexer.shape) st (p : Ast.program) =
     | None, Ast.Lit v -> Fixed v
     | None, _ -> assert false
   in
-  let plans, params =
-    List.fold_left
-      (fun (plans, params) (stmt, _) ->
-        let plan, leaves = Eval.template ~base:(List.length params) stmt in
-        (plan :: plans, List.rev_append (List.map param leaves) params))
-      ([], []) p.body
-  in
-  let starts_fit =
-    List.length p.body <= Array.length sh.starts
-    && List.for_all Fun.id (List.mapi (fun i (_, at) -> sh.starts.(i) = at) p.body)
-  in
-  if not starts_fit then None
-  else
-    Some
-      { keyed;
-        kinds;
-        timeout = p.timeout;
-        body = List.map (fun (stmt, at) -> (p_stmt holes stmt, at)) p.body;
-        plans = Array.of_list (List.rev plans);
-        params = Array.of_list (List.rev params) }
+  let plans, leaves = Eval.plans (List.map fst p.body) in
+  { keyed;
+    kinds;
+    timeout = p.timeout;
+    body = List.map (fun (stmt, at) -> (p_stmt holes stmt, at)) p.body;
+    plans;
+    params = Array.of_list (List.map param leaves) }
 
 module Shapes = struct
   type t = {
@@ -846,21 +844,15 @@ let parse_shaped tbl input =
   | Some t ->
     let values = hole_values tbl t sh in
     { program = instantiate t sh values; plans = t.plans; params = plan_params t values }
-  | None -> (
+  | None ->
     let st = make_state input in
     let p = program st in
-    match template sh st p with
-    | Some t ->
-      if Hashtbl.length tbl.templates >= Shapes.max_templates then
-        Hashtbl.reset tbl.templates;
-      Hashtbl.add tbl.templates sh.key t;
-      { program = p; plans = t.plans; params = plan_params t (hole_values tbl t sh) }
-    | None -> { program = p; plans = [||]; params = [||] })
+    let t = template sh st p in
+    if Hashtbl.length tbl.templates >= Shapes.max_templates then Hashtbl.reset tbl.templates;
+    Hashtbl.add tbl.templates sh.key t;
+    { program = p; plans = t.plans; params = plan_params t (hole_values tbl t sh) }
 
-let parse_program ?shapes input =
-  match shapes with
-  | None -> program (make_state input)
-  | Some tbl -> (parse_shaped tbl input).program
+let parse_program input = program (make_state input)
 
 let parse_script input =
   let st = make_state input in

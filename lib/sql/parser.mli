@@ -24,24 +24,26 @@ module Shapes : sig
   val create : unit -> t
 end
 
-(** Parse one [BEGIN TRANSACTION ... COMMIT] block. With [shapes], a
-    text whose shape the table holds is built from that template: only
-    the nodes above its literals are new, every other subtree is shared
-    with the template, and statement positions come from the text. The
-    result equals the plain parse's, and so does every exception. *)
-val parse_program : ?shapes:Shapes.t -> string -> Ast.program
+(** Parse one [BEGIN TRANSACTION ... COMMIT] block. *)
+val parse_program : string -> Ast.program
 
 (** A program parsed through a shape table, with each statement's plan
-    key and parameters (see {!Eval.exec_template}). Both arrays are
-    empty when the text's shape could not become a template. *)
+    key and the program's parameters (see {!Eval.exec_template}). *)
 type shaped = {
-  program : Ast.program;  (** what [parse_program ~shapes] returns *)
+  program : Ast.program;
+      (** equal to [parse_program]'s result; only the nodes above its
+          literals are new, every other subtree is shared with the
+          shape's template, and statement positions come from the text *)
   plans : Eval.template array;  (** by statement; shared by the template's programs *)
   params : Ent_storage.Value.t array;
       (** the statements' literal values in plan order, statement after
           statement; equal values are shared through the table *)
 }
 
+(** Parse one [BEGIN TRANSACTION ... COMMIT] block through a shape
+    table: a text whose shape the table holds is built from that
+    template, any other text is parsed and becomes its shape's
+    template. Every exception is [parse_program]'s. *)
 val parse_shaped : Shapes.t -> string -> shaped
 
 (** Parse a whole script: a sequence of transaction blocks and bare

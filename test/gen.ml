@@ -67,9 +67,7 @@ let level_for i =
    (position decides the level under mixed). *)
 let assign_isolation programs =
   List.mapi
-    (fun i (p : Program.t) ->
-      Program.make ~label:p.label ~transactional:p.transactional
-        ~isolation:(level_for i) p.ast)
+    (fun i (p : Program.t) -> { p with isolation = level_for i })
     programs
 
 (* "2pl,si,2pl,…" for a batch — printed beside a failing seed so the

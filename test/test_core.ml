@@ -452,6 +452,50 @@ let test_program_serialization () =
   Alcotest.(check string) "stable serialization"
     (Program.to_string p) (Program.to_string p')
 
+(* Every constructor gives each statement a plan key: [make], [of_string]
+   with and without a shape table, [of_serialized], and a copy that
+   retags the isolation level. A made program and a shaped one of the
+   same text, each run alone, commit the same Reserve rows. *)
+let test_program_plan_keys () =
+  let classical who =
+    Printf.sprintf
+      "BEGIN TRANSACTION;\n\
+       SELECT fno AS @fno, fdate FROM Flights WHERE dest = 'LA' AND fno > 122 LIMIT 1;\n\
+       INSERT INTO Reserve VALUES ('%s', 'flight', @fno);\n\
+       UPDATE Reserve SET item = item + 100 WHERE name = '%s';\n\
+       CREATE INDEX ON Reserve (name);\n\
+       SELECT @hid FROM Hotels WHERE location = 'LA' AND hid <> 7;\n\
+       INSERT INTO Reserve VALUES ('%s', 'hotel', @hid);\n\
+       COMMIT;"
+      who who who
+  in
+  let shapes = Ent_sql.Parser.Shapes.create () in
+  ignore (Program.of_string ~shapes (classical "Goofy"));
+  let made = Program.make (Ent_sql.Parser.parse_program (classical "Solo")) in
+  let shaped = Program.of_string ~shapes (classical "Solo") in
+  let programs =
+    [ ("make", made);
+      ("of_string", Program.of_string (travel_program "Mickey" "Minnie"));
+      ("of_string ~shapes", shaped);
+      ("of_serialized", Program.of_serialized (Program.to_string shaped));
+      ("isolation copy", { shaped with isolation = Ent_txn.Engine.Snapshot }) ]
+  in
+  List.iter
+    (fun (name, (p : Program.t)) ->
+      Alcotest.(check int) (name ^ ": one key a statement") (Array.length p.stmts)
+        (Array.length p.templates))
+    programs;
+  let commit (p : Program.t) =
+    let m = travel_manager () in
+    let id = Manager.submit m p in
+    Manager.drain m;
+    check_outcome m "committed" "committed" id;
+    reserve_rows m
+  in
+  let rows = commit made in
+  Alcotest.(check int) "made: two bookings" 2 (List.length rows);
+  Alcotest.(check (list (triple string string string))) "same Reserve rows" rows (commit shaped)
+
 (* --- properties --- *)
 
 let prop_pairs_always_coordinate =
@@ -658,7 +702,8 @@ let () =
         [ Alcotest.test_case "interval trigger" `Quick test_interval_trigger;
           Alcotest.test_case "manual trigger + misuse" `Quick test_manual_trigger_and_misuse ] );
       ( "program",
-        [ Alcotest.test_case "serialization" `Quick test_program_serialization ] );
+        [ Alcotest.test_case "serialization" `Quick test_program_serialization;
+          Alcotest.test_case "one plan key per statement" `Quick test_program_plan_keys ] );
       ( "properties",
         List.map Gen.to_alcotest
           [ prop_pairs_always_coordinate;

@@ -285,10 +285,7 @@ let test_snapshot_zero_read_locks () =
 (* --- differential battery: 2pl vs si vs mixed --- *)
 
 let retag level programs =
-  let snap (p : Program.t) =
-    Program.make ~label:p.label ~transactional:p.transactional
-      ~isolation:Engine.Snapshot p.ast
-  in
+  let snap (p : Program.t) = { p with isolation = Engine.Snapshot } in
   match level with
   | `All_2pl -> programs
   | `All_si -> List.map snap programs
