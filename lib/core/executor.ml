@@ -188,7 +188,7 @@ let translate task e =
 
 (* Run a classical statement: statement [i] of the program through its
    plan key, a statement from outside the program ([i] = -1) through
-   [exec_stmt], which compiles it for this run. *)
+   [exec_stmt], which keys it on this run. *)
 let eval access task i stmt =
   if i < 0 then Ent_sql.Eval.exec_stmt access task.env stmt
   else

@@ -86,7 +86,7 @@ val start : Ent_txn.Engine.t -> Ent_sim.Cost.t -> task -> unit
 
 (** [exec engine isolation costs task stmt] executes one statement
     from outside the program (hub input) in the task's transaction,
-    compiling its plan for this run ({!Ent_sql.Eval.exec_stmt}). A
+    keying it on this run ({!Ent_sql.Eval.exec_stmt}). A
     classical statement that completes advances [task.pc] and returns
     its result. Otherwise the outcome is in [task.status] and the
     result is [None]: an entangled query

@@ -16,12 +16,8 @@ let of_parts ?(label = "txn") ?(transactional = true)
 
 let make ?label ?transactional ?isolation (ast : Ent_sql.Ast.program) =
   let plans, leaves = Ent_sql.Eval.plans (List.map fst ast.body) in
-  let value : Ent_sql.Ast.expr -> Ent_storage.Value.t = function
-    | Lit v -> v
-    | _ -> assert false
-  in
   of_parts ?label ?transactional ?isolation
-    { program = ast; plans; params = Array.of_list (List.map value leaves) }
+    { program = ast; plans; params = Array.of_list (List.map Ent_sql.Eval.value_of_leaf leaves) }
 
 let of_string ?label ?transactional ?isolation ?shapes input =
   match shapes with

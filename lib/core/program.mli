@@ -28,10 +28,9 @@ type t = {
           statement *)
 }
 
-(** A program of [ast] whose statements get plan keys of their own,
-    one walk each ({!Ent_sql.Eval.plans}): their plans are compiled
-    for this program alone. Programs that share a shape should be
-    parsed through one table instead ({!of_string} with [shapes]). *)
+(** A program of [ast], each statement keyed by its shape with one walk
+    ({!Ent_sql.Eval.plans}): programs of one shape share their plans.
+    {!of_string} with [shapes] shares the parse as well. *)
 val make :
   ?label:string ->
   ?transactional:bool ->
@@ -41,7 +40,7 @@ val make :
 
 (** Parse a [BEGIN TRANSACTION ... COMMIT] block and {!make} it; with
     [shapes], through that table, so that programs of one shape share
-    their plan keys (see {!Ent_sql.Parser.parse_shaped}). *)
+    one parse template (see {!Ent_sql.Parser.parse_shaped}). *)
 val of_string :
   ?label:string ->
   ?transactional:bool ->

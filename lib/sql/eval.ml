@@ -84,17 +84,18 @@ type outcome =
 (* --- shapes and literal lifting ---
 
    One walk over a statement or fragment collects its literal values in
-   walk order: they are the plan's parameters. A program statement is
-   walked once, when its program is built ({!plans}), and then finds
-   its plan by key. A grounding fragment's walk also hashes its shape —
-   every constructor, name and LIMIT, with each literal reduced to a
-   slot — so fragments that differ only in their literals share a plan;
-   a cached fragment plan keeps the fragment it was compiled from, and
-   a hash hit is confirmed by comparing shapes ({!same_select} and
-   friends below). With [number] set (only when a plan is about to be
-   compiled) the walk also rebuilds the tree with literal [i] replaced
-   by [Lit (Int i)], the form the compiler reads: both modes run this
-   code, so parameter slots and lifted literals agree by construction. *)
+   walk order, the plan's parameters, and hashes its shape: every
+   constructor, name and LIMIT, with each literal reduced to a slot.
+   With [number] set the walk also rebuilds the tree with literal [i]
+   replaced by [Lit (Int i)], the form the compiler reads: both modes
+   run this code, so parameter slots and lifted literals agree by
+   construction. Statements and fragments that differ only in their
+   literals have the same shape and so share a plan. A statement's
+   walk gives it the plan key of its shape ({!plans}), once per
+   program, or per run from outside one; the key then finds its plan.
+   A grounding fragment is walked on every preparation, and a hash hit
+   is confirmed by comparing its shape with the fragment the plan was
+   compiled from ({!same_select} and friends below). *)
 
 type walk = {
   mutable hash : int;
@@ -271,20 +272,26 @@ and w_proj bare w (p : Ast.proj) : Ast.proj =
     if w.number then { p with pexpr } else p
 
 (* The statements that run through plans; DDL and the transaction
-   manager's statements never reach this walk. A statement's plan is
-   found by its key, so its own nodes add nothing to the hash. *)
+   manager's statements never reach this walk. *)
 let w_stmt env w (stmt : Ast.stmt) : Ast.stmt =
   match stmt with
   | Select sel ->
+    tag w 'Q';
     let sel' = w_select ~bare:env w sel in
     if w.number then Select sel' else stmt
-  | Insert ({ values; _ } as ins) ->
+  | Insert { table; columns; values } ->
+    tag w 'C';
+    name w table;
+    Option.iter (List.iter (name w)) columns;
     let values' = w_list w w_expr values in
-    if w.number then Insert { ins with values = values' } else stmt
+    if w.number then Insert { table; columns; values = values' } else stmt
   | Update { table; set; where } ->
+    tag w 'U';
+    name w table;
     let set' =
       w_list w
         (fun w ((col, e) as s) ->
+          name w col;
           let e' = w_expr w e in
           if w.number then (col, e') else s)
         set
@@ -292,9 +299,13 @@ let w_stmt env w (stmt : Ast.stmt) : Ast.stmt =
     let where' = w_cond w where in
     if w.number then Update { table; set = set'; where = where' } else stmt
   | Delete { table; where } ->
+    tag w 'X';
+    name w table;
     let where' = w_cond w where in
     if w.number then Delete { table; where = where' } else stmt
   | Set_var (v, e) ->
+    tag w 'V';
+    name w v;
     let e' = w_expr w e in
     if w.number then Set_var (v, e') else stmt
   | Create_table _ | Create_index _ | Drop_table _ | Entangled _ | Rollback ->
@@ -1008,14 +1019,14 @@ let cache_of catalog =
 
 let frame_for compiled = Array.make compiled.slots [||]
 
-(* Add [entry] under [key] to one of the cache's maps. *)
-let insert cache tbl key entry =
-  Mutex.lock cache.mu;
+(* Add [entry] under [key] to a map guarded by [mu]. *)
+let insert mu tbl key entry =
+  Mutex.lock mu;
   let m = Atomic.get tbl in
   let m = if Shapes.cardinal m >= max_shapes then Shapes.empty else m in
   let entries = Option.value ~default:[] (Shapes.find_opt key m) in
   Atomic.set tbl (Shapes.add key (entry :: entries) m);
-  Mutex.unlock cache.mu
+  Mutex.unlock mu
 
 let rec find_shape same node = function
   | [] -> None
@@ -1044,72 +1055,68 @@ let plan access shapes walk_node same compile node =
     let cc = { c_access = access; slots = 0 } in
     let code = compile cc (walk_node (walk ~number:true) node) in
     let compiled = { slots = cc.slots; code } in
-    insert cache tbl w.hash { rep = node; compiled };
+    insert cache.mu tbl w.hash { rep = node; compiled };
     (compiled, params)
 
-let exec_stmt access env (stmt : Ast.stmt) =
-  match stmt with
-  | Create_table { table; columns } ->
-    let schema =
-      Schema.make (List.map (fun (name, ty) -> { Schema.name; ty }) columns)
-    in
-    access.create table schema;
-    Created
-  | Create_index { table; columns; ordered } ->
-    (if ordered then
-       match columns with
-       | [ column ] -> access.create_ordered_index table column
-       | _ -> fail "ordered indexes cover exactly one column"
-     else access.create_index table columns);
-    Created
-  | Drop_table table ->
-    access.drop table;
-    Created
-  | Entangled _ -> fail "entangled query reached the classical evaluator"
-  | Rollback -> fail "ROLLBACK reached the classical evaluator"
-  | Select _ | Insert _ | Update _ | Delete _ | Set_var _ ->
-    (* from outside a program: compiled for this run only *)
-    let w = walk ~number:true in
-    let cc = { c_access = access; slots = 0 } in
-    let code = compile_stmt cc (w_stmt env w stmt) in
-    let params = Array.of_list (List.rev_map value_of_leaf w.lits) in
-    code { access; env; var = None; params } (Array.make cc.slots [||])
+(* --- statements ---
 
-(* --- program statements ---
-
-   Every program statement gets a plan key when its program is built:
-   the statements of one parse template share theirs, so a statement's
-   plan is found by the key and the bound bits of its bare projections,
-   without a walk. Each statement's literals are listed in the order
-   the walk numbers them, which is the order the compiled plan reads
-   its parameters. *)
+   Every classical statement runs through a plan key. A program's
+   statements get theirs when the program is built ({!plans}), a
+   statement from outside a program on each run ({!exec_stmt}). Keys
+   are interned by shape, so statements that differ only in their
+   literals share one key, whichever program, template or hub input
+   they come from, and each shape is compiled once per catalog. A
+   statement's plan is found by its key and the bound bits of its bare
+   projections, without a walk. Each statement's literals are listed
+   in the order the walk numbers them, which is the order the compiled
+   plan reads its parameters. *)
 
 type template = {
-  key : int;  (* -1: run through {!exec_stmt} *)
+  key : int;  (* -1: not planned (DDL), or compiled on every run *)
   bare : string array;  (* the bare [@v] projections, in walk order *)
   base : int;  (* where the statement's parameters start in the program's *)
 }
 
-let untemplated = { key = -1; bare = [||]; base = 0 }
+(* A statement's shape is its numbered tree, literal [i] read as
+   [Lit (Int (base + i))] and bare projections as if unbound, together
+   with the names of those projections, newest first: statements of
+   equal shapes compile to equal plans under every environment. *)
+let keys : ((Ast.stmt * string list) * int) list Shapes.t Atomic.t = Atomic.make Shapes.empty
+let keys_mu = Mutex.create ()
 let next_key = Atomic.make 0
 
+(* The key of a shape of walk hash [hash]. Two domains that add one
+   shape at once give it two keys, each as good as the other. *)
+let key_of hash shape =
+  let same (s, key) = if s = shape then Some key else None in
+  match Option.bind (Shapes.find_opt hash (Atomic.get keys)) (List.find_map same) with
+  | Some key -> key
+  | None ->
+    let key = Atomic.fetch_and_add next_key 1 in
+    insert keys_mu keys hash (shape, key);
+    key
+
+let unbound = fresh_env ()  (* never bound: bare projections key as unbound *)
+
+(* [stmt]'s template, its parameters starting at [base], and its walk. *)
+let key_stmt base (stmt : Ast.stmt) =
+  let w = walk ~number:true in
+  w.n_lits <- base;
+  let key =
+    match stmt with
+    | Select _ | Insert _ | Update _ | Delete _ | Set_var _ ->
+      let numbered = w_stmt unbound w stmt in
+      if w.bare > max_bare then -1 else key_of w.hash (numbered, w.bares)
+    | Create_table _ | Create_index _ | Drop_table _ | Entangled _ | Rollback -> -1
+  in
+  ({ key; bare = Array.of_list (List.rev w.bares); base }, w)
+
 let plans stmts =
-  let env = fresh_env () in
   let templates, leaves, _ =
     List.fold_left
-      (fun (templates, leaves, base) (stmt : Ast.stmt) ->
-        match stmt with
-        | Select _ | Insert _ | Update _ | Delete _ | Set_var _ ->
-          let w = walk ~number:false in
-          ignore (w_stmt env w stmt);
-          if w.bare > max_bare then (untemplated :: templates, leaves, base)
-          else
-            let key = Atomic.fetch_and_add next_key 1 in
-            ( { key; bare = Array.of_list (List.rev w.bares); base } :: templates,
-              w.lits @ leaves,
-              base + w.n_lits )
-        | Create_table _ | Create_index _ | Drop_table _ | Entangled _ | Rollback ->
-          (untemplated :: templates, leaves, base))
+      (fun (templates, leaves, base) stmt ->
+        let tpl, w = key_stmt base stmt in
+        (tpl :: templates, w.lits @ leaves, w.n_lits))
       ([], [], 0) stmts
   in
   (Array.of_list (List.rev templates), List.rev leaves)
@@ -1125,25 +1132,48 @@ let rec find_bound bound = function
   | [] -> raise_notrace Not_found
   | (b, compiled) :: rest -> if b = bound then compiled else find_bound bound rest
 
-let exec_template access env tpl params stmt =
-  if tpl.key < 0 then exec_stmt access env stmt
-  else begin
-    let bound = bound_bits env tpl.bare in
-    let cache = cache_of access.catalog in
+let compile access env tpl stmt =
+  let cc = { c_access = access; slots = 0 } in
+  let w = walk ~number:true in
+  w.n_lits <- tpl.base;
+  let code = compile_stmt cc (w_stmt env w stmt) in
+  { slots = cc.slots; code }
+
+let exec_template access env tpl params (stmt : Ast.stmt) =
+  match stmt with
+  | Create_table { table; columns } ->
+    access.create table (Schema.make (List.map (fun (name, ty) -> { Schema.name; ty }) columns));
+    Created
+  | Create_index { table; columns; ordered } ->
+    (if ordered then
+       match columns with
+       | [ column ] -> access.create_ordered_index table column
+       | _ -> fail "ordered indexes cover exactly one column"
+     else access.create_index table columns);
+    Created
+  | Drop_table table ->
+    access.drop table;
+    Created
+  | Entangled _ -> fail "entangled query reached the classical evaluator"
+  | Rollback -> fail "ROLLBACK reached the classical evaluator"
+  | Select _ | Insert _ | Update _ | Delete _ | Set_var _ ->
     let compiled =
-      match find_bound bound (Shapes.find tpl.key (Atomic.get cache.templates)) with
-      | compiled -> compiled
-      | exception Not_found ->
-        let cc = { c_access = access; slots = 0 } in
-        let w = walk ~number:true in
-        w.n_lits <- tpl.base;
-        let code = compile_stmt cc (w_stmt env w stmt) in
-        let compiled = { slots = cc.slots; code } in
-        insert cache cache.templates tpl.key (bound, compiled);
-        compiled
+      if tpl.key < 0 then compile access env tpl stmt
+      else
+        let bound = bound_bits env tpl.bare in
+        let cache = cache_of access.catalog in
+        match find_bound bound (Shapes.find tpl.key (Atomic.get cache.templates)) with
+        | compiled -> compiled
+        | exception Not_found ->
+          let compiled = compile access env tpl stmt in
+          insert cache.mu cache.templates tpl.key (bound, compiled);
+          compiled
     in
     compiled.code { access; env; var = None; params } (frame_for compiled)
-  end
+
+let exec_stmt access env stmt =
+  let tpl, w = key_stmt 0 stmt in
+  exec_template access env tpl (Array.of_list (List.rev_map value_of_leaf w.lits)) stmt
 
 let select_rows access env sel =
   match exec_stmt access env (Select sel) with

@@ -86,23 +86,27 @@ type outcome =
 
 (** Execute a statement from outside a program (hub input, script
     setup, {!select_rows}): DDL runs directly, and any other classical
-    statement is compiled for this run only. [Entangled] and [Rollback]
-    statements are the transaction manager's business.
+    statement is keyed on each call ({!plans}). [Entangled] and
+    [Rollback] statements are the transaction manager's business.
     @raise Eval_error if given one. *)
 val exec_stmt : access -> env -> Ast.stmt -> outcome
 
-(** The plan key of a program statement: statements built from one
-    parse template share it, whatever their literal values. *)
+(** The plan key of a statement. Keys are interned by shape: statements
+    equal up to their literal values, at the same parameter offset, get
+    one key, whichever program or parse template they come from. *)
 type template
 
-(** [plans stmts] gives each statement of a program a fresh key, with
-    one walk each, and lists the statements' literal leaves ([Ast.Lit]
+(** [plans stmts] gives each statement of a program its key, with one
+    walk each, and lists the statements' literal leaves ([Ast.Lit]
     nodes, physically those of [stmts]) in the order the compiled
     plans read them, statement after statement: the program's
     parameters. DDL, the transaction manager's statements and
     statements with too many bare projections get a key that
-    {!exec_template} runs through {!exec_stmt}, and no leaves. *)
+    {!exec_template} never caches a plan under. *)
 val plans : Ast.stmt list -> template array * Ast.expr list
+
+(** The value of a literal leaf listed by {!plans}. *)
+val value_of_leaf : Ast.expr -> Value.t
 
 (** [exec_template access env tpl params stmt] runs program statement
     [stmt] of key [tpl], whose parameters, in {!plans}' leaf order,

@@ -1209,10 +1209,14 @@ let gen_diff_select =
   let open QCheck2.Gen in
   let* from = gen_from in
   let expr = gen_diff_expr from in
+  (* only COUNT takes [*]: the parser rejects any other aggregate of it *)
   let agg =
-    map2 (fun fn arg -> Ast.Agg (fn, arg))
-      (oneofl [ Ast.Count; Ast.Sum; Ast.Min; Ast.Max; Ast.Avg ])
-      (option expr)
+    frequency
+      [ (1, return (Ast.Agg (Count, None)));
+        ( 5,
+          map2 (fun fn arg -> Ast.Agg (fn, Some arg))
+            (oneofl [ Ast.Count; Ast.Sum; Ast.Min; Ast.Max; Ast.Avg ])
+            expr ) ]
   in
   let proj =
     frequency
@@ -1347,16 +1351,6 @@ let template_differs ~plan ~reference shapes text =
              (fun s -> Reference.Sql.exec_stmt s.s_access s.s_env stmt))
          program.body)
 
-(* [gen_diff_select] puts aggregates only in top-level projections. *)
-let star_aggregate (stmt : Ast.stmt) =
-  match stmt with
-  | Select { projs; _ } ->
-    List.exists
-      (fun (p : Ast.proj) ->
-        match p.pexpr with Agg ((Sum | Min | Max | Avg), None) -> true | _ -> false)
-      projs
-  | _ -> false
-
 let prop_plan_matches_reference =
   QCheck2.Test.make ~name:"plans match the reference interpreter" ~count:500
     ~print:print_diff_case gen_diff_case (fun (rows, ddl, stmts, bind_h2) ->
@@ -1371,10 +1365,7 @@ let prop_plan_matches_reference =
       run_differential ~plan:(make ()) ~reference:(make ()) stmts;
       (* the script parsed through a shape table, then again with its
          literals moved: the second parse is built from the template,
-         so the second pass reuses the first pass's plans. An aggregate
-         other than COUNT over [*] has no text (the parser rejects
-         it), so a statement projecting one stays out of the text. *)
-      let stmts = List.filter (fun stmt -> not (star_aggregate stmt)) stmts in
+         so the second pass reuses the first pass's plans. *)
       let shapes = Parser.Shapes.create () in
       let plan = make () and reference = make () in
       List.iter
@@ -1643,6 +1634,56 @@ let test_plan_scan_allocation () =
   if large >= interpreted then
     Alcotest.failf "plan allocates %.2f words a row, the interpreter %.2f" large interpreted
 
+(* Statements of one shape share one plan, however they get their
+   keys: programs keyed one by one ({!Eval.plans}, as [Program.make]
+   does), a parse template, and statements from outside a program
+   ({!Eval.exec_stmt}, as a hub session's lock-blocked statement is
+   retried on every poll). Only compiling reads a table's schema. *)
+let test_plan_one_compile_a_shape () =
+  let direct = Eval.direct_access (figure1_catalog ()) in
+  let compiles = ref 0 in
+  let access =
+    { direct with schema_of = (fun t -> incr compiles; direct.schema_of t) }
+  in
+  let env = Eval.fresh_env () in
+  let text fno = Printf.sprintf "SELECT fdate FROM Flights WHERE fno = %d" fno in
+  let made fno =
+    let stmt = Parser.parse_stmt (text fno) in
+    let plans, leaves = Eval.plans [ stmt ] in
+    Eval.exec_template access env plans.(0)
+      (Array.of_list (List.map Eval.value_of_leaf leaves))
+      stmt
+  in
+  let shaped fno =
+    match
+      Parser.parse_shaped (Parser.Shapes.create ())
+        ("BEGIN TRANSACTION;\n" ^ text fno ^ ";\nCOMMIT;")
+    with
+    | { program = { body = [ (stmt, _) ]; _ }; plans; params } ->
+      Eval.exec_template access env plans.(0) params stmt
+    | _ -> Alcotest.fail "one statement"
+  in
+  let outside fno = Eval.exec_stmt access env (Parser.parse_stmt (text fno)) in
+  let dates = function
+    | Eval.Rows rows -> List.map (fun r -> Value.to_string r.(0)) rows
+    | _ -> Alcotest.fail "rows"
+  in
+  let expect name compiled result =
+    Alcotest.(check int) (name ^ ": compiles") compiled !compiles;
+    result
+  in
+  let first = dates (expect "first made program" 1 (made 122)) in
+  Alcotest.(check int) "one flight" 1 (List.length first);
+  List.iter
+    (fun (name, run) ->
+      Alcotest.(check (list string)) name first (dates (expect name 1 (run 122)));
+      Alcotest.(check (list string)) (name ^ ", moved literal") []
+        (dates (expect name 1 (run 999))))
+    [ ("made program", made); ("shaped program", shaped); ("outside a program", outside) ];
+  let limited = Parser.parse_stmt (text 122 ^ " LIMIT 1") in
+  Alcotest.(check (list string)) "another shape" first
+    (dates (expect "another shape" 2 (Eval.exec_stmt access env limited)))
+
 let () =
   Alcotest.run "sql"
     [ ( "lexer",
@@ -1705,7 +1746,8 @@ let () =
           Alcotest.test_case "template: bare @v bound and unbound" `Quick
             test_template_bare_bound;
           Alcotest.test_case "template: literal order" `Quick test_template_literal_order;
-          Alcotest.test_case "template: DDL between runs" `Quick test_template_ddl ] );
+          Alcotest.test_case "template: DDL between runs" `Quick test_template_ddl;
+          Alcotest.test_case "one compile a shape" `Quick test_plan_one_compile_a_shape ] );
       ( "properties",
         [ Gen.to_alcotest prop_print_parse_roundtrip;
           Gen.to_alcotest prop_parser_total ] ) ]
