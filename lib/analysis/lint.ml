@@ -19,7 +19,7 @@ let rec expr_vars (e : Ast.expr) =
   | Col (None, v) -> [ v ]
   | Col (Some _, _) -> []
   | Binop (_, a, b) -> expr_vars a @ expr_vars b
-  | Agg _ -> []
+  | Agg _ | Count_star -> []
 
 let rec post_vars (c : Ast.cond) =
   match c with

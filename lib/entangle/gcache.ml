@@ -107,9 +107,9 @@ let stats t = (t.hits, t.misses, t.invalidations)
 let rec expr_leaves f acc (e : Ent_sql.Ast.expr) =
   match e with
   | Lit _ | Host _ -> f acc e
-  | Col _ | Agg (_, None) -> acc
+  | Col _ | Count_star -> acc
   | Binop (_, a, b) -> expr_leaves f (expr_leaves f acc a) b
-  | Agg (_, Some a) -> expr_leaves f acc a
+  | Agg (_, a) -> expr_leaves f acc a
 
 let rec cond_leaves f acc (c : Ent_sql.Ast.cond) =
   match c with

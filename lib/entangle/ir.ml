@@ -36,7 +36,7 @@ let rec expr_vars (e : Ent_sql.Ast.expr) =
   | Lit _ | Host _ -> []
   | Col (_, name) -> [ name ]
   | Binop (_, a, b) -> expr_vars a @ expr_vars b
-  | Agg (_, _) -> []
+  | Agg _ | Count_star -> []
 
 let rec cond_bound_vars (c : Ent_sql.Ast.cond) =
   match c with

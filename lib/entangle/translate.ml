@@ -18,7 +18,7 @@ let rec term_of_expr env (e : Ent_sql.Ast.expr) =
   | Col (None, name) -> Ir.Var name
   | Col (Some q, name) ->
     fail "qualified column %s.%s cannot appear in an answer tuple" q name
-  | Agg _ -> fail "aggregates cannot appear in an answer tuple"
+  | Agg _ | Count_star -> fail "aggregates cannot appear in an answer tuple"
   | Binop (op, a, b) -> (
     match term_of_expr env a, term_of_expr env b with
     | Const va, Const vb ->

@@ -27,9 +27,12 @@ type expr =
   | Col of string option * string  (** optionally qualified column, or a free entangled-query variable *)
   | Host of string  (** host variable [@name] *)
   | Binop of binop * expr * expr
-  | Agg of agg_fn * expr option
-      (** aggregate call; [None] is COUNT-star. Only valid in the
-          projections of a classical SELECT. *)
+  | Agg of agg_fn * expr
+      (** aggregate call. Only valid in the projections of a classical
+          SELECT. *)
+  | Count_star
+      (** [COUNT( * )], the one aggregate without an argument; valid
+          where {!Agg} is. *)
 
 type cmp = Eq | Ne | Lt | Le | Gt | Ge
 

@@ -160,16 +160,15 @@ let rec w_expr w (e : Ast.expr) : Ast.expr =
     let a' = w_expr w a in
     let b' = w_expr w b in
     if w.number then Binop (op, a', b') else e
-  | Agg (fn, arg) -> (
+  | Agg (fn, a) ->
     tag w (match fn with Count -> 'N' | Sum -> 'S' | Min -> 'm' | Max -> 'M' | Avg -> 'A');
-    match arg with
-    | None ->
-      tag w '*';
-      e
-    | Some a ->
-      tag w '(';
-      let a' = w_expr w a in
-      if w.number then Agg (fn, Some a') else e)
+    tag w '(';
+    let a' = w_expr w a in
+    if w.number then Agg (fn, a') else e
+  | Count_star ->
+    tag w 'N';
+    tag w '*';
+    e
 
 let cmp_tag : Ast.cmp -> char = function
   | Eq -> '=' | Ne -> '!' | Lt -> '<' | Le -> '{' | Gt -> '>' | Ge -> '}'
@@ -320,8 +319,9 @@ let rec same_expr (a : Ast.expr) (b : Ast.expr) =
   | Col (qa, na), Col (qb, nb) -> Option.equal String.equal qa qb && String.equal na nb
   | Host na, Host nb -> String.equal na nb
   | Binop (oa, a1, a2), Binop (ob, b1, b2) -> oa = ob && same_expr a1 b1 && same_expr a2 b2
-  | Agg (fa, xa), Agg (fb, xb) -> fa = fb && Option.equal same_expr xa xb
-  | (Lit _ | Col _ | Host _ | Binop _ | Agg _), _ -> false
+  | Agg (fa, xa), Agg (fb, xb) -> fa = fb && same_expr xa xb
+  | Count_star, Count_star -> true
+  | (Lit _ | Col _ | Host _ | Binop _ | Agg _ | Count_star), _ -> false
 
 let rec same_cond (a : Ast.cond) (b : Ast.cond) =
   a == b
@@ -479,7 +479,7 @@ let rec compile_expr scope (e : Ast.expr) : ctx -> frame -> Value.t =
       let va = a ctx frame in
       let vb = b ctx frame in
       f va vb
-  | Agg _ -> raises "aggregate used outside a SELECT projection"
+  | Agg _ | Count_star -> raises "aggregate used outside a SELECT projection"
 
 (* --- probe choice (compile time only) --- *)
 
@@ -538,7 +538,7 @@ let rec evaluable scope (e : Ast.expr) =
   | Col (Some alias, _) -> List.exists (fun en -> en.alias = alias) scope
   | Col (None, name) -> List.exists (fun en -> Schema.mem en.schema name) scope
   | Binop (_, a, b) -> evaluable scope a && evaluable scope b
-  | Agg _ -> false
+  | Agg _ | Count_star -> false
 
 (* The candidate rows of one FROM table given the tables bound before
    it: probe an equality index from WHERE conjuncts when possible, else
@@ -625,32 +625,28 @@ let join ctx frame steps where k =
 
 let rec expr_has_aggregate (e : Ast.expr) =
   match e with
-  | Agg _ -> true
+  | Agg _ | Count_star -> true
   | Binop (_, a, b) -> expr_has_aggregate a || expr_has_aggregate b
   | Lit _ | Col _ | Host _ -> false
 
 let compile_aggregate scope fn arg : ctx -> frame list -> Value.t =
-  let arg = Option.map (compile_expr scope) arg in
+  let arg = compile_expr scope arg in
   fun ctx group ->
-    let values () =
-      match arg with
-      | None -> []
-      | Some e -> List.map (fun frame -> e ctx frame) group
+    let non_null () =
+      List.filter (fun v -> v <> Value.Null) (List.map (fun frame -> arg ctx frame) group)
     in
-    let non_null () = List.filter (fun v -> v <> Value.Null) (values ()) in
-    match (fn : Ast.agg_fn), arg with
-    | Count, None -> Value.Int (List.length group)
-    | Count, Some _ -> Value.Int (List.length (non_null ()))
-    | Sum, _ -> List.fold_left Value.add (Value.Int 0) (non_null ())
-    | Min, _ -> (
+    match (fn : Ast.agg_fn) with
+    | Count -> Value.Int (List.length (non_null ()))
+    | Sum -> List.fold_left Value.add (Value.Int 0) (non_null ())
+    | Min -> (
       match non_null () with
       | [] -> Value.Null
       | v :: rest -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v rest)
-    | Max, _ -> (
+    | Max -> (
       match non_null () with
       | [] -> Value.Null
       | v :: rest -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v rest)
-    | Avg, _ -> (
+    | Avg -> (
       match non_null () with
       | [] -> Value.Null
       | vs -> Value.div (List.fold_left Value.add (Value.Int 0) vs) (Value.Int (List.length vs)))
@@ -660,6 +656,7 @@ let compile_aggregate scope fn arg : ctx -> frame list -> Value.t =
 let rec compile_grouped scope (e : Ast.expr) : ctx -> frame list -> Value.t =
   match e with
   | Agg (fn, arg) -> compile_aggregate scope fn arg
+  | Count_star -> fun _ group -> Value.Int (List.length group)
   | Binop (op, a, b) ->
     let a = compile_grouped scope a and b = compile_grouped scope b in
     let f = binop_fn op in

@@ -122,16 +122,16 @@ and parse_primary_expr st =
       | _ -> Ast.Avg
     in
     advance st;
-    let arg =
+    let e =
       if peek st = Lexer.Star then begin
         if fn <> Ast.Count then fail st "only COUNT may take *";
         advance st;
-        None
+        Ast.Count_star
       end
-      else Some (parse_expr st)
+      else Ast.Agg (fn, parse_expr st)
     in
     eat_tok st Lexer.Rparen ")";
-    Ast.Agg (fn, arg)
+    e
   | Lexer.Ident id ->
     if peek st = Lexer.Dot then begin
       advance st;
@@ -644,10 +644,10 @@ let rec p_expr holes (e : Ast.expr) =
     match List.find_opt (fun (leaf, _, _) -> leaf == e) holes with
     | None -> Same e
     | Some (_, k, _) -> Built (fun values -> Ast.Lit values.(k)))
-  | Col _ | Host _ | Agg (_, None) -> Same e
+  | Col _ | Host _ | Count_star -> Same e
   | Binop (op, a, b) ->
     map2 e (p_expr holes a) (p_expr holes b) (fun a b -> Ast.Binop (op, a, b))
-  | Agg (fn, Some a) -> map1 e (p_expr holes a) (fun a -> Ast.Agg (fn, Some a))
+  | Agg (fn, a) -> map1 e (p_expr holes a) (fun a -> Ast.Agg (fn, a))
 
 and p_exprs holes es = map_list es (List.map (p_expr holes) es)
 

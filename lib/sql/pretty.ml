@@ -39,9 +39,8 @@ let rec pp_expr ppf (e : Ast.expr) =
       | Ast.Max -> "MAX"
       | Ast.Avg -> "AVG"
     in
-    (match arg with
-    | None -> Format.fprintf ppf "%s(*)" name
-    | Some e -> Format.fprintf ppf "%s(%a)" name pp_expr e)
+    Format.fprintf ppf "%s(%a)" name pp_expr arg
+  | Count_star -> Format.pp_print_string ppf "COUNT(*)"
 
 let pp_comma_list pp ppf xs =
   Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp ppf xs

@@ -10,11 +10,15 @@
 type t
 
 (** [generate ~seed ~users ~edges_per_node] builds a deterministic
-    preferential-attachment graph. Edges are reciprocated. *)
+    preferential-attachment graph. Edges are reciprocated. It runs in
+    O(E log d) for E edges and degree d, and the graph depends on the
+    arguments alone, not on [OCAMLRUNPARAM]'s randomized hash tables. *)
 val generate : ?seed:int -> users:int -> edges_per_node:int -> unit -> t
 
 (** Parse SNAP edge-list text ([#] comments, one [from<TAB>to] pair per
-    line). Node ids are remapped densely; edges are reciprocated. *)
+    line). Node ids are remapped densely in order of first appearance;
+    edges are reciprocated, and self-loops and repeated pairs (in
+    either direction) are dropped, in O(E log d). *)
 val parse_edges : string -> t
 
 (** Read a SNAP edge-list file. *)
@@ -24,7 +28,8 @@ val users : t -> int
 val friends : t -> int -> int list
 val degree : t -> int -> int
 
-(** [nth_friend t u k] picks a friend deterministically ([]: none). *)
+(** [nth_friend t u k] picks friend [k] modulo [u]'s degree, also for a
+    negative [k] ([None]: no friends). *)
 val nth_friend : t -> int -> int -> int option
 
 (** Total number of (directed) friendship pairs. *)

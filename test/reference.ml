@@ -536,7 +536,7 @@ module Sql = struct
       | Sub -> Value.sub va vb
       | Mul -> Value.mul va vb
       | Div -> Value.div va vb)
-    | Agg _ -> fail "aggregate used outside a SELECT projection"
+    | Agg _ | Count_star -> fail "aggregate used outside a SELECT projection"
 
   let eval_cmp op va vb =
     match va, vb with
@@ -609,7 +609,7 @@ module Sql = struct
     | Col (None, name) ->
       List.exists (fun (_, schema, _) -> Schema.mem schema name) binding
     | Binop (_, a, b) -> evaluable_now binding a && evaluable_now binding b
-    | Agg _ -> false
+    | Agg _ | Count_star -> false
 
   let rec eval_cond ?var access env binding (cond : Ast.cond) =
     match cond with
@@ -694,31 +694,28 @@ module Sql = struct
 
   and expr_has_aggregate (e : Ast.expr) =
     match e with
-    | Agg _ -> true
+    | Agg _ | Count_star -> true
     | Binop (_, a, b) -> expr_has_aggregate a || expr_has_aggregate b
     | Lit _ | Col _ | Host _ -> false
 
   and eval_aggregate ?var access env group fn arg =
-    let values () =
-      match arg with
-      | None -> []
-      | Some e -> List.map (fun binding -> eval_expr ?var access env binding e) group
+    let non_null () =
+      List.filter (fun v -> v <> Value.Null)
+        (List.map (fun binding -> eval_expr ?var access env binding arg) group)
     in
-    let non_null () = List.filter (fun v -> v <> Value.Null) (values ()) in
-    match fn, arg with
-    | Ast.Count, None -> Value.Int (List.length group)
-    | Ast.Count, Some _ -> Value.Int (List.length (non_null ()))
-    | Ast.Sum, _ ->
+    match fn with
+    | Ast.Count -> Value.Int (List.length (non_null ()))
+    | Ast.Sum ->
       List.fold_left Value.add (Value.Int 0) (non_null ())
-    | Ast.Min, _ -> (
+    | Ast.Min -> (
       match non_null () with
       | [] -> Value.Null
       | v :: rest -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v rest)
-    | Ast.Max, _ -> (
+    | Ast.Max -> (
       match non_null () with
       | [] -> Value.Null
       | v :: rest -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v rest)
-    | Ast.Avg, _ -> (
+    | Ast.Avg -> (
       match non_null () with
       | [] -> Value.Null
       | vs -> Value.div (List.fold_left Value.add (Value.Int 0) vs) (Value.Int (List.length vs)))
@@ -728,6 +725,7 @@ module Sql = struct
   and eval_grouped ?var access env group (e : Ast.expr) =
     match e with
     | Agg (fn, arg) -> eval_aggregate ?var access env group fn arg
+    | Count_star -> Value.Int (List.length group)
     | Binop (op, a, b) -> (
       let va = eval_grouped ?var access env group a in
       let vb = eval_grouped ?var access env group b in

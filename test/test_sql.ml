@@ -694,8 +694,8 @@ let rec mark_expr (e : Ast.expr) : Ast.expr =
   match e with
   | Lit _ -> Col (None, "\001")
   | Binop (op, a, b) -> Binop (op, mark_expr a, mark_expr b)
-  | Agg (fn, a) -> Agg (fn, Option.map mark_expr a)
-  | Col _ | Host _ -> e
+  | Agg (fn, a) -> Agg (fn, mark_expr a)
+  | Col _ | Host _ | Count_star -> e
 
 let mark_stmt (stmt : Ast.stmt) : Ast.stmt =
   match stmt with
@@ -889,6 +889,36 @@ let test_parse_parenthesized_operand () =
   in
   Alcotest.(check string) "printed text re-parses" printed
     (Pretty.stmt_to_string (Parser.parse_stmt printed))
+
+(* Every aggregate the AST can hold prints as text that parses back to
+   it; only COUNT has an argument-free form. *)
+let test_parse_aggregates () =
+  let a = Ast.Col (None, "a") in
+  let proj e = { Ast.pexpr = e; pbind = None } in
+  let stmt =
+    Ast.Select
+      { distinct = false;
+        projs =
+          proj Ast.Count_star
+          :: List.map
+               (fun fn -> proj (Ast.Agg (fn, Binop (Add, a, Lit (Int 1)))))
+               [ Ast.Count; Sum; Min; Max; Avg ];
+        from = [ ("T", "T") ];
+        where = True;
+        group_by = [];
+        order_by = [];
+        limit = None }
+  in
+  let printed = Pretty.stmt_to_string stmt in
+  if Parser.parse_stmt printed <> stmt then
+    Alcotest.failf "%s parsed otherwise" printed;
+  List.iter
+    (fun fn ->
+      let text = Printf.sprintf "SELECT %s(*) FROM T" fn in
+      match Parser.parse_stmt text with
+      | _ -> Alcotest.failf "%s parsed" text
+      | exception Parser.Parse_error _ -> ())
+    [ "SUM"; "MIN"; "MAX"; "AVG" ]
 
 (* --- statement plans against the reference interpreter --- *)
 
@@ -1209,12 +1239,11 @@ let gen_diff_select =
   let open QCheck2.Gen in
   let* from = gen_from in
   let expr = gen_diff_expr from in
-  (* only COUNT takes [*]: the parser rejects any other aggregate of it *)
   let agg =
     frequency
-      [ (1, return (Ast.Agg (Count, None)));
+      [ (1, return Ast.Count_star);
         ( 5,
-          map2 (fun fn arg -> Ast.Agg (fn, Some arg))
+          map2 (fun fn arg -> Ast.Agg (fn, arg))
             (oneofl [ Ast.Count; Ast.Sum; Ast.Min; Ast.Max; Ast.Avg ])
             expr ) ]
   in
@@ -1269,9 +1298,9 @@ let gen_diff_stmt =
 let rec shift_expr (e : Ast.expr) : Ast.expr =
   match e with
   | Lit (Int i) -> Lit (Int ((i + 1) mod 4))
-  | Lit _ | Col _ | Host _ -> e
+  | Lit _ | Col _ | Host _ | Count_star -> e
   | Binop (op, a, b) -> Binop (op, shift_expr a, shift_expr b)
-  | Agg (fn, arg) -> Agg (fn, Option.map shift_expr arg)
+  | Agg (fn, arg) -> Agg (fn, shift_expr arg)
 
 and shift_cond (c : Ast.cond) : Ast.cond =
   match c with
@@ -1709,7 +1738,8 @@ let () =
           Alcotest.test_case "shapes: unterminated string" `Quick
             test_shapes_unterminated_string;
           Alcotest.test_case "parenthesized comparison operand" `Quick
-            test_parse_parenthesized_operand ] );
+            test_parse_parenthesized_operand;
+          Alcotest.test_case "aggregates print as they parse" `Quick test_parse_aggregates ] );
       ( "eval",
         [ Alcotest.test_case "simple select" `Quick test_eval_simple_select;
           Alcotest.test_case "join" `Quick test_eval_join;

@@ -31,11 +31,7 @@ let test_graph_generation () =
   let degrees = List.init 200 (Social_graph.degree g) in
   let max_deg = List.fold_left max 0 degrees in
   let avg = float_of_int (List.fold_left ( + ) 0 degrees) /. 200.0 in
-  Alcotest.(check bool) "hub exists" true (float_of_int max_deg > 2.5 *. avg);
-  (* determinism *)
-  let g' = Social_graph.generate ~seed:7 ~users:200 ~edges_per_node:3 () in
-  Alcotest.(check int) "same edge count" (Social_graph.edge_count g)
-    (Social_graph.edge_count g')
+  Alcotest.(check bool) "hub exists" true (float_of_int max_deg > 2.5 *. avg)
 
 let test_graph_parse_edges () =
   let text = "# comment\n10\t20\n20\t30\n10\t20\n" in
@@ -59,9 +55,56 @@ let test_load_edges_file () =
 
 let test_nth_friend () =
   let g = Social_graph.generate ~seed:1 ~users:50 ~edges_per_node:2 () in
-  match Social_graph.nth_friend g 10 3 with
-  | Some v -> Alcotest.(check bool) "is a friend" true (List.mem v (Social_graph.friends g 10))
-  | None -> Alcotest.fail "user 10 should have friends"
+  let fs = Social_graph.friends g 10 in
+  let d = List.length fs in
+  if d = 0 then Alcotest.fail "user 10 should have friends";
+  for k = 0 to (2 * d) + 1 do
+    Alcotest.(check (option int)) (Printf.sprintf "k = %d" k)
+      (Some (List.nth fs (k mod d)))
+      (Social_graph.nth_friend g 10 k)
+  done;
+  (* a negative k wraps around too: -1 is the last friend *)
+  Alcotest.(check (option int)) "k = -1" (Some (List.nth fs (d - 1)))
+    (Social_graph.nth_friend g 10 (-1));
+  Alcotest.(check (option int)) "k = -d" (Some (List.hd fs))
+    (Social_graph.nth_friend g 10 (-d))
+
+let test_parse_edges_dedupe () =
+  let text =
+    "# FromNodeId\tToNodeId\n5 7\n7\t5\n5\t7\n  # indented comment\n\n\
+     7 7\n9\t5\n5 9\nbad line\n9 7\n"
+  in
+  let g = Social_graph.parse_edges text in
+  (* ids remap in order of first appearance: 5 -> 0, 7 -> 1, 9 -> 2 *)
+  Alcotest.(check int) "three nodes" 3 (Social_graph.users g);
+  Alcotest.(check int) "triangle, each pair once a direction" 6
+    (Social_graph.edge_count g);
+  List.iter
+    (fun (u, fs) ->
+      Alcotest.(check (list int)) (Printf.sprintf "friends of %d" u) fs
+        (Social_graph.friends g u))
+    [ (0, [ 1; 2 ]); (1, [ 0; 2 ]); (2, [ 0; 1 ]) ]
+
+(* The printed adjacency, one sorted friend list a line. *)
+let graph_digest g =
+  List.init (Social_graph.users g) (fun u ->
+      String.concat " " (List.map string_of_int (Social_graph.friends g u)))
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+(* Every world's graph is pinned: a faster generator, or a different
+   hash-table seed, must draw exactly these edges. *)
+let test_graph_pinned () =
+  List.iter
+    (fun (seed, users, edges_per_node, expected) ->
+      let g = Social_graph.generate ~seed ~users ~edges_per_node () in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d, %d users, %d edges a node" seed users
+           edges_per_node)
+        expected (graph_digest g))
+    [ (1, 500, 4, "54b2c3cb5ca6b5f3f2f0f772a8b5e37f");
+      (2, 500, 4, "b3f45898c18f28df335a2cd28491cd28");
+      (3, 2000, 3, "a0ea1082fe1e49fb8a5d8f538661abc5");
+      (7, 200, 3, "188f13441b15291f8efa14b7a6cebcd5") ]
 
 (* --- travel world --- *)
 
@@ -368,7 +411,9 @@ let () =
         [ Alcotest.test_case "generation" `Quick test_graph_generation;
           Alcotest.test_case "parse edges" `Quick test_graph_parse_edges;
           Alcotest.test_case "load edges file" `Quick test_load_edges_file;
-          Alcotest.test_case "nth friend" `Quick test_nth_friend ] );
+          Alcotest.test_case "nth friend" `Quick test_nth_friend;
+          Alcotest.test_case "parse edges dedupe" `Quick test_parse_edges_dedupe;
+          Alcotest.test_case "pinned digests" `Quick test_graph_pinned ] );
       ( "world",
         [ Alcotest.test_case "build" `Quick test_world_build ] );
       ( "workloads",
